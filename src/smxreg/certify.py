@@ -6,6 +6,10 @@ probabilistic full-rank argument, the decision here is a deterministic
 singular-value test per dataset.  When it fails, an explicit flat direction
 U with U X = 1 c^T is produced as a witness: U = (e1 - e2) v^T built from a
 left null vector v of X, which lies in Z and annihilates every sample.
+
+Cost: the test (:func:`smxreg.core.rank_test`) takes O(N D^2) time and one
+copy of X, with no N x N array, so it runs at the paper's MNIST size
+(D = 785, N = 60000).
 """
 from __future__ import annotations
 
@@ -13,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RANK_RTOL
+from .core import Dataset, RANK_RTOL, rank_test
 
 VERDICT_STRICT = "strictly_convex_on_Z"
 VERDICT_DEGENERATE = "degenerate"
@@ -38,16 +42,16 @@ def certify(data: Dataset) -> ConvexityCertificate:
     ``sv_min`` is the D-th singular value (0 when N < D); full rank means
     sv_min > RANK_RTOL * sv_max.
     """
-    u, s, _ = np.linalg.svd(data.x)
+    s, left = rank_test(data.x)
     sv_max = float(s[0])
-    sv_min = float(s[data.d - 1]) if s.shape[0] >= data.d else 0.0
+    sv_min = float(s[-1])
     full_rank = sv_min > RANK_RTOL * sv_max
     if full_rank:
         return ConvexityCertificate(True, sv_min, sv_max, VERDICT_STRICT)
 
     # Left singular vector of the smallest singular value: v^T X ~ 0, so
     # U = (e1 - e2) v^T satisfies U X ~ 0 = 1 * 0^T while 1^T U = 0.
-    v = u[:, data.d - 1]
+    v = left[-1]
     witness = np.zeros((data.c, data.d))
     witness[0] = v
     witness[1] = -v

@@ -1,10 +1,11 @@
 """Command-line surface: train, spectrum, certify, checkgrad.
 
 Exit codes: 0 success, 1 check failure (including a non-finite training
-stop), 2 usage or input-format errors.  Reports are JSON with sorted keys;
---deterministic zeroes the wall-clock field so identical flags and seed give
-byte-identical report files.  Output files are written via a temp file and
-rename, so errors never leave partial output behind.
+stop), 2 usage or input-format errors, including inputs too large to hold
+in memory.  Reports are JSON with sorted keys; --deterministic zeroes the
+wall-clock field so identical flags and seed give byte-identical report
+files.  Output files are written via a temp file and rename, so errors
+never leave partial output behind.
 """
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ from .core import Dataset, InvalidInputError
 from .data_io import add_bias_row, load_csv, load_idx_dataset
 from .fdcheck import GRAD_TOL, HESS_TOL, gradient_check_suite
 from .softmax import softmax
-from .spectrum import analyze_q, dense_q_spectrum
+from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
 from .trainer import STOP_NONFINITE, TrainConfig, evaluate, train
 
 WEIGHTS_MAGIC = b"SMXW"
@@ -189,15 +190,19 @@ def cmd_spectrum(args) -> int:
         y = softmax(w @ data.x[:, args.sample])
 
     report = analyze_q(y)
-    dense = dense_q_spectrum(y)
-    max_delta = float(np.max(np.abs(report.multiset() - dense)))
+    max_delta = None
+    if y.shape[0] <= DENSE_C_LIMIT:
+        max_delta = float(np.max(np.abs(report.multiset() - dense_q_spectrum(y))))
 
     print(f"{'value':>18}  {'mult':>4}  {'kind':<20}  bracket")
     for e in report.eigenvalues:
         bracket = f"({e.bracket[0]:.12g}, {e.bracket[1]:.12g})" if e.bracket else "-"
         flag = "  [degenerate gap]" if e.degenerate_gap else ""
         print(f"{e.value:18.12f}  {e.multiplicity:>4}  {e.kind:<20}  {bracket}{flag}")
-    print(f"dense-oracle max |delta|: {max_delta:.3e}")
+    if max_delta is None:
+        print(f"dense-oracle: skipped (C > {DENSE_C_LIMIT})")
+    else:
+        print(f"dense-oracle max |delta|: {max_delta:.3e}")
 
     _emit_json(args, {
         "command": "spectrum",
@@ -382,7 +387,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -28,6 +28,7 @@ from .core import (
     SizeLimitError,
     UnsupportedShapeError,
     as_matrix,
+    rank_test,
 )
 from .hessian import DENSE_LIMIT, HessianOperator, q_matrix
 from .softmax import softmax
@@ -120,9 +121,9 @@ def determinant_check(r: TwoClassReduction, data: Dataset) -> tuple[float, float
 
 
 def _check_full_rank(x: np.ndarray) -> np.ndarray:
-    sv = np.linalg.svd(x, compute_uv=False)
-    d = x.shape[0]
-    sv_min = float(sv[d - 1]) if sv.shape[0] >= d else 0.0
+    """The D singular values of X; raises unless X has full row rank."""
+    sv, _ = rank_test(x)
+    sv_min = float(sv[-1])
     sv_max = float(sv[0])
     if sv_min <= RANK_RTOL * sv_max:
         raise RankDeficientError(
@@ -143,7 +144,7 @@ def condition_bound(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
     sv = _check_full_rank(data.x)
     evals = np.linalg.eigvalsh(r.m)
     k_exact = float(evals[-1] / evals[0])
-    kx = float(sv[0] / sv[data.d - 1])
+    kx = float(sv[0] / sv[-1])
     k_bound = float(kx ** 2 * np.max(r.alpha) / np.min(r.alpha))
     return k_exact, k_bound
 

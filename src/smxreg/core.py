@@ -117,6 +117,26 @@ class Dataset:
         return self.x.shape[1]
 
 
+def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The D singular values of X (D x N) and its left singular vectors.
+
+    Returns ``(s, left)``: ``s`` descending, length D, zero-padded when
+    N < D; row ``k`` of ``left`` (D x D) is the left singular vector of
+    ``s[k]``.  X is full row rank iff ``s[-1] > RANK_RTOL * s[0]``.
+
+    X^T = Q R reduces X to the min(N, D) x D factor R, and X = R^T Q^T with
+    orthonormal Q, so R has X's singular values and R's right singular
+    vectors are X's left ones.  Cost: O(N D^2) time, one copy of X, no
+    N x N array.  This stays an SVD rather than eigh(X X^T): squaring X
+    resolves sv_min only to about sqrt(eps) * sv_max, far above RANK_RTOL.
+    """
+    r = np.linalg.qr(x.T, mode="r")
+    _, sv, left = np.linalg.svd(r)
+    s = np.zeros(x.shape[0])
+    s[: sv.shape[0]] = sv
+    return s, left
+
+
 def center_columns(w) -> np.ndarray:
     """Subtract each column's mean.
 

@@ -12,6 +12,7 @@ Images use magic 0x00000803 (3 dims: count, rows, cols); labels use
 """
 from __future__ import annotations
 
+import os
 import struct
 
 import numpy as np
@@ -39,6 +40,18 @@ def _read_exact(f, count: int, offset: int, what: str) -> bytes:
             f"{offset}, got {len(data)}"
         )
     return data
+
+
+def _check_payload_size(f, declared: int, offset: int, what: str) -> None:
+    """Compare the payload size the header declares with the file's, before
+    anything that large is allocated."""
+    held = os.fstat(f.fileno()).st_size - offset
+    if declared != held:
+        problem = "truncated file" if declared > held else "trailing bytes"
+        raise IdxFormatError(
+            f"{problem}: header declares {declared} bytes of {what} at offset "
+            f"{offset}, file holds {held}"
+        )
 
 
 def _read_header(f, expected_magic: int, expected_ndim: int, kind: str):
@@ -83,6 +96,7 @@ def load_idx_images(path, scale: bool = True) -> np.ndarray:
     """
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
+        _check_payload_size(f, n * rows * cols, 16, "pixels")
         payload = _read_exact(f, n * rows * cols, 16, "pixels")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
     x = pixels.T.astype(float)
@@ -113,6 +127,7 @@ def load_idx_labels(path, c: int) -> np.ndarray:
     """
     with open(path, "rb") as f:
         (n,) = _read_header(f, LABEL_MAGIC, 1, "label")
+        _check_payload_size(f, n, 8, "labels")
         payload = _read_exact(f, n, 8, "labels")
     labels = np.frombuffer(payload, dtype=np.uint8)
     bad = np.nonzero(labels >= c)[0]

@@ -77,3 +77,35 @@ class TestCertify:
             op = HessianOperator(data, op_anchor)
             u = b @ rng.standard_normal((3, 3))
             assert op.quadratic_form(u) > 0.0
+
+
+class TestRankTest:
+    def test_tall_data_needs_no_n_by_n_factor(self):
+        # An N x N factor at this size would take 80 GB.
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal((5, 100_000))
+        cert = certify(dataset_from_x(x, c=2))
+        assert cert.full_rank
+        s = np.linalg.svd(x, compute_uv=False)
+        assert cert.sv_max == pytest.approx(s[0], rel=1e-12)
+        assert cert.sv_min == pytest.approx(s[-1], rel=1e-12)
+
+    def test_dependent_row_at_large_n_has_witness(self):
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((50, 20_000))
+        x[17] = 0.5 * x[3] - 2.0 * x[40] + x[11]
+        cert = certify(dataset_from_x(x))
+        assert cert.verdict == VERDICT_DEGENERATE
+        u = cert.degeneracy_witness
+        assert np.linalg.norm(u @ x) <= 1e-8 * np.linalg.norm(u) * np.linalg.norm(x)
+
+    @pytest.mark.parametrize("gap, full_rank", [(1e-12, False), (1e-6, True)])
+    def test_threshold_resolves_nearly_equal_rows(self, gap, full_rank):
+        # Squaring X (a Gram-matrix test) would blur sv_min below about
+        # 1e-8 * sv_max and call the 1e-12 case full rank.
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 2000))
+        r = rng.standard_normal(2000)
+        x[2] = x[1] + gap * np.linalg.norm(x[1]) * r / np.linalg.norm(r)
+        cert = certify(dataset_from_x(x))
+        assert cert.full_rank == full_rank

@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smxreg import cli
 from smxreg.cli import main, read_weights, write_weights
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -121,6 +123,21 @@ class TestSpectrum:
         assert main(["spectrum", "--y", "0.5,0.6", "--json", str(rep)]) == 2
         assert not rep.exists()
 
+    def test_above_dense_limit_skips_oracle(self, tmp_path, capsys):
+        rng = np.random.default_rng(8)
+        y = rng.dirichlet(np.ones(600))
+        rep = tmp_path / "rep.json"
+        assert main(["spectrum", "--y", ",".join(repr(float(v)) for v in y),
+                     "--json", str(rep)]) == 0
+        assert "dense-oracle: skipped (C > 512)" in capsys.readouterr().out
+        result = json.loads(rep.read_text())["result"]
+        assert result["dense_max_delta"] is None
+        got = np.sort(np.concatenate([[e["value"]] * e["multiplicity"]
+                                      for e in result["eigenvalues"]]))
+        want = np.linalg.eigvalsh(np.diag(y) - np.outer(y, y))
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-10
+
     def test_from_weights_and_data(self, toy_csv, tmp_path):
         wfile = tmp_path / "w.bin"
         write_weights(wfile, np.zeros((2, 3)))
@@ -152,6 +169,26 @@ class TestCertify:
         assert rc == 0
         two = json.loads(rep.read_text())["result"]["two_class"]
         assert two["k_exact"] <= two["k_bound"] * (1 + 1e-10)
+
+
+class TestHostileInput:
+    def test_huge_idx_header_exits_2(self, tmp_path, capsys):
+        imgs = tmp_path / "imgs.idx"
+        labs = tmp_path / "labs.idx"
+        imgs.write_bytes(struct.pack(">IIII", 0x803, 2**32 - 1, 28, 28) + b"\x00" * 784)
+        labs.write_bytes(struct.pack(">II", 0x801, 1) + b"\x00")
+        rc = main(["certify", "--data", str(imgs), "--labels", str(labs),
+                   "--classes", "10"])
+        assert rc == 2
+        assert "offset 16" in capsys.readouterr().err
+
+    def test_memory_error_exits_2(self, toy_csv, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 26.8 GiB")
+
+        monkeypatch.setattr(cli, "load_csv", exhausted)
+        assert main(["certify", "--csv", toy_csv, "--classes", "2"]) == 2
+        assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
 
 class TestCheckgrad:

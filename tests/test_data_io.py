@@ -80,6 +80,19 @@ class TestIdxImages:
         with pytest.raises(IdxFormatError, match="truncated"):
             load_idx_images(f)
 
+    def test_huge_declared_count_is_refused_before_reading(self, tmp_path):
+        f = tmp_path / "huge.idx"
+        f.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 2**32 - 1, 28, 28)
+                      + b"\x00" * 784)
+        with pytest.raises(IdxFormatError, match="offset 16"):
+            load_idx_images(f)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        f = tmp_path / "long.idx"
+        f.write_bytes(struct.pack(">IIII", IMAGE_MAGIC, 1, 2, 2) + b"\x00" * 5)
+        with pytest.raises(IdxFormatError, match="trailing bytes"):
+            load_idx_images(f)
+
     def test_label_magic_rejected_for_images(self, tmp_path):
         f = tmp_path / "labels.idx"
         write_raw_labels(f, [1, 2])
@@ -94,6 +107,12 @@ class TestIdxImages:
 
 
 class TestIdxLabels:
+    def test_huge_declared_count_is_refused_before_reading(self, tmp_path):
+        f = tmp_path / "huge.idx"
+        f.write_bytes(struct.pack(">II", LABEL_MAGIC, 2**32 - 1) + b"\x00" * 3)
+        with pytest.raises(IdxFormatError, match="offset 8"):
+            load_idx_labels(f, 10)
+
     def test_one_hot_mapping(self, tmp_path):
         f = tmp_path / "labels.idx"
         write_raw_labels(f, [0, 9])
