@@ -68,8 +68,13 @@ class Dataset:
     Every target column is a probability vector (entries in [0, 1], summing
     to 1 within ``TARGET_COLUMN_SUM_TOL``).  Hard one-hot labels are the
     special case produced by :func:`one_hot`; soft labels are accepted
-    everywhere.  Both arrays are copied and frozen, so a dataset can be
-    shared read-only across threads.
+    everywhere.  Both arrays end up read-only and C-contiguous, so a dataset
+    can be shared across threads.  An array that is already float64,
+    C-contiguous, read-only and owns its data (as the loaders and
+    :func:`~smxreg.data_io.add_bias_row` return) is adopted without a copy;
+    anything else is copied and frozen.  Every check runs either way.  The
+    adopted array stays the caller's object, so a caller that makes it
+    writeable again can still change the dataset.
     """
 
     x: np.ndarray
@@ -97,12 +102,8 @@ class Dataset:
             raise InvalidInputError(
                 f"t columns must sum to 1 (worst deviation {worst:.3e})"
             )
-        x = x.copy()
-        t = t.copy()
-        x.setflags(write=False)
-        t.setflags(write=False)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "x", _adopt_or_freeze(x))
+        object.__setattr__(self, "t", _adopt_or_freeze(t))
 
     @property
     def d(self) -> int:
@@ -115,6 +116,21 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x.shape[1]
+
+
+def freeze(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only in place and return it."""
+    a.setflags(write=False)
+    return a
+
+
+def _adopt_or_freeze(a: np.ndarray) -> np.ndarray:
+    """``a`` itself if it is a frozen, owned, C-contiguous float64 array;
+    otherwise a frozen C-order copy."""
+    f = a.flags
+    if a.dtype == np.float64 and f.c_contiguous and f.owndata and not f.writeable:
+        return a
+    return freeze(a.copy())
 
 
 def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -149,19 +165,26 @@ def center_columns(w) -> np.ndarray:
 
 
 def one_hot(labels, c: int) -> np.ndarray:
-    """Encode 1-based class labels as one-hot target columns (C x N)."""
+    """Encode 1-based class labels as one-hot target columns (C x N).
+
+    A label that is not an integer in 1..C raises :class:`InvalidLabelError`
+    naming the first such position.
+    """
     labels = np.asarray(labels)
     if labels.ndim != 1:
         raise DimensionMismatchError("labels must be a 1-D sequence")
     c = int(c)
     if c < 2:
         raise InvalidInputError("need at least 2 classes")
+    if labels.dtype.kind not in "biuf":
+        raise InvalidLabelError(f"labels must be numbers, got dtype {labels.dtype}", 0)
+    with np.errstate(invalid="ignore"):
+        bad = np.flatnonzero((labels != np.rint(labels)) | (labels < 1) | (labels > c))
+    if bad.size:
+        n = int(bad[0])
+        raise InvalidLabelError(
+            f"label {labels[n].item()!r} at position {n} outside 1..{c}", n
+        )
     out = np.zeros((c, labels.shape[0]))
-    for n, lab in enumerate(labels):
-        k = int(lab)
-        if k != lab or not 1 <= k <= c:
-            raise InvalidLabelError(
-                f"label {lab!r} at position {n} outside 1..{c}", n
-            )
-        out[k - 1, n] = 1.0
+    out[labels.astype(np.intp) - 1, np.arange(labels.shape[0])] = 1.0
     return out

@@ -17,11 +17,17 @@ import struct
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, InvalidLabelError, one_hot
+from .core import (Dataset, DimensionMismatchError, InvalidLabelError, freeze,
+                   one_hot)
 
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 DTYPE_UBYTE = 0x08
+
+# Images converted per block when :func:`load_idx_images` transposes the
+# pixels: a block of 1024 images (784 KB at 28 x 28) stays in cache while
+# its columns of X are written.
+IDX_BLOCK_IMAGES = 1024
 
 
 class IdxFormatError(ValueError):
@@ -90,17 +96,26 @@ def read_idx_image_header(path) -> tuple[int, int, int]:
 
 
 def load_idx_images(path, scale: bool = True) -> np.ndarray:
-    """D x N matrix from an IDX image file, image n flattened row-major into
-    column n.  Pixels are mapped to [0, 1] by division by 255 unless
-    ``scale=False``; unscaled bytes inflate activations and slow descent.
+    """D x N float64 matrix from an IDX image file, image n flattened
+    row-major into column n.  Pixels are mapped to [0, 1] by division by 255
+    unless ``scale=False``; unscaled bytes inflate activations and slow
+    descent.
+
+    The result is C-contiguous and built in one pass: each block of
+    ``IDX_BLOCK_IMAGES`` images is transposed and scaled straight into its
+    columns of X.  Besides X, only the payload bytes (1/8 of X) are held.
     """
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
         _check_payload_size(f, n * rows * cols, 16, "pixels")
         payload = _read_exact(f, n * rows * cols, 16, "pixels")
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
-    x = pixels.T.astype(float)
-    return x / 255.0 if scale else x
+    x = np.empty((rows * cols, n))
+    divisor = 255.0 if scale else 1.0
+    for j in range(0, n, IDX_BLOCK_IMAGES):
+        block = slice(j, j + IDX_BLOCK_IMAGES)
+        np.divide(pixels[block].T, divisor, out=x[:, block])
+    return x
 
 
 def write_idx_images(path, x, rows: int, cols: int, scaled: bool = True) -> None:
@@ -150,14 +165,15 @@ def write_idx_labels(path, labels0) -> None:
 
 
 def load_idx_dataset(images_path, labels_path, c: int, scale: bool = True) -> Dataset:
-    """Assemble a Dataset from a paired IDX image/label file."""
+    """Assemble a Dataset from a paired IDX image/label file.  The Dataset
+    adopts the freshly loaded arrays, so X is built exactly once."""
     x = load_idx_images(images_path, scale=scale)
     t = load_idx_labels(labels_path, c)
     if x.shape[1] != t.shape[1]:
         raise IdxFormatError(
             f"image count {x.shape[1]} does not match label count {t.shape[1]}"
         )
-    return Dataset(x, t)
+    return Dataset(freeze(x), freeze(t))
 
 
 def load_csv(path, label_column: int, c: int, header: bool = False) -> Dataset:
@@ -166,6 +182,7 @@ def load_csv(path, label_column: int, c: int, header: bool = False) -> Dataset:
     ``label_column`` is the 0-based column holding the 0-based integer class
     label (negative indices count from the end); the remaining columns become
     the feature rows of X in their original order.  Row order is preserved.
+    X is C-contiguous, and the Dataset adopts it without another copy.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -201,9 +218,9 @@ def load_csv(path, label_column: int, c: int, header: bool = False) -> Dataset:
     raw_labels = table[:, label_column]
     if np.any(raw_labels != np.rint(raw_labels)):
         raise CsvParseError("labels must be integers")
-    x = np.delete(table, label_column, axis=1).T
+    x = np.delete(table, label_column, axis=1).T.copy()
     t = one_hot(raw_labels.astype(int) + 1, c)
-    return Dataset(x, t)
+    return Dataset(freeze(x), freeze(t))
 
 
 def _is_number(cell: str) -> bool:
@@ -217,9 +234,14 @@ def _is_number(cell: str) -> bool:
 def add_bias_row(x) -> np.ndarray:
     """Append a constant-1 feature row (affine trick): result is (D+1) x N.
 
-    Not idempotent by design; calling twice appends two rows.
+    The result is a new read-only, C-contiguous array, which
+    :class:`~smxreg.core.Dataset` adopts without copying.  Not idempotent by
+    design; calling twice appends two rows.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-D, got shape {x.shape}")
-    return np.vstack([x, np.ones((1, x.shape[1]))])
+    out = np.empty((x.shape[0] + 1, x.shape[1]))
+    out[:-1] = x
+    out[-1] = 1.0
+    return freeze(out)

@@ -9,6 +9,7 @@ from smxreg.core import (
     InvalidInputError,
     InvalidLabelError,
     center_columns,
+    freeze,
     one_hot,
 )
 
@@ -80,6 +81,38 @@ class TestOneHot:
         with pytest.raises(InvalidLabelError):
             one_hot([0], 3)
 
+    def test_non_integer_label_reports_index(self):
+        with pytest.raises(InvalidLabelError) as exc:
+            one_hot([2, 1.5, 7], 4)
+        assert exc.value.index == 1
+
+    def test_empty_labels_give_empty_columns(self):
+        assert one_hot([], 3).shape == (3, 0)
+
+    @settings(max_examples=50)
+    @given(st.lists(st.integers(-1, 6) | st.floats(-1.0, 6.0), max_size=12),
+           st.integers(2, 5))
+    def test_matches_loop_reference(self, labels, c):
+        try:
+            expected = _one_hot_loop(labels, c)
+        except InvalidLabelError as exc:
+            with pytest.raises(InvalidLabelError) as got:
+                one_hot(labels, c)
+            assert got.value.index == exc.index
+        else:
+            assert np.array_equal(one_hot(labels, c), expected)
+
+
+def _one_hot_loop(labels, c):
+    """Per-label reference for :func:`one_hot`."""
+    out = np.zeros((c, len(labels)))
+    for n, lab in enumerate(labels):
+        k = int(lab)
+        if k != lab or not 1 <= k <= c:
+            raise InvalidLabelError(f"label {lab!r} at position {n}", n)
+        out[k - 1, n] = 1.0
+    return out
+
 
 class TestDataset:
     def test_valid_soft_labels(self):
@@ -107,3 +140,39 @@ class TestDataset:
         data = Dataset(np.ones((2, 2)), np.eye(2))
         with pytest.raises(ValueError):
             data.x[0, 0] = 5.0
+
+
+class TestDatasetAdoption:
+    T = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
+
+    def test_frozen_owned_c_array_is_adopted(self):
+        x = freeze(np.arange(6.0).reshape(2, 3).copy())
+        t = freeze(self.T.copy())
+        data = Dataset(x, t)
+        assert np.shares_memory(data.x, x)
+        assert np.shares_memory(data.t, t)
+
+    def test_writeable_array_is_copied(self):
+        x = np.arange(6.0).reshape(2, 3)
+        data = Dataset(x, self.T)
+        x[0, 0] = 99.0
+        assert data.x[0, 0] == 0.0
+        assert not np.shares_memory(data.x, x)
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.frombuffer(np.arange(6.0).tobytes()).reshape(2, 3),
+        lambda: freeze(np.arange(12.0).reshape(2, 6))[:, ::2],
+        lambda: freeze(np.asfortranarray(np.arange(6.0).reshape(2, 3))),
+    ], ids=["frombuffer", "frozen-slice", "fortran-order"])
+    def test_views_and_other_layouts_are_copied(self, make):
+        x = make()
+        assert not x.flags.writeable
+        data = Dataset(x, self.T)
+        assert not np.shares_memory(data.x, x)
+        assert data.x.flags.c_contiguous and not data.x.flags.writeable
+        assert np.array_equal(data.x, x)
+
+    def test_frozen_nonfinite_array_is_rejected(self):
+        x = freeze(np.array([[np.inf, 0.0, 1.0], [0.0, 1.0, 2.0]]))
+        with pytest.raises(InvalidInputError):
+            Dataset(x, self.T)

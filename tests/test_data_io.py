@@ -1,10 +1,12 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from smxreg.core import InvalidLabelError
+from smxreg.core import Dataset, InvalidLabelError
 from smxreg.data_io import (
+    IDX_BLOCK_IMAGES,
     CsvParseError,
     IdxFormatError,
     add_bias_row,
@@ -105,6 +107,18 @@ class TestIdxImages:
         write_raw_images(f, images)
         assert np.array_equal(load_idx_images(f, scale=False)[:, 0], [10.0, 20.0])
 
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_c_order_and_exact_across_blocks(self, tmp_path, scale):
+        n = 2 * IDX_BLOCK_IMAGES + 37
+        images = np.random.default_rng(2).integers(0, 256, (n, 3, 2), dtype=np.uint8)
+        f = tmp_path / "imgs.idx"
+        write_raw_images(f, images)
+        x = load_idx_images(f, scale=scale)
+        pixels = images.reshape(n, 6)
+        expected = pixels.T / 255.0 if scale else pixels.T.astype(float)
+        assert x.flags.c_contiguous and x.dtype == np.float64
+        assert np.array_equal(x, expected)
+
 
 class TestIdxLabels:
     def test_huge_declared_count_is_refused_before_reading(self, tmp_path):
@@ -153,6 +167,25 @@ class TestIdxLabels:
         write_raw_labels(labs, [0, 1, 2, 0, 1, 2])
         data = load_idx_dataset(imgs, labs, 3)
         assert (data.d, data.c, data.n) == (9, 3, 6)
+        _assert_frozen_c(data.x)
+
+    def test_load_and_bias_peak_memory(self, tmp_path):
+        # load -> add_bias_row -> Dataset holds X and its biased copy at
+        # most: about 2.1x the final X, where a copying Dataset and an
+        # F-order load reach 3x.
+        imgs = tmp_path / "imgs.idx"
+        labs = tmp_path / "labs.idx"
+        rng = np.random.default_rng(3)
+        write_raw_images(imgs, rng.integers(0, 256, (5000, 28, 28), dtype=np.uint8))
+        write_raw_labels(labs, rng.integers(0, 10, 5000).tolist())
+        tracemalloc.start()
+        try:
+            raw = load_idx_dataset(imgs, labs, 10)
+            data = Dataset(add_bias_row(raw.x), raw.t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.3 * data.x.nbytes
 
 
 class TestCsv:
@@ -187,6 +220,13 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="line 2"):
             load_csv(f, 2, 2)
 
+    def test_x_is_read_only_c_order(self, tmp_path):
+        f = tmp_path / "toy.csv"
+        f.write_text("1,0,2\n3,1,4\n5,0,6\n")
+        data = load_csv(f, 1, 2)
+        assert np.array_equal(data.x, [[1.0, 3.0, 5.0], [2.0, 4.0, 6.0]])
+        _assert_frozen_c(data.x)
+
     def test_non_integer_label(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_text("1,2,0.5\n")
@@ -207,3 +247,11 @@ class TestAddBiasRow:
     def test_empty_matrix(self):
         out = add_bias_row(np.zeros((3, 0)))
         assert out.shape == (4, 0)
+
+    def test_result_is_read_only_c_order(self):
+        out = add_bias_row(np.asfortranarray(np.ones((3, 4))))
+        _assert_frozen_c(out)
+
+
+def _assert_frozen_c(x):
+    assert x.flags.c_contiguous and not x.flags.writeable
