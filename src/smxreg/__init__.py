@@ -30,9 +30,9 @@ from .core import (
     center_columns,
     one_hot,
 )
-from .hessian import HessianOperator, q_matrix
+from .hessian import HessianOperator
 from .loss_grad import error_covariance, gradient, loss
-from .softmax import d_rho, d_sigma, rho, softmax
+from .softmax import d_rho, q_matrix, rho, softmax
 from .spectrum import SpectrumReport, analyze_q, dense_q_spectrum, nullspace_basis
 from .trainer import TrainConfig, TrainTrace, evaluate, initial_weights, train
 
@@ -56,7 +56,6 @@ __all__ = [
     "certify",
     "condition_bound",
     "d_rho",
-    "d_sigma",
     "dense_hessian_on_z",
     "dense_q_spectrum",
     "determinant_check",

@@ -19,20 +19,10 @@ from typing import NamedTuple
 import numpy as np
 
 from .core import Dataset, DimensionMismatchError, SizeLimitError, as_matrix
-from .softmax import softmax
+from .softmax import q_matrix, softmax
 
 # Dense materialization guard: C*D entries per vec index.
 DENSE_LIMIT = 2048
-
-
-def q_matrix(y) -> np.ndarray:
-    """Per-sample curvature factor diag(y) - y y^T.
-
-    Symmetric, PSD, with Q 1 = 0.  Boundary probability vectors (entries 0
-    or 1) are allowed; zero coordinates enlarge the kernel.
-    """
-    y = np.asarray(y, dtype=float)
-    return np.diag(y) - np.outer(y, y)
 
 
 class KernelTest(NamedTuple):

@@ -48,11 +48,12 @@ def rho(a) -> np.ndarray:
     return -a + logsumexp(a)
 
 
-def d_sigma(y) -> np.ndarray:
+def q_matrix(y) -> np.ndarray:
     """Jacobian of the softmax expressed through its value: diag(y) - y y^T.
 
-    Symmetric with zero row sums.  Boundary outputs (entries 0 or 1) are
-    accepted; the matrix degenerates gracefully there.
+    The same matrix is the per-sample curvature factor Q of the Hessian.
+    Symmetric, PSD, with Q 1 = 0.  Boundary outputs (entries 0 or 1) are
+    accepted; zero coordinates enlarge the kernel.
     """
     y = np.asarray(y, dtype=float)
     return np.diag(y) - np.outer(y, y)

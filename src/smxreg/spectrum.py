@@ -17,8 +17,11 @@ inspection:
 
 f is increasing between its poles and spans (-inf, +inf) on each interior
 gap, so bisection with the gap as bracket converges unconditionally; Newton
-would risk stepping into a pole.  Coordinates closer than ``GROUP_TOL`` are
-quantized to one distinct value before the analysis.
+would risk stepping into a pole.  All gaps of one vector are bisected in one
+batch: each step evaluates f, an O(r) sum, at the midpoints of the gaps still
+open, and a gap of width w closes after about log2(w / BISECT_TOL) <= 47
+steps.  Coordinates closer than ``GROUP_TOL`` are quantized to one distinct
+value before the analysis.
 """
 from __future__ import annotations
 
@@ -27,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import InvalidInputError, SizeLimitError
-from .hessian import q_matrix
+from .softmax import q_matrix
 
 KIND_ZERO = "zero"
 KIND_REPEATED = "repeated-coordinate"
@@ -87,51 +90,63 @@ def _probability_vector(y) -> np.ndarray:
     return y
 
 
-def _secular(lam: float, values: np.ndarray, counts: np.ndarray) -> float:
-    return float(np.sum(counts * values * values / (values - lam)))
+def _secular(lam: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """f at every point of ``lam``; ``weights`` holds nu_s a_s^2."""
+    return (weights / (values - lam[:, None])).sum(axis=1)
 
 
-def _bisect_secular(values, counts, lo: float, hi: float) -> float:
+def _bisect_secular(values, counts, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The root of f = 1 inside every gap (lo_i, hi_i), bisected together.
+
+    A gap stops on its own once its bracket is at most ``BISECT_TOL`` wide or
+    narrower than float spacing; only the gaps still open are evaluated.
+    """
+    weights = counts * values * values
     # Shrink inward so the poles at the bracket ends are never evaluated; the
     # relative pad can round away against the ulp of the endpoints, so step
     # at least one representable float into the interval.
     pad = 1e-15 * (hi - lo)
-    lo2 = max(lo + pad, np.nextafter(lo, hi))
-    hi2 = min(hi - pad, np.nextafter(hi, lo))
-    if _secular(lo2, values, counts) >= 1.0:
-        return lo2  # root hides in the excluded sliver next to lo
-    if _secular(hi2, values, counts) <= 1.0:
-        return hi2
-    while hi2 - lo2 > BISECT_TOL:
-        mid = 0.5 * (lo2 + hi2)
-        if not lo2 < mid < hi2:
-            break  # bracket narrower than float spacing
-        if _secular(mid, values, counts) < 1.0:
-            lo2 = mid
-        else:
-            hi2 = mid
-    return 0.5 * (lo2 + hi2)
+    lo2 = np.maximum(lo + pad, np.nextafter(lo, hi))
+    hi2 = np.minimum(hi - pad, np.nextafter(hi, lo))
+    # A root that hides in the excluded sliver next to an end is that end.
+    at_lo = _secular(lo2, values, weights) >= 1.0
+    at_hi = ~at_lo & (_secular(hi2, values, weights) <= 1.0)
+    open_ = np.flatnonzero(~at_lo & ~at_hi & (hi2 - lo2 > BISECT_TOL))
+    while open_.size:
+        mid = 0.5 * (lo2[open_] + hi2[open_])
+        inside = (lo2[open_] < mid) & (mid < hi2[open_])
+        open_, mid = open_[inside], mid[inside]
+        below = _secular(mid, values, weights) < 1.0
+        lo2[open_[below]] = mid[below]
+        hi2[open_[~below]] = mid[~below]
+        open_ = open_[hi2[open_] - lo2[open_] > BISECT_TOL]
+    root = 0.5 * (lo2 + hi2)
+    root[at_lo] = lo2[at_lo]
+    root[at_hi] = hi2[at_hi]
+    return root
 
 
 def _group_values(pos_sorted: np.ndarray, group_tol: float):
-    groups: list[list[float]] = []
-    for v in pos_sorted:
-        if groups and v - groups[-1][-1] <= group_tol:
-            groups[-1].append(float(v))
-        else:
-            groups.append([float(v)])
-    reps = np.array([float(np.mean(g)) for g in groups])
-    counts = np.array([len(g) for g in groups], dtype=int)
+    # Chained grouping: a value joins its predecessor's group when the two
+    # are at most group_tol apart.
+    starts = np.flatnonzero(np.diff(pos_sorted) > group_tol) + 1
+    starts = np.concatenate(([0], starts))
+    counts = np.diff(np.append(starts, pos_sorted.size))
+    reps = pos_sorted[starts]
+    # np.mean (a pairwise sum) per group, not np.add.reduceat (a sequential
+    # sum), so a group's representative is exactly np.mean of its values.
+    for g in np.flatnonzero(counts > 1):
+        reps[g] = np.mean(pos_sorted[starts[g]:starts[g] + counts[g]])
     return reps, counts
 
 
 def analyze_q(y, group_tol: float = GROUP_TOL) -> SpectrumReport:
     """Assemble the full spectrum of diag(y) - y y^T analytically.
 
-    Interlaced roots are found by bisection to absolute tolerance
-    ``BISECT_TOL``; gaps narrower than ``DEGENERATE_GAP`` are reported as the
-    lower coordinate value with ``degenerate_gap=True`` instead of forcing a
-    bisection between nearly coincident poles.
+    Interlaced roots are found by one batched bisection over all gaps, to
+    absolute tolerance ``BISECT_TOL``; gaps narrower than ``DEGENERATE_GAP``
+    are reported as the lower coordinate value with ``degenerate_gap=True``
+    instead of forcing a bisection between nearly coincident poles.
     """
     y = _probability_vector(y)
     zero_mask = y <= group_tol
@@ -145,16 +160,16 @@ def analyze_q(y, group_tol: float = GROUP_TOL) -> SpectrumReport:
     for a, nu in zip(values, counts):
         if nu >= 2:
             entries.append(Eigenvalue(float(a), int(nu) - 1, KIND_REPEATED))
+    lo, hi = values[:-1], values[1:]
+    wide = hi - lo >= DEGENERATE_GAP
+    roots = lo.copy()
+    roots[wide] = _bisect_secular(values, counts, lo[wide], hi[wide])
     for s in range(len(values) - 1):
-        lo, hi = float(values[s]), float(values[s + 1])
-        if hi - lo < DEGENERATE_GAP:
-            entries.append(
-                Eigenvalue(lo, 1, KIND_INTERLACED, bracket=(lo, hi),
-                           degenerate_gap=True)
-            )
-        else:
-            root = _bisect_secular(values, counts, lo, hi)
-            entries.append(Eigenvalue(root, 1, KIND_INTERLACED, bracket=(lo, hi)))
+        entries.append(
+            Eigenvalue(float(roots[s]), 1, KIND_INTERLACED,
+                       bracket=(float(lo[s]), float(hi[s])),
+                       degenerate_gap=not wide[s])
+        )
 
     entries.sort(key=lambda e: e.value)
     return SpectrumReport(

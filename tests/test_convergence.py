@@ -30,6 +30,13 @@ def two_class_instance(rng, d, n):
     return rng.standard_normal((2, d)), data
 
 
+def ill_conditioned_operator(c=6, d=40, n=300):
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((d, n)) * (0.93 ** np.arange(d))[:, None]
+    data = Dataset(x, softmax(rng.standard_normal((c, n))))
+    return HessianOperator(data, 0.5 * rng.standard_normal((c, d)))
+
+
 class TestReduceTwoClass:
     def test_zero_weights_give_uniform_alpha(self):
         rng = np.random.default_rng(0)
@@ -225,15 +232,17 @@ class TestExtremeEigenvaluesOnZ:
 
     def test_uniform_identity_matches_q_spectrum(self):
         # W = 0 and X = I make H act as Q on every column; on Z the spectrum
-        # is the nontrivial part of the uniform-probability Q
+        # is the nontrivial part of the uniform-probability Q.  Every
+        # eigenvalue on Z is 1/C, so Lanczos breaks down at every step.
         c, d = 5, 3
         data = Dataset(np.eye(d), one_hot([1, 2, 3], c))
         op = HessianOperator(data, np.zeros((c, d)))
-        lo, hi = extreme_eigenvalues_on_z(op, use_dense=True)
         report = analyze_q(np.full(c, 1.0 / c))
         nontrivial = report.multiset()[1:]
-        assert lo == pytest.approx(float(nontrivial[0]), rel=1e-10)
-        assert hi == pytest.approx(float(nontrivial[-1]), rel=1e-10)
+        for use_dense in (True, False):
+            lo, hi = extreme_eigenvalues_on_z(op, use_dense=use_dense)
+            assert lo == pytest.approx(float(nontrivial[0]), rel=1e-10)
+            assert hi == pytest.approx(float(nontrivial[-1]), rel=1e-10)
 
     def test_iterative_matches_dense(self):
         rng = np.random.default_rng(10)
@@ -244,6 +253,21 @@ class TestExtremeEigenvaluesOnZ:
         lo_i, hi_i = extreme_eigenvalues_on_z(op, use_dense=False)
         assert lo_i == pytest.approx(lo_d, rel=1e-8)
         assert hi_i == pytest.approx(hi_d, rel=1e-8)
+
+    def test_iterative_matches_dense_ill_conditioned(self):
+        # decaying feature scales give K >= 50, with m = (C-1) D = 200 small
+        # enough for the dense oracle
+        op = ill_conditioned_operator()
+        lo_d, hi_d = extreme_eigenvalues_on_z(op, use_dense=True)
+        assert hi_d / lo_d >= 50.0
+        lo_i, hi_i = extreme_eigenvalues_on_z(op, use_dense=False)
+        assert lo_i == pytest.approx(lo_d, rel=1e-8)
+        assert hi_i == pytest.approx(hi_d, rel=1e-8)
+
+    def test_iterative_is_deterministic(self):
+        op = ill_conditioned_operator()
+        first = extreme_eigenvalues_on_z(op, use_dense=False)
+        assert extreme_eigenvalues_on_z(op, use_dense=False) == first
 
     def test_two_class_matches_reduction(self):
         rng = np.random.default_rng(11)

@@ -3,9 +3,9 @@ import pytest
 
 from smxreg.convergence import zero_sum_basis
 from smxreg.core import Dataset, DimensionMismatchError, SizeLimitError
-from smxreg.hessian import DENSE_LIMIT, HessianOperator, q_matrix
+from smxreg.hessian import DENSE_LIMIT, HessianOperator
 from smxreg.loss_grad import gradient
-from smxreg.softmax import softmax
+from smxreg.softmax import q_matrix, softmax
 
 
 def random_instance(rng, c, d, n):

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smxreg.core import InvalidInputError
-from smxreg.softmax import d_rho, d_sigma, rho, softmax
+from smxreg.softmax import d_rho, q_matrix, rho, softmax
 
 bounded_activations = st.lists(
     st.floats(min_value=-300.0, max_value=300.0, allow_nan=False),
@@ -83,16 +83,16 @@ class TestRho:
 
 class TestDSigma:
     def test_half_half(self):
-        assert np.allclose(d_sigma(np.array([0.5, 0.5])),
+        assert np.allclose(q_matrix(np.array([0.5, 0.5])),
                            [[0.25, -0.25], [-0.25, 0.25]], atol=1e-16)
 
     def test_boundary_output_degenerates_to_zero(self):
-        assert np.array_equal(d_sigma(np.array([1.0, 0.0])), np.zeros((2, 2)))
+        assert np.array_equal(q_matrix(np.array([1.0, 0.0])), np.zeros((2, 2)))
 
     def test_symmetry_and_zero_row_sums(self):
         rng = np.random.default_rng(2)
         y = softmax(rng.standard_normal(6))
-        m = d_sigma(y)
+        m = q_matrix(y)
         assert np.max(np.abs(m - m.T)) <= 1e-15
         assert np.max(np.abs(m @ np.ones(6))) <= 1e-14
 
@@ -100,7 +100,7 @@ class TestDSigma:
         rng = np.random.default_rng(3)
         for _ in range(20):
             a = rng.standard_normal(5)
-            jac = d_sigma(softmax(a))
+            jac = q_matrix(softmax(a))
             fd = central_diff_jacobian(softmax, a)
             assert np.linalg.norm(jac - fd) / np.linalg.norm(fd) <= 1e-6
 

@@ -4,8 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smxreg.core import InvalidInputError
-from smxreg.hessian import q_matrix
+from smxreg.softmax import q_matrix, softmax
 from smxreg.spectrum import (
+    BISECT_TOL,
+    DEGENERATE_GAP,
+    GROUP_TOL,
     KIND_INTERLACED,
     KIND_REPEATED,
     KIND_ZERO,
@@ -21,6 +24,52 @@ probability_vectors = st.lists(
 
 def entry_of_kind(report, kind):
     return [e for e in report.eigenvalues if e.kind == kind]
+
+
+def scalar_groups(pos_sorted):
+    """Reference grouping, one value at a time: a value joins its
+    predecessor's group when the two are at most GROUP_TOL apart."""
+    groups = []
+    for v in pos_sorted:
+        if groups and v - groups[-1][-1] <= GROUP_TOL:
+            groups[-1].append(float(v))
+        else:
+            groups.append([float(v)])
+    return [float(np.mean(g)) for g in groups], [len(g) for g in groups]
+
+
+def scalar_roots(values, counts):
+    """Reference bisection, one gap and one point at a time.  The batched
+    bisection in analyze_q does the same arithmetic, so its roots must be
+    equal bit for bit."""
+    def f(lam):
+        return float(np.sum(counts * values * values / (values - lam)))
+
+    roots = []
+    for lo, hi in zip(values[:-1], values[1:]):
+        lo, hi = float(lo), float(hi)
+        if hi - lo < DEGENERATE_GAP:
+            roots.append(lo)
+            continue
+        pad = 1e-15 * (hi - lo)
+        lo2 = max(lo + pad, np.nextafter(lo, hi))
+        hi2 = min(hi - pad, np.nextafter(hi, lo))
+        if f(lo2) >= 1.0:
+            roots.append(float(lo2))
+            continue
+        if f(hi2) <= 1.0:
+            roots.append(float(hi2))
+            continue
+        while hi2 - lo2 > BISECT_TOL:
+            mid = 0.5 * (lo2 + hi2)
+            if not lo2 < mid < hi2:
+                break
+            if f(mid) < 1.0:
+                lo2 = mid
+            else:
+                hi2 = mid
+        roots.append(float(0.5 * (lo2 + hi2)))
+    return roots
 
 
 class TestAnalyzeQ:
@@ -84,6 +133,14 @@ class TestAnalyzeQ:
             y = raw / raw.sum()
             delta = np.max(np.abs(analyze_q(y).multiset() - dense_q_spectrum(y)))
             worst = max(worst, float(delta))
+        # several repeated groups, singletons and zeros in one vector
+        raw = np.concatenate([np.repeat([0.3, 0.7, 1.1, 2.0], [2, 3, 5, 12]),
+                              [0.45, 0.9, 1.6], np.zeros(4)])
+        y = rng.permutation(raw) / raw.sum()
+        report = analyze_q(y)
+        assert report.counts == (2, 1, 3, 1, 5, 1, 12)
+        delta = np.max(np.abs(report.multiset() - dense_q_spectrum(y)))
+        worst = max(worst, float(delta))
         assert worst <= 1e-10
 
     def test_interlaced_roots_strictly_inside_brackets(self):
@@ -143,6 +200,37 @@ class TestAnalyzeQ:
         assert len(flagged) == 1
         assert flagged[0].value == flagged[0].bracket[0]
         assert np.max(np.abs(report.multiset() - dense_q_spectrum(y))) <= 1e-10
+
+    def test_large_c_matches_eigvalsh(self):
+        # above the dense_q_spectrum limit, against the explicit Q
+        rng = np.random.default_rng(8)
+        y = softmax(2.0 * rng.standard_normal(1000))
+        expected = np.linalg.eigvalsh(q_matrix(y))
+        assert np.max(np.abs(analyze_q(y).multiset() - expected)) <= 1e-9
+
+    def test_batched_bisection_matches_scalar_reference(self):
+        rng = np.random.default_rng(9)
+        vectors = [softmax(rng.standard_normal(10)) for _ in range(50)]
+        vectors.append(softmax(2.0 * rng.standard_normal(300)))
+        for _ in range(100):
+            raw = rng.random(int(rng.integers(3, 30)))
+            raw[rng.integers(0, raw.size, size=3)] = raw[0]
+            raw[rng.integers(0, raw.size)] = 0.0
+            vectors.append(raw / raw.sum())
+        # a chain of values 0.6e-12 apart groups as one value
+        y = np.array([0.2, 0.2 + 6e-13, 0.2 + 1.2e-12, 0.3, 0.3 - 2.4e-12])
+        vectors.append(y / y.sum())
+        # one large group of near-equal values, averaged as np.mean does
+        for _ in range(5):
+            raw = np.concatenate([0.002 + 1e-14 * rng.random(400), rng.random(5)])
+            vectors.append(raw / raw.sum())
+        for y in vectors:
+            report = analyze_q(y)
+            values, counts = scalar_groups(np.sort(y[y > GROUP_TOL]))
+            assert report.distinct_values == tuple(values)
+            assert report.counts == tuple(counts)
+            roots = [e.value for e in entry_of_kind(report, KIND_INTERLACED)]
+            assert roots == scalar_roots(np.array(values), np.array(counts))
 
     @settings(max_examples=100, deadline=None)
     @given(probability_vectors)
