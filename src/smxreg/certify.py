@@ -17,7 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, RANK_RTOL, rank_test
+from .core import Dataset, rank_test
+
+# Relative singular-value threshold below which X is treated as row-rank
+# deficient.
+RANK_RTOL = 1e-10
 
 VERDICT_STRICT = "strictly_convex_on_Z"
 VERDICT_DEGENERATE = "degenerate"

@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 check failure (including a non-finite training
 stop), 2 usage or input-format errors, including inputs too large to hold
-in memory.  Reports are JSON with sorted keys; --deterministic zeroes the
-wall-clock field so identical flags and seed give byte-identical report
-files.  Output files are written via a temp file and rename, so errors
+in memory.  Each ``cmd_*`` returns its exit code, input digest and result;
+``main`` alone times the run and writes the JSON report (sorted keys), with
+--deterministic zeroing the wall-clock field so identical flags and seed
+give byte-identical report files.  Output files are written via a temp file and rename, so errors
 never leave partial output behind.
 """
 from __future__ import annotations
@@ -15,12 +16,13 @@ import os
 import struct
 import sys
 import time
+from dataclasses import asdict
 
 import numpy as np
 
 from .certify import certify
 from .convergence import condition_bound, plan, reduce_two_class
-from .core import Dataset, InvalidInputError
+from .core import Dataset, InvalidInputError, check_weights
 from .data_io import add_bias_row, load_csv, load_idx_dataset
 from .fdcheck import GRAD_TOL, HESS_TOL, gradient_check_suite
 from .softmax import softmax
@@ -66,19 +68,9 @@ def _atomic_write_bytes(path, blob: bytes) -> None:
     os.replace(tmp, path)
 
 
-def _finite_or_none(x: float):
-    x = float(x)
-    return x if np.isfinite(x) else None
-
-
-def _emit_json(args, report: dict) -> None:
-    if getattr(args, "json", None):
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-        _atomic_write_bytes(args.json, text.encode("utf-8"))
-
-
-def _duration(args, t0: float) -> float:
-    return 0.0 if args.deterministic else time.perf_counter() - t0
+def _finite_or_none(x):
+    """``x`` with a non-finite float replaced by None (JSON has no NaN)."""
+    return None if isinstance(x, float) and not np.isfinite(x) else x
 
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
@@ -119,13 +111,11 @@ def _input_digest(args, data: Dataset | None) -> dict:
     return digest
 
 
-def cmd_train(args) -> int:
-    t0 = time.perf_counter()
+def cmd_train(args) -> tuple[int, dict, dict]:
     data = _load_dataset(args)
     if args.eta is None:
         if args.bb == "off":
-            print("error: --eta is required when --bb off", file=sys.stderr)
-            return 2
+            raise InvalidInputError("--eta is required when --bb off")
         eta = 0.01
     else:
         eta = args.eta
@@ -148,14 +138,7 @@ def cmd_train(args) -> int:
     result: dict = {
         "stop_reason": trace.stop_reason,
         "trace": [
-            {
-                "epoch": r.epoch,
-                "loss": _finite_or_none(r.loss),
-                "grad_norm": _finite_or_none(r.grad_norm),
-                "eta_used": _finite_or_none(r.eta_used),
-                "max_abs_column_sum": _finite_or_none(r.max_abs_column_sum),
-            }
-            for r in trace.records
+            {k: _finite_or_none(v) for k, v in asdict(r).items()} for r in trace.records
         ],
     }
     if trace.stop_reason != STOP_NONFINITE:
@@ -165,18 +148,10 @@ def cmd_train(args) -> int:
     if args.out:
         write_weights(args.out, w)
         result["weights_file"] = str(args.out)
-
-    _emit_json(args, {
-        "command": "train",
-        "input": _input_digest(args, data),
-        "result": result,
-        "duration_s": _duration(args, t0),
-    })
-    return 1 if trace.stop_reason == STOP_NONFINITE else 0
+    return int(trace.stop_reason == STOP_NONFINITE), _input_digest(args, data), result
 
 
-def cmd_spectrum(args) -> int:
-    t0 = time.perf_counter()
+def cmd_spectrum(args) -> tuple[int, dict, dict]:
     if args.y:
         y = np.array([float(tok) for tok in args.y.split(",")])
         data = None
@@ -187,7 +162,7 @@ def cmd_spectrum(args) -> int:
         data = _load_dataset(args)
         if not 0 <= args.sample < data.n:
             raise InvalidInputError(f"--sample must be in 0..{data.n - 1}")
-        y = softmax(w @ data.x[:, args.sample])
+        y = softmax(check_weights(w, data) @ data.x[:, args.sample])
 
     report = analyze_q(y)
     max_delta = None
@@ -204,32 +179,11 @@ def cmd_spectrum(args) -> int:
     else:
         print(f"dense-oracle max |delta|: {max_delta:.3e}")
 
-    _emit_json(args, {
-        "command": "spectrum",
-        "input": {**_input_digest(args, data), "y": [float(v) for v in y]},
-        "result": {
-            "eigenvalues": [
-                {
-                    "value": e.value,
-                    "multiplicity": e.multiplicity,
-                    "kind": e.kind,
-                    "bracket": list(e.bracket) if e.bracket else None,
-                    "degenerate_gap": e.degenerate_gap,
-                }
-                for e in report.eigenvalues
-            ],
-            "support": list(report.support),
-            "distinct_values": list(report.distinct_values),
-            "counts": list(report.counts),
-            "dense_max_delta": max_delta,
-        },
-        "duration_s": _duration(args, t0),
-    })
-    return 0
+    digest = {**_input_digest(args, data), "y": [float(v) for v in y]}
+    return 0, digest, {**asdict(report), "dense_max_delta": max_delta}
 
 
-def cmd_certify(args) -> int:
-    t0 = time.perf_counter()
+def cmd_certify(args) -> tuple[int, dict, dict]:
     data = _load_dataset(args)
     cert = certify(data)
     print(f"rank(X): {'full (= D)' if cert.full_rank else 'deficient'}"
@@ -270,24 +224,11 @@ def cmd_certify(args) -> int:
         print(f"  K_exact {k_exact:.6e}  K_bound {k_bound:.6e}")
         print(f"  theta {p.theta:.6f}  eta_window [{p.eta_window[0]:.6e},"
               f" {p.eta_window[1]:.6e}]  eta* {p.eta_optimal:.6e}")
-        result["two_class"] = {
-            "anchor": anchor,
-            "lambda_min": p.lambda_min,
-            "lambda_max": p.lambda_max,
-            "k_exact": k_exact,
-            "k_bound": k_bound,
-            "theta": p.theta,
-            "eta_window": list(p.eta_window),
-            "eta_optimal": p.eta_optimal,
-        }
-
-    _emit_json(args, {
-        "command": "certify",
-        "input": _input_digest(args, data),
-        "result": result,
-        "duration_s": _duration(args, t0),
-    })
-    return 0
+        two_class = asdict(p)
+        del two_class["k"]  # k_exact reports the same ratio
+        result["two_class"] = {**two_class, "anchor": anchor,
+                               "k_exact": k_exact, "k_bound": k_bound}
+    return 0, _input_digest(args, data), result
 
 
 def _parse_sizes(text: str) -> dict:
@@ -301,8 +242,7 @@ def _parse_sizes(text: str) -> dict:
     return sizes
 
 
-def cmd_checkgrad(args) -> int:
-    t0 = time.perf_counter()
+def cmd_checkgrad(args) -> tuple[int, dict, dict]:
     sizes = _parse_sizes(args.sizes)
     res = gradient_check_suite(
         seed=args.seed,
@@ -317,13 +257,8 @@ def cmd_checkgrad(args) -> int:
     print(f"hessian:  max rel err {res['hess_max_rel_err']:.3e}"
           f" (threshold {HESS_TOL:g})")
     print("checkgrad: " + ("ok" if res["passed"] else "FAILED"))
-    _emit_json(args, {
-        "command": "checkgrad",
-        "input": {"seed": args.seed, "sizes": sizes, "instances": args.instances},
-        "result": res,
-        "duration_s": _duration(args, t0),
-    })
-    return 0 if res["passed"] else 1
+    digest = {"seed": args.seed, "sizes": sizes, "instances": args.instances}
+    return int(not res["passed"]), digest, res
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -333,8 +268,11 @@ def _build_parser() -> argparse.ArgumentParser:
                     "convexity certificates, derivative checks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--json", help="JSON report output file")
+    report.add_argument("--deterministic", action="store_true")
 
-    p = sub.add_parser("train", help="full-batch gradient descent")
+    p = sub.add_parser("train", parents=[report], help="full-batch gradient descent")
     _add_data_flags(p)
     p.add_argument("--eta", type=float, help="learning rate (initial rate under --bb)")
     p.add_argument("--epochs", type=int, default=100)
@@ -345,39 +283,31 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-grad", type=float, default=1e-10)
     p.add_argument("--log-every", type=int, default=1)
     p.add_argument("--out", help="weights output file")
-    p.add_argument("--json", help="JSON report output file")
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("spectrum", help="spectrum of diag(y) - y y^T")
+    p = sub.add_parser("spectrum", parents=[report], help="spectrum of diag(y) - y y^T")
     _add_data_flags(p)
     p.add_argument("--y", help="comma-separated probability vector")
     p.add_argument("--weights", help="weights file (alternative to --y)")
     p.add_argument("--sample", type=int, default=0,
                    help="0-based sample column used with --weights")
-    p.add_argument("--json", help="JSON report output file")
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("certify", help="strict-convexity certificate")
+    p = sub.add_parser("certify", parents=[report], help="strict-convexity certificate")
     _add_data_flags(p)
     p.add_argument("--weights", help="anchor weights file (C=2 analysis)")
     p.add_argument("--train-epochs", type=int, default=0,
                    help="train this many epochs to anchor the C=2 analysis")
     p.add_argument("--eta", type=float)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--json", help="JSON report output file")
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_certify)
 
-    p = sub.add_parser("checkgrad", help="finite-difference derivative checks")
+    p = sub.add_parser("checkgrad", parents=[report], help="finite-difference derivative checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--sizes", default="C=5,D=7,N=10",
                    help='maximum instance sizes, e.g. "C=5,D=7,N=10"')
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
-    p.add_argument("--json", help="JSON report output file")
-    p.add_argument("--deterministic", action="store_true")
     p.set_defaults(func=cmd_checkgrad)
 
     return parser
@@ -385,8 +315,19 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    t0 = time.perf_counter()
     try:
-        return args.func(args)
+        code, digest, result = args.func(args)
+        if args.json:
+            report = {
+                "command": args.command,
+                "input": digest,
+                "result": result,
+                "duration_s": 0.0 if args.deterministic else time.perf_counter() - t0,
+            }
+            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            _atomic_write_bytes(args.json, text.encode("utf-8"))
+        return code
     except (OSError, ValueError, OverflowError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

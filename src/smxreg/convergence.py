@@ -26,15 +26,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .certify import ConvexityCertificate, certify
 from .core import (
     Dataset,
     InvalidInputError,
-    RANK_RTOL,
     RankDeficientError,
     SizeLimitError,
     UnsupportedShapeError,
-    as_matrix,
-    rank_test,
+    check_weights,
 )
 from .hessian import DENSE_LIMIT, HessianOperator
 from .softmax import q_matrix, softmax
@@ -92,6 +91,12 @@ def plan(lambda_min: float, lambda_max: float) -> ConvergencePlan:
     )
 
 
+def _two_class(x: np.ndarray, y: np.ndarray) -> TwoClassReduction:
+    """The reduction from X and the 2 x N softmax outputs Y at the anchor."""
+    alpha = 2.0 * y[0] * y[1]
+    return TwoClassReduction(alpha=alpha, m=(x * alpha) @ x.T)
+
+
 def reduce_two_class(w, data: Dataset) -> TwoClassReduction:
     """Reduce the two-class Hessian on Z to M = X diag(alpha) X^T.
 
@@ -100,13 +105,8 @@ def reduce_two_class(w, data: Dataset) -> TwoClassReduction:
     """
     if data.c != 2:
         raise UnsupportedShapeError(f"two-class reduction needs C = 2, got C = {data.c}")
-    w = as_matrix(w, "w")
-    if w.shape != (2, data.d):
-        raise UnsupportedShapeError(f"weights have shape {w.shape}, expected {(2, data.d)}")
-    y = softmax(w @ data.x)
-    alpha = 2.0 * y[0] * y[1]
-    m = (data.x * alpha) @ data.x.T
-    return TwoClassReduction(alpha=alpha, m=m)
+    w = check_weights(w, data)
+    return _two_class(data.x, softmax(w @ data.x))
 
 
 def determinant_check(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
@@ -126,18 +126,16 @@ def determinant_check(r: TwoClassReduction, data: Dataset) -> tuple[float, float
     return lhs, rhs
 
 
-def _check_full_rank(x: np.ndarray) -> np.ndarray:
-    """The D singular values of X; raises unless X has full row rank."""
-    sv, _ = rank_test(x)
-    sv_min = float(sv[-1])
-    sv_max = float(sv[0])
-    if sv_min <= RANK_RTOL * sv_max:
+def _check_full_rank(data: Dataset) -> ConvexityCertificate:
+    """The certificate of ``data``; raises unless X has full row rank."""
+    cert = certify(data)
+    if not cert.full_rank:
         raise RankDeficientError(
-            f"X is not full row rank: sv_min={sv_min:.3e}, sv_max={sv_max:.3e}",
-            sv_min,
-            sv_max,
+            f"X is not full row rank: sv_min={cert.sv_min:.3e}, sv_max={cert.sv_max:.3e}",
+            cert.sv_min,
+            cert.sv_max,
         )
-    return sv
+    return cert
 
 
 def condition_bound(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
@@ -147,10 +145,10 @@ def condition_bound(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
     the factorization M = X diag(alpha) X^T; it always dominates the exact
     value.
     """
-    sv = _check_full_rank(data.x)
+    cert = _check_full_rank(data)
     evals = np.linalg.eigvalsh(r.m)
     k_exact = float(evals[-1] / evals[0])
-    kx = float(sv[0] / sv[-1])
+    kx = cert.sv_max / cert.sv_min
     k_bound = float(kx ** 2 * np.max(r.alpha) / np.min(r.alpha))
     return k_exact, k_bound
 
@@ -272,10 +270,9 @@ def extreme_eigenvalues_on_z(
     most (C-1) D.
     ``use_dense`` forces one path.  Requires rank(X) = D.
     """
-    _check_full_rank(h.data.x)
+    _check_full_rank(h.data)
     if h.c == 2:
-        alpha = 2.0 * h.y[0] * h.y[1]
-        evals = np.linalg.eigvalsh((h.data.x * alpha) @ h.data.x.T)
+        evals = np.linalg.eigvalsh(_two_class(h.data.x, h.y).m)
         return float(evals[0]), float(evals[-1])
     if use_dense is None:
         use_dense = h.c * h.d <= DENSE_LIMIT

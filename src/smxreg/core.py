@@ -13,10 +13,6 @@ import numpy as np
 # Target columns must be probability vectors to this tolerance on construction.
 TARGET_COLUMN_SUM_TOL = 1e-12
 
-# Relative singular-value threshold below which X is treated as row-rank
-# deficient (shared by the convexity and condition-number machinery).
-RANK_RTOL = 1e-10
-
 
 class InvalidInputError(ValueError):
     """A numeric input violates a documented precondition."""
@@ -59,6 +55,17 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
+
+
+def check_weights(w, data: Dataset) -> np.ndarray:
+    """``w`` as a float64 C x D matrix for ``data``; a wrong shape raises
+    :class:`DimensionMismatchError` naming both shapes."""
+    w = as_matrix(w, "w")
+    if w.shape != (data.c, data.d):
+        raise DimensionMismatchError(
+            f"weights have shape {w.shape}, expected {(data.c, data.d)}"
+        )
+    return w
 
 
 @dataclass(frozen=True)
@@ -138,13 +145,15 @@ def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(s, left)``: ``s`` descending, length D, zero-padded when
     N < D; row ``k`` of ``left`` (D x D) is the left singular vector of
-    ``s[k]``.  X is full row rank iff ``s[-1] > RANK_RTOL * s[0]``.
+    ``s[k]``.  :func:`smxreg.certify.certify` decides full row rank from
+    ``s[-1]`` and ``s[0]``.
 
     X^T = Q R reduces X to the min(N, D) x D factor R, and X = R^T Q^T with
     orthonormal Q, so R has X's singular values and R's right singular
     vectors are X's left ones.  Cost: O(N D^2) time, one copy of X, no
     N x N array.  This stays an SVD rather than eigh(X X^T): squaring X
-    resolves sv_min only to about sqrt(eps) * sv_max, far above RANK_RTOL.
+    resolves sv_min only to about sqrt(eps) * sv_max, far above certify's
+    rank threshold.
     """
     r = np.linalg.qr(x.T, mode="r")
     _, sv, left = np.linalg.svd(r)

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, SizeLimitError, as_matrix
+from .core import Dataset, DimensionMismatchError, SizeLimitError, check_weights
 from .softmax import q_matrix, softmax
 
 # Dense materialization guard: C*D entries per vec index.
@@ -39,11 +39,7 @@ class HessianOperator:
     """
 
     def __init__(self, data: Dataset, w):
-        w = as_matrix(w, "w")
-        if w.shape != (data.c, data.d):
-            raise DimensionMismatchError(
-                f"weights have shape {w.shape}, expected {(data.c, data.d)}"
-            )
+        w = check_weights(w, data)
         self.data = data
         y = softmax(w @ data.x)
         y.setflags(write=False)

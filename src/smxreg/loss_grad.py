@@ -10,21 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, as_matrix
+from .core import Dataset, check_weights
 from .softmax import logsumexp, softmax
-
-
-def _check_shapes(w: np.ndarray, data: Dataset) -> None:
-    if w.shape != (data.c, data.d):
-        raise DimensionMismatchError(
-            f"weights have shape {w.shape}, expected {(data.c, data.d)}"
-        )
 
 
 def loss(w, data: Dataset) -> float:
     """Total cross-entropy -sum_n sum_i t_i log y_i at Y = softmax(W X)."""
-    w = as_matrix(w, "w")
-    _check_shapes(w, data)
+    w = check_weights(w, data)
     return loss_from_activations(w @ data.x, data.t)
 
 
@@ -43,8 +35,7 @@ def gradient(w, data: Dataset) -> np.ndarray:
     This is the Frobenius-inner-product gradient; every column sums to zero
     because 1^T (T - Y) = 0.
     """
-    w = as_matrix(w, "w")
-    _check_shapes(w, data)
+    w = check_weights(w, data)
     y = softmax(w @ data.x)
     return -(data.t - y) @ data.x.T
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, InvalidInputError, as_matrix, center_columns
+from .core import Dataset, InvalidInputError, center_columns, check_weights
 from .loss_grad import loss_from_activations
 from .softmax import softmax
 
@@ -119,11 +119,7 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
     if w0 is None:
         w = initial_weights(data, cfg)
     else:
-        w = as_matrix(w0, "w0").copy()
-        if w.shape != (data.c, data.d):
-            raise DimensionMismatchError(
-                f"w0 has shape {w.shape}, expected {(data.c, data.d)}"
-            )
+        w = check_weights(w0, data).copy()
 
     trace = TrainTrace()
     prev_w: np.ndarray | None = None
@@ -173,11 +169,6 @@ def evaluate(w, data: Dataset) -> tuple[float, float]:
     targets; ties resolve to the lowest class index on both sides.  Softmax
     is strictly increasing, so the activation argmax is used directly.
     """
-    w = as_matrix(w, "w")
-    if w.shape != (data.c, data.d):
-        raise DimensionMismatchError(
-            f"weights have shape {w.shape}, expected {(data.c, data.d)}"
-        )
-    a = w @ data.x
+    a = check_weights(w, data) @ data.x
     accuracy = float(np.mean(np.argmax(a, axis=0) == np.argmax(data.t, axis=0)))
     return loss_from_activations(a, data.t), accuracy

@@ -251,7 +251,8 @@ def test_criterion_6_convergence_rate():
     errs = np.array(errs)
     tail = (errs > 1e-11) & (errs < 1e-5)
     ratios = errs[1:][tail[:-1]] / errs[:-1][tail[:-1]]
-    ratio_gap = abs(float(np.mean(ratios)) - p.theta)
+    mean_ratio = float(np.mean(ratios))
+    ratio_gap = abs(mean_ratio - p.theta)
 
     # stepping 2x beyond the admissible window diverges near the minimizer
     eta_bad = 2.0 * p.eta_window[1]
@@ -266,8 +267,9 @@ def test_criterion_6_convergence_rate():
     _criterion(
         6,
         len(ratios) >= 10 and ratio_gap <= 0.05 and diverged and elapsed < 30.0,
-        f"asymptotic ratio gap |mean - theta| = {ratio_gap:.2e} over "
-        f"{len(ratios)} tail steps (tol 0.05); 2x-eta divergence: {diverged}; "
+        f"K = {p.k:.3f}, theta = {p.theta:.6f}, observed mean ratio "
+        f"{mean_ratio:.6f}; asymptotic ratio gap |mean - theta| = {ratio_gap:.2e} "
+        f"over {len(ratios)} tail steps (tol 0.05); 2x-eta divergence: {diverged}; "
         f"{elapsed:.1f}s (< 30s)",
     )
 

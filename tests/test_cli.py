@@ -145,6 +145,15 @@ class TestSpectrum:
                    "--classes", "2", "--bias", "--sample", "1"])
         assert rc == 0
 
+    def test_wrong_shape_weights_name_both_shapes(self, toy_csv, tmp_path, capsys):
+        wfile = tmp_path / "w.bin"
+        write_weights(wfile, np.zeros((2, 4)))
+        rc = main(["spectrum", "--weights", str(wfile), "--csv", toy_csv,
+                   "--classes", "2", "--bias", "--sample", "1"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: weights have shape (2, 4), expected (2, 3)\n")
+
 
 class TestCertify:
     def test_full_rank_two_class_report(self, toy_csv, capsys):
@@ -169,6 +178,66 @@ class TestCertify:
         assert rc == 0
         two = json.loads(rep.read_text())["result"]["two_class"]
         assert two["k_exact"] <= two["k_bound"] * (1 + 1e-10)
+
+
+class TestReportSchema:
+    """The JSON report layout of every command under --json --deterministic."""
+
+    TOP = {"command", "input", "result", "duration_s"}
+    TRACE = {"epoch", "loss", "grad_norm", "eta_used", "max_abs_column_sum"}
+    EIGENVALUE = {"value", "multiplicity", "kind", "bracket", "degenerate_gap"}
+    TWO_CLASS = {"anchor", "lambda_min", "lambda_max", "k_exact", "k_bound",
+                 "theta", "eta_window", "eta_optimal"}
+
+    def _report(self, tmp_path, argv, rc=0):
+        rep = tmp_path / "rep.json"
+        assert main(argv + ["--json", str(rep), "--deterministic"]) == rc
+        report = json.loads(rep.read_text())
+        assert set(report) == self.TOP
+        assert report["command"] == argv[0]
+        assert report["duration_s"] == 0.0
+        return report["result"]
+
+    def test_train(self, toy_csv, tmp_path):
+        result = self._report(tmp_path, [
+            "train", "--csv", toy_csv, "--classes", "2", "--bias",
+            "--eta", "0.5", "--epochs", "20", "--log-every", "7"])
+        assert [r["epoch"] for r in result["trace"]] == [7, 14, 20]
+        for r in result["trace"]:
+            assert set(r) == self.TRACE
+            assert type(r["epoch"]) is int
+
+    def test_train_without_eta_writes_no_report(self, toy_csv, tmp_path):
+        rep = tmp_path / "rep.json"
+        assert main(["train", "--csv", toy_csv, "--classes", "2", "--bb", "off",
+                     "--json", str(rep), "--deterministic"]) == 2
+        assert not rep.exists()
+
+    def test_spectrum(self, tmp_path):
+        result = self._report(tmp_path, ["spectrum", "--y", "0,0.25,0.25,0.5"])
+        assert set(result) == {"eigenvalues", "support", "distinct_values",
+                               "counts", "dense_max_delta"}
+        for e in result["eigenvalues"]:
+            assert set(e) == self.EIGENVALUE
+
+    def test_certify_full_rank(self, toy_csv, tmp_path):
+        result = self._report(tmp_path, ["certify", "--csv", toy_csv,
+                                         "--classes", "2", "--bias"])
+        assert result["verdict"] == "strictly_convex_on_Z"
+        assert "degeneracy_witness" not in result
+        assert set(result["two_class"]) == self.TWO_CLASS
+
+    def test_certify_degenerate(self, tmp_path):
+        f = tmp_path / "dup.csv"
+        f.write_text("1,2,0\n2,4,1\n")
+        result = self._report(tmp_path, ["certify", "--csv", str(f), "--classes", "2"])
+        assert result["verdict"] == "degenerate"
+        assert np.asarray(result["degeneracy_witness"]).shape == (2, 2)
+        assert "two_class" not in result
+
+    def test_checkgrad(self, tmp_path):
+        result = self._report(tmp_path, ["checkgrad", "--instances", "3"])
+        assert result["passed"] is True
 
 
 class TestHostileInput:

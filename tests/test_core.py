@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smxreg.convergence import reduce_two_class
 from smxreg.core import (
     Dataset,
     DimensionMismatchError,
@@ -12,6 +13,9 @@ from smxreg.core import (
     freeze,
     one_hot,
 )
+from smxreg.hessian import HessianOperator
+from smxreg.loss_grad import error_covariance, gradient, loss
+from smxreg.trainer import TrainConfig, evaluate, train
 
 
 class TestCenterColumns:
@@ -176,3 +180,26 @@ class TestDatasetAdoption:
         x = freeze(np.array([[np.inf, 0.0, 1.0], [0.0, 1.0, 2.0]]))
         with pytest.raises(InvalidInputError):
             Dataset(x, self.T)
+
+
+class TestWeightShapeCheck:
+    """Every entry point that takes weights W rejects a W that is not C x D
+    with DimensionMismatchError naming both shapes."""
+
+    DATA = Dataset(np.arange(15.0).reshape(3, 5) % 4, one_hot([1, 2, 1, 2, 2], 2))
+
+    @pytest.mark.parametrize("call", [
+        loss,
+        gradient,
+        error_covariance,
+        lambda w, data: HessianOperator(data, w),
+        lambda w, data: train(data, TrainConfig(epochs=1), w0=w),
+        evaluate,
+        reduce_two_class,
+    ], ids=["loss", "gradient", "error_covariance", "HessianOperator", "train_w0",
+            "evaluate", "reduce_two_class"])
+    @pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=["D+1", "C+1"])
+    def test_wrong_shape_raises(self, call, shape):
+        with pytest.raises(DimensionMismatchError, match=r"\(2, 3\)") as info:
+            call(np.zeros(shape), self.DATA)
+        assert str(shape) in str(info.value)
