@@ -6,7 +6,7 @@ stepping uses the second Barzilai-Borwein formula by default.
 import argparse
 
 from smxreg import Dataset, TrainConfig, evaluate, train
-from smxreg.data_io import add_bias_row, load_idx_dataset
+from smxreg.data_io import load_idx_dataset
 
 
 def main():
@@ -24,12 +24,12 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    full = load_idx_dataset(args.train_images, args.train_labels, args.classes)
-    if args.subset and args.subset < full.n:
-        full = Dataset(full.x[:, :args.subset], full.t[:, :args.subset])
-    train_ds = Dataset(add_bias_row(full.x), full.t)
-    test_raw = load_idx_dataset(args.test_images, args.test_labels, args.classes)
-    test_ds = Dataset(add_bias_row(test_raw.x), test_raw.t)
+    train_ds = load_idx_dataset(args.train_images, args.train_labels,
+                                args.classes, bias=True)
+    if args.subset and args.subset < train_ds.n:
+        train_ds = Dataset(train_ds.x[:, :args.subset], train_ds.t[:, :args.subset])
+    test_ds = load_idx_dataset(args.test_images, args.test_labels, args.classes,
+                               bias=True)
     print(f"train: D={train_ds.d} N={train_ds.n}   test: N={test_ds.n}")
 
     cfg = TrainConfig(eta=args.eta, epochs=args.epochs, bb_mode=args.bb,

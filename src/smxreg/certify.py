@@ -9,7 +9,9 @@ left null vector v of X, which lies in Z and annihilates every sample.
 
 Cost: the test (:func:`smxreg.core.rank_test`) takes O(N D^2) time and one
 copy of X, with no N x N array, so it runs at the paper's MNIST size
-(D = 785, N = 60000).
+(D = 785, N = 60000).  It runs once per dataset: the result is kept in
+:attr:`~smxreg.core.Dataset.rank_factors`, so later certificates of the
+same dataset cost O(D).
 """
 from __future__ import annotations
 
@@ -17,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Dataset, rank_test
+from .core import Dataset
 
 # Relative singular-value threshold below which X is treated as row-rank
 # deficient.
@@ -46,7 +48,7 @@ def certify(data: Dataset) -> ConvexityCertificate:
     ``sv_min`` is the D-th singular value (0 when N < D); full rank means
     sv_min > RANK_RTOL * sv_max.
     """
-    s, left = rank_test(data.x)
+    s, left = data.rank_factors
     sv_max = float(s[0])
     sv_min = float(s[-1])
     full_rank = sv_min > RANK_RTOL * sv_max

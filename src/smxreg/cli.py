@@ -23,7 +23,7 @@ import numpy as np
 from .certify import certify
 from .convergence import condition_bound, plan, reduce_two_class
 from .core import Dataset, InvalidInputError, check_weights
-from .data_io import add_bias_row, load_csv, load_idx_dataset
+from .data_io import load_csv, load_idx_dataset
 from .fdcheck import GRAD_TOL, HESS_TOL, gradient_check_suite
 from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
@@ -88,16 +88,13 @@ def _load_dataset(args) -> Dataset:
     if args.csv:
         if args.classes is None:
             raise InvalidInputError("--classes is required with --csv")
-        data = load_csv(args.csv, args.label_column, args.classes, header=args.header)
-    elif args.data and args.labels:
+        return load_csv(args.csv, args.label_column, args.classes,
+                        header=args.header, bias=args.bias)
+    if args.data and args.labels:
         if args.classes is None:
             raise InvalidInputError("--classes is required with --data/--labels")
-        data = load_idx_dataset(args.data, args.labels, args.classes)
-    else:
-        raise InvalidInputError("provide --csv or both --data and --labels")
-    if args.bias:
-        data = Dataset(add_bias_row(data.x), data.t)
-    return data
+        return load_idx_dataset(args.data, args.labels, args.classes, bias=args.bias)
+    raise InvalidInputError("provide --csv or both --data and --labels")
 
 
 def _input_digest(args, data: Dataset | None) -> dict:

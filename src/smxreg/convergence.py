@@ -268,7 +268,8 @@ def extreme_eigenvalues_on_z(
     ``h.apply``) and stores k vectors of (C-1) D floats; k is between about
     230 and 420 at C=10, D=256, N=8000 with the default ``tol``, and at
     most (C-1) D.
-    ``use_dense`` forces one path.  Requires rank(X) = D.
+    ``use_dense`` forces one path.  Requires rank(X) = D; the rank test runs
+    once per dataset, not once per anchor (``Dataset.rank_factors``).
     """
     _check_full_rank(h.data)
     if h.c == 2:

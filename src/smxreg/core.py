@@ -7,6 +7,7 @@ so the activations of the whole batch are just ``w @ x``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -48,11 +49,18 @@ class RankDeficientError(ValueError):
 
 
 def as_matrix(a, name: str = "array") -> np.ndarray:
-    """Coerce to a float64 2-D array, rejecting non-finite entries."""
+    """Coerce to a float64 2-D array, rejecting non-finite entries.
+
+    A finite sum proves every entry finite without an elementwise
+    temporary; only a sum that is not finite (a NaN or infinity, or finite
+    entries whose sum overflows) takes the exact elementwise test.
+    """
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {out.shape}")
-    if not np.all(np.isfinite(out)):
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = out.sum()
+    if not np.isfinite(total) and not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
 
@@ -82,6 +90,11 @@ class Dataset:
     anything else is copied and frozen.  Every check runs either way.  The
     adopted array stays the caller's object, so a caller that makes it
     writeable again can still change the dataset.
+
+    :attr:`rank_factors` is computed on first use and kept, so certify,
+    the condition bound and every Hessian anchor share one factorization.
+    That cache assumes X is not changed after construction; writing to an
+    adopted array afterwards leaves it stale.
     """
 
     x: np.ndarray
@@ -123,6 +136,13 @@ class Dataset:
     @property
     def n(self) -> int:
         return self.x.shape[1]
+
+    @cached_property
+    def rank_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """:func:`rank_test` of X: its D singular values and left singular
+        vectors, computed once per dataset and read-only."""
+        s, left = rank_test(self.x)
+        return freeze(s), freeze(left)
 
 
 def freeze(a: np.ndarray) -> np.ndarray:

@@ -9,6 +9,13 @@ IDX layout (all integers big-endian):
 Images use magic 0x00000803 (3 dims: count, rows, cols); labels use
 0x00000801 (1 dim).  File labels are 0-based while internal classes are
 1..C; the shift happens exactly once, in this module.
+
+With ``bias=True`` the loaders append the constant-1 feature row of the
+affine trick themselves: they allocate the (D+1) x N array, set its last
+row to 1.0 and write the features straight into the first D rows.  The
+result equals ``add_bias_row`` applied to the unbiased load, bit for bit,
+but X is built and validated once.  :func:`add_bias_row` remains for
+arrays already in memory.
 """
 from __future__ import annotations
 
@@ -95,11 +102,20 @@ def read_idx_image_header(path) -> tuple[int, int, int]:
     return int(n), int(rows), int(cols)
 
 
-def load_idx_images(path, scale: bool = True) -> np.ndarray:
+def _feature_matrix(d: int, n: int, bias: bool) -> np.ndarray:
+    """A C-order (D + bias) x N float64 array whose first D rows the caller
+    fills; with ``bias`` its last row is already 1.0."""
+    x = np.empty((d + bias, n))
+    if bias:
+        x[d] = 1.0
+    return x
+
+
+def load_idx_images(path, scale: bool = True, bias: bool = False) -> np.ndarray:
     """D x N float64 matrix from an IDX image file, image n flattened
     row-major into column n.  Pixels are mapped to [0, 1] by division by 255
     unless ``scale=False``; unscaled bytes inflate activations and slow
-    descent.
+    descent.  ``bias=True`` appends a constant-1 row, giving (D+1) x N.
 
     The result is C-contiguous and built in one pass: each block of
     ``IDX_BLOCK_IMAGES`` images is transposed and scaled straight into its
@@ -109,12 +125,13 @@ def load_idx_images(path, scale: bool = True) -> np.ndarray:
         n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
         _check_payload_size(f, n * rows * cols, 16, "pixels")
         payload = _read_exact(f, n * rows * cols, 16, "pixels")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
-    x = np.empty((rows * cols, n))
+    d = rows * cols
+    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, d)
+    x = _feature_matrix(d, n, bias)
     divisor = 255.0 if scale else 1.0
     for j in range(0, n, IDX_BLOCK_IMAGES):
         block = slice(j, j + IDX_BLOCK_IMAGES)
-        np.divide(pixels[block].T, divisor, out=x[:, block])
+        np.divide(pixels[block].T, divisor, out=x[:d, block])
     return x
 
 
@@ -164,25 +181,37 @@ def write_idx_labels(path, labels0) -> None:
         f.write(labels0.astype(np.uint8).tobytes())
 
 
-def load_idx_dataset(images_path, labels_path, c: int, scale: bool = True) -> Dataset:
-    """Assemble a Dataset from a paired IDX image/label file.  The Dataset
-    adopts the freshly loaded arrays, so X is built exactly once."""
-    x = load_idx_images(images_path, scale=scale)
+def load_idx_dataset(images_path, labels_path, c: int, scale: bool = True,
+                     bias: bool = False) -> Dataset:
+    """Assemble a Dataset from a paired IDX image/label file, with a
+    constant-1 feature row appended when ``bias``.  The Dataset adopts the
+    freshly loaded arrays, so X is built and validated exactly once."""
+    x = load_idx_images(images_path, scale=scale, bias=bias)
     t = load_idx_labels(labels_path, c)
     if x.shape[1] != t.shape[1]:
         raise IdxFormatError(
             f"image count {x.shape[1]} does not match label count {t.shape[1]}"
         )
+    return _dataset(x, t, bias)
+
+
+def _dataset(x: np.ndarray, t: np.ndarray, bias: bool) -> Dataset:
+    """The Dataset adopting fresh arrays.  A bias row alone holds no feature
+    and is refused as an empty X would be."""
+    if bias and x.shape[0] == 1:
+        raise DimensionMismatchError("x must have at least one row and column")
     return Dataset(freeze(x), freeze(t))
 
 
-def load_csv(path, label_column: int, c: int, header: bool = False) -> Dataset:
+def load_csv(path, label_column: int, c: int, header: bool = False,
+             bias: bool = False) -> Dataset:
     """Dataset from a rectangular numeric CSV, one sample per row.
 
     ``label_column`` is the 0-based column holding the 0-based integer class
     label (negative indices count from the end); the remaining columns become
-    the feature rows of X in their original order.  Row order is preserved.
-    X is C-contiguous, and the Dataset adopts it without another copy.
+    the feature rows of X in their original order, followed by a constant-1
+    row when ``bias``.  Row order is preserved.  X is C-contiguous, and the
+    Dataset adopts it without another copy.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -218,9 +247,12 @@ def load_csv(path, label_column: int, c: int, header: bool = False) -> Dataset:
     raw_labels = table[:, label_column]
     if np.any(raw_labels != np.rint(raw_labels)):
         raise CsvParseError("labels must be integers")
-    x = np.delete(table, label_column, axis=1).T.copy()
+    d = width - 1
+    x = _feature_matrix(d, len(rows), bias)
+    x[:label_column] = table[:, :label_column].T
+    x[label_column:d] = table[:, label_column + 1:].T
     t = one_hot(raw_labels.astype(int) + 1, c)
-    return Dataset(freeze(x), freeze(t))
+    return _dataset(x, t, bias)
 
 
 def _is_number(cell: str) -> bool:
@@ -241,7 +273,6 @@ def add_bias_row(x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-D, got shape {x.shape}")
-    out = np.empty((x.shape[0] + 1, x.shape[1]))
+    out = _feature_matrix(x.shape[0], x.shape[1], True)
     out[:-1] = x
-    out[-1] = 1.0
     return freeze(out)

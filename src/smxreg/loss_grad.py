@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, check_weights
-from .softmax import logsumexp, softmax
+from .softmax import _activations, logsumexp
 
 
 def loss(w, data: Dataset) -> float:
@@ -29,6 +29,22 @@ def loss_from_activations(a, t) -> float:
     return float(np.sum(logsumexp(a)) - np.sum(t * a))
 
 
+def forward(a: np.ndarray, data: Dataset) -> tuple[float, np.ndarray]:
+    """Loss and gradient at finite activations A = W X, in one pass over A.
+
+    With column maxima m, e = exp(A - m) and column sums s of e:
+    Y = e / s, loss = sum(m + log s) - sum(T * A) and G = (Y - T) X^T.
+    These are the floating-point operations of ``softmax``,
+    :func:`loss_from_activations` and -(T - Y) X^T, so both results are
+    bit-identical to that composition, while the max and exp run once.
+    """
+    m = a.max(axis=0, keepdims=True)
+    e = np.exp(a - m)
+    s = e.sum(axis=0, keepdims=True)
+    cost = float(np.sum(m + np.log(s)) - np.sum(data.t * a))
+    return cost, (e / s - data.t) @ data.x.T
+
+
 def gradient(w, data: Dataset) -> np.ndarray:
     """Vectorized loss gradient -(T - Y) X^T with Y = softmax(W X).
 
@@ -36,8 +52,7 @@ def gradient(w, data: Dataset) -> np.ndarray:
     because 1^T (T - Y) = 0.
     """
     w = check_weights(w, data)
-    y = softmax(w @ data.x)
-    return -(data.t - y) @ data.x.T
+    return forward(_activations(w @ data.x), data)[1]
 
 
 def error_covariance(w, data: Dataset) -> np.ndarray:

@@ -1,10 +1,14 @@
 """Full-batch gradient descent for the softmax cross-entropy objective.
 
-Each epoch runs  A = W X;  Y = softmax(A);  E = T - Y;  G = -E X^T;
-W <- W - eta G.  The learning rate is fixed, or adapted by one of the two
+Each epoch runs  A = W X;  Y = softmax(A);  G = -(T - Y) X^T;  W <- W - eta G.
+One helper, :func:`~smxreg.loss_grad.forward`, takes the loss and G from A,
+so the column max and exp run once and an epoch reads X twice (for A and
+for G).  The learning rate is fixed, or adapted by one of the two
 Barzilai-Borwein formulas built from successive weight and gradient
 differences (safeguarded: the previous rate is kept when the curvature
-estimate is non-positive or the step leaves [1e-12, 1e12]).
+estimate is non-positive or the step leaves [1e-12, 1e12]).  A run that
+overflows stops with reason "nonfinite" and emits no floating-point
+warning, since that overflow is an outcome the trace records.
 
 Because 1^T G = 0 holds identically, the zero-column-sum property of W is
 preserved by the exact iteration; periodic recentering removes the round-off
@@ -17,8 +21,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import Dataset, InvalidInputError, center_columns, check_weights
-from .loss_grad import loss_from_activations
-from .softmax import softmax
+from .loss_grad import forward, loss_from_activations
+# ``softmax`` stays importable from this module: bench/workloads.py times it
+# under the name ``smxreg.trainer.softmax``.
+from .softmax import softmax  # noqa: F401
 
 BB_STEP_MIN = 1e-12
 BB_STEP_MAX = 1e12
@@ -127,19 +133,17 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
     eta = cfg.eta
 
     for epoch in range(1, cfg.epochs + 1):
-        a = w @ data.x
-        if not np.all(np.isfinite(a)):
-            trace.records.append(EpochRecord(
-                epoch, float("nan"), float("nan"), eta, _max_abs_column_sum(w)))
-            trace.stop_reason = STOP_NONFINITE
-            break
-        y = softmax(a)
-        g = -(data.t - y) @ data.x.T
-        cur_loss = loss_from_activations(a, data.t)
-        grad_norm = float(np.linalg.norm(g))
-
-        if cfg.bb_mode != "off" and prev_w is not None:
-            eta = _bb_step(cfg.bb_mode, w - prev_w, g - prev_g, eta)
+        # A diverging run overflows here; the check below turns that into
+        # the "nonfinite" stop, so it raises no floating-point warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = w @ data.x
+            if np.all(np.isfinite(a)):
+                cur_loss, g = forward(a, data)
+                grad_norm = float(np.linalg.norm(g))
+                if cfg.bb_mode != "off" and prev_w is not None:
+                    eta = _bb_step(cfg.bb_mode, w - prev_w, g - prev_g, eta)
+            else:
+                cur_loss = grad_norm = float("nan")
 
         finite = np.isfinite(cur_loss) and np.isfinite(grad_norm)
         stopping = not finite or grad_norm <= cfg.tol_grad

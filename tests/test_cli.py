@@ -81,6 +81,7 @@ class TestTrain:
                    "--classes", "2", "--eta", "0.1"])
         assert rc == 2
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_stop_exit_code(self, tmp_path):
         # zero init gives uniform outputs, so the first gradient's norm
         # overflows against 1e160-scale features

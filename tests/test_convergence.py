@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from smxreg import core
+from smxreg.certify import certify
 from smxreg.convergence import (
     XI,
     condition_bound,
@@ -164,6 +166,32 @@ class TestConditionBound:
         with pytest.raises(RankDeficientError) as exc:
             condition_bound(red, data)
         assert exc.value.sv_min <= 1e-10 * exc.value.sv_max
+
+
+class TestRankFactorsPerDataset:
+    def test_one_rank_test_across_certify_bound_and_anchors(self, monkeypatch):
+        calls = []
+        original = core.rank_test
+
+        def counting(x):
+            calls.append(x.shape)
+            return original(x)
+
+        monkeypatch.setattr(core, "rank_test", counting)
+        w, data = two_class_instance(np.random.default_rng(21), 4, 30)
+        cert = certify(data)
+        condition_bound(reduce_two_class(w, data), data)
+        for k in range(3):
+            extreme_eigenvalues_on_z(HessianOperator(data, k * w))
+        assert cert.full_rank
+        assert calls == [(4, 30)]
+
+    def test_cached_factors_are_read_only(self):
+        _, data = two_class_instance(np.random.default_rng(22), 3, 10)
+        s, left = data.rank_factors
+        assert data.rank_factors[0] is s
+        assert not s.flags.writeable and not left.flags.writeable
+        assert np.array_equal(s, core.rank_test(data.x)[0])
 
 
 class TestPlan:

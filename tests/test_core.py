@@ -9,6 +9,7 @@ from smxreg.core import (
     DimensionMismatchError,
     InvalidInputError,
     InvalidLabelError,
+    as_matrix,
     center_columns,
     freeze,
     one_hot,
@@ -116,6 +117,19 @@ def _one_hot_loop(labels, c):
             raise InvalidLabelError(f"label {lab!r} at position {n}", n)
         out[k - 1, n] = 1.0
     return out
+
+
+class TestAsMatrix:
+    def test_finite_entries_whose_sum_overflows_are_accepted(self):
+        out = as_matrix([[1e308, 1e308]])
+        assert np.array_equal(out, [[1e308, 1e308]])
+
+    @pytest.mark.parametrize("bad", [
+        [[1.0, np.nan]], [[np.inf, 2.0]], [[np.inf, -np.inf]], [[1e308, 1e308, np.nan]],
+    ], ids=["nan", "inf", "inf_and_minus_inf", "overflow_and_nan"])
+    def test_nonfinite_entries_are_rejected(self, bad):
+        with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
+            as_matrix(bad, "x")
 
 
 class TestDataset:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from smxreg.core import Dataset, InvalidLabelError
+from smxreg.core import Dataset, DimensionMismatchError, InvalidLabelError
 from smxreg.data_io import (
     IDX_BLOCK_IMAGES,
     CsvParseError,
@@ -186,6 +186,76 @@ class TestIdxLabels:
         finally:
             tracemalloc.stop()
         assert peak <= 2.3 * data.x.nbytes
+
+
+def _assert_bit_equal(a, b):
+    assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestBiasedLoaders:
+    """``bias=True`` builds the same X as the ``add_bias_row`` idiom, once."""
+
+    @pytest.mark.parametrize("scale", [True, False])
+    def test_idx_images_match_bias_idiom(self, tmp_path, scale):
+        n = 2 * IDX_BLOCK_IMAGES + 37
+        images = np.random.default_rng(4).integers(0, 256, (n, 3, 2), dtype=np.uint8)
+        f = tmp_path / "imgs.idx"
+        write_raw_images(f, images)
+        x = load_idx_images(f, scale=scale, bias=True)
+        assert x.flags.c_contiguous and x.dtype == np.float64
+        _assert_bit_equal(x, add_bias_row(load_idx_images(f, scale=scale)))
+
+    def test_idx_dataset_is_adopted(self, tmp_path):
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        rng = np.random.default_rng(5)
+        write_raw_images(imgs, rng.integers(0, 256, (40, 4, 3), dtype=np.uint8))
+        write_raw_labels(labs, rng.integers(0, 3, 40).tolist())
+        loaded = load_idx_dataset(imgs, labs, 3, bias=True)
+        raw = load_idx_dataset(imgs, labs, 3)
+        _assert_bit_equal(loaded.x, add_bias_row(raw.x))
+        _assert_bit_equal(loaded.t, raw.t)
+        _assert_frozen_c(loaded.x)
+        data = Dataset(loaded.x, loaded.t)
+        assert np.shares_memory(data.x, loaded.x)
+
+    @pytest.mark.parametrize("label_column,header", [(1, False), (2, True), (-1, False)])
+    def test_csv_matches_bias_idiom(self, tmp_path, label_column, header):
+        rng = np.random.default_rng(6)
+        table = rng.standard_normal((25, 4)).round(6)
+        table[:, label_column] = rng.integers(0, 3, 25)
+        lines = [",".join(repr(float(v)) for v in row) for row in table]
+        f = tmp_path / "t.csv"
+        f.write_text("\n".join((["a,b,c,d"] if header else []) + lines) + "\n")
+        loaded = load_csv(f, label_column, 3, header=header, bias=True)
+        raw = load_csv(f, label_column, 3, header=header)
+        _assert_bit_equal(loaded.x, add_bias_row(raw.x))
+        _assert_bit_equal(loaded.t, raw.t)
+        _assert_frozen_c(loaded.x)
+        assert np.shares_memory(Dataset(loaded.x, loaded.t).x, loaded.x)
+
+    def test_bias_row_alone_is_refused(self, tmp_path):
+        f = tmp_path / "labels-only.csv"
+        f.write_text("0\n1\n")
+        for bias in (False, True):
+            with pytest.raises(DimensionMismatchError, match="at least one row"):
+                load_csv(f, 0, 2, bias=bias)
+
+    def test_biased_load_peak_memory(self, tmp_path):
+        # X is allocated once at its final (D+1) x N size; besides it only
+        # the payload bytes (1/8 of X) and the one-hot targets are held.
+        imgs = tmp_path / "imgs.idx"
+        labs = tmp_path / "labs.idx"
+        rng = np.random.default_rng(3)
+        write_raw_images(imgs, rng.integers(0, 256, (5000, 28, 28), dtype=np.uint8))
+        write_raw_labels(labs, rng.integers(0, 10, 5000).tolist())
+        tracemalloc.start()
+        try:
+            data = load_idx_dataset(imgs, labs, 10, bias=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.x.shape == (785, 5000)
+        assert peak <= 1.3 * data.x.nbytes
 
 
 class TestCsv:

@@ -1,8 +1,14 @@
 import numpy as np
 import pytest
 
-from smxreg.core import Dataset, DimensionMismatchError, one_hot
-from smxreg.loss_grad import error_covariance, gradient, loss
+from smxreg.core import Dataset, DimensionMismatchError, InvalidInputError, one_hot
+from smxreg.loss_grad import (
+    error_covariance,
+    forward,
+    gradient,
+    loss,
+    loss_from_activations,
+)
 from smxreg.softmax import softmax
 
 
@@ -56,6 +62,24 @@ class TestLoss:
         w = np.array([[-500.0], [500.0]])
         val = loss(w, data)
         assert np.isfinite(val) and val == pytest.approx(1000.0, rel=1e-12)
+
+
+class TestForward:
+    @pytest.mark.parametrize("spread", [1.0, 50.0, 800.0])
+    def test_bit_identical_to_three_step_composition(self, spread):
+        # spread 800 underflows some outputs to exactly 0
+        rng = np.random.default_rng(11)
+        w, data = random_instance(rng, 6, 9, 70)
+        a = (spread * w) @ data.x
+        cost, g = forward(a, data)
+        assert cost == loss_from_activations(a, data.t)
+        assert np.array_equal(g, -(data.t - softmax(a)) @ data.x.T)
+
+    def test_gradient_still_rejects_nonfinite_activations(self):
+        # W X overflows to inf: the input under test, not a fault to warn of
+        data = Dataset(np.array([[1e300, 1.0]]), one_hot([1, 2], 2))
+        with np.errstate(over="ignore"), pytest.raises(InvalidInputError, match="activations"):
+            gradient(np.array([[1e10], [0.0]]), data)
 
 
 class TestGradient:

@@ -20,7 +20,7 @@ def _idx_pair(tmp_path, name, rng, n, rows=8, cols=8):
     return str(images), str(label_file)
 
 
-def test_train_mnist_script_runs(tmp_path):
+def _run_train_mnist(tmp_path, subset):
     rng = np.random.default_rng(0)
     train_imgs, train_labs = _idx_pair(tmp_path, "train", rng, 300)
     test_imgs, test_labs = _idx_pair(tmp_path, "test", rng, 100)
@@ -28,9 +28,18 @@ def test_train_mnist_script_runs(tmp_path):
         [sys.executable, str(ROOT / "scripts" / "train_mnist.py"),
          "--train-images", train_imgs, "--train-labels", train_labs,
          "--test-images", test_imgs, "--test-labels", test_labs,
-         "--subset", "0", "--epochs", "3"],
+         "--subset", str(subset), "--epochs", "3"],
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
     )
     assert proc.returncode == 0, proc.stderr
     assert "test accuracy" in proc.stdout
+    return proc.stdout
+
+
+def test_train_mnist_script_runs(tmp_path):
+    assert "train: D=65 N=300   test: N=100" in _run_train_mnist(tmp_path, 0)
+
+
+def test_train_mnist_script_subset_keeps_bias_row(tmp_path):
+    assert "train: D=65 N=200   test: N=100" in _run_train_mnist(tmp_path, 200)

@@ -3,12 +3,17 @@ import pytest
 
 from smxreg.convergence import plan, reduce_two_class
 from smxreg.core import Dataset, InvalidInputError, center_columns, one_hot
+from smxreg.loss_grad import loss_from_activations
 from smxreg.softmax import softmax
 from smxreg.trainer import (
     STOP_EPOCHS,
     STOP_GRAD_TOL,
     STOP_NONFINITE,
+    EpochRecord,
     TrainConfig,
+    TrainTrace,
+    _bb_step,
+    _max_abs_column_sum,
     evaluate,
     initial_weights,
     train,
@@ -21,6 +26,91 @@ def realizable_instance(seed=0, c=2, d=3, n=10, scale=0.5):
     x = rng.standard_normal((d, n))
     w_true = scale * rng.standard_normal((c, d))
     return w_true, Dataset(x, softmax(w_true @ x))
+
+
+def reference_train(data, cfg, w0=None):
+    """The descent loop with its epoch written as softmax, then
+    loss_from_activations, then -(T - Y) X^T."""
+    w = initial_weights(data, cfg) if w0 is None else np.array(w0, dtype=float)
+    trace = TrainTrace()
+    prev_w = prev_g = None
+    eta = cfg.eta
+    for epoch in range(1, cfg.epochs + 1):
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = w @ data.x
+        if not np.all(np.isfinite(a)):
+            trace.records.append(EpochRecord(
+                epoch, float("nan"), float("nan"), eta, _max_abs_column_sum(w)))
+            trace.stop_reason = STOP_NONFINITE
+            break
+        with np.errstate(over="ignore", invalid="ignore"):
+            y = softmax(a)
+            g = -(data.t - y) @ data.x.T
+            cur_loss = loss_from_activations(a, data.t)
+            grad_norm = float(np.linalg.norm(g))
+            if cfg.bb_mode != "off" and prev_w is not None:
+                eta = _bb_step(cfg.bb_mode, w - prev_w, g - prev_g, eta)
+        finite = np.isfinite(cur_loss) and np.isfinite(grad_norm)
+        stopping = not finite or grad_norm <= cfg.tol_grad
+        if epoch % cfg.log_every == 0 or epoch == cfg.epochs or stopping:
+            trace.records.append(EpochRecord(
+                epoch, cur_loss, grad_norm, eta, _max_abs_column_sum(w)))
+        if not finite:
+            trace.stop_reason = STOP_NONFINITE
+            break
+        if grad_norm <= cfg.tol_grad:
+            trace.stop_reason = STOP_GRAD_TOL
+            break
+        prev_w, prev_g = w, g
+        w = w - eta * g
+        if cfg.center_every and epoch % cfg.center_every == 0:
+            w = center_columns(w)
+    return w, trace
+
+
+def _same_records(a, b):
+    """Records equal field by field, with NaN equal to NaN."""
+    assert len(a) == len(b)
+    for ra, rb in zip(a, b):
+        np.testing.assert_array_equal(
+            [ra.epoch, ra.loss, ra.grad_norm, ra.eta_used, ra.max_abs_column_sum],
+            [rb.epoch, rb.loss, rb.grad_norm, rb.eta_used, rb.max_abs_column_sum])
+
+
+class TestTrainMatchesReferenceEpoch:
+    """``train`` takes loss and gradient in one pass; every record and the
+    final weights must equal the three-step epoch exactly."""
+
+    @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
+    def test_records_and_weights_are_identical(self, mode):
+        rng = np.random.default_rng(31)
+        x = rng.standard_normal((12, 200))
+        t = softmax(rng.standard_normal((5, 200)))
+        data = Dataset(x, t)
+        cfg = TrainConfig(eta=0.05, epochs=60, bb_mode=mode, center_every=7,
+                          seed=3, tol_grad=1e-300, log_every=1)
+        w, trace = train(data, cfg)
+        w_ref, trace_ref = reference_train(data, cfg)
+        assert trace.records == trace_ref.records
+        assert trace.stop_reason == trace_ref.stop_reason
+        assert np.array_equal(w, w_ref)
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
+    @pytest.mark.parametrize("scale,eta,w_scale", [
+        (1e160, 1.0, 0.0),     # A finite, ||G|| overflows at epoch 1
+        (1e100, 1e150, 1.0),   # the first step sends A = W X past the range
+    ], ids=["grad_overflow", "activation_overflow"])
+    def test_nonfinite_stop_is_identical(self, mode, scale, eta, w_scale):
+        data = Dataset(np.array([[scale, -scale], [1.0, 2.0]]), one_hot([1, 2], 2))
+        w0 = w_scale * np.array([[0.0, 1.0], [0.0, -1.0]])
+        cfg = TrainConfig(eta=eta, epochs=10, bb_mode=mode, center_every=0,
+                          tol_grad=1e-300)
+        w, trace = train(data, cfg, w0=w0)
+        w_ref, trace_ref = reference_train(data, cfg, w0=w0)
+        assert trace.stop_reason == trace_ref.stop_reason == STOP_NONFINITE
+        _same_records(trace.records, trace_ref.records)
+        assert np.array_equal(w, w_ref)
 
 
 class TestTrainConfig:
@@ -53,6 +143,7 @@ class TestTrain:
         assert trace.stop_reason == STOP_GRAD_TOL
         assert trace.records[-1].grad_norm <= 1e-9
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_stop_is_recorded_not_raised(self):
         data = Dataset(np.array([[1e160, -1e160]]), one_hot([1, 2], 2))
         cfg = TrainConfig(eta=1.0, epochs=10, center_every=0, tol_grad=1e-300)
