@@ -204,7 +204,7 @@ def cmd_certify(args) -> tuple[int, dict, dict]:
             w = read_weights(args.weights)
             anchor = "supplied"
         elif args.train_epochs:
-            cfg = TrainConfig(eta=args.eta if args.eta else 0.01,
+            cfg = TrainConfig(eta=0.01 if args.eta is None else args.eta,
                               epochs=args.train_epochs, bb_mode="bb2",
                               seed=args.seed)
             w, _ = train(data, cfg)

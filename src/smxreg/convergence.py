@@ -14,11 +14,11 @@ xi = (1,-1)/sqrt(2), and H restricted to Z is unitarily equivalent to the
 D x D matrix  M = X diag(alpha) X^T,  alpha_n = 2 y_1^(n) y_2^(n), which
 makes eigenvalues, determinants and condition numbers directly computable.
 
-For more classes the extremes come from the dense Z-restricted Hessian when
-it is small, and otherwise from one deterministic Lanczos run that finds both
-ends of the spectrum at once (Parlett, The Symmetric Eigenvalue Problem,
-ch. 13): k Hessian products and k (C-1) D floats of basis storage, with k
-between about 230 and 420 at C=10, D=256, N=8000.
+For every C > 2 the extremes come from one deterministic Lanczos run that
+finds both ends of the spectrum at once (Parlett, The Symmetric Eigenvalue
+Problem, ch. 13): k Hessian products and k (C-1) D floats of basis storage,
+with k between about 230 and 420 at C=10, D=256, N=8000.  The dense
+Z-restricted Hessian, :func:`dense_hessian_on_z`, is only its oracle.
 """
 from __future__ import annotations
 
@@ -31,12 +31,11 @@ from .core import (
     Dataset,
     InvalidInputError,
     RankDeficientError,
-    SizeLimitError,
     UnsupportedShapeError,
-    check_weights,
+    activations,
 )
-from .hessian import DENSE_LIMIT, HessianOperator
-from .softmax import q_matrix, softmax
+from .hessian import HessianOperator
+from .softmax import softmax
 
 # Unit spanning vector of the zero-sum line in R^2.
 XI = np.array([1.0, -1.0]) / np.sqrt(2.0)
@@ -105,8 +104,7 @@ def reduce_two_class(w, data: Dataset) -> TwoClassReduction:
     """
     if data.c != 2:
         raise UnsupportedShapeError(f"two-class reduction needs C = 2, got C = {data.c}")
-    w = check_weights(w, data)
-    return _two_class(data.x, softmax(w @ data.x))
+    return _two_class(data.x, softmax(activations(w, data)))
 
 
 def determinant_check(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
@@ -170,20 +168,11 @@ def dense_hessian_on_z(h: HessianOperator) -> np.ndarray:
     """Matrix of H restricted to Z in the orthonormal basis b_i e_j^T.
 
     b_i are the columns of :func:`zero_sum_basis`; the (C-1)D coordinates are
-    flattened column-major.  Guarded by the same limit as the full dense
-    Hessian.
+    flattened column-major, so the matrix is P^T H P with P = I_D kron B and
+    H from :meth:`HessianOperator.dense`, whose size guard applies.
     """
-    if h.c * h.d > DENSE_LIMIT:
-        raise SizeLimitError(
-            f"dense Z-restricted Hessian requires C*D <= {DENSE_LIMIT}"
-        )
-    b = zero_sum_basis(h.c)
-    m = (h.c - 1) * h.d
-    out = np.zeros((m, m))
-    for n in range(h.n):
-        x = h.data.x[:, n]
-        out += np.kron(np.outer(x, x), b.T @ q_matrix(h.y[:, n]) @ b)
-    return out
+    p = np.kron(np.eye(h.d), zero_sum_basis(h.c))
+    return p.T @ h.dense() @ p
 
 
 # Lanczos on H_Z: the seed of the start (and any restart) vector, and the
@@ -255,29 +244,22 @@ def _lanczos_extremes(h: HessianOperator, tol: float) -> tuple[float, float]:
 
 
 def extreme_eigenvalues_on_z(
-    h: HessianOperator, use_dense: bool | None = None, tol: float = 1e-8
+    h: HessianOperator, tol: float = 1e-8
 ) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of H restricted to Z.
 
-    For C = 2 these are the extreme eigenvalues of M.  Otherwise the dense
-    Z-projected matrix is eigendecomposed when C*D fits the size guard, or
-    both extremes come from one Lanczos run with full reorthogonalization,
+    For C = 2 these are the extreme eigenvalues of M.  For every C > 2 both
+    extremes come from one Lanczos run with full reorthogonalization,
     started from a fixed-seed vector, so repeated calls give identical
     values.  The run stops when both extreme Ritz residuals are at most
     ``tol`` * lambda_max.  It costs k Hessian products (through
     ``h.apply``) and stores k vectors of (C-1) D floats; k is between about
     230 and 420 at C=10, D=256, N=8000 with the default ``tol``, and at
-    most (C-1) D.
-    ``use_dense`` forces one path.  Requires rank(X) = D; the rank test runs
-    once per dataset, not once per anchor (``Dataset.rank_factors``).
+    most (C-1) D; no dense matrix is formed.  Requires rank(X) = D; the rank
+    test runs once per dataset, not once per anchor (``Dataset.rank_factors``).
     """
     _check_full_rank(h.data)
     if h.c == 2:
         evals = np.linalg.eigvalsh(_two_class(h.data.x, h.y).m)
         return float(evals[0]), float(evals[-1])
-    if use_dense is None:
-        use_dense = h.c * h.d <= DENSE_LIMIT
-    if not use_dense:
-        return _lanczos_extremes(h, tol)
-    evals = np.linalg.eigvalsh(dense_hessian_on_z(h))
-    return float(evals[0]), float(evals[-1])
+    return _lanczos_extremes(h, tol)

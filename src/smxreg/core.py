@@ -76,6 +76,17 @@ def check_weights(w, data: Dataset) -> np.ndarray:
     return w
 
 
+def activations(w, data: Dataset) -> np.ndarray:
+    """A = W X for weights ``w`` checked by :func:`check_weights`; a product
+    that overflows raises :class:`InvalidInputError`, without a warning."""
+    w = check_weights(w, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        a = w @ data.x
+    if not np.all(np.isfinite(a)):
+        raise InvalidInputError("activations contain non-finite entries")
+    return a
+
+
 @dataclass(frozen=True)
 class Dataset:
     """A training set: features ``x`` (D x N) and targets ``t`` (C x N).

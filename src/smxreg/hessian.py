@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, SizeLimitError, check_weights
+from .core import Dataset, DimensionMismatchError, SizeLimitError, activations
 from .softmax import q_matrix, softmax
 
 # Dense materialization guard: C*D entries per vec index.
@@ -39,9 +39,8 @@ class HessianOperator:
     """
 
     def __init__(self, data: Dataset, w):
-        w = check_weights(w, data)
         self.data = data
-        y = softmax(w @ data.x)
+        y = softmax(activations(w, data))
         y.setflags(write=False)
         self.y = y
 

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset, check_weights
-from .softmax import _activations, logsumexp
+from .core import Dataset, activations
+from .softmax import logsumexp
 
 
 def loss(w, data: Dataset) -> float:
     """Total cross-entropy -sum_n sum_i t_i log y_i at Y = softmax(W X)."""
-    w = check_weights(w, data)
-    return loss_from_activations(w @ data.x, data.t)
+    return loss_from_activations(activations(w, data), data.t)
 
 
 def loss_from_activations(a, t) -> float:
@@ -51,8 +50,7 @@ def gradient(w, data: Dataset) -> np.ndarray:
     This is the Frobenius-inner-product gradient; every column sums to zero
     because 1^T (T - Y) = 0.
     """
-    w = check_weights(w, data)
-    return forward(_activations(w @ data.x), data)[1]
+    return forward(activations(w, data), data)[1]
 
 
 def error_covariance(w, data: Dataset) -> np.ndarray:

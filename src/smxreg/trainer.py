@@ -83,11 +83,10 @@ class EpochRecord:
 
 @dataclass
 class TrainTrace:
-    """Logged epoch records, the stop reason, and the final weights."""
+    """Logged epoch records and the stop reason."""
 
     records: list[EpochRecord] = field(default_factory=list)
     stop_reason: str = STOP_EPOCHS
-    final_w: np.ndarray | None = None
 
 
 def initial_weights(data: Dataset, cfg: TrainConfig) -> np.ndarray:
@@ -162,7 +161,6 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
         if cfg.center_every and epoch % cfg.center_every == 0:
             w = center_columns(w)
 
-    trace.final_w = w.copy()
     return w, trace
 
 

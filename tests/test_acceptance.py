@@ -365,11 +365,11 @@ def test_criterion_8_idx_training_smoke(tmp_path):
 
     cfg = TrainConfig(eta=1e-3, epochs=60, bb_mode="bb2", center_every=10,
                       tol_grad=1e-8, log_every=10)
-    _, trace = train(subset, cfg)
+    w, trace = train(subset, cfg)
     losses = [r.loss for r in trace.records]
     decreasing = all(b < a for a, b in zip(losses, losses[1:]))
 
-    _, accuracy = evaluate(trace.final_w, test_ds)
+    _, accuracy = evaluate(w, test_ds)
     counts = test_ds.t.sum(axis=1)
     baseline = float(np.max(counts) / test_ds.n)
 

@@ -172,6 +172,12 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "not strictly convex" in out
 
+    def test_zero_eta_for_trained_anchor_is_usage_error(self, toy_csv, capsys):
+        rc = main(["certify", "--csv", toy_csv, "--classes", "2", "--bias",
+                   "--train-epochs", "3", "--eta", "0"])
+        assert rc == 2
+        assert "eta must be positive" in capsys.readouterr().err
+
     def test_k_exact_below_bound(self, toy_csv, tmp_path):
         rep = tmp_path / "rep.json"
         rc = main(["certify", "--csv", toy_csv, "--classes", "2", "--bias",

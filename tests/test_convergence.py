@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smxreg import core
+from smxreg import convergence, core
 from smxreg.certify import certify
 from smxreg.convergence import (
     XI,
@@ -22,7 +22,7 @@ from smxreg.core import (
     one_hot,
 )
 from smxreg.hessian import HessianOperator
-from smxreg.softmax import softmax
+from smxreg.softmax import q_matrix, softmax
 from smxreg.spectrum import analyze_q
 
 
@@ -30,6 +30,12 @@ def two_class_instance(rng, d, n):
     x = rng.standard_normal((d, n))
     data = Dataset(x, softmax(rng.standard_normal((2, n))))
     return rng.standard_normal((2, d)), data
+
+
+def dense_extremes(op):
+    """The oracle: extreme eigenvalues of the dense Z-restricted Hessian."""
+    evals = np.linalg.eigvalsh(dense_hessian_on_z(op))
+    return float(evals[0]), float(evals[-1])
 
 
 def ill_conditioned_operator(c=6, d=40, n=300):
@@ -267,8 +273,7 @@ class TestExtremeEigenvaluesOnZ:
         op = HessianOperator(data, np.zeros((c, d)))
         report = analyze_q(np.full(c, 1.0 / c))
         nontrivial = report.multiset()[1:]
-        for use_dense in (True, False):
-            lo, hi = extreme_eigenvalues_on_z(op, use_dense=use_dense)
+        for lo, hi in (dense_extremes(op), extreme_eigenvalues_on_z(op)):
             assert lo == pytest.approx(float(nontrivial[0]), rel=1e-10)
             assert hi == pytest.approx(float(nontrivial[-1]), rel=1e-10)
 
@@ -277,8 +282,8 @@ class TestExtremeEigenvaluesOnZ:
         x = rng.standard_normal((5, 12))
         data = Dataset(x, softmax(rng.standard_normal((4, 12))))
         op = HessianOperator(data, rng.standard_normal((4, 5)))
-        lo_d, hi_d = extreme_eigenvalues_on_z(op, use_dense=True)
-        lo_i, hi_i = extreme_eigenvalues_on_z(op, use_dense=False)
+        lo_d, hi_d = dense_extremes(op)
+        lo_i, hi_i = extreme_eigenvalues_on_z(op)
         assert lo_i == pytest.approx(lo_d, rel=1e-8)
         assert hi_i == pytest.approx(hi_d, rel=1e-8)
 
@@ -286,16 +291,33 @@ class TestExtremeEigenvaluesOnZ:
         # decaying feature scales give K >= 50, with m = (C-1) D = 200 small
         # enough for the dense oracle
         op = ill_conditioned_operator()
-        lo_d, hi_d = extreme_eigenvalues_on_z(op, use_dense=True)
+        lo_d, hi_d = dense_extremes(op)
         assert hi_d / lo_d >= 50.0
-        lo_i, hi_i = extreme_eigenvalues_on_z(op, use_dense=False)
+        lo_i, hi_i = extreme_eigenvalues_on_z(op)
+        assert lo_i == pytest.approx(lo_d, rel=1e-8)
+        assert hi_i == pytest.approx(hi_d, rel=1e-8)
+
+    def test_small_problem_forms_no_dense_matrix(self, monkeypatch):
+        # C*D = 20 is far below the dense size guard; Lanczos still runs
+        rng = np.random.default_rng(13)
+        data = Dataset(rng.standard_normal((5, 30)),
+                       softmax(rng.standard_normal((4, 30))))
+        op = HessianOperator(data, rng.standard_normal((4, 5)))
+        lo_d, hi_d = dense_extremes(op)
+
+        def refuse(*args):
+            raise AssertionError("dense Hessian formed")
+
+        monkeypatch.setattr(HessianOperator, "dense", refuse)
+        monkeypatch.setattr(convergence, "dense_hessian_on_z", refuse)
+        lo_i, hi_i = extreme_eigenvalues_on_z(op)
         assert lo_i == pytest.approx(lo_d, rel=1e-8)
         assert hi_i == pytest.approx(hi_d, rel=1e-8)
 
     def test_iterative_is_deterministic(self):
         op = ill_conditioned_operator()
-        first = extreme_eigenvalues_on_z(op, use_dense=False)
-        assert extreme_eigenvalues_on_z(op, use_dense=False) == first
+        first = extreme_eigenvalues_on_z(op)
+        assert extreme_eigenvalues_on_z(op) == first
 
     def test_two_class_matches_reduction(self):
         rng = np.random.default_rng(11)
@@ -322,3 +344,16 @@ class TestZeroSumBasis:
             b = zero_sum_basis(c)
             assert np.max(np.abs(b.T @ b - np.eye(c - 1))) <= 1e-12
             assert np.max(np.abs(b.sum(axis=0))) <= 1e-12
+
+    def test_dense_on_z_is_the_per_sample_sum(self):
+        # reference: sum_n kron(x x^T, B^T Q^(n) B), assembled per sample
+        rng = np.random.default_rng(14)
+        for c, d, n in ((3, 2, 2), (4, 5, 12), (6, 40, 300)):
+            data = Dataset(rng.standard_normal((d, n)),
+                           softmax(rng.standard_normal((c, n))))
+            op = HessianOperator(data, rng.standard_normal((c, d)))
+            b = zero_sum_basis(c)
+            ref = sum(np.kron(np.outer(x, x), b.T @ q_matrix(y) @ b)
+                      for x, y in zip(data.x.T, op.y.T))
+            err = np.max(np.abs(dense_hessian_on_z(op) - ref))
+            assert err <= 1e-13 * np.max(np.abs(ref))

@@ -196,6 +196,23 @@ class TestDatasetAdoption:
             Dataset(x, self.T)
 
 
+class TestActivationsCheck:
+    """Every entry point that forms W X rejects an overflowing product with
+    one InvalidInputError and no floating-point warning."""
+
+    DATA = Dataset(np.array([[1e300, 1.0]]), one_hot([1, 2], 2))
+
+    @pytest.mark.parametrize("call", [
+        loss,
+        gradient,
+        lambda w, data: HessianOperator(data, w),
+        reduce_two_class,
+    ], ids=["loss", "gradient", "HessianOperator", "reduce_two_class"])
+    def test_overflow_raises(self, call):
+        with pytest.raises(InvalidInputError, match="activations contain non-finite"):
+            call(np.array([[1e10], [0.0]]), self.DATA)
+
+
 class TestWeightShapeCheck:
     """Every entry point that takes weights W rejects a W that is not C x D
     with DimensionMismatchError naming both shapes."""

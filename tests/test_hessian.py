@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from smxreg.convergence import zero_sum_basis
+from smxreg.convergence import dense_hessian_on_z, zero_sum_basis
 from smxreg.core import Dataset, DimensionMismatchError, SizeLimitError
 from smxreg.hessian import DENSE_LIMIT, HessianOperator
 from smxreg.loss_grad import gradient
@@ -194,8 +194,9 @@ class TestDense:
         x = rng.standard_normal((d, 2))
         data = Dataset(x, softmax(rng.standard_normal((c, 2))))
         op = HessianOperator(data, np.zeros((c, d)))
-        with pytest.raises(SizeLimitError):
-            op.dense()
+        for dense in (HessianOperator.dense, dense_hessian_on_z):
+            with pytest.raises(SizeLimitError):
+                dense(op)
 
 
 class TestSymmetryAndConvexity:
