@@ -7,6 +7,7 @@ import argparse
 
 from smxreg import Dataset, TrainConfig, evaluate, train
 from smxreg.data_io import load_idx_dataset
+from smxreg.trainer import BB_MODES
 
 
 def main():
@@ -20,7 +21,7 @@ def main():
                     help="number of training samples used (0 = all)")
     ap.add_argument("--epochs", type=int, default=60)
     ap.add_argument("--eta", type=float, default=1e-3)
-    ap.add_argument("--bb", choices=["off", "bb1", "bb2"], default="bb2")
+    ap.add_argument("--bb", choices=BB_MODES, default="bb2")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 

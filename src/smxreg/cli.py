@@ -24,12 +24,16 @@ from .certify import certify
 from .convergence import condition_bound, plan, reduce_two_class
 from .core import Dataset, InvalidInputError, check_weights
 from .data_io import load_csv, load_idx_dataset
-from .fdcheck import GRAD_TOL, HESS_TOL, gradient_check_suite
+from .fdcheck import CHECK_SIZES, GRAD_TOL, HESS_TOL, gradient_check_suite
 from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
-from .trainer import STOP_NONFINITE, TrainConfig, evaluate, train
+from .trainer import BB_MODES, STOP_NONFINITE, TrainConfig, evaluate, train
 
 WEIGHTS_MAGIC = b"SMXW"
+
+# Initial Barzilai-Borwein rate when --eta is omitted (train --bb bb1/bb2,
+# certify --train-epochs).
+BB_ETA0 = 0.01
 
 
 class WeightsFormatError(ValueError):
@@ -109,15 +113,10 @@ def _input_digest(args, data: Dataset | None) -> dict:
 
 
 def cmd_train(args) -> tuple[int, dict, dict]:
-    data = _load_dataset(args)
-    if args.eta is None:
-        if args.bb == "off":
-            raise InvalidInputError("--eta is required when --bb off")
-        eta = 0.01
-    else:
-        eta = args.eta
+    if args.eta is None and args.bb == "off":
+        raise InvalidInputError("--eta is required when --bb off")
     cfg = TrainConfig(
-        eta=eta,
+        eta=BB_ETA0 if args.eta is None else args.eta,
         epochs=args.epochs,
         bb_mode=args.bb,
         center_every=args.center_every,
@@ -126,6 +125,7 @@ def cmd_train(args) -> tuple[int, dict, dict]:
         tol_grad=args.tol_grad,
         log_every=args.log_every,
     )
+    data = _load_dataset(args)
     w, trace = train(data, cfg)
     for r in trace.records:
         print(f"epoch {r.epoch:6d}  loss {r.loss:.9f}  grad {r.grad_norm:.6e}"
@@ -159,7 +159,11 @@ def cmd_spectrum(args) -> tuple[int, dict, dict]:
         data = _load_dataset(args)
         if not 0 <= args.sample < data.n:
             raise InvalidInputError(f"--sample must be in 0..{data.n - 1}")
-        y = softmax(check_weights(w, data) @ data.x[:, args.sample])
+        w = check_weights(w, data)
+        # An overflowing column is refused by softmax, without a warning.
+        with np.errstate(over="ignore", invalid="ignore"):
+            a = w @ data.x[:, args.sample]
+        y = softmax(a)
 
     report = analyze_q(y)
     max_delta = None
@@ -181,6 +185,8 @@ def cmd_spectrum(args) -> tuple[int, dict, dict]:
 
 
 def cmd_certify(args) -> tuple[int, dict, dict]:
+    cfg = TrainConfig(eta=args.eta, epochs=args.train_epochs, bb_mode="bb2",
+                      seed=args.seed) if args.train_epochs else None
     data = _load_dataset(args)
     cert = certify(data)
     print(f"rank(X): {'full (= D)' if cert.full_rank else 'deficient'}"
@@ -203,10 +209,7 @@ def cmd_certify(args) -> tuple[int, dict, dict]:
         if args.weights:
             w = read_weights(args.weights)
             anchor = "supplied"
-        elif args.train_epochs:
-            cfg = TrainConfig(eta=0.01 if args.eta is None else args.eta,
-                              epochs=args.train_epochs, bb_mode="bb2",
-                              seed=args.seed)
+        elif cfg is not None:
             w, _ = train(data, cfg)
             anchor = "trained"
         else:
@@ -229,7 +232,7 @@ def cmd_certify(args) -> tuple[int, dict, dict]:
 
 
 def _parse_sizes(text: str) -> dict:
-    sizes = {"C": 5, "D": 7, "N": 10}
+    sizes = dict(CHECK_SIZES)
     for part in text.split(","):
         key, sep, val = part.partition("=")
         key = key.strip().upper()
@@ -241,14 +244,7 @@ def _parse_sizes(text: str) -> dict:
 
 def cmd_checkgrad(args) -> tuple[int, dict, dict]:
     sizes = _parse_sizes(args.sizes)
-    res = gradient_check_suite(
-        seed=args.seed,
-        c_max=sizes["C"],
-        d_max=sizes["D"],
-        n_max=sizes["N"],
-        instances=args.instances,
-        corrupt=args.corrupt,
-    )
+    res = gradient_check_suite(args.seed, sizes, args.instances, args.corrupt)
     print(f"gradient: max rel err {res['grad_max_rel_err']:.3e}"
           f" (threshold {GRAD_TOL:g})")
     print(f"hessian:  max rel err {res['hess_max_rel_err']:.3e}"
@@ -273,7 +269,7 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--eta", type=float, help="learning rate (initial rate under --bb)")
     p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--bb", choices=["off", "bb1", "bb2"], default="off")
+    p.add_argument("--bb", choices=BB_MODES, default="off")
     p.add_argument("--center-every", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--init-scale", type=float, default=0.01)
@@ -295,14 +291,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--weights", help="anchor weights file (C=2 analysis)")
     p.add_argument("--train-epochs", type=int, default=0,
                    help="train this many epochs to anchor the C=2 analysis")
-    p.add_argument("--eta", type=float)
+    p.add_argument("--eta", type=float, default=BB_ETA0)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("checkgrad", parents=[report], help="finite-difference derivative checks")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sizes", default="C=5,D=7,N=10",
-                   help='maximum instance sizes, e.g. "C=5,D=7,N=10"')
+    sizes = ",".join(f"{k}={v}" for k, v in CHECK_SIZES.items())
+    p.add_argument("--sizes", default=sizes,
+                   help=f'maximum instance sizes, e.g. "{sizes}"')
     p.add_argument("--instances", type=int, default=20)
     p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_checkgrad)

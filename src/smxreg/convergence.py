@@ -175,25 +175,28 @@ def dense_hessian_on_z(h: HessianOperator) -> np.ndarray:
     return p.T @ h.dense() @ p
 
 
-# Lanczos on H_Z: the seed of the start (and any restart) vector, and the
+# Lanczos on H_Z: the seed of the start (and any restart) vector, the stop
+# tolerance on both extreme Ritz residuals relative to lambda_max, and the
 # number of steps between two solves of the tridiagonal matrix.
 LANCZOS_SEED = 0
+LANCZOS_TOL = 1e-8
 LANCZOS_CHECK = 10
 # A new Lanczos vector shorter than this, relative to the largest product
 # seen, means the Krylov space is invariant (breakdown).
 LANCZOS_BREAKDOWN = 1e-12
 
 
-def _lanczos_extremes(h: HessianOperator, tol: float) -> tuple[float, float]:
+def _lanczos_extremes(h: HessianOperator) -> tuple[float, float]:
     """Both extreme eigenvalues of H_Z from one Lanczos run.
 
     Works in the coordinates of :func:`zero_sum_basis`.  Each new vector is
     reorthogonalized against the whole basis by two classical Gram-Schmidt
     passes, so the extreme Ritz values of the tridiagonal T_k carry no
     spurious copies.  T_k is solved every ``LANCZOS_CHECK`` steps; the run
-    stops once both extreme Ritz residuals beta_k |s_k| are <= tol * theta_max,
-    or when the basis spans all (C-1) D coordinates.  On breakdown it restarts
-    from a fresh seeded vector orthogonal to the basis.
+    stops once both extreme Ritz residuals beta_k |s_k| are at most
+    ``LANCZOS_TOL`` * theta_max, or when the basis spans all (C-1) D
+    coordinates.  On breakdown it restarts from a fresh seeded vector
+    orthogonal to the basis.
     """
     b = zero_sum_basis(h.c)
     shape = (h.c - 1, h.d)
@@ -233,7 +236,7 @@ def _lanczos_extremes(h: HessianOperator, tol: float) -> tuple[float, float]:
             t = np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1)
             theta, s = np.linalg.eigh(t)
             residual = beta_k * np.abs(s[-1, [0, -1]])
-            if k == m or np.all(residual <= tol * theta[-1]):
+            if k == m or np.all(residual <= LANCZOS_TOL * theta[-1]):
                 return float(theta[0]), float(theta[-1])
         if beta_k <= LANCZOS_BREAKDOWN * anorm:
             beta.append(0.0)
@@ -243,23 +246,21 @@ def _lanczos_extremes(h: HessianOperator, tol: float) -> tuple[float, float]:
             q = w / beta_k
 
 
-def extreme_eigenvalues_on_z(
-    h: HessianOperator, tol: float = 1e-8
-) -> tuple[float, float]:
+def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of H restricted to Z.
 
     For C = 2 these are the extreme eigenvalues of M.  For every C > 2 both
     extremes come from one Lanczos run with full reorthogonalization,
     started from a fixed-seed vector, so repeated calls give identical
     values.  The run stops when both extreme Ritz residuals are at most
-    ``tol`` * lambda_max.  It costs k Hessian products (through
-    ``h.apply``) and stores k vectors of (C-1) D floats; k is between about
-    230 and 420 at C=10, D=256, N=8000 with the default ``tol``, and at
-    most (C-1) D; no dense matrix is formed.  Requires rank(X) = D; the rank
-    test runs once per dataset, not once per anchor (``Dataset.rank_factors``).
+    ``LANCZOS_TOL`` (1e-8) * lambda_max.  It costs k Hessian products
+    (through ``h.apply``) and stores k vectors of (C-1) D floats; k is
+    between about 230 and 420 at C=10, D=256, N=8000, and at most (C-1) D;
+    no dense matrix is formed.  Requires rank(X) = D; the rank test runs
+    once per dataset, not once per anchor (``Dataset.rank_factors``).
     """
     _check_full_rank(h.data)
     if h.c == 2:
         evals = np.linalg.eigvalsh(_two_class(h.data.x, h.y).m)
         return float(evals[0]), float(evals[-1])
-    return _lanczos_extremes(h, tol)
+    return _lanczos_extremes(h)

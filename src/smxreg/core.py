@@ -11,7 +11,8 @@ from functools import cached_property
 
 import numpy as np
 
-# Target columns must be probability vectors to this tolerance on construction.
+# Target columns and the y of the spectrum functions must sum to 1 to this
+# tolerance (:func:`check_probability`).
 TARGET_COLUMN_SUM_TOL = 1e-12
 
 
@@ -76,6 +77,24 @@ def check_weights(w, data: Dataset) -> np.ndarray:
     return w
 
 
+def check_probability(p, name: str, ndim: int) -> np.ndarray:
+    """``p`` as a float64 ``ndim``-D array whose columns (``p`` itself when
+    1-D) are probability vectors: finite entries in [0, 1] summing to 1
+    within ``TARGET_COLUMN_SUM_TOL``."""
+    p = np.asarray(p, dtype=float)
+    if p.ndim != ndim:
+        raise DimensionMismatchError(f"{name} must be {ndim}-D, got shape {p.shape}")
+    if not np.all(np.isfinite(p)):
+        raise InvalidInputError(f"{name} contains non-finite entries")
+    if np.any(p < 0.0) or np.any(p > 1.0):
+        raise InvalidInputError(f"{name} entries must lie in [0, 1]")
+    worst = float(np.max(np.abs(p.sum(axis=0) - 1.0), initial=0.0))
+    if worst > TARGET_COLUMN_SUM_TOL:
+        sums = "must sum to 1 (" if ndim == 1 else "columns must sum to 1 (worst "
+        raise InvalidInputError(f"{name} {sums}deviation {worst:.3e})")
+    return p
+
+
 def activations(w, data: Dataset) -> np.ndarray:
     """A = W X for weights ``w`` checked by :func:`check_weights`; a product
     that overflows raises :class:`InvalidInputError`, without a warning."""
@@ -113,9 +132,7 @@ class Dataset:
 
     def __post_init__(self):
         x = as_matrix(self.x, "x")
-        t = np.asarray(self.t, dtype=float)
-        if t.ndim != 2:
-            raise DimensionMismatchError(f"t must be 2-D, got shape {t.shape}")
+        t = check_probability(self.t, "t", 2)
         if x.shape[1] != t.shape[1]:
             raise DimensionMismatchError(
                 f"x has {x.shape[1]} columns but t has {t.shape[1]}"
@@ -124,15 +141,6 @@ class Dataset:
             raise DimensionMismatchError("x must have at least one row and column")
         if t.shape[0] < 2:
             raise InvalidInputError("need at least 2 classes")
-        if not np.all(np.isfinite(t)):
-            raise InvalidInputError("t contains non-finite entries")
-        if np.any(t < 0.0) or np.any(t > 1.0):
-            raise InvalidInputError("t entries must lie in [0, 1]")
-        worst = float(np.max(np.abs(t.sum(axis=0) - 1.0)))
-        if worst > TARGET_COLUMN_SUM_TOL:
-            raise InvalidInputError(
-                f"t columns must sum to 1 (worst deviation {worst:.3e})"
-            )
         object.__setattr__(self, "x", _adopt_or_freeze(x))
         object.__setattr__(self, "t", _adopt_or_freeze(t))
 

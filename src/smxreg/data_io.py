@@ -111,11 +111,11 @@ def _feature_matrix(d: int, n: int, bias: bool) -> np.ndarray:
     return x
 
 
-def load_idx_images(path, scale: bool = True, bias: bool = False) -> np.ndarray:
+def load_idx_images(path, bias: bool = False) -> np.ndarray:
     """D x N float64 matrix from an IDX image file, image n flattened
-    row-major into column n.  Pixels are mapped to [0, 1] by division by 255
-    unless ``scale=False``; unscaled bytes inflate activations and slow
-    descent.  ``bias=True`` appends a constant-1 row, giving (D+1) x N.
+    row-major into column n.  Pixels are always mapped to [0, 1] by division
+    by 255, since raw bytes would inflate activations and slow descent.
+    ``bias=True`` appends a constant-1 row, giving (D+1) x N.
 
     The result is C-contiguous and built in one pass: each block of
     ``IDX_BLOCK_IMAGES`` images is transposed and scaled straight into its
@@ -128,21 +128,21 @@ def load_idx_images(path, scale: bool = True, bias: bool = False) -> np.ndarray:
     d = rows * cols
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, d)
     x = _feature_matrix(d, n, bias)
-    divisor = 255.0 if scale else 1.0
     for j in range(0, n, IDX_BLOCK_IMAGES):
         block = slice(j, j + IDX_BLOCK_IMAGES)
-        np.divide(pixels[block].T, divisor, out=x[:d, block])
+        np.divide(pixels[block].T, 255.0, out=x[:d, block])
     return x
 
 
-def write_idx_images(path, x, rows: int, cols: int, scaled: bool = True) -> None:
-    """Write a D x N matrix back to IDX; inverse of :func:`load_idx_images`."""
+def write_idx_images(path, x, rows: int, cols: int) -> None:
+    """Write a D x N matrix of pixels in [0, 1] back to IDX as bytes
+    round(255 x); inverse of :func:`load_idx_images`."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != rows * cols:
         raise DimensionMismatchError(
             f"x must be (rows*cols) x N = {rows * cols} x N, got {x.shape}"
         )
-    pixels = np.rint(x * 255.0 if scaled else x)
+    pixels = np.rint(x * 255.0)
     if np.any(pixels < 0) or np.any(pixels > 255):
         raise ValueError("pixel values fall outside the unsigned byte range")
     payload = pixels.T.astype(np.uint8).tobytes()
@@ -181,12 +181,12 @@ def write_idx_labels(path, labels0) -> None:
         f.write(labels0.astype(np.uint8).tobytes())
 
 
-def load_idx_dataset(images_path, labels_path, c: int, scale: bool = True,
+def load_idx_dataset(images_path, labels_path, c: int,
                      bias: bool = False) -> Dataset:
     """Assemble a Dataset from a paired IDX image/label file, with a
     constant-1 feature row appended when ``bias``.  The Dataset adopts the
     freshly loaded arrays, so X is built and validated exactly once."""
-    x = load_idx_images(images_path, scale=scale, bias=bias)
+    x = load_idx_images(images_path, bias=bias)
     t = load_idx_labels(labels_path, c)
     if x.shape[1] != t.shape[1]:
         raise IdxFormatError(

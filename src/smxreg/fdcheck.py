@@ -16,36 +16,45 @@ from .softmax import softmax
 GRAD_TOL = 1e-6
 HESS_TOL = 1e-5
 
+# Central-difference step of both harnesses, and the floor of
+# entrywise_rel_err as a fraction of the largest reference entry.
+FD_STEP = 1e-5
+REL_ERR_FLOOR = 1e-3
 
-def fd_gradient(w, data: Dataset, h: float = 1e-5) -> np.ndarray:
-    """Entrywise central differences of the loss."""
+# Largest C, D and N of the instances gradient_check_suite draws.
+CHECK_SIZES = {"C": 5, "D": 7, "N": 10}
+
+
+def fd_gradient(w, data: Dataset) -> np.ndarray:
+    """Entrywise central differences of the loss, step ``FD_STEP``."""
     w = np.asarray(w, dtype=float)
     out = np.zeros_like(w)
     for i in range(w.shape[0]):
         for j in range(w.shape[1]):
             wp = w.copy()
             wm = w.copy()
-            wp[i, j] += h
-            wm[i, j] -= h
-            out[i, j] = (loss(wp, data) - loss(wm, data)) / (2.0 * h)
+            wp[i, j] += FD_STEP
+            wm[i, j] -= FD_STEP
+            out[i, j] = (loss(wp, data) - loss(wm, data)) / (2.0 * FD_STEP)
     return out
 
 
-def fd_hessian_apply(w, data: Dataset, u, eps: float = 1e-5) -> np.ndarray:
-    """Central difference of the gradient along the direction ``u``."""
+def fd_hessian_apply(w, data: Dataset, u) -> np.ndarray:
+    """Central difference of the gradient along the direction ``u``, step
+    ``FD_STEP``."""
     w = np.asarray(w, dtype=float)
-    u = np.asarray(u, dtype=float)
-    return (gradient(w + eps * u, data) - gradient(w - eps * u, data)) / (2.0 * eps)
+    du = FD_STEP * np.asarray(u, dtype=float)
+    return (gradient(w + du, data) - gradient(w - du, data)) / (2.0 * FD_STEP)
 
 
-def entrywise_rel_err(a, b, floor_frac: float = 1e-3) -> float:
-    """Max entrywise |a-b| relative to |b|, floored at floor_frac * max|b|.
+def entrywise_rel_err(a, b) -> float:
+    """Max entrywise |a-b| relative to |b|, floored at REL_ERR_FLOOR * max|b|.
 
     The floor keeps accidental near-zero reference entries from inflating the
     ratio beyond what the absolute finite-difference error warrants.
     """
     b = np.asarray(b, dtype=float)
-    scale = np.maximum(np.abs(b), floor_frac * np.max(np.abs(b)) + 1e-300)
+    scale = np.maximum(np.abs(b), REL_ERR_FLOOR * np.max(np.abs(b)) + 1e-300)
     return float(np.max(np.abs(np.asarray(a) - b) / scale))
 
 
@@ -62,16 +71,10 @@ def random_instance(rng: np.random.Generator, c: int, d: int, n: int):
     return w, Dataset(x, t)
 
 
-def gradient_check_suite(
-    seed: int = 0,
-    c_max: int = 5,
-    d_max: int = 7,
-    n_max: int = 10,
-    instances: int = 20,
-    corrupt: bool = False,
-) -> dict:
+def gradient_check_suite(seed: int, sizes: dict, instances: int, corrupt: bool) -> dict:
     """Run the gradient and Hessian-product finite-difference suites.
 
+    ``sizes`` gives the largest "C", "D" and "N" drawn (see ``CHECK_SIZES``).
     Returns the worst relative errors seen.  ``corrupt`` perturbs the
     analytic gradient before comparison (negative-control hook used to prove
     the harness actually detects wrong gradients).
@@ -80,9 +83,9 @@ def gradient_check_suite(
     grad_worst = 0.0
     hess_worst = 0.0
     for _ in range(instances):
-        c = int(rng.integers(2, c_max + 1))
-        d = int(rng.integers(2, d_max + 1))
-        n = int(rng.integers(1, n_max + 1))
+        c = int(rng.integers(2, sizes["C"] + 1))
+        d = int(rng.integers(2, sizes["D"] + 1))
+        n = int(rng.integers(1, sizes["N"] + 1))
         w, data = random_instance(rng, c, d, n)
 
         g = gradient(w, data)

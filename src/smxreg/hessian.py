@@ -18,11 +18,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, DimensionMismatchError, SizeLimitError, activations
+from .core import Dataset, SizeLimitError, activations, check_weights
 from .softmax import q_matrix, softmax
 
 # Dense materialization guard: C*D entries per vec index.
 DENSE_LIMIT = 2048
+
+# kernel_test counts U as a kernel direction when the residual of U X after
+# removing the best column shift is at most this, relative to ||U X||_F.
+KERNEL_TOL = 1e-10
 
 
 class KernelTest(NamedTuple):
@@ -56,14 +60,6 @@ class HessianOperator:
     def n(self) -> int:
         return self.data.n
 
-    def _check_direction(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.c, self.d):
-            raise DimensionMismatchError(
-                f"direction has shape {u.shape}, expected {(self.c, self.d)}"
-            )
-        return u
-
     def _q_columns(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         # v^(n) = U x^(n);  Q^(n) v^(n) = y*v - y (y.v), all columns at once.
         v = u @ self.data.x
@@ -72,29 +68,27 @@ class HessianOperator:
 
     def apply(self, u) -> np.ndarray:
         """H(U), computed matrix-free in O(N C D)."""
-        u = self._check_direction(u)
+        u = check_weights(u, self.data)
         _, qv = self._q_columns(u)
         return qv @ self.data.x.T
 
     def quadratic_form(self, u) -> float:
         """<H(U), U>_F = sum_n (U x^(n))^T Q^(n) (U x^(n)); >= 0 up to rounding."""
-        u = self._check_direction(u)
+        u = check_weights(u, self.data)
         v, qv = self._q_columns(u)
         return float(np.sum(qv * v))
 
-    def kernel_test(self, u, tol: float = 1e-10) -> KernelTest:
+    def kernel_test(self, u) -> KernelTest:
         """Decide membership in ker H = {U : U X = 1 c^T}.
 
         The optimal shift c is the column mean of U X; membership holds when
-        the residual after removing it is at most ``tol`` relative to
-        ||U X||_F.  The returned residual is the witness.
+        the residual after removing it is at most ``KERNEL_TOL`` (1e-10)
+        relative to ||U X||_F.  The returned residual is the witness.
         """
-        if tol <= 0:
-            raise ValueError("tol must be positive")
-        u = self._check_direction(u)
+        u = check_weights(u, self.data)
         v = u @ self.data.x
         residual = float(np.linalg.norm(v - v.mean(axis=0, keepdims=True)))
-        return KernelTest(residual <= tol * float(np.linalg.norm(v)), residual)
+        return KernelTest(residual <= KERNEL_TOL * float(np.linalg.norm(v)), residual)
 
     def dense(self) -> np.ndarray:
         """(CD) x (CD) matrix of the operator for column-major vec.

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import InvalidInputError, SizeLimitError
+from .core import SizeLimitError, check_probability
 from .softmax import q_matrix
 
 KIND_ZERO = "zero"
@@ -37,8 +37,8 @@ KIND_REPEATED = "repeated-coordinate"
 KIND_INTERLACED = "interlaced-root"
 
 # Coordinates within GROUP_TOL of each other count as one distinct value;
-# coordinates <= GROUP_TOL count as zero.  This quantization is a knob: the
-# exact statement assumes exact multiplicities.
+# coordinates <= GROUP_TOL count as zero.  The exact statement assumes exact
+# multiplicities; this fixed quantization is how rounded inputs meet it.
 GROUP_TOL = 1e-12
 
 # Gaps narrower than this are not bisected; the root is reported as the
@@ -74,20 +74,6 @@ class SpectrumReport:
         """All C eigenvalues expanded by multiplicity, sorted ascending."""
         vals = [e.value for e in self.eigenvalues for _ in range(e.multiplicity)]
         return np.sort(np.asarray(vals, dtype=float))
-
-
-def _probability_vector(y) -> np.ndarray:
-    y = np.asarray(y, dtype=float)
-    if y.ndim != 1 or y.shape[0] < 1:
-        raise InvalidInputError("y must be a 1-D probability vector")
-    if not np.all(np.isfinite(y)):
-        raise InvalidInputError("y contains non-finite entries")
-    if np.any(y < 0.0) or np.any(y > 1.0):
-        raise InvalidInputError("y entries must lie in [0, 1]")
-    dev = abs(float(y.sum()) - 1.0)
-    if dev > 1e-12:
-        raise InvalidInputError(f"y must sum to 1 (deviation {dev:.3e})")
-    return y
 
 
 def _secular(lam: np.ndarray, values: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -126,10 +112,10 @@ def _bisect_secular(values, counts, lo: np.ndarray, hi: np.ndarray) -> np.ndarra
     return root
 
 
-def _group_values(pos_sorted: np.ndarray, group_tol: float):
+def _group_values(pos_sorted: np.ndarray):
     # Chained grouping: a value joins its predecessor's group when the two
-    # are at most group_tol apart.
-    starts = np.flatnonzero(np.diff(pos_sorted) > group_tol) + 1
+    # are at most GROUP_TOL apart.
+    starts = np.flatnonzero(np.diff(pos_sorted) > GROUP_TOL) + 1
     starts = np.concatenate(([0], starts))
     counts = np.diff(np.append(starts, pos_sorted.size))
     reps = pos_sorted[starts]
@@ -140,7 +126,7 @@ def _group_values(pos_sorted: np.ndarray, group_tol: float):
     return reps, counts
 
 
-def analyze_q(y, group_tol: float = GROUP_TOL) -> SpectrumReport:
+def analyze_q(y) -> SpectrumReport:
     """Assemble the full spectrum of diag(y) - y y^T analytically.
 
     Interlaced roots are found by one batched bisection over all gaps, to
@@ -148,13 +134,13 @@ def analyze_q(y, group_tol: float = GROUP_TOL) -> SpectrumReport:
     are reported as the lower coordinate value with ``degenerate_gap=True``
     instead of forcing a bisection between nearly coincident poles.
     """
-    y = _probability_vector(y)
-    zero_mask = y <= group_tol
+    y = check_probability(y, "y", 1)
+    zero_mask = y <= GROUP_TOL
     support = tuple(int(j) for j in np.nonzero(~zero_mask)[0])
     n_zero = int(np.count_nonzero(zero_mask))
 
     pos_sorted = np.sort(y[~zero_mask])
-    values, counts = _group_values(pos_sorted, group_tol)
+    values, counts = _group_values(pos_sorted)
 
     entries = [Eigenvalue(0.0, 1 + n_zero, KIND_ZERO)]
     for a, nu in zip(values, counts):
@@ -182,18 +168,18 @@ def analyze_q(y, group_tol: float = GROUP_TOL) -> SpectrumReport:
 
 def dense_q_spectrum(y) -> np.ndarray:
     """Oracle: eigenvalues of the explicitly formed Q, sorted ascending."""
-    y = _probability_vector(y)
+    y = check_probability(y, "y", 1)
     if y.shape[0] > DENSE_C_LIMIT:
         raise SizeLimitError(f"dense spectrum limited to C <= {DENSE_C_LIMIT}")
     return np.sort(np.linalg.eigvalsh(q_matrix(y)))
 
 
-def nullspace_basis(y, group_tol: float = GROUP_TOL) -> list[np.ndarray]:
+def nullspace_basis(y) -> list[np.ndarray]:
     """Orthonormal basis of ker Q: the normalized indicator of the support
     first, then the standard basis vector of every zero coordinate in index
     order."""
-    y = _probability_vector(y)
-    on_support = y > group_tol
+    y = check_probability(y, "y", 1)
+    on_support = y > GROUP_TOL
     indicator = on_support.astype(float)
     basis = [indicator / np.linalg.norm(indicator)]
     for j in np.nonzero(~on_support)[0]:

@@ -20,7 +20,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import Dataset, InvalidInputError, center_columns, check_weights
+from .core import (Dataset, InvalidInputError, activations, center_columns,
+                   check_weights)
 from .loss_grad import forward, loss_from_activations
 # ``softmax`` stays importable from this module: bench/workloads.py times it
 # under the name ``smxreg.trainer.softmax``.
@@ -170,7 +171,9 @@ def evaluate(w, data: Dataset) -> tuple[float, float]:
     Accuracy compares per-column argmax of the outputs against argmax of the
     targets; ties resolve to the lowest class index on both sides.  Softmax
     is strictly increasing, so the activation argmax is used directly.
+    Activations that overflow raise :class:`InvalidInputError`, as in
+    :func:`~smxreg.loss_grad.loss`.
     """
-    a = check_weights(w, data) @ data.x
+    a = activations(w, data)
     accuracy = float(np.mean(np.argmax(a, axis=0) == np.argmax(data.t, axis=0)))
     return loss_from_activations(a, data.t), accuracy

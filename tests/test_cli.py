@@ -14,6 +14,8 @@ from smxreg.cli import main, read_weights, write_weights
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 TOY_CSV = "0.0,0.0,0\n1.0,0.0,0\n0.0,1.0,1\n1.0,1.0,1\n"
+# Features near 1e100: one huge step leaves weights whose W X overflows.
+HUGE_CSV = "1e100,1,0\n-1e100,2,1\n3e99,-1,0\n"
 
 
 @pytest.fixture
@@ -75,6 +77,18 @@ class TestTrain:
         w = read_weights(out)
         assert np.max(np.abs(w.sum(axis=0))) <= 1e-12
         assert json.loads(rep.read_text())["result"]["trace"] == []
+
+    def test_overflowing_final_evaluation_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "huge.csv"
+        f.write_text(HUGE_CSV)
+        out, rep = tmp_path / "w.bin", tmp_path / "rep.json"
+        rc = main(["train", "--csv", str(f), "--classes", "2", "--eta", "1e120",
+                   "--epochs", "1", "--out", str(out), "--json", str(rep)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert "stop: epochs_exhausted" in captured.out
+        assert captured.err == "error: activations contain non-finite entries\n"
+        assert not out.exists() and not rep.exists()
 
     def test_missing_file_is_format_error(self, tmp_path):
         rc = main(["train", "--csv", str(tmp_path / "nope.csv"),
@@ -156,6 +170,18 @@ class TestSpectrum:
             "error: weights have shape (2, 4), expected (2, 3)\n")
 
 
+    def test_overflowing_weights_column_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "huge.csv"
+        f.write_text(HUGE_CSV)
+        wfile = tmp_path / "w.bin"
+        write_weights(wfile, np.array([[1e300, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        rc = main(["spectrum", "--weights", str(wfile), "--csv", str(f),
+                   "--classes", "2", "--bias"])
+        assert rc == 2
+        assert capsys.readouterr().err == (
+            "error: activations contain non-finite entries\n")
+
+
 class TestCertify:
     def test_full_rank_two_class_report(self, toy_csv, capsys):
         rc = main(["certify", "--csv", toy_csv, "--classes", "2", "--bias"])
@@ -176,7 +202,9 @@ class TestCertify:
         rc = main(["certify", "--csv", toy_csv, "--classes", "2", "--bias",
                    "--train-epochs", "3", "--eta", "0"])
         assert rc == 2
-        assert "eta must be positive" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "eta must be positive" in captured.err
+        assert captured.out == ""
 
     def test_k_exact_below_bound(self, toy_csv, tmp_path):
         rep = tmp_path / "rep.json"

@@ -207,15 +207,17 @@ class TestActivationsCheck:
         gradient,
         lambda w, data: HessianOperator(data, w),
         reduce_two_class,
-    ], ids=["loss", "gradient", "HessianOperator", "reduce_two_class"])
+        evaluate,
+    ], ids=["loss", "gradient", "HessianOperator", "reduce_two_class", "evaluate"])
     def test_overflow_raises(self, call):
         with pytest.raises(InvalidInputError, match="activations contain non-finite"):
             call(np.array([[1e10], [0.0]]), self.DATA)
 
 
 class TestWeightShapeCheck:
-    """Every entry point that takes weights W rejects a W that is not C x D
-    with DimensionMismatchError naming both shapes."""
+    """Every entry point that takes weights W, or a Hessian direction U,
+    rejects one that is not C x D with DimensionMismatchError naming both
+    shapes."""
 
     DATA = Dataset(np.arange(15.0).reshape(3, 5) % 4, one_hot([1, 2, 1, 2, 2], 2))
 
@@ -227,8 +229,11 @@ class TestWeightShapeCheck:
         lambda w, data: train(data, TrainConfig(epochs=1), w0=w),
         evaluate,
         reduce_two_class,
+        lambda u, data: HessianOperator(data, np.zeros((2, 3))).apply(u),
+        lambda u, data: HessianOperator(data, np.zeros((2, 3))).quadratic_form(u),
+        lambda u, data: HessianOperator(data, np.zeros((2, 3))).kernel_test(u),
     ], ids=["loss", "gradient", "error_covariance", "HessianOperator", "train_w0",
-            "evaluate", "reduce_two_class"])
+            "evaluate", "reduce_two_class", "apply", "quadratic_form", "kernel_test"])
     @pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=["D+1", "C+1"])
     def test_wrong_shape_raises(self, call, shape):
         with pytest.raises(DimensionMismatchError, match=r"\(2, 3\)") as info:

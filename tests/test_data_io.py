@@ -101,23 +101,14 @@ class TestIdxImages:
         with pytest.raises(IdxFormatError):
             load_idx_images(f)
 
-    def test_unscaled_load(self, tmp_path):
-        images = np.array([[[10, 20]]], dtype=np.uint8)
-        f = tmp_path / "raw.idx"
-        write_raw_images(f, images)
-        assert np.array_equal(load_idx_images(f, scale=False)[:, 0], [10.0, 20.0])
-
-    @pytest.mark.parametrize("scale", [True, False])
-    def test_c_order_and_exact_across_blocks(self, tmp_path, scale):
+    def test_c_order_and_exact_across_blocks(self, tmp_path):
         n = 2 * IDX_BLOCK_IMAGES + 37
         images = np.random.default_rng(2).integers(0, 256, (n, 3, 2), dtype=np.uint8)
         f = tmp_path / "imgs.idx"
         write_raw_images(f, images)
-        x = load_idx_images(f, scale=scale)
-        pixels = images.reshape(n, 6)
-        expected = pixels.T / 255.0 if scale else pixels.T.astype(float)
+        x = load_idx_images(f)
         assert x.flags.c_contiguous and x.dtype == np.float64
-        assert np.array_equal(x, expected)
+        assert np.array_equal(x, images.reshape(n, 6).T / 255.0)
 
 
 class TestIdxLabels:
@@ -195,15 +186,14 @@ def _assert_bit_equal(a, b):
 class TestBiasedLoaders:
     """``bias=True`` builds the same X as the ``add_bias_row`` idiom, once."""
 
-    @pytest.mark.parametrize("scale", [True, False])
-    def test_idx_images_match_bias_idiom(self, tmp_path, scale):
+    def test_idx_images_match_bias_idiom(self, tmp_path):
         n = 2 * IDX_BLOCK_IMAGES + 37
         images = np.random.default_rng(4).integers(0, 256, (n, 3, 2), dtype=np.uint8)
         f = tmp_path / "imgs.idx"
         write_raw_images(f, images)
-        x = load_idx_images(f, scale=scale, bias=True)
+        x = load_idx_images(f, bias=True)
         assert x.flags.c_contiguous and x.dtype == np.float64
-        _assert_bit_equal(x, add_bias_row(load_idx_images(f, scale=scale)))
+        _assert_bit_equal(x, add_bias_row(load_idx_images(f)))
 
     def test_idx_dataset_is_adopted(self, tmp_path):
         imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"

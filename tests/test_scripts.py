@@ -15,7 +15,7 @@ def _idx_pair(tmp_path, name, rng, n, rows=8, cols=8):
     centers = rng.integers(0, 256, (10, rows * cols))
     pixels = np.clip(centers[labels] + rng.integers(-40, 41, (n, rows * cols)), 0, 255)
     images, label_file = tmp_path / f"{name}-images", tmp_path / f"{name}-labels"
-    write_idx_images(images, pixels.T, rows, cols, scaled=False)
+    write_idx_images(images, pixels.T / 255.0, rows, cols)
     write_idx_labels(label_file, labels)
     return str(images), str(label_file)
 

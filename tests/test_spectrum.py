@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smxreg.core import InvalidInputError
+from smxreg.core import Dataset, InvalidInputError
 from smxreg.softmax import q_matrix, softmax
 from smxreg.spectrum import (
     BISECT_TOL,
@@ -98,10 +98,12 @@ class TestAnalyzeQ:
         assert np.max(np.abs(report.multiset() - dense_q_spectrum(y))) <= 1e-10
 
     def test_rejects_non_probability_vectors(self):
-        with pytest.raises(InvalidInputError):
-            analyze_q(np.array([0.5, 0.6]))
-        with pytest.raises(InvalidInputError):
-            analyze_q(np.array([-0.1, 1.1]))
+        # One rule serves y here and the target columns of a Dataset.
+        for bad in (np.array([0.5, 0.6]), np.array([-0.1, 1.1])):
+            with pytest.raises(InvalidInputError):
+                analyze_q(bad)
+            with pytest.raises(InvalidInputError):
+                Dataset(np.ones((1, 1)), bad[:, None])
 
     def test_multiplicities_sum_to_c(self):
         rng = np.random.default_rng(0)
