@@ -31,8 +31,7 @@ from .trainer import BB_MODES, STOP_NONFINITE, TrainConfig, evaluate, train
 
 WEIGHTS_MAGIC = b"SMXW"
 
-# Initial Barzilai-Borwein rate when --eta is omitted (train --bb bb1/bb2,
-# certify --train-epochs).
+# Initial Barzilai-Borwein rate when train --bb bb1/bb2 omits --eta.
 BB_ETA0 = 0.01
 
 
@@ -121,12 +120,13 @@ def cmd_train(args) -> tuple[int, dict, dict]:
         bb_mode=args.bb,
         center_every=args.center_every,
         seed=args.seed,
-        init_scale=args.init_scale,
         tol_grad=args.tol_grad,
         log_every=args.log_every,
     )
     data = _load_dataset(args)
     w, trace = train(data, cfg)
+    # Evaluated before any printing, so a failing evaluation leaves no report.
+    final = None if trace.stop_reason == STOP_NONFINITE else evaluate(w, data)
     for r in trace.records:
         print(f"epoch {r.epoch:6d}  loss {r.loss:.9f}  grad {r.grad_norm:.6e}"
               f"  eta {r.eta_used:.6e}")
@@ -138,8 +138,8 @@ def cmd_train(args) -> tuple[int, dict, dict]:
             {k: _finite_or_none(v) for k, v in asdict(r).items()} for r in trace.records
         ],
     }
-    if trace.stop_reason != STOP_NONFINITE:
-        final_loss, accuracy = evaluate(w, data)
+    if final is not None:
+        final_loss, accuracy = final
         print(f"final loss {final_loss:.9f}  accuracy {accuracy:.4f}")
         result.update(final_loss=_finite_or_none(final_loss), accuracy=accuracy)
     if args.out:
@@ -185,8 +185,6 @@ def cmd_spectrum(args) -> tuple[int, dict, dict]:
 
 
 def cmd_certify(args) -> tuple[int, dict, dict]:
-    cfg = TrainConfig(eta=args.eta, epochs=args.train_epochs, bb_mode="bb2",
-                      seed=args.seed) if args.train_epochs else None
     data = _load_dataset(args)
     cert = certify(data)
     print(f"rank(X): {'full (= D)' if cert.full_rank else 'deficient'}"
@@ -209,15 +207,11 @@ def cmd_certify(args) -> tuple[int, dict, dict]:
         if args.weights:
             w = read_weights(args.weights)
             anchor = "supplied"
-        elif cfg is not None:
-            w, _ = train(data, cfg)
-            anchor = "trained"
         else:
             w = np.zeros((2, data.d))
             anchor = "zero"
         red = reduce_two_class(w, data)
-        evals = np.linalg.eigvalsh(red.m)
-        p = plan(float(evals[0]), float(evals[-1]))
+        p = plan(float(red.evals[0]), float(red.evals[-1]))
         k_exact, k_bound = condition_bound(red, data)
         print(f"two-class analysis at {anchor} weights:")
         print(f"  lambda_min {p.lambda_min:.6e}  lambda_max {p.lambda_max:.6e}")
@@ -272,7 +266,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bb", choices=BB_MODES, default="off")
     p.add_argument("--center-every", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--init-scale", type=float, default=0.01)
     p.add_argument("--tol-grad", type=float, default=1e-10)
     p.add_argument("--log-every", type=int, default=1)
     p.add_argument("--out", help="weights output file")
@@ -289,10 +282,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("certify", parents=[report], help="strict-convexity certificate")
     _add_data_flags(p)
     p.add_argument("--weights", help="anchor weights file (C=2 analysis)")
-    p.add_argument("--train-epochs", type=int, default=0,
-                   help="train this many epochs to anchor the C=2 analysis")
-    p.add_argument("--eta", type=float, default=BB_ETA0)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("checkgrad", parents=[report], help="finite-difference derivative checks")

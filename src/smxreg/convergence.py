@@ -23,6 +23,7 @@ Z-restricted Hessian, :func:`dense_hessian_on_z`, is only its oracle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -33,6 +34,7 @@ from .core import (
     RankDeficientError,
     UnsupportedShapeError,
     activations,
+    freeze,
 )
 from .hessian import HessianOperator
 from .softmax import softmax
@@ -59,10 +61,16 @@ class ConvergencePlan:
 
 @dataclass(frozen=True)
 class TwoClassReduction:
-    """alpha_n = 2 y_1^(n) y_2^(n) and M = X diag(alpha) X^T for C = 2."""
+    """alpha_n = 2 y_1^(n) y_2^(n) and M = X diag(alpha) X^T for C = 2;
+    :attr:`evals` solves M once, on first use, for all its readers."""
 
     alpha: np.ndarray
     m: np.ndarray
+
+    @cached_property
+    def evals(self) -> np.ndarray:
+        """Eigenvalues of M in ascending order, read-only."""
+        return freeze(np.linalg.eigvalsh(self.m))
 
 
 def eta_window(lambda_min: float, lambda_max: float, theta: float) -> tuple[float, float]:
@@ -144,8 +152,7 @@ def condition_bound(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
     value.
     """
     cert = _check_full_rank(data)
-    evals = np.linalg.eigvalsh(r.m)
-    k_exact = float(evals[-1] / evals[0])
+    k_exact = float(r.evals[-1] / r.evals[0])
     kx = cert.sv_max / cert.sv_min
     k_bound = float(kx ** 2 * np.max(r.alpha) / np.min(r.alpha))
     return k_exact, k_bound
@@ -261,6 +268,6 @@ def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
     """
     _check_full_rank(h.data)
     if h.c == 2:
-        evals = np.linalg.eigvalsh(_two_class(h.data.x, h.y).m)
+        evals = _two_class(h.data.x, h.y).evals
         return float(evals[0]), float(evals[-1])
     return _lanczos_extremes(h)

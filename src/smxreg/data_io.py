@@ -211,7 +211,8 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
     label (negative indices count from the end); the remaining columns become
     the feature rows of X in their original order, followed by a constant-1
     row when ``bias``.  Row order is preserved.  X is C-contiguous, and the
-    Dataset adopts it without another copy.
+    Dataset adopts it without another copy.  A label that is not an integer
+    in 0..C-1 raises :class:`CsvParseError` naming its line and its text.
     """
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
@@ -235,23 +236,24 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
                 f"line {lineno}: expected {width} fields, got {len(cells)}"
             )
         try:
-            rows.append([float(cell) for cell in cells])
+            row = [float(cell) for cell in cells]
         except ValueError:
             bad = next(cell for cell in cells if not _is_number(cell))
             raise CsvParseError(
                 f"line {lineno}: non-numeric value {bad.strip()!r}"
             ) from None
+        if not (0 <= row[label_column] < c and row[label_column].is_integer()):
+            raise CsvParseError(f"line {lineno}: label {cells[label_column].strip()}"
+                                f" is not an integer in 0..{c - 1}")
+        rows.append(row)
     if not rows:
         raise CsvParseError("no data rows")
     table = np.asarray(rows)
-    raw_labels = table[:, label_column]
-    if np.any(raw_labels != np.rint(raw_labels)):
-        raise CsvParseError("labels must be integers")
     d = width - 1
     x = _feature_matrix(d, len(rows), bias)
     x[:label_column] = table[:, :label_column].T
     x[label_column:d] = table[:, label_column + 1:].T
-    t = one_hot(raw_labels.astype(int) + 1, c)
+    t = one_hot(table[:, label_column].astype(int) + 1, c)
     return _dataset(x, t, bias)
 
 

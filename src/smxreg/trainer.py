@@ -27,6 +27,9 @@ from .loss_grad import forward, loss_from_activations
 # under the name ``smxreg.trainer.softmax``.
 from .softmax import softmax  # noqa: F401
 
+# Standard deviation of the seeded initial weights.
+INIT_SCALE = 0.01
+
 BB_STEP_MIN = 1e-12
 BB_STEP_MAX = 1e12
 
@@ -52,7 +55,6 @@ class TrainConfig:
     bb_mode: str = "off"
     center_every: int = 10
     seed: int = 0
-    init_scale: float = 0.01
     tol_grad: float = 1e-10
     log_every: int = 1
 
@@ -65,8 +67,6 @@ class TrainConfig:
             raise InvalidInputError(f"bb_mode must be one of {BB_MODES}")
         if self.center_every < 0:
             raise InvalidInputError("center_every must be >= 0")
-        if self.init_scale < 0.0:
-            raise InvalidInputError("init_scale must be >= 0")
         if not self.tol_grad > 0.0:
             raise InvalidInputError("tol_grad must be positive")
         if self.log_every < 1:
@@ -91,9 +91,9 @@ class TrainTrace:
 
 
 def initial_weights(data: Dataset, cfg: TrainConfig) -> np.ndarray:
-    """Seeded i.i.d. normal entries scaled by ``init_scale``, then recentered."""
+    """Seeded i.i.d. normal entries scaled by ``INIT_SCALE``, then recentered."""
     rng = np.random.default_rng(cfg.seed)
-    return center_columns(cfg.init_scale * rng.standard_normal((data.c, data.d)))
+    return center_columns(INIT_SCALE * rng.standard_normal((data.c, data.d)))
 
 
 def _bb_step(mode: str, dw: np.ndarray, dg: np.ndarray, fallback: float) -> float:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import struct
@@ -8,8 +9,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg import cli
+from smxreg import TrainConfig, cli, reduce_two_class, train
 from smxreg.cli import main, read_weights, write_weights
+from smxreg.data_io import load_csv
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -86,7 +88,7 @@ class TestTrain:
                    "--epochs", "1", "--out", str(out), "--json", str(rep)])
         assert rc == 2
         captured = capsys.readouterr()
-        assert "stop: epochs_exhausted" in captured.out
+        assert captured.out == ""
         assert captured.err == "error: activations contain non-finite entries\n"
         assert not out.exists() and not rep.exists()
 
@@ -97,13 +99,13 @@ class TestTrain:
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_stop_exit_code(self, tmp_path):
-        # zero init gives uniform outputs, so the first gradient's norm
-        # overflows against 1e160-scale features
+        # the seeded start misclassifies both rows, so the first gradient's
+        # norm overflows against 1e160-scale features
         f = tmp_path / "huge.csv"
-        f.write_text("1e160,0\n-1e160,1\n")
+        f.write_text("1e160,1\n-1e160,0\n")
         rc = main(["train", "--csv", f.as_posix(), "--classes", "2",
                    "--eta", "1.0", "--epochs", "10", "--center-every", "0",
-                   "--init-scale", "0.0", "--tol-grad", "1e-300"])
+                   "--tol-grad", "1e-300"])
         assert rc == 1
 
     def test_deterministic_reports_are_byte_identical(self, toy_csv, tmp_path):
@@ -198,13 +200,44 @@ class TestCertify:
         out = capsys.readouterr().out
         assert "not strictly convex" in out
 
-    def test_zero_eta_for_trained_anchor_is_usage_error(self, toy_csv, capsys):
-        rc = main(["certify", "--csv", toy_csv, "--classes", "2", "--bias",
-                   "--train-epochs", "3", "--eta", "0"])
-        assert rc == 2
-        captured = capsys.readouterr()
-        assert "eta must be positive" in captured.err
-        assert captured.out == ""
+    def test_train_flags_are_gone(self, toy_csv):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "--csv", toy_csv, "--classes", "2", "--bias",
+                  "--train-epochs", "3"])
+        assert exc.value.code == 2
+
+    def test_trained_anchor_is_train_then_weights(self, tmp_path):
+        # the anchor of a trained run comes from `train --out` alone
+        f = tmp_path / "two.csv"
+        rng = np.random.default_rng(4)
+        rows = rng.standard_normal((60, 3)).tolist()
+        f.write_text("".join(f"{a!r},{b!r},{int(c > 0)}\n" for a, b, c in rows))
+        wfile, rep = tmp_path / "w.bin", tmp_path / "rep.json"
+        assert main(["train", "--csv", str(f), "--classes", "2", "--bias",
+                     "--bb", "bb2", "--epochs", "25", "--seed", "3",
+                     "--out", str(wfile)]) == 0
+        data = load_csv(f, -1, 2, bias=True)
+        w, _ = train(data, TrainConfig(eta=cli.BB_ETA0, epochs=25, bb_mode="bb2", seed=3))
+        assert read_weights(wfile).tobytes() == w.tobytes()
+
+        assert main(["certify", "--csv", str(f), "--classes", "2", "--bias",
+                     "--weights", str(wfile), "--json", str(rep)]) == 0
+        two = json.loads(rep.read_text())["result"]["two_class"]
+        evals = np.linalg.eigvalsh(reduce_two_class(w, data).m)
+        assert two["anchor"] == "supplied"
+        assert two["lambda_min"] == evals[0] and two["lambda_max"] == evals[-1]
+
+    def test_two_class_run_solves_m_once(self, toy_csv, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(a, *args, **kwargs):
+            calls.append(a.shape)
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        assert main(["certify", "--csv", toy_csv, "--classes", "2", "--bias"]) == 0
+        assert calls == [(3, 3)]
 
     def test_k_exact_below_bound(self, toy_csv, tmp_path):
         rep = tmp_path / "rep.json"
@@ -322,3 +355,30 @@ class TestModuleEntryPoint:
         )
         assert proc.returncode == 0
         assert "interlaced-root" in proc.stdout
+
+
+class TestCliSurface:
+    """Every option string of every subcommand.  A new flag must be added
+    here as well, so each knob is visible in review."""
+
+    DATA = {"--csv", "--label-column", "--header", "--data", "--labels",
+            "--classes", "--bias"}
+    REPORT = {"--json", "--deterministic"}
+    OPTIONS = {
+        "train": REPORT | DATA | {"--eta", "--epochs", "--bb", "--center-every",
+                                  "--seed", "--tol-grad", "--log-every", "--out"},
+        "spectrum": REPORT | DATA | {"--y", "--weights", "--sample"},
+        "certify": REPORT | DATA | {"--weights"},
+        "checkgrad": REPORT | {"--seed", "--sizes", "--instances", "--corrupt"},
+    }
+
+    def test_option_strings(self):
+        parser = cli._build_parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        got = {
+            name: {opt for a in p._actions if not isinstance(a, argparse._HelpAction)
+                   for opt in a.option_strings}
+            for name, p in sub.choices.items()
+        }
+        assert got == self.OPTIONS
+        assert sum(map(len, got.values())) == 45

@@ -293,6 +293,20 @@ class TestCsv:
         with pytest.raises(CsvParseError, match="integer"):
             load_csv(f, 2, 2)
 
+    @pytest.mark.parametrize("text, header, c, message", [
+        ("h1,h2,lab\n1,2,0\n\n3,4,5\n", True, 3,
+         "line 4: label 5 is not an integer in 0..2"),
+        ("1,2,0\n3,4,-1\n", False, 2, "line 2: label -1 is not an integer in 0..1"),
+        ("1,2,0\n3,4,1.5\n", False, 2, "line 2: label 1.5 is not an integer in 0..1"),
+    ], ids=["after-blank-line", "negative", "fractional"])
+    def test_bad_label_names_line_and_label_as_written(self, tmp_path, text, header,
+                                                       c, message):
+        f = tmp_path / "bad.csv"
+        f.write_text(text)
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(f, -1, c, header=header)
+        assert str(exc.value) == message
+
 
 class TestAddBiasRow:
     def test_appends_ones(self):
