@@ -134,6 +134,7 @@ def cmd_train(args) -> tuple[int, dict, dict]:
 
     result: dict = {
         "stop_reason": trace.stop_reason,
+        "live_rows": trace.live_rows,
         "trace": [
             {k: _finite_or_none(v) for k, v in asdict(r).items()} for r in trace.records
         ],
@@ -186,6 +187,13 @@ def cmd_spectrum(args) -> tuple[int, dict, dict]:
 
 def cmd_certify(args) -> tuple[int, dict, dict]:
     data = _load_dataset(args)
+    w = None
+    if args.weights:
+        # Checked before the rank test, so a bad file exits 2 with no report.
+        w = check_weights(read_weights(args.weights), data)
+        if data.c != 2:
+            raise InvalidInputError(
+                f"--weights applies to C = 2 only; this dataset has C = {data.c}")
     cert = certify(data)
     print(f"rank(X): {'full (= D)' if cert.full_rank else 'deficient'}"
           f"  sv_min {cert.sv_min:.6e}  sv_max {cert.sv_max:.6e}")
@@ -204,12 +212,9 @@ def cmd_certify(args) -> tuple[int, dict, dict]:
         result["degeneracy_witness"] = cert.degeneracy_witness.tolist()
 
     if data.c == 2 and cert.full_rank:
-        if args.weights:
-            w = read_weights(args.weights)
-            anchor = "supplied"
-        else:
-            w = np.zeros((2, data.d))
-            anchor = "zero"
+        anchor = "supplied"
+        if w is None:
+            w, anchor = np.zeros((2, data.d)), "zero"
         red = reduce_two_class(w, data)
         p = plan(float(red.evals[0]), float(red.evals[-1]))
         k_exact, k_bound = condition_bound(red, data)

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import os
 import struct
+from array import array
 
 import numpy as np
 
@@ -217,7 +218,8 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
     with open(path, "r", encoding="utf-8") as f:
         lines = f.read().splitlines()
     start = 1 if header else 0
-    rows: list[list[float]] = []
+    # One flat buffer of C doubles, row after row, not a float object per cell.
+    values = array("d")
     width = None
     for lineno, line in enumerate(lines[start:], start=start + 1):
         if not line.strip():
@@ -236,21 +238,21 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
                 f"line {lineno}: expected {width} fields, got {len(cells)}"
             )
         try:
-            row = [float(cell) for cell in cells]
+            values.extend(map(float, cells))
         except ValueError:
             bad = next(cell for cell in cells if not _is_number(cell))
             raise CsvParseError(
                 f"line {lineno}: non-numeric value {bad.strip()!r}"
             ) from None
-        if not (0 <= row[label_column] < c and row[label_column].is_integer()):
+        label = values[len(values) - width + label_column]
+        if not (0 <= label < c and label.is_integer()):
             raise CsvParseError(f"line {lineno}: label {cells[label_column].strip()}"
                                 f" is not an integer in 0..{c - 1}")
-        rows.append(row)
-    if not rows:
+    if not values:
         raise CsvParseError("no data rows")
-    table = np.asarray(rows)
+    table = np.frombuffer(values, dtype=float).reshape(-1, width)
     d = width - 1
-    x = _feature_matrix(d, len(rows), bias)
+    x = _feature_matrix(d, table.shape[0], bias)
     x[:label_column] = table[:, :label_column].T
     x[label_column:d] = table[:, label_column + 1:].T
     t = one_hot(table[:, label_column].astype(int) + 1, c)

@@ -28,20 +28,23 @@ def loss_from_activations(a, t) -> float:
     return float(np.sum(logsumexp(a)) - np.sum(t * a))
 
 
-def forward(a: np.ndarray, data: Dataset) -> tuple[float, np.ndarray]:
-    """Loss and gradient at finite activations A = W X, in one pass over A.
+def forward(a: np.ndarray, t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss and gradient at finite activations A = W X with targets ``t``,
+    in one pass over A; G is closed with the rows ``x``.
 
     With column maxima m, e = exp(A - m) and column sums s of e:
-    Y = e / s, loss = sum(m + log s) - sum(T * A) and G = (Y - T) X^T.
+    Y = e / s, loss = sum(m + log s) - sum(T * A) and G = (Y - T) x^T.
     These are the floating-point operations of ``softmax``,
     :func:`loss_from_activations` and -(T - Y) X^T, so both results are
     bit-identical to that composition, while the max and exp run once.
+    Given X itself, G is the full gradient; given a subset of X's rows, G
+    holds the gradient's columns for those rows.
     """
     m = a.max(axis=0, keepdims=True)
     e = np.exp(a - m)
     s = e.sum(axis=0, keepdims=True)
-    cost = float(np.sum(m + np.log(s)) - np.sum(data.t * a))
-    return cost, (e / s - data.t) @ data.x.T
+    cost = float(np.sum(m + np.log(s)) - np.sum(t * a))
+    return cost, (e / s - t) @ x.T
 
 
 def gradient(w, data: Dataset) -> np.ndarray:
@@ -50,7 +53,7 @@ def gradient(w, data: Dataset) -> np.ndarray:
     This is the Frobenius-inner-product gradient; every column sums to zero
     because 1^T (T - Y) = 0.
     """
-    return forward(activations(w, data), data)[1]
+    return forward(activations(w, data), data.t, data.x)[1]
 
 
 def error_covariance(w, data: Dataset) -> np.ndarray:

@@ -3,12 +3,22 @@
 Each epoch runs  A = W X;  Y = softmax(A);  G = -(T - Y) X^T;  W <- W - eta G.
 One helper, :func:`~smxreg.loss_grad.forward`, takes the loss and G from A,
 so the column max and exp run once and an epoch reads X twice (for A and
-for G).  The learning rate is fixed, or adapted by one of the two
-Barzilai-Borwein formulas built from successive weight and gradient
-differences (safeguarded: the previous rate is kept when the curvature
-estimate is non-positive or the step leaves [1e-12, 1e12]).  A run that
-overflows stops with reason "nonfinite" and emits no floating-point
-warning, since that overflow is an outcome the trace records.
+for G).
+
+A row of X that is zero in every sample adds nothing to A, and G's column
+for it is zero.  So the epoch reads only the live rows: A = W[:, live]
+X_live, and G is formed on the live columns alone.  W keeps all D columns;
+a dead column changes only when recentering does.  When a row is dead,
+``train`` copies the live rows once per call (live share x the size of X,
+held until it returns); when none is, the epoch reads ``data.x`` and ``w``
+as they are, with no copy.
+
+The learning rate is fixed, or adapted by one of the two Barzilai-Borwein
+formulas built from successive weight and gradient differences
+(safeguarded: the previous rate is kept when the curvature estimate is
+non-positive or the step leaves [1e-12, 1e12]).  A run that overflows stops
+with reason "nonfinite" and emits no floating-point warning, since that
+overflow is an outcome the trace records.
 
 Because 1^T G = 0 holds identically, the zero-column-sum property of W is
 preserved by the exact iteration; periodic recentering removes the round-off
@@ -84,10 +94,12 @@ class EpochRecord:
 
 @dataclass
 class TrainTrace:
-    """Logged epoch records and the stop reason."""
+    """Logged epoch records, the stop reason and the number of rows of X
+    that are nonzero in some sample (the rows an epoch reads)."""
 
     records: list[EpochRecord] = field(default_factory=list)
     stop_reason: str = STOP_EPOCHS
+    live_rows: int = 0
 
 
 def initial_weights(data: Dataset, cfg: TrainConfig) -> np.ndarray:
@@ -96,8 +108,12 @@ def initial_weights(data: Dataset, cfg: TrainConfig) -> np.ndarray:
     return center_columns(INIT_SCALE * rng.standard_normal((data.c, data.d)))
 
 
-def _bb_step(mode: str, dw: np.ndarray, dg: np.ndarray, fallback: float) -> float:
-    sy = float(np.sum(dw * dg))
+def _bb_step(mode: str, dw: np.ndarray, dg: np.ndarray, fallback: float,
+             rows=slice(None)) -> float:
+    """The Barzilai-Borwein rate from the weight change ``dw`` and the
+    gradient change ``dg`` on the columns ``rows`` of ``dw`` (G is zero on
+    the others)."""
+    sy = float(np.sum(dw[:, rows] * dg))
     if mode == "bb1":
         num, den = float(np.sum(dw * dw)), sy
     else:
@@ -121,13 +137,25 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
     (not recentered), so runs starting from W and from W + 1 c^T can be
     compared.  A non-finite loss or gradient stops the run with reason
     "nonfinite" (recorded in the trace) instead of raising.
+
+    Epochs read only the rows of X that are nonzero in some sample.  If any
+    row is zero in every sample, those live rows are copied once for the
+    call, an extra (live rows / D) x ``data.x.nbytes``; otherwise X is read
+    in place.  The weights, the trace and the column sums keep all D
+    columns.
     """
     if w0 is None:
         w = initial_weights(data, cfg)
     else:
         w = check_weights(w0, data).copy()
 
-    trace = TrainTrace()
+    live = np.flatnonzero(np.any(data.x, axis=1))
+    if live.size == data.d:
+        rows, x = slice(None), data.x
+    else:
+        rows, x = live, data.x[live]
+
+    trace = TrainTrace(live_rows=live.size)
     prev_w: np.ndarray | None = None
     prev_g: np.ndarray | None = None
     eta = cfg.eta
@@ -136,12 +164,12 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
         # A diverging run overflows here; the check below turns that into
         # the "nonfinite" stop, so it raises no floating-point warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            a = w @ data.x
+            a = w[:, rows] @ x
             if np.all(np.isfinite(a)):
-                cur_loss, g = forward(a, data)
+                cur_loss, g = forward(a, data.t, x)
                 grad_norm = float(np.linalg.norm(g))
                 if cfg.bb_mode != "off" and prev_w is not None:
-                    eta = _bb_step(cfg.bb_mode, w - prev_w, g - prev_g, eta)
+                    eta = _bb_step(cfg.bb_mode, w - prev_w, g - prev_g, eta, rows)
             else:
                 cur_loss = grad_norm = float("nan")
 
@@ -158,7 +186,8 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
             break
 
         prev_w, prev_g = w, g
-        w = w - eta * g
+        w = w.copy()
+        w[:, rows] -= eta * g
         if cfg.center_every and epoch % cfg.center_every == 0:
             w = center_columns(w)
 

@@ -61,6 +61,16 @@ class TestTrain:
         captured = capsys.readouterr().out
         assert "epoch" in captured and "stop:" in captured
 
+    def test_reports_live_rows_and_keeps_every_weight_column(self, tmp_path):
+        f = tmp_path / "dead.csv"
+        f.write_text("0,0.5,0\n0,-1,1\n0,2,0\n")  # feature 0 is zero throughout
+        out, rep = tmp_path / "w.bin", tmp_path / "rep.json"
+        assert main(["train", "--csv", str(f), "--classes", "2", "--bias",
+                     "--eta", "0.1", "--epochs", "5", "--out", str(out),
+                     "--json", str(rep)]) == 0
+        assert json.loads(rep.read_text())["result"]["live_rows"] == 2
+        assert read_weights(out).shape == (2, 3)
+
     def test_missing_eta_with_bb_off_is_usage_error(self, toy_csv):
         assert main(["train", "--csv", toy_csv, "--classes", "2"]) == 2
 
@@ -227,6 +237,41 @@ class TestCertify:
         assert two["anchor"] == "supplied"
         assert two["lambda_min"] == evals[0] and two["lambda_max"] == evals[-1]
 
+    @pytest.mark.parametrize("text,classes", [
+        ("1,2,0\n2,4,1\n", "2"),                    # rank-deficient X
+        ("0,1,0\n1,0,1\n1,1,2\n2,1,0\n", "3"),      # C = 3
+    ], ids=["rank_deficient", "three_classes"])
+    @pytest.mark.parametrize("weights", ["missing", "malformed", "wrong_shape"])
+    def test_bad_weights_file_exits_2_before_the_report(self, tmp_path, capsys,
+                                                         text, classes, weights):
+        f = tmp_path / "d.csv"
+        f.write_text(text)
+        wfile = tmp_path / "w.bin"
+        if weights == "malformed":
+            wfile.write_bytes(b"SMXW\x02\x00")
+        elif weights == "wrong_shape":
+            write_weights(wfile, np.zeros((int(classes), 5)))
+        rc = main(["certify", "--csv", str(f), "--classes", classes,
+                   "--weights", str(wfile), "--json", str(tmp_path / "r.json")])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert not (tmp_path / "r.json").exists()
+
+    def test_weights_with_three_classes_is_usage_error(self, tmp_path, capsys):
+        f = tmp_path / "three.csv"
+        f.write_text("0,1,0\n1,0,1\n1,1,2\n2,1,0\n")
+        wfile = tmp_path / "w.bin"
+        write_weights(wfile, np.zeros((3, 2)))
+        rc = main(["certify", "--csv", str(f), "--classes", "3",
+                   "--weights", str(wfile)])
+        captured = capsys.readouterr()
+        assert rc == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "error: --weights applies to C = 2 only; this dataset has C = 3\n")
+
     def test_two_class_run_solves_m_once(self, toy_csv, monkeypatch):
         calls = []
         eigvalsh = np.linalg.eigvalsh
@@ -271,6 +316,7 @@ class TestReportSchema:
             "train", "--csv", toy_csv, "--classes", "2", "--bias",
             "--eta", "0.5", "--epochs", "20", "--log-every", "7"])
         assert [r["epoch"] for r in result["trace"]] == [7, 14, 20]
+        assert result["live_rows"] == 3
         for r in result["trace"]:
             assert set(r) == self.TRACE
             assert type(r["epoch"]) is int

@@ -71,7 +71,7 @@ class TestForward:
         rng = np.random.default_rng(11)
         w, data = random_instance(rng, 6, 9, 70)
         a = (spread * w) @ data.x
-        cost, g = forward(a, data)
+        cost, g = forward(a, data.t, data.x)
         assert cost == loss_from_activations(a, data.t)
         assert np.array_equal(g, -(data.t - softmax(a)) @ data.x.T)
 

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,110 @@ class TestTrainMatchesReferenceEpoch:
         assert trace.stop_reason == trace_ref.stop_reason == STOP_NONFINITE
         _same_records(trace.records, trace_ref.records)
         assert np.array_equal(w, w_ref)
+
+
+def _dead_row_instance(layout, seed=41, c=4, d=12, n=200):
+    """X with a constant-1 bias row and two rows that are zero in every
+    sample, placed first, in the middle, or last right after the bias row;
+    returns the dataset and the dead rows.  Row scales spread over a decade,
+    so descent is slow and G stays far above rounding level."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n)) * np.logspace(0, 1, d)[rng.permutation(d), None]
+    bias, dead = {"first": (d - 1, [0, 1]),
+                  "middle": (d - 1, [5, 6]),
+                  "last": (d - 3, [d - 2, d - 1])}[layout]
+    x[bias] = 1.0
+    x[dead] = 0.0
+    return Dataset(x, softmax(rng.standard_normal((c, n)))), dead
+
+
+def _assert_close_to_reference(trace, trace_ref, w, w_ref):
+    """Same stop and epochs; every record field and weight within 1e-12
+    relative (column sums, which are round-off, against the weight scale)."""
+    assert trace.stop_reason == trace_ref.stop_reason
+    assert [r.epoch for r in trace.records] == [r.epoch for r in trace_ref.records]
+    scale = np.max(np.abs(w_ref))
+    for r, ref in zip(trace.records, trace_ref.records):
+        assert r.loss == pytest.approx(ref.loss, rel=1e-12, abs=0)
+        assert r.grad_norm == pytest.approx(ref.grad_norm, rel=1e-12, abs=0)
+        assert r.eta_used == pytest.approx(ref.eta_used, rel=1e-12, abs=0)
+        assert abs(r.max_abs_column_sum - ref.max_abs_column_sum) <= 1e-12 * scale
+    assert np.max(np.abs(w - w_ref)) <= 1e-12 * scale
+
+
+class TestTrainSkipsDeadRows:
+    """Epochs read only the rows of X that are nonzero in some sample; the
+    run must match the full-X reference loop to rounding, and W's dead
+    columns, which only recentering touches, must match it exactly.
+
+    The two loops sum G, its norm and the Barzilai-Borwein products in a
+    different order, and the Barzilai-Borwein rate amplifies that rounding
+    difference as G shrinks.  So the runs stop after 12 epochs, one past the
+    first recentering and well before G nears rounding level."""
+
+    @pytest.mark.parametrize("uncentered_start", [False, True])
+    @pytest.mark.parametrize("center_every", [0, 10])
+    @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
+    @pytest.mark.parametrize("layout", ["first", "middle", "last"])
+    def test_matches_full_x_reference(self, layout, mode, center_every,
+                                      uncentered_start):
+        data, dead = _dead_row_instance(layout)
+        w0 = None
+        if uncentered_start:
+            # recentering then moves the dead columns, and bb1 sees that move
+            w0 = np.random.default_rng(5).standard_normal((data.c, data.d))
+        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode,
+                          center_every=center_every, seed=3, tol_grad=1e-300)
+        w, trace = train(data, cfg, w0=w0)
+        w_ref, trace_ref = reference_train(data, cfg, w0=w0)
+        assert trace.live_rows == data.d - len(dead)
+        _assert_close_to_reference(trace, trace_ref, w, w_ref)
+        assert np.array_equal(w[:, dead], w_ref[:, dead])
+
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
+    def test_bias_row_is_the_only_live_row(self, mode):
+        x = np.zeros((5, 30))
+        x[2] = 1.0
+        data = Dataset(x, one_hot(np.arange(30) % 3 + 1, 3))
+        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, center_every=10,
+                          seed=2, tol_grad=1e-300)
+        w, trace = train(data, cfg)
+        w_ref, trace_ref = reference_train(data, cfg)
+        assert trace.live_rows == 1
+        _assert_close_to_reference(trace, trace_ref, w, w_ref)
+        assert np.array_equal(w[:, [0, 1, 3, 4]], w_ref[:, [0, 1, 3, 4]])
+
+    def test_all_zero_x_stops_at_zero_gradient(self):
+        data = Dataset(np.zeros((3, 8)), one_hot([1, 2] * 4, 2))
+        cfg = TrainConfig(eta=0.1, epochs=5)
+        w, trace = train(data, cfg)
+        w_ref, trace_ref = reference_train(data, cfg)
+        assert trace.live_rows == 0
+        assert trace.stop_reason == trace_ref.stop_reason == STOP_GRAD_TOL
+        assert trace.records == trace_ref.records
+        assert np.array_equal(w, w_ref)
+
+
+class TestTrainMemory:
+    """The epoch copies X only when a row is dead, and then only the live
+    rows: the traced peak of ``train`` beyond its inputs bounds that."""
+
+    @pytest.mark.parametrize("dead_rows", [0, 50])
+    def test_peak_beyond_x(self, dead_rows):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((200, 20000))
+        x[:dead_rows] = 0.0
+        data = Dataset(x, one_hot(rng.integers(1, 3, size=20000), 2))
+        del x
+        cfg = TrainConfig(eta=1e-4, epochs=3, bb_mode="bb2")
+        tracemalloc.start()
+        try:
+            train(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live_share = (200 - dead_rows) / 200 if dead_rows else 0.0
+        assert peak < (live_share + 0.1) * data.x.nbytes
 
 
 class TestTrainConfig:
