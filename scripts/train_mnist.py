@@ -34,8 +34,7 @@ def main():
     print(f"train: D={train_ds.d} N={train_ds.n}   test: N={test_ds.n}")
 
     cfg = TrainConfig(eta=args.eta, epochs=args.epochs, bb_mode=args.bb,
-                      center_every=10, seed=args.seed, tol_grad=1e-8,
-                      log_every=5)
+                      seed=args.seed, tol_grad=1e-8, log_every=5)
     w, trace = train(train_ds, cfg)
     for r in trace.records:
         print(f"epoch {r.epoch:4d}  loss {r.loss:12.4f}  "

@@ -118,20 +118,12 @@ def cmd_train(args) -> tuple[int, dict, dict]:
         eta=BB_ETA0 if args.eta is None else args.eta,
         epochs=args.epochs,
         bb_mode=args.bb,
-        center_every=args.center_every,
         seed=args.seed,
         tol_grad=args.tol_grad,
         log_every=args.log_every,
     )
     data = _load_dataset(args)
     w, trace = train(data, cfg)
-    # Evaluated before any printing, so a failing evaluation leaves no report.
-    final = None if trace.stop_reason == STOP_NONFINITE else evaluate(w, data)
-    for r in trace.records:
-        print(f"epoch {r.epoch:6d}  loss {r.loss:.9f}  grad {r.grad_norm:.6e}"
-              f"  eta {r.eta_used:.6e}")
-    print(f"stop: {trace.stop_reason}")
-
     result: dict = {
         "stop_reason": trace.stop_reason,
         "live_rows": trace.live_rows,
@@ -139,13 +131,20 @@ def cmd_train(args) -> tuple[int, dict, dict]:
             {k: _finite_or_none(v) for k, v in asdict(r).items()} for r in trace.records
         ],
     }
+    # Evaluated and written before any printing, so a failing evaluation or
+    # weights write leaves no report.
+    final = None if trace.stop_reason == STOP_NONFINITE else evaluate(w, data)
+    if args.out:
+        write_weights(args.out, w)
+        result["weights_file"] = str(args.out)
+    for r in trace.records:
+        print(f"epoch {r.epoch:6d}  loss {r.loss:.9f}  grad {r.grad_norm:.6e}"
+              f"  eta {r.eta_used:.6e}")
+    print(f"stop: {trace.stop_reason}")
     if final is not None:
         final_loss, accuracy = final
         print(f"final loss {final_loss:.9f}  accuracy {accuracy:.4f}")
         result.update(final_loss=_finite_or_none(final_loss), accuracy=accuracy)
-    if args.out:
-        write_weights(args.out, w)
-        result["weights_file"] = str(args.out)
     return int(trace.stop_reason == STOP_NONFINITE), _input_digest(args, data), result
 
 
@@ -269,7 +268,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--eta", type=float, help="learning rate (initial rate under --bb)")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--bb", choices=BB_MODES, default="off")
-    p.add_argument("--center-every", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol-grad", type=float, default=1e-10)
     p.add_argument("--log-every", type=int, default=1)

@@ -214,40 +214,41 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
     row when ``bias``.  Row order is preserved.  X is C-contiguous, and the
     Dataset adopts it without another copy.  A label that is not an integer
     in 0..C-1 raises :class:`CsvParseError` naming its line and its text.
+    A line ends at LF, CR LF or a lone CR; lines are numbered from 1, the
+    header line included.
     """
-    with open(path, "r", encoding="utf-8") as f:
-        lines = f.read().splitlines()
-    start = 1 if header else 0
-    # One flat buffer of C doubles, row after row, not a float object per cell.
+    # One flat buffer of C doubles, row after row, not a float object per cell;
+    # the file is read line by line, never held whole.
     values = array("d")
     width = None
-    for lineno, line in enumerate(lines[start:], start=start + 1):
-        if not line.strip():
-            continue
-        cells = line.split(",")
-        if width is None:
-            width = len(cells)
-            if label_column < 0:
-                label_column += width
-            if not 0 <= label_column < width:
+    with open(path, "r", encoding="utf-8") as f:
+        for lineno, line in enumerate(f, start=1):
+            if (header and lineno == 1) or not line.strip():
+                continue
+            cells = line.split(",")
+            if width is None:
+                width = len(cells)
+                if label_column < 0:
+                    label_column += width
+                if not 0 <= label_column < width:
+                    raise CsvParseError(
+                        f"label column {label_column} outside 0..{width - 1}"
+                    )
+            elif len(cells) != width:
                 raise CsvParseError(
-                    f"label column {label_column} outside 0..{width - 1}"
+                    f"line {lineno}: expected {width} fields, got {len(cells)}"
                 )
-        elif len(cells) != width:
-            raise CsvParseError(
-                f"line {lineno}: expected {width} fields, got {len(cells)}"
-            )
-        try:
-            values.extend(map(float, cells))
-        except ValueError:
-            bad = next(cell for cell in cells if not _is_number(cell))
-            raise CsvParseError(
-                f"line {lineno}: non-numeric value {bad.strip()!r}"
-            ) from None
-        label = values[len(values) - width + label_column]
-        if not (0 <= label < c and label.is_integer()):
-            raise CsvParseError(f"line {lineno}: label {cells[label_column].strip()}"
-                                f" is not an integer in 0..{c - 1}")
+            try:
+                values.extend(map(float, cells))
+            except ValueError:
+                bad = next(cell for cell in cells if not _is_number(cell))
+                raise CsvParseError(
+                    f"line {lineno}: non-numeric value {bad.strip()!r}"
+                ) from None
+            label = values[len(values) - width + label_column]
+            if not (0 <= label < c and label.is_integer()):
+                raise CsvParseError(f"line {lineno}: label {cells[label_column].strip()}"
+                                    f" is not an integer in 0..{c - 1}")
     if not values:
         raise CsvParseError("no data rows")
     table = np.frombuffer(values, dtype=float).reshape(-1, width)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, InvalidInputError
 from .hessian import HessianOperator
 from .loss_grad import gradient, loss
 from .softmax import softmax
@@ -77,8 +77,11 @@ def gradient_check_suite(seed: int, sizes: dict, instances: int, corrupt: bool) 
     ``sizes`` gives the largest "C", "D" and "N" drawn (see ``CHECK_SIZES``).
     Returns the worst relative errors seen.  ``corrupt`` perturbs the
     analytic gradient before comparison (negative-control hook used to prove
-    the harness actually detects wrong gradients).
+    the harness actually detects wrong gradients).  ``instances`` must be at
+    least 1, so that a passing suite has checked something.
     """
+    if instances < 1:
+        raise InvalidInputError(f"instances must be >= 1, got {instances}")
     rng = np.random.default_rng(seed)
     grad_worst = 0.0
     hess_worst = 0.0

@@ -7,11 +7,11 @@ for G).
 
 A row of X that is zero in every sample adds nothing to A, and G's column
 for it is zero.  So the epoch reads only the live rows: A = W[:, live]
-X_live, and G is formed on the live columns alone.  W keeps all D columns;
-a dead column changes only when recentering does.  When a row is dead,
-``train`` copies the live rows once per call (live share x the size of X,
-held until it returns); when none is, the epoch reads ``data.x`` and ``w``
-as they are, with no copy.
+X_live, and G is formed on the live columns alone.  W keeps all D columns,
+and only the step W[:, live] -= eta G writes it, so a dead column keeps its
+starting value.  When a row is dead, ``train`` copies the live rows once per
+call (live share x the size of X, held until it returns); when none is, the
+epoch reads ``data.x`` and ``w`` as they are, with no copy.
 
 The learning rate is fixed, or adapted by one of the two Barzilai-Borwein
 formulas built from successive weight and gradient differences
@@ -20,9 +20,9 @@ non-positive or the step leaves [1e-12, 1e12]).  A run that overflows stops
 with reason "nonfinite" and emits no floating-point warning, since that
 overflow is an outcome the trace records.
 
-Because 1^T G = 0 holds identically, the zero-column-sum property of W is
-preserved by the exact iteration; periodic recentering removes the round-off
-drift that would otherwise diffuse through weight space.
+Because 1^T G = 0 holds for every W, a step moves the column sums of W only
+by rounding: from a centered start they stay at rounding level, and
+``EpochRecord.max_abs_column_sum`` monitors them at each logged epoch.
 """
 from __future__ import annotations
 
@@ -55,15 +55,14 @@ class TrainConfig:
     """Knobs for :func:`train`.
 
     ``eta`` is the fixed rate, or the initial rate under Barzilai-Borwein
-    adaptation (``bb_mode`` "bb1" or "bb2").  ``center_every=0`` disables
-    recentering.  Training stops after ``epochs`` epochs, or as soon as
+    adaptation (``bb_mode`` "bb1" or "bb2").  ``seed`` draws the initial
+    weights.  Training stops after ``epochs`` epochs, or as soon as
     ||grad||_F <= tol_grad, or on a non-finite loss/gradient.
     """
 
     eta: float = 0.1
     epochs: int = 100
     bb_mode: str = "off"
-    center_every: int = 10
     seed: int = 0
     tol_grad: float = 1e-10
     log_every: int = 1
@@ -75,8 +74,6 @@ class TrainConfig:
             raise InvalidInputError("epochs must be >= 0")
         if self.bb_mode not in BB_MODES:
             raise InvalidInputError(f"bb_mode must be one of {BB_MODES}")
-        if self.center_every < 0:
-            raise InvalidInputError("center_every must be >= 0")
         if not self.tol_grad > 0.0:
             raise InvalidInputError("tol_grad must be positive")
         if self.log_every < 1:
@@ -108,12 +105,10 @@ def initial_weights(data: Dataset, cfg: TrainConfig) -> np.ndarray:
     return center_columns(INIT_SCALE * rng.standard_normal((data.c, data.d)))
 
 
-def _bb_step(mode: str, dw: np.ndarray, dg: np.ndarray, fallback: float,
-             rows=slice(None)) -> float:
+def _bb_step(mode: str, dw: np.ndarray, dg: np.ndarray, fallback: float) -> float:
     """The Barzilai-Borwein rate from the weight change ``dw`` and the
-    gradient change ``dg`` on the columns ``rows`` of ``dw`` (G is zero on
-    the others)."""
-    sy = float(np.sum(dw[:, rows] * dg))
+    gradient change ``dg``, both on the live columns."""
+    sy = float(np.sum(dw * dg))
     if mode == "bb1":
         num, den = float(np.sum(dw * dw)), sy
     else:
@@ -169,7 +164,7 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
                 cur_loss, g = forward(a, data.t, x)
                 grad_norm = float(np.linalg.norm(g))
                 if cfg.bb_mode != "off" and prev_w is not None:
-                    eta = _bb_step(cfg.bb_mode, w - prev_w, g - prev_g, eta, rows)
+                    eta = _bb_step(cfg.bb_mode, (w - prev_w)[:, rows], g - prev_g, eta)
             else:
                 cur_loss = grad_norm = float("nan")
 
@@ -188,8 +183,6 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
         prev_w, prev_g = w, g
         w = w.copy()
         w[:, rows] -= eta * g
-        if cfg.center_every and epoch % cfg.center_every == 0:
-            w = center_columns(w)
 
     return w, trace
 

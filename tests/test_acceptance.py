@@ -289,7 +289,7 @@ def test_criterion_7_invariance_suite():
 
     x = rng.standard_normal((4, 12))
     data = Dataset(x, softmax(rng.standard_normal((3, 12))))
-    cfg = TrainConfig(eta=0.05, epochs=500, center_every=1, tol_grad=1e-14)
+    cfg = TrainConfig(eta=0.05, epochs=500, tol_grad=1e-14)
     _, trace = train(data, cfg)
     worst_colsum = max(r.max_abs_column_sum for r in trace.records)
     _criterion(
@@ -363,8 +363,8 @@ def test_criterion_8_idx_training_smoke(tmp_path):
     write_idx_images(rewritten, load_idx_images(train_imgs), rows, cols)
     round_trip_ok = rewritten.read_bytes() == Path(train_imgs).read_bytes()
 
-    cfg = TrainConfig(eta=1e-3, epochs=60, bb_mode="bb2", center_every=10,
-                      tol_grad=1e-8, log_every=10)
+    cfg = TrainConfig(eta=1e-3, epochs=60, bb_mode="bb2", tol_grad=1e-8,
+                      log_every=10)
     w, trace = train(subset, cfg)
     losses = [r.loss for r in trace.records]
     decreasing = all(b < a for a, b in zip(losses, losses[1:]))

@@ -102,6 +102,15 @@ class TestTrain:
         assert captured.err == "error: activations contain non-finite entries\n"
         assert not out.exists() and not rep.exists()
 
+    def test_unwritable_out_leaves_no_report(self, toy_csv, tmp_path, capsys):
+        out = tmp_path / "missing" / "w.bin"
+        rc = main(["train", "--csv", toy_csv, "--classes", "2", "--eta", "0.5",
+                   "--epochs", "3", "--out", str(out)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
     def test_missing_file_is_format_error(self, tmp_path):
         rc = main(["train", "--csv", str(tmp_path / "nope.csv"),
                    "--classes", "2", "--eta", "0.1"])
@@ -114,8 +123,7 @@ class TestTrain:
         f = tmp_path / "huge.csv"
         f.write_text("1e160,1\n-1e160,0\n")
         rc = main(["train", "--csv", f.as_posix(), "--classes", "2",
-                   "--eta", "1.0", "--epochs", "10", "--center-every", "0",
-                   "--tol-grad", "1e-300"])
+                   "--eta", "1.0", "--epochs", "10", "--tol-grad", "1e-300"])
         assert rc == 1
 
     def test_deterministic_reports_are_byte_identical(self, toy_csv, tmp_path):
@@ -391,6 +399,13 @@ class TestCheckgrad:
     def test_bad_sizes_is_usage_error(self):
         assert main(["checkgrad", "--sizes", "Q=3"]) == 2
 
+    @pytest.mark.parametrize("instances", ["0", "-3"])
+    def test_no_instances_is_usage_error(self, instances, capsys):
+        assert main(["checkgrad", "--instances", instances]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: instances must be >= 1")
+
 
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, toy_csv):
@@ -411,8 +426,8 @@ class TestCliSurface:
             "--classes", "--bias"}
     REPORT = {"--json", "--deterministic"}
     OPTIONS = {
-        "train": REPORT | DATA | {"--eta", "--epochs", "--bb", "--center-every",
-                                  "--seed", "--tol-grad", "--log-every", "--out"},
+        "train": REPORT | DATA | {"--eta", "--epochs", "--bb", "--seed",
+                                  "--tol-grad", "--log-every", "--out"},
         "spectrum": REPORT | DATA | {"--y", "--weights", "--sample"},
         "certify": REPORT | DATA | {"--weights"},
         "checkgrad": REPORT | {"--seed", "--sizes", "--instances", "--corrupt"},
@@ -427,4 +442,4 @@ class TestCliSurface:
             for name, p in sub.choices.items()
         }
         assert got == self.OPTIONS
-        assert sum(map(len, got.values())) == 45
+        assert sum(map(len, got.values())) == 44

@@ -296,16 +296,45 @@ class TestCsv:
     @pytest.mark.parametrize("text, header, c, message", [
         ("h1,h2,lab\n1,2,0\n\n3,4,5\n", True, 3,
          "line 4: label 5 is not an integer in 0..2"),
+        ("h1,h2,lab\r\n1,2,0\r\n\r\n3,4,5\r\n", True, 3,
+         "line 4: label 5 is not an integer in 0..2"),
+        ("h1,h2,lab\r1,2,0\r\r3,4,5\r", True, 3,
+         "line 4: label 5 is not an integer in 0..2"),
         ("1,2,0\n3,4,-1\n", False, 2, "line 2: label -1 is not an integer in 0..1"),
         ("1,2,0\n3,4,1.5\n", False, 2, "line 2: label 1.5 is not an integer in 0..1"),
-    ], ids=["after-blank-line", "negative", "fractional"])
+    ], ids=["after-blank-line", "crlf", "cr", "negative", "fractional"])
     def test_bad_label_names_line_and_label_as_written(self, tmp_path, text, header,
                                                        c, message):
         f = tmp_path / "bad.csv"
-        f.write_text(text)
+        f.write_bytes(text.encode())
         with pytest.raises(CsvParseError) as exc:
             load_csv(f, -1, c, header=header)
         assert str(exc.value) == message
+
+
+    def test_form_feed_does_not_split_a_line(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"1,2,0\n3,4\f5,1\n")
+        with pytest.raises(CsvParseError, match="line 2: non-numeric value"):
+            load_csv(f, -1, 2)
+
+    def test_load_peak_memory(self, tmp_path):
+        # the file is parsed line by line into one buffer of doubles, so
+        # besides X the load holds about one more X, never the whole text
+        rng = np.random.default_rng(4)
+        f = tmp_path / "big.csv"
+        feats = rng.standard_normal((4000, 60))
+        labels = rng.integers(0, 3, 4000)
+        f.write_text("".join(",".join(map(repr, row)) + f",{lab}\n"
+                             for row, lab in zip(feats.tolist(), labels)))
+        tracemalloc.start()
+        try:
+            data = load_csv(f, -1, 3)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert data.x.shape == (60, 4000)
+        assert peak <= 3.0 * data.x.nbytes
 
 
 class TestAddBiasRow:

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -65,8 +66,6 @@ def reference_train(data, cfg, w0=None):
             break
         prev_w, prev_g = w, g
         w = w - eta * g
-        if cfg.center_every and epoch % cfg.center_every == 0:
-            w = center_columns(w)
     return w, trace
 
 
@@ -89,8 +88,8 @@ class TestTrainMatchesReferenceEpoch:
         x = rng.standard_normal((12, 200))
         t = softmax(rng.standard_normal((5, 200)))
         data = Dataset(x, t)
-        cfg = TrainConfig(eta=0.05, epochs=60, bb_mode=mode, center_every=7,
-                          seed=3, tol_grad=1e-300, log_every=1)
+        cfg = TrainConfig(eta=0.05, epochs=60, bb_mode=mode, seed=3,
+                          tol_grad=1e-300, log_every=1)
         w, trace = train(data, cfg)
         w_ref, trace_ref = reference_train(data, cfg)
         assert trace.records == trace_ref.records
@@ -106,8 +105,7 @@ class TestTrainMatchesReferenceEpoch:
     def test_nonfinite_stop_is_identical(self, mode, scale, eta, w_scale):
         data = Dataset(np.array([[scale, -scale], [1.0, 2.0]]), one_hot([1, 2], 2))
         w0 = w_scale * np.array([[0.0, 1.0], [0.0, -1.0]])
-        cfg = TrainConfig(eta=eta, epochs=10, bb_mode=mode, center_every=0,
-                          tol_grad=1e-300)
+        cfg = TrainConfig(eta=eta, epochs=10, bb_mode=mode, tol_grad=1e-300)
         w, trace = train(data, cfg, w0=w0)
         w_ref, trace_ref = reference_train(data, cfg, w0=w0)
         assert trace.stop_reason == trace_ref.stop_reason == STOP_NONFINITE
@@ -147,44 +145,43 @@ def _assert_close_to_reference(trace, trace_ref, w, w_ref):
 class TestTrainSkipsDeadRows:
     """Epochs read only the rows of X that are nonzero in some sample; the
     run must match the full-X reference loop to rounding, and W's dead
-    columns, which only recentering touches, must match it exactly.
+    columns, which no step writes, must equal the start's exactly.
 
     The two loops sum G, its norm and the Barzilai-Borwein products in a
     different order, and the Barzilai-Borwein rate amplifies that rounding
-    difference as G shrinks.  So the runs stop after 12 epochs, one past the
-    first recentering and well before G nears rounding level."""
+    difference as G shrinks.  So the runs stop after 12 epochs, well before
+    G nears rounding level."""
 
     @pytest.mark.parametrize("uncentered_start", [False, True])
-    @pytest.mark.parametrize("center_every", [0, 10])
     @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
     @pytest.mark.parametrize("layout", ["first", "middle", "last"])
-    def test_matches_full_x_reference(self, layout, mode, center_every,
-                                      uncentered_start):
+    def test_matches_full_x_reference(self, layout, mode, uncentered_start):
         data, dead = _dead_row_instance(layout)
+        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
+                          tol_grad=1e-300)
         w0 = None
+        start = initial_weights(data, cfg)
         if uncentered_start:
-            # recentering then moves the dead columns, and bb1 sees that move
-            w0 = np.random.default_rng(5).standard_normal((data.c, data.d))
-        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode,
-                          center_every=center_every, seed=3, tol_grad=1e-300)
+            w0 = start = np.random.default_rng(5).standard_normal((data.c, data.d))
         w, trace = train(data, cfg, w0=w0)
         w_ref, trace_ref = reference_train(data, cfg, w0=w0)
         assert trace.live_rows == data.d - len(dead)
         _assert_close_to_reference(trace, trace_ref, w, w_ref)
-        assert np.array_equal(w[:, dead], w_ref[:, dead])
+        assert np.array_equal(w[:, dead], start[:, dead])
 
     @pytest.mark.parametrize("mode", ["off", "bb2"])
     def test_bias_row_is_the_only_live_row(self, mode):
         x = np.zeros((5, 30))
         x[2] = 1.0
         data = Dataset(x, one_hot(np.arange(30) % 3 + 1, 3))
-        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, center_every=10,
-                          seed=2, tol_grad=1e-300)
+        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=2,
+                          tol_grad=1e-300)
         w, trace = train(data, cfg)
         w_ref, trace_ref = reference_train(data, cfg)
         assert trace.live_rows == 1
         _assert_close_to_reference(trace, trace_ref, w, w_ref)
-        assert np.array_equal(w[:, [0, 1, 3, 4]], w_ref[:, [0, 1, 3, 4]])
+        dead = [0, 1, 3, 4]
+        assert np.array_equal(w[:, dead], initial_weights(data, cfg)[:, dead])
 
     def test_all_zero_x_stops_at_zero_gradient(self):
         data = Dataset(np.zeros((3, 8)), one_hot([1, 2] * 4, 2))
@@ -232,6 +229,11 @@ class TestTrainConfig:
         with pytest.raises(InvalidInputError):
             TrainConfig(log_every=0)
 
+    def test_knobs_are_pinned(self):
+        # a new knob must be added here as well, so it is visible in review
+        assert [f.name for f in dataclasses.fields(TrainConfig)] == [
+            "eta", "epochs", "bb_mode", "seed", "tol_grad", "log_every"]
+
 
 class TestTrain:
     def test_zero_epochs_returns_centered_init(self):
@@ -252,7 +254,7 @@ class TestTrain:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_nonfinite_stop_is_recorded_not_raised(self):
         data = Dataset(np.array([[1e160, -1e160]]), one_hot([1, 2], 2))
-        cfg = TrainConfig(eta=1.0, epochs=10, center_every=0, tol_grad=1e-300)
+        cfg = TrainConfig(eta=1.0, epochs=10, tol_grad=1e-300)
         w, trace = train(data, cfg, w0=np.zeros((2, 1)))
         assert trace.stop_reason == STOP_NONFINITE
         last = trace.records[-1]
@@ -262,8 +264,9 @@ class TestTrain:
             assert np.isfinite(r.loss)
 
     def test_column_sums_stay_tiny_with_recentring(self):
+        # the seeded start is recentred, and the steps keep it centred
         _, data = realizable_instance(seed=1)
-        cfg = TrainConfig(eta=0.2, epochs=500, center_every=1, tol_grad=1e-14)
+        cfg = TrainConfig(eta=0.2, epochs=500, tol_grad=1e-14)
         _, trace = train(data, cfg)
         assert max(r.max_abs_column_sum for r in trace.records) <= 1e-8
 
@@ -274,8 +277,8 @@ class TestTrain:
         w_hat, _ = train(data, TrainConfig(eta=0.2, epochs=30000, tol_grad=1e-12))
         evals = np.linalg.eigvalsh(reduce_two_class(w_hat, data).m)
         p = plan(float(evals[0]), float(evals[-1]))
-        cfg = TrainConfig(eta=p.eta_optimal, epochs=300, center_every=1,
-                          tol_grad=1e-15, log_every=1)
+        cfg = TrainConfig(eta=p.eta_optimal, epochs=300, tol_grad=1e-15,
+                          log_every=1)
         _, trace = train(data, cfg)
         losses = [r.loss for r in trace.records]
         for before, after in zip(losses, losses[1:]):
@@ -294,7 +297,7 @@ class TestTrain:
         _, data = realizable_instance(seed=4)
         w0 = rng.standard_normal((2, 3))
         shift = np.outer(np.ones(2), rng.standard_normal(3))
-        cfg = TrainConfig(eta=0.1, epochs=60, center_every=0, tol_grad=1e-300)
+        cfg = TrainConfig(eta=0.1, epochs=60, tol_grad=1e-300)
         wa, ta = train(data, cfg, w0=w0)
         wb, tb = train(data, cfg, w0=w0 + shift)
         for ra, rb in zip(ta.records, tb.records):
@@ -303,10 +306,10 @@ class TestTrain:
         assert np.max(np.abs(center_columns(wa) - center_columns(wb))) <= 1e-10
 
     def test_gradient_column_sum_identity_along_run(self):
-        # initialized in Z and never recentered: the exact iteration keeps
-        # column sums at zero, so only round-off drift can appear
+        # initialized in Z: the exact iteration keeps column sums at zero,
+        # so only round-off drift can appear
         _, data = realizable_instance(seed=5)
-        cfg = TrainConfig(eta=0.2, epochs=2000, center_every=0, tol_grad=1e-14)
+        cfg = TrainConfig(eta=0.2, epochs=2000, tol_grad=1e-14)
         _, trace = train(data, cfg)
         assert max(r.max_abs_column_sum for r in trace.records) <= 1e-8
 
@@ -314,11 +317,23 @@ class TestTrain:
         _, data = realizable_instance(seed=6)
         for mode in ("bb1", "bb2"):
             cfg = TrainConfig(eta=0.01, epochs=2000, bb_mode=mode,
-                              center_every=10, tol_grad=1e-10, log_every=1)
+                              tol_grad=1e-10, log_every=1)
             _, trace = train(data, cfg)
             assert trace.stop_reason == STOP_GRAD_TOL
             losses = [r.loss for r in trace.records]
             assert losses[-1] < losses[0]
+
+    @pytest.mark.parametrize("layout", ["first", "last"])
+    def test_bb1_descends_from_uncentered_start(self, layout):
+        # W moves only by -eta G, so a Barzilai-Borwein pair holds no column
+        # shift that G did not make, and bb1 keeps descending here
+        data, _ = _dead_row_instance(layout)
+        w0 = np.random.default_rng(5).standard_normal((data.c, data.d))
+        cfg = TrainConfig(eta=0.002, epochs=20, bb_mode="bb1", log_every=1)
+        _, trace = train(data, cfg, w0=w0)
+        losses = [r.loss for r in trace.records]
+        assert len(losses) == 20
+        assert max(losses) <= losses[0]
 
     def test_bb_safeguard_keeps_step_bounded(self):
         _, data = realizable_instance(seed=7)
