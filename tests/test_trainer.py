@@ -150,12 +150,18 @@ class TestTrainSkipsDeadRows:
     The two loops sum G, its norm and the Barzilai-Borwein products in a
     different order, and the Barzilai-Borwein rate amplifies that rounding
     difference as G shrinks.  So the runs stop after 12 epochs, well before
-    G nears rounding level."""
+    G nears rounding level.
+
+    ``dead_shift`` is added to the start's dead columns: X's zero rows hide
+    it from the loss and no step removes it, so it must survive bit for
+    bit."""
 
     @pytest.mark.parametrize("uncentered_start", [False, True])
+    @pytest.mark.parametrize("dead_shift", [0, 10])
     @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
     @pytest.mark.parametrize("layout", ["first", "middle", "last"])
-    def test_matches_full_x_reference(self, layout, mode, uncentered_start):
+    def test_matches_full_x_reference(self, layout, mode, dead_shift,
+                                      uncentered_start):
         data, dead = _dead_row_instance(layout)
         cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
                           tol_grad=1e-300)
@@ -163,6 +169,9 @@ class TestTrainSkipsDeadRows:
         start = initial_weights(data, cfg)
         if uncentered_start:
             w0 = start = np.random.default_rng(5).standard_normal((data.c, data.d))
+        if dead_shift:
+            start[:, dead] += dead_shift
+            w0 = start
         w, trace = train(data, cfg, w0=w0)
         w_ref, trace_ref = reference_train(data, cfg, w0=w0)
         assert trace.live_rows == data.d - len(dead)
