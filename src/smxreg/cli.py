@@ -2,18 +2,19 @@
 
 Exit codes: 0 success, 1 check failure (including a non-finite training
 stop), 2 usage or input-format errors, including inputs too large to hold
-in memory.  Each ``cmd_*`` returns its exit code, input digest and result;
-``main`` alone times the run and writes the JSON report (sorted keys), with
---deterministic zeroing the wall-clock field so identical flags and seed
-give byte-identical report files.  Output files are written via a temp file and rename, so errors
-never leave partial output behind.
+in memory.  Each ``cmd_*`` prints and writes nothing: it returns its exit
+code, input digest, result, stdout lines and output files.  ``main`` alone
+adds the JSON report (sorted keys; --deterministic zeroes the wall-clock
+field so identical flags and seed give byte-identical files), writes all
+files or none, then prints the lines: so exit code 2 leaves stdout empty
+and no output or temp file behind.
 """
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
-import struct
 import sys
 import time
 from dataclasses import asdict
@@ -23,52 +24,33 @@ import numpy as np
 from .certify import certify
 from .convergence import condition_bound, plan, reduce_two_class
 from .core import Dataset, InvalidInputError, check_weights
-from .data_io import load_csv, load_idx_dataset
+from .data_io import encode_weights, load_csv, load_idx_dataset, read_weights
 from .fdcheck import CHECK_SIZES, GRAD_TOL, HESS_TOL, gradient_check_suite
 from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
 from .trainer import BB_MODES, STOP_NONFINITE, TrainConfig, evaluate, train
 
-WEIGHTS_MAGIC = b"SMXW"
-
 # Initial Barzilai-Borwein rate when train --bb bb1/bb2 omits --eta.
 BB_ETA0 = 0.01
 
 
-class WeightsFormatError(ValueError):
-    """Malformed weights file."""
-
-
-def write_weights(path, w) -> None:
-    """Binary weights: magic "SMXW", u32 C, u32 D, then C*D little-endian
-    float64 in row-major order."""
-    w = np.asarray(w, dtype=float)
-    c, d = w.shape
-    blob = WEIGHTS_MAGIC + struct.pack("<II", c, d) + w.astype("<f8").tobytes(order="C")
-    _atomic_write_bytes(path, blob)
-
-
-def read_weights(path) -> np.ndarray:
-    with open(path, "rb") as f:
-        blob = f.read()
-    if blob[:4] != WEIGHTS_MAGIC:
-        raise WeightsFormatError(f"bad weights magic {blob[:4]!r} at offset 0")
-    if len(blob) < 12:
-        raise WeightsFormatError("truncated weights header")
-    c, d = struct.unpack("<II", blob[4:12])
-    expected = 12 + 8 * c * d
-    if len(blob) != expected:
-        raise WeightsFormatError(
-            f"weights payload has {len(blob) - 12} bytes, expected {8 * c * d}"
-        )
-    return np.frombuffer(blob[12:], dtype="<f8").reshape(c, d).copy()
-
-
-def _atomic_write_bytes(path, blob: bytes) -> None:
-    tmp = f"{path}.tmp"
-    with open(tmp, "wb") as f:
-        f.write(blob)
-    os.replace(tmp, path)
+def _write_files(files: dict) -> None:
+    """Write every ``path: bytes`` item via temp files, then renames.  A failure
+    removes each file made here, renamed or not, and names the path as given."""
+    made = []
+    try:
+        for path, blob in files.items():
+            with open(f"{path}.tmp", "wb") as f:
+                made.append(f.name)
+                f.write(blob)
+        for i, path in enumerate(files):
+            os.replace(made[i], path)
+            made[i] = path
+    except OSError as exc:
+        for name in made:
+            with contextlib.suppress(OSError):
+                os.remove(name)
+        raise OSError(exc.errno, exc.strerror, str(path)) from None
 
 
 def _finite_or_none(x):
@@ -111,7 +93,7 @@ def _input_digest(args, data: Dataset | None) -> dict:
     return digest
 
 
-def cmd_train(args) -> tuple[int, dict, dict]:
+def cmd_train(args) -> tuple[int, dict, dict, list, dict]:
     if args.eta is None and args.bb == "off":
         raise InvalidInputError("--eta is required when --bb off")
     cfg = TrainConfig(
@@ -131,24 +113,22 @@ def cmd_train(args) -> tuple[int, dict, dict]:
             {k: _finite_or_none(v) for k, v in asdict(r).items()} for r in trace.records
         ],
     }
-    # Evaluated and written before any printing, so a failing evaluation or
-    # weights write leaves no report.
-    final = None if trace.stop_reason == STOP_NONFINITE else evaluate(w, data)
-    if args.out:
-        write_weights(args.out, w)
-        result["weights_file"] = str(args.out)
-    for r in trace.records:
-        print(f"epoch {r.epoch:6d}  loss {r.loss:.9f}  grad {r.grad_norm:.6e}"
-              f"  eta {r.eta_used:.6e}")
-    print(f"stop: {trace.stop_reason}")
-    if final is not None:
-        final_loss, accuracy = final
-        print(f"final loss {final_loss:.9f}  accuracy {accuracy:.4f}")
+    lines = [f"epoch {r.epoch:6d}  loss {r.loss:.9f}  grad {r.grad_norm:.6e}"
+             f"  eta {r.eta_used:.6e}" for r in trace.records]
+    lines.append(f"stop: {trace.stop_reason}")
+    if trace.stop_reason != STOP_NONFINITE:
+        final_loss, accuracy = evaluate(w, data)
+        lines.append(f"final loss {final_loss:.9f}  accuracy {accuracy:.4f}")
         result.update(final_loss=_finite_or_none(final_loss), accuracy=accuracy)
-    return int(trace.stop_reason == STOP_NONFINITE), _input_digest(args, data), result
+    files = {}
+    if args.out:
+        files[args.out] = encode_weights(w)
+        result["weights_file"] = str(args.out)
+    code = int(trace.stop_reason == STOP_NONFINITE)
+    return code, _input_digest(args, data), result, lines, files
 
 
-def cmd_spectrum(args) -> tuple[int, dict, dict]:
+def cmd_spectrum(args) -> tuple[int, dict, dict, list, dict]:
     if args.y:
         y = np.array([float(tok) for tok in args.y.split(",")])
         data = None
@@ -170,36 +150,36 @@ def cmd_spectrum(args) -> tuple[int, dict, dict]:
     if y.shape[0] <= DENSE_C_LIMIT:
         max_delta = float(np.max(np.abs(report.multiset() - dense_q_spectrum(y))))
 
-    print(f"{'value':>18}  {'mult':>4}  {'kind':<20}  bracket")
+    lines = [f"{'value':>18}  {'mult':>4}  {'kind':<20}  bracket"]
     for e in report.eigenvalues:
         bracket = f"({e.bracket[0]:.12g}, {e.bracket[1]:.12g})" if e.bracket else "-"
         flag = "  [degenerate gap]" if e.degenerate_gap else ""
-        print(f"{e.value:18.12f}  {e.multiplicity:>4}  {e.kind:<20}  {bracket}{flag}")
+        lines.append(f"{e.value:18.12f}  {e.multiplicity:>4}  {e.kind:<20}  {bracket}{flag}")
     if max_delta is None:
-        print(f"dense-oracle: skipped (C > {DENSE_C_LIMIT})")
+        lines.append(f"dense-oracle: skipped (C > {DENSE_C_LIMIT})")
     else:
-        print(f"dense-oracle max |delta|: {max_delta:.3e}")
+        lines.append(f"dense-oracle max |delta|: {max_delta:.3e}")
 
     digest = {**_input_digest(args, data), "y": [float(v) for v in y]}
-    return 0, digest, {**asdict(report), "dense_max_delta": max_delta}
+    return 0, digest, {**asdict(report), "dense_max_delta": max_delta}, lines, {}
 
 
-def cmd_certify(args) -> tuple[int, dict, dict]:
+def cmd_certify(args) -> tuple[int, dict, dict, list, dict]:
     data = _load_dataset(args)
     w = None
     if args.weights:
-        # Checked before the rank test, so a bad file exits 2 with no report.
+        # Checked before the rank test, which a bad file need not wait for.
         w = check_weights(read_weights(args.weights), data)
         if data.c != 2:
             raise InvalidInputError(
                 f"--weights applies to C = 2 only; this dataset has C = {data.c}")
     cert = certify(data)
-    print(f"rank(X): {'full (= D)' if cert.full_rank else 'deficient'}"
-          f"  sv_min {cert.sv_min:.6e}  sv_max {cert.sv_max:.6e}")
+    lines = [f"rank(X): {'full (= D)' if cert.full_rank else 'deficient'}"
+             f"  sv_min {cert.sv_min:.6e}  sv_max {cert.sv_max:.6e}"]
     if cert.full_rank:
-        print(f"certificate: {cert.verdict}")
+        lines.append(f"certificate: {cert.verdict}")
     else:
-        print(f"certificate: not strictly convex; minimizers form affine family")
+        lines.append("certificate: not strictly convex; minimizers form affine family")
 
     result: dict = {
         "full_rank": cert.full_rank,
@@ -217,16 +197,16 @@ def cmd_certify(args) -> tuple[int, dict, dict]:
         red = reduce_two_class(w, data)
         p = plan(float(red.evals[0]), float(red.evals[-1]))
         k_exact, k_bound = condition_bound(red, data)
-        print(f"two-class analysis at {anchor} weights:")
-        print(f"  lambda_min {p.lambda_min:.6e}  lambda_max {p.lambda_max:.6e}")
-        print(f"  K_exact {k_exact:.6e}  K_bound {k_bound:.6e}")
-        print(f"  theta {p.theta:.6f}  eta_window [{p.eta_window[0]:.6e},"
-              f" {p.eta_window[1]:.6e}]  eta* {p.eta_optimal:.6e}")
+        lines += [f"two-class analysis at {anchor} weights:",
+                  f"  lambda_min {p.lambda_min:.6e}  lambda_max {p.lambda_max:.6e}",
+                  f"  K_exact {k_exact:.6e}  K_bound {k_bound:.6e}",
+                  f"  theta {p.theta:.6f}  eta_window [{p.eta_window[0]:.6e},"
+                  f" {p.eta_window[1]:.6e}]  eta* {p.eta_optimal:.6e}"]
         two_class = asdict(p)
         del two_class["k"]  # k_exact reports the same ratio
         result["two_class"] = {**two_class, "anchor": anchor,
                                "k_exact": k_exact, "k_bound": k_bound}
-    return 0, _input_digest(args, data), result
+    return 0, _input_digest(args, data), result, lines, {}
 
 
 def _parse_sizes(text: str) -> dict:
@@ -240,16 +220,16 @@ def _parse_sizes(text: str) -> dict:
     return sizes
 
 
-def cmd_checkgrad(args) -> tuple[int, dict, dict]:
+def cmd_checkgrad(args) -> tuple[int, dict, dict, list, dict]:
     sizes = _parse_sizes(args.sizes)
     res = gradient_check_suite(args.seed, sizes, args.instances, args.corrupt)
-    print(f"gradient: max rel err {res['grad_max_rel_err']:.3e}"
-          f" (threshold {GRAD_TOL:g})")
-    print(f"hessian:  max rel err {res['hess_max_rel_err']:.3e}"
-          f" (threshold {HESS_TOL:g})")
-    print("checkgrad: " + ("ok" if res["passed"] else "FAILED"))
+    lines = [f"gradient: max rel err {res['grad_max_rel_err']:.3e}"
+             f" (threshold {GRAD_TOL:g})",
+             f"hessian:  max rel err {res['hess_max_rel_err']:.3e}"
+             f" (threshold {HESS_TOL:g})",
+             "checkgrad: " + ("ok" if res["passed"] else "FAILED")]
     digest = {"seed": args.seed, "sizes": sizes, "instances": args.instances}
-    return int(not res["passed"]), digest, res
+    return int(not res["passed"]), digest, res, lines, {}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -303,7 +283,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
-        code, digest, result = args.func(args)
+        code, digest, result, lines, files = args.func(args)
         if args.json:
             report = {
                 "command": args.command,
@@ -312,10 +292,14 @@ def main(argv=None) -> int:
                 "duration_s": 0.0 if args.deterministic else time.perf_counter() - t0,
             }
             text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-            _atomic_write_bytes(args.json, text.encode("utf-8"))
+            files[args.json] = text.encode("utf-8")
+        _write_files(files)
+        print(*lines, sep="\n")
         return code
     except (OSError, ValueError, OverflowError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # A bytes or array allocation raises a MemoryError with no message.
+        blank = "out of memory" if isinstance(exc, MemoryError) else ""
+        print(f"error: {str(exc) or blank}", file=sys.stderr)
         return 2
 
 

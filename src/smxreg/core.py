@@ -21,7 +21,7 @@ class InvalidInputError(ValueError):
 
 
 class InvalidLabelError(InvalidInputError):
-    """A class label lies outside 1..C.  ``index`` is the offending position."""
+    """A label lies outside 1..C (0..C-1 if 0-based); ``index`` is its position."""
 
     def __init__(self, message: str, index: int):
         super().__init__(message)

@@ -1,4 +1,4 @@
-"""IDX-container and CSV ingestion, plus dataset assembly helpers.
+"""IDX-container, CSV and weights-file I/O, plus dataset assembly helpers.
 
 IDX layout (all integers big-endian):
 
@@ -8,7 +8,7 @@ IDX layout (all integers big-endian):
 
 Images use magic 0x00000803 (3 dims: count, rows, cols); labels use
 0x00000801 (1 dim).  File labels are 0-based while internal classes are
-1..C; the shift happens exactly once, in this module.
+1..C; :func:`load_idx_labels` and :func:`load_csv` each make the shift.
 
 With ``bias=True`` the loaders append the constant-1 feature row of the
 affine trick themselves: they allocate the (D+1) x N array, set its last
@@ -28,6 +28,7 @@ import numpy as np
 from .core import (Dataset, DimensionMismatchError, InvalidLabelError, freeze,
                    one_hot)
 
+WEIGHTS_MAGIC = b"SMXW"
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 DTYPE_UBYTE = 0x08
@@ -39,7 +40,7 @@ IDX_BLOCK_IMAGES = 1024
 
 
 class IdxFormatError(ValueError):
-    """Malformed or truncated IDX file; messages name the byte offset."""
+    """Malformed or truncated IDX or weights file; messages name the byte offset."""
 
 
 class CsvParseError(ValueError):
@@ -180,6 +181,26 @@ def write_idx_labels(path, labels0) -> None:
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, labels0.shape[0]))
         f.write(labels0.astype(np.uint8).tobytes())
+
+
+def encode_weights(w) -> bytes:
+    """Weights file bytes: magic "SMXW", u32 C, u32 D, then C*D float64 in
+    row-major order, all little-endian; inverse of :func:`read_weights`."""
+    w = np.asarray(w, dtype=float)
+    c, d = w.shape
+    return WEIGHTS_MAGIC + struct.pack("<II", c, d) + w.astype("<f8").tobytes(order="C")
+
+
+def read_weights(path) -> np.ndarray:
+    """C x D weights from an :func:`encode_weights` file, size-checked first."""
+    with open(path, "rb") as f:
+        header = _read_exact(f, 12, 0, "weights header")
+        if header[:4] != WEIGHTS_MAGIC:
+            raise IdxFormatError(f"bad weights magic {header[:4]!r} at offset 0")
+        c, d = struct.unpack("<II", header[4:])
+        _check_payload_size(f, 8 * c * d, 12, "weights")
+        payload = _read_exact(f, 8 * c * d, 12, "weights")
+    return np.frombuffer(payload, dtype="<f8").reshape(c, d).copy()
 
 
 def load_idx_dataset(images_path, labels_path, c: int,

@@ -1,17 +1,19 @@
 import argparse
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from smxreg import TrainConfig, cli, reduce_two_class, train
-from smxreg.cli import main, read_weights, write_weights
-from smxreg.data_io import load_csv
+from smxreg.cli import main
+from smxreg.data_io import encode_weights, load_csv, read_weights
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -32,7 +34,7 @@ class TestWeightsFile:
         rng = np.random.default_rng(0)
         w = rng.standard_normal((3, 5))
         path = tmp_path / "w.bin"
-        write_weights(path, w)
+        path.write_bytes(encode_weights(w))
         assert np.array_equal(read_weights(path), w)
         blob = path.read_bytes()
         assert blob[:4] == b"SMXW"
@@ -110,6 +112,7 @@ class TestTrain:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+        assert str(out) in captured.err and ".tmp" not in captured.err
 
     def test_missing_file_is_format_error(self, tmp_path):
         rc = main(["train", "--csv", str(tmp_path / "nope.csv"),
@@ -175,14 +178,14 @@ class TestSpectrum:
 
     def test_from_weights_and_data(self, toy_csv, tmp_path):
         wfile = tmp_path / "w.bin"
-        write_weights(wfile, np.zeros((2, 3)))
+        wfile.write_bytes(encode_weights(np.zeros((2, 3))))
         rc = main(["spectrum", "--weights", str(wfile), "--csv", toy_csv,
                    "--classes", "2", "--bias", "--sample", "1"])
         assert rc == 0
 
     def test_wrong_shape_weights_name_both_shapes(self, toy_csv, tmp_path, capsys):
         wfile = tmp_path / "w.bin"
-        write_weights(wfile, np.zeros((2, 4)))
+        wfile.write_bytes(encode_weights(np.zeros((2, 4))))
         rc = main(["spectrum", "--weights", str(wfile), "--csv", toy_csv,
                    "--classes", "2", "--bias", "--sample", "1"])
         assert rc == 2
@@ -194,7 +197,7 @@ class TestSpectrum:
         f = tmp_path / "huge.csv"
         f.write_text(HUGE_CSV)
         wfile = tmp_path / "w.bin"
-        write_weights(wfile, np.array([[1e300, 0.0, 0.0], [0.0, 0.0, 0.0]]))
+        wfile.write_bytes(encode_weights(np.array([[1e300, 0.0, 0.0], [0.0, 0.0, 0.0]])))
         rc = main(["spectrum", "--weights", str(wfile), "--csv", str(f),
                    "--classes", "2", "--bias"])
         assert rc == 2
@@ -258,7 +261,7 @@ class TestCertify:
         if weights == "malformed":
             wfile.write_bytes(b"SMXW\x02\x00")
         elif weights == "wrong_shape":
-            write_weights(wfile, np.zeros((int(classes), 5)))
+            wfile.write_bytes(encode_weights(np.zeros((int(classes), 5))))
         rc = main(["certify", "--csv", str(f), "--classes", classes,
                    "--weights", str(wfile), "--json", str(tmp_path / "r.json")])
         captured = capsys.readouterr()
@@ -271,7 +274,7 @@ class TestCertify:
         f = tmp_path / "three.csv"
         f.write_text("0,1,0\n1,0,1\n1,1,2\n2,1,0\n")
         wfile = tmp_path / "w.bin"
-        write_weights(wfile, np.zeros((3, 2)))
+        wfile.write_bytes(encode_weights(np.zeros((3, 2))))
         rc = main(["certify", "--csv", str(f), "--classes", "3",
                    "--weights", str(wfile)])
         captured = capsys.readouterr()
@@ -381,6 +384,34 @@ class TestHostileInput:
         assert main(["certify", "--csv", toy_csv, "--classes", "2"]) == 2
         assert capsys.readouterr().err.startswith("error: Unable to allocate")
 
+    def test_memory_error_without_message_says_out_of_memory(self, toy_csv,
+                                                              monkeypatch, capsys):
+        # a bytes or array allocation raises MemoryError() with no message
+        def exhausted(*args, **kwargs):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli, "load_csv", exhausted)
+        assert main(["certify", "--csv", toy_csv, "--classes", "2"]) == 2
+        assert capsys.readouterr().err == "error: out of memory\n"
+
+    def test_oversized_weights_file_is_refused_before_its_payload(self, toy_csv,
+                                                                  tmp_path, capsys):
+        wfile = tmp_path / "w.bin"
+        with open(wfile, "wb") as f:
+            f.write(encode_weights(np.zeros((2, 3))))
+            f.truncate(2**26)  # a sparse 64 MiB tail
+        tracemalloc.start()
+        try:
+            rc = main(["certify", "--csv", toy_csv, "--classes", "2", "--bias",
+                       "--weights", str(wfile)])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "trailing bytes" in err and "offset 12" in err
+        assert peak < 2**22
+
 
 class TestCheckgrad:
     def test_default_passes(self, capsys):
@@ -407,15 +438,72 @@ class TestCheckgrad:
         assert captured.err.startswith("error: instances must be >= 1")
 
 
+class TestOutput:
+    """``main`` writes every output file or none, and prints only after."""
+
+    @pytest.mark.parametrize("command", ["train", "spectrum", "certify", "checkgrad"])
+    def test_unwritable_json_exits_2_with_nothing_written(self, toy_csv, tmp_path,
+                                                          capsys, command):
+        argv = {
+            "train": ["train", "--csv", toy_csv, "--classes", "2", "--eta", "0.5",
+                      "--epochs", "3", "--out", str(tmp_path / "w.bin")],
+            "spectrum": ["spectrum", "--y", "0.25,0.75"],
+            "certify": ["certify", "--csv", toy_csv, "--classes", "2", "--bias"],
+            "checkgrad": ["checkgrad", "--instances", "3"],
+        }[command]
+        rep = tmp_path / "missing" / "r.json"
+        assert main(argv + ["--json", str(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(rep) in captured.err and ".tmp" not in captured.err
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.csv"]
+
+    # the second temp file cannot be made, or the second rename fails after
+    # the first one has put its file in place
+    @pytest.mark.parametrize("second", ["missing/b.json", "directory"])
+    def test_second_file_failing_leaves_neither(self, tmp_path, second):
+        (tmp_path / "directory").mkdir()
+        first, second = tmp_path / "a.bin", tmp_path / second
+        with pytest.raises(OSError, match=re.escape(repr(str(second)))):
+            cli._write_files({str(first): b"a", str(second): b"b"})
+        assert [p.name for p in tmp_path.iterdir()] == ["directory"]
+
+    def test_write_failing_part_way_leaves_no_temp_file(self, toy_csv, tmp_path):
+        # the file size limit stops the report's write after 1 KiB
+        resource = pytest.importorskip("resource")
+
+        def limit_file_size():
+            resource.setrlimit(resource.RLIMIT_FSIZE, (1024, 1024))
+
+        rep = tmp_path / "r.json"
+        proc = _run_module(["train", "--csv", toy_csv, "--classes", "2", "--eta",
+                            "0.5", "--epochs", "50", "--json", str(rep)],
+                           preexec_fn=limit_file_size)
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == f"error: [Errno 27] File too large: {str(rep)!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["toy.csv"]
+
+
+def _run_module(argv, **kwargs):
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-m", "smxreg", *argv],
+                          capture_output=True, text=True, env=env, **kwargs)
+
+
 class TestModuleEntryPoint:
     def test_python_dash_m_invocation(self, toy_csv):
-        env = dict(os.environ, PYTHONPATH=SRC)
-        proc = subprocess.run(
-            [sys.executable, "-m", "smxreg", "spectrum", "--y", "0.25,0.75"],
-            capture_output=True, text=True, env=env,
-        )
+        proc = _run_module(["spectrum", "--y", "0.25,0.75"])
         assert proc.returncode == 0
         assert "interlaced-root" in proc.stdout
+
+    def test_failed_report_write_prints_nothing(self, toy_csv, tmp_path):
+        rep = tmp_path / "missing" / "r.json"
+        proc = _run_module(["train", "--csv", toy_csv, "--classes", "2", "--eta",
+                            "0.5", "--epochs", "3", "--json", str(rep)])
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert str(rep) in proc.stderr
 
 
 class TestCliSurface:

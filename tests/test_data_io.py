@@ -10,11 +10,13 @@ from smxreg.data_io import (
     CsvParseError,
     IdxFormatError,
     add_bias_row,
+    encode_weights,
     load_csv,
     load_idx_dataset,
     load_idx_images,
     load_idx_labels,
     read_idx_image_header,
+    read_weights,
     write_idx_images,
     write_idx_labels,
 )
@@ -33,6 +35,24 @@ def write_raw_images(path, images):
 def write_raw_labels(path, labels):
     path.write_bytes(struct.pack(">II", LABEL_MAGIC, len(labels))
                      + bytes(labels))
+
+
+class TestWeightsFile:
+    @pytest.mark.parametrize("payload,problem", [
+        (b"\0" * 40, "truncated file"),
+        (b"\0" * 56, "trailing bytes"),
+    ])
+    def test_payload_size_is_checked_at_offset_12(self, tmp_path, payload, problem):
+        path = tmp_path / "w.bin"
+        path.write_bytes(encode_weights(np.zeros((2, 3)))[:12] + payload)
+        with pytest.raises(IdxFormatError, match=f"{problem}: .* at offset 12"):
+            read_weights(path)
+
+    def test_short_header_is_truncated_at_offset_0(self, tmp_path):
+        path = tmp_path / "w.bin"
+        path.write_bytes(b"SMXW\x02\x00")
+        with pytest.raises(IdxFormatError, match="truncated file: .* at offset 0"):
+            read_weights(path)
 
 
 class TestIdxImages:

@@ -272,10 +272,12 @@ class TestTrain:
         for r in trace.records[:-1]:
             assert np.isfinite(r.loss)
 
-    def test_column_sums_stay_tiny_with_recentring(self):
-        # the seeded start is recentred, and the steps keep it centred
-        _, data = realizable_instance(seed=1)
-        cfg = TrainConfig(eta=0.2, epochs=500, tol_grad=1e-14)
+    @pytest.mark.parametrize("seed,epochs", [(1, 500), (5, 2000)])
+    def test_column_sums_stay_tiny(self, seed, epochs):
+        # initialized in Z: the exact iteration keeps column sums at zero,
+        # so only round-off drift can appear
+        _, data = realizable_instance(seed=seed)
+        cfg = TrainConfig(eta=0.2, epochs=epochs, tol_grad=1e-14)
         _, trace = train(data, cfg)
         assert max(r.max_abs_column_sum for r in trace.records) <= 1e-8
 
@@ -313,14 +315,6 @@ class TestTrain:
             assert abs(ra.loss - rb.loss) <= 1e-10
         assert np.max(np.abs(softmax(wa @ data.x) - softmax(wb @ data.x))) <= 1e-10
         assert np.max(np.abs(center_columns(wa) - center_columns(wb))) <= 1e-10
-
-    def test_gradient_column_sum_identity_along_run(self):
-        # initialized in Z: the exact iteration keeps column sums at zero,
-        # so only round-off drift can appear
-        _, data = realizable_instance(seed=5)
-        cfg = TrainConfig(eta=0.2, epochs=2000, tol_grad=1e-14)
-        _, trace = train(data, cfg)
-        assert max(r.max_abs_column_sum for r in trace.records) <= 1e-8
 
     def test_bb_modes_reach_tolerance_faster_than_first_log(self):
         _, data = realizable_instance(seed=6)
