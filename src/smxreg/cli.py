@@ -7,7 +7,8 @@ code, input digest, result, stdout lines and output files.  ``main`` alone
 adds the JSON report (sorted keys; --deterministic zeroes the wall-clock
 field so identical flags and seed give byte-identical files), writes all
 files or none, then prints the lines: so exit code 2 leaves stdout empty
-and no output or temp file behind.
+and no output or temp file behind.  Two output options naming one file
+(compared by ``os.path.realpath``) exit 2 before the command runs.
 """
 from __future__ import annotations
 
@@ -279,10 +280,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_distinct_outputs(args) -> None:
+    """Refuse --out and --json whose ``os.path.realpath`` is one file: the
+    later write would replace the earlier one."""
+    out, report = getattr(args, "out", None), args.json
+    if out and report and os.path.realpath(out) == os.path.realpath(report):
+        raise InvalidInputError(
+            f"--out {out!r} and --json {report!r} name the same file")
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:
+        _check_distinct_outputs(args)
         code, digest, result, lines, files = args.func(args)
         if args.json:
             report = {

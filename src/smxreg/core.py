@@ -49,6 +49,16 @@ class RankDeficientError(ValueError):
         self.sv_max = sv_max
 
 
+class NotConvergedError(ValueError):
+    """An iterative solver reached its iteration cap unconverged; the
+    message and the attributes give the iterations and the residuals."""
+
+    def __init__(self, message: str, iterations: int, residuals: tuple[float, ...]):
+        super().__init__(message)
+        self.iterations = iterations
+        self.residuals = residuals
+
+
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Coerce to a float64 2-D array, rejecting non-finite entries.
 

@@ -10,7 +10,10 @@ activations shift every class equally on every sample.
 
 ``apply`` never materializes the rank-one factors x x^T: with V = U X the
 columns Q^(n) v^(n) are formed elementwise and closed with one D-sized
-product, so a Hessian product costs O(N C D).
+product, so a Hessian product costs O(N C D).  It also takes a stack of b
+directions, shape (b, C, D): one (bC) x D by D x N product, the columns
+elementwise, and one product with X^T, which is cheaper per direction than
+b single products.
 """
 from __future__ import annotations
 
@@ -18,7 +21,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, SizeLimitError, activations, check_weights
+from .core import (Dataset, DimensionMismatchError, SizeLimitError, activations,
+                   as_matrix, check_weights)
 from .softmax import q_matrix, softmax
 
 # Dense materialization guard: C*D entries per vec index.
@@ -61,16 +65,32 @@ class HessianOperator:
         return self.data.n
 
     def _q_columns(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # v^(n) = U x^(n);  Q^(n) v^(n) = y*v - y (y.v), all columns at once.
-        v = u @ self.data.x
-        s = np.sum(self.y * v, axis=0, keepdims=True)
-        return v, self.y * v - self.y * s
+        # v^(n) = U x^(n);  Q^(n) v^(n) = y*v - y (y.v), all columns at once,
+        # and for a stack of directions all of them in one product.
+        v = (u.reshape(-1, self.d) @ self.data.x).reshape(*u.shape[:-1], self.n)
+        qv = self.y * v
+        qv -= self.y * np.sum(qv, axis=-2, keepdims=True)
+        return v, qv
+
+    def _check_directions(self, u) -> np.ndarray:
+        """One C x D direction, checked by :func:`check_weights`, or a
+        (b, C, D) stack of them, refused in the same words."""
+        u = np.asarray(u, dtype=float)
+        if u.ndim != 3:
+            return check_weights(u, self.data)
+        if u.shape[1:] != (self.c, self.d):
+            raise DimensionMismatchError(
+                f"weights have shape {u.shape}, expected {(u.shape[0], self.c, self.d)}"
+            )
+        as_matrix(u.reshape(-1, self.d), "w")
+        return u
 
     def apply(self, u) -> np.ndarray:
-        """H(U), computed matrix-free in O(N C D)."""
-        u = check_weights(u, self.data)
+        """H(U), computed matrix-free in O(N C D); for a (b, C, D) stack of
+        directions, the stack of their products."""
+        u = self._check_directions(u)
         _, qv = self._q_columns(u)
-        return qv @ self.data.x.T
+        return (qv.reshape(-1, self.n) @ self.data.x.T).reshape(u.shape)
 
     def quadratic_form(self, u) -> float:
         """<H(U), U>_F = sum_n (U x^(n))^T Q^(n) (U x^(n)); >= 0 up to rounding."""

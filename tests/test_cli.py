@@ -468,6 +468,23 @@ class TestOutput:
             cli._write_files({str(first): b"a", str(second): b"b"})
         assert [p.name for p in tmp_path.iterdir()] == ["directory"]
 
+    # the same file spelled alike, with a leading ./, and through a symlink
+    @pytest.mark.parametrize("report", ["w.bin", "./w.bin", "link/w.bin"])
+    def test_out_and_json_naming_one_file_exit_2(self, toy_csv, tmp_path, capsys,
+                                                  monkeypatch, report):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "link").symlink_to(tmp_path)
+        called = []
+        monkeypatch.setattr(cli, "train", lambda *a, **k: called.append(a))
+        argv = ["train", "--csv", toy_csv, "--classes", "2", "--eta", "0.5",
+                "--epochs", "3", "--out", "w.bin", "--json", report]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and called == []
+        assert captured.err == (f"error: --out 'w.bin' and --json {report!r} "
+                                "name the same file\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "toy.csv"]
+
     def test_write_failing_part_way_leaves_no_temp_file(self, toy_csv, tmp_path):
         # the file size limit stops the report's write after 1 KiB
         resource = pytest.importorskip("resource")

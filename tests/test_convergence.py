@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,6 +23,7 @@ from smxreg.convergence import (
 from smxreg.core import (
     Dataset,
     InvalidInputError,
+    NotConvergedError,
     RankDeficientError,
     UnsupportedShapeError,
     one_hot,
@@ -43,6 +50,15 @@ def ill_conditioned_operator(c=6, d=40, n=300):
     x = rng.standard_normal((d, n)) * (0.93 ** np.arange(d))[:, None]
     data = Dataset(x, softmax(rng.standard_normal((c, n))))
     return HessianOperator(data, 0.5 * rng.standard_normal((c, d)))
+
+
+def peaked_operator(c, d, n=60):
+    """W X with entries of variance D: sharply peaked softmax outputs, K on Z
+    about 1.9e3 at C=12, D=20 and 3.2e2 at C=30, D=8."""
+    rng = np.random.default_rng(1220)
+    x = rng.standard_normal((d, n))
+    data = Dataset(x, softmax(rng.standard_normal((c, n))))
+    return HessianOperator(data, rng.standard_normal((c, d)))
 
 
 class TestReduceTwoClass:
@@ -267,7 +283,7 @@ class TestExtremeEigenvaluesOnZ:
     def test_uniform_identity_matches_q_spectrum(self):
         # W = 0 and X = I make H act as Q on every column; on Z the spectrum
         # is the nontrivial part of the uniform-probability Q.  Every
-        # eigenvalue on Z is 1/C, so Lanczos breaks down at every step.
+        # eigenvalue on Z is 1/C, so the start block is already converged.
         c, d = 5, 3
         data = Dataset(np.eye(d), one_hot([1, 2, 3], c))
         op = HessianOperator(data, np.zeros((c, d)))
@@ -298,7 +314,7 @@ class TestExtremeEigenvaluesOnZ:
         assert hi_i == pytest.approx(hi_d, rel=1e-8)
 
     def test_small_problem_forms_no_dense_matrix(self, monkeypatch):
-        # C*D = 20 is far below the dense size guard; Lanczos still runs
+        # C*D = 20 is far below the dense size guard; LOBPCG still runs
         rng = np.random.default_rng(13)
         data = Dataset(rng.standard_normal((5, 30)),
                        softmax(rng.standard_normal((4, 30))))
@@ -313,6 +329,59 @@ class TestExtremeEigenvaluesOnZ:
         lo_i, hi_i = extreme_eigenvalues_on_z(op)
         assert lo_i == pytest.approx(lo_d, rel=1e-8)
         assert hi_i == pytest.approx(hi_d, rel=1e-8)
+
+    @pytest.mark.parametrize("c, d", [(12, 20), (30, 8)])
+    def test_peaked_softmax_matches_dense(self, c, d):
+        op = peaked_operator(c, d)
+        lo_d, hi_d = dense_extremes(op)
+        assert hi_d / lo_d >= 300.0
+        lo_i, hi_i = extreme_eigenvalues_on_z(op)
+        assert lo_i == pytest.approx(lo_d, rel=1e-8)
+        assert hi_i == pytest.approx(hi_d, rel=1e-8)
+
+    def test_iteration_cap_raises_with_both_residuals(self, monkeypatch):
+        monkeypatch.setattr(convergence, "LOBPCG_MAX_ITER", 1)
+        with pytest.raises(NotConvergedError) as exc:
+            extreme_eigenvalues_on_z(ill_conditioned_operator())
+        err = exc.value
+        assert isinstance(err, ValueError)
+        assert err.iterations == 1 and len(err.residuals) == 2
+        lo_res, hi_res = err.residuals
+        assert "in 1 iterations" in str(err)
+        assert f"{lo_res:.3e} (lambda_min)" in str(err)
+        assert f"{hi_res:.3e} (lambda_max)" in str(err)
+
+    def test_every_product_is_one_stack_of_at_most_three(self, monkeypatch):
+        op = ill_conditioned_operator()
+        shapes = []
+        original = HessianOperator.apply
+
+        def recording(self, u):
+            shapes.append(np.shape(u))
+            return original(self, u)
+
+        monkeypatch.setattr(HessianOperator, "apply", recording)
+        extreme_eigenvalues_on_z(op)
+        assert shapes[0] == (3, op.c, op.d)
+        assert all(len(s) == 3 and 1 <= s[0] <= 3 and s[1:] == (op.c, op.d)
+                   for s in shapes)
+
+    def test_peak_memory_at_curvature_shape(self):
+        # C=10, D=256, N=8000: the stacked products and three blocks of at
+        # most three (C-1) D vectors stay far below one copy of X (16 MiB)
+        rng = np.random.default_rng(23)
+        c, d, n = 10, 256, 8000
+        x = rng.standard_normal((d - 1, n)) * (0.993 ** np.arange(d - 1))[:, None]
+        data = Dataset(np.vstack([x, np.ones((1, n))]), one_hot(rng.integers(1, c + 1, n), c))
+        op = HessianOperator(data, 0.3 * rng.standard_normal((c, d)))
+        certify(data)  # the rank test copies X; it runs once per dataset
+        tracemalloc.start()
+        try:
+            extreme_eigenvalues_on_z(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_iterative_is_deterministic(self):
         op = ill_conditioned_operator()
@@ -357,3 +426,21 @@ class TestZeroSumBasis:
                       for x, y in zip(data.x.T, op.y.T))
             err = np.max(np.abs(dense_hessian_on_z(op) - ref))
             assert err <= 1e-13 * np.max(np.abs(ref))
+
+
+class TestNumpyOnly:
+    def test_import_and_extremes_load_no_scipy(self):
+        # the extremes solver is numpy only: no scipy* module after import
+        # or after a C > 2 solve
+        code = ("import sys, numpy as np, smxreg, smxreg.cli\n"
+                "loaded = [m for m in sys.modules if m.startswith('scipy')]\n"
+                "rng = np.random.default_rng(0)\n"
+                "data = smxreg.Dataset(rng.standard_normal((4, 20)),\n"
+                "                      smxreg.softmax(rng.standard_normal((3, 20))))\n"
+                "smxreg.extreme_eigenvalues_on_z(smxreg.HessianOperator(data, np.zeros((3, 4))))\n"
+                "loaded += [m for m in sys.modules if m.startswith('scipy')]\n"
+                "print(sorted(set(loaded)))\n")
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=src), check=True)
+        assert proc.stdout == "[]\n"

@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from smxreg.convergence import dense_hessian_on_z, zero_sum_basis
-from smxreg.core import Dataset, DimensionMismatchError, SizeLimitError
+from smxreg.core import (Dataset, DimensionMismatchError, InvalidInputError,
+                         SizeLimitError, check_weights)
 from smxreg.hessian import DENSE_LIMIT, HessianOperator
 from smxreg.loss_grad import gradient
 from smxreg.softmax import q_matrix, softmax
@@ -87,6 +90,50 @@ class TestApply:
         before = op.apply(u)
         w[:] = 0.0  # mutating the caller's anchor must not leak in
         assert np.array_equal(op.apply(u), before)
+
+
+class TestStackedApply:
+    @pytest.mark.parametrize("b", [1, 3, 7])
+    def test_stack_equals_single_applies(self, b):
+        rng = np.random.default_rng(16)
+        w, data = random_instance(rng, 5, 7, 40)
+        op = HessianOperator(data, w)
+        u = rng.standard_normal((b, 5, 7))
+        stacked = op.apply(u)
+        assert stacked.shape == (b, 5, 7)
+        for k in range(b):
+            single = op.apply(u[k])
+            assert np.linalg.norm(stacked[k] - single) <= 1e-14 * np.linalg.norm(single)
+
+    def test_single_direction_is_bit_identical_to_the_unstacked_formula(self):
+        rng = np.random.default_rng(17)
+        w, data = random_instance(rng, 4, 6, 30)
+        op = HessianOperator(data, w)
+        u = rng.standard_normal((4, 6))
+        v = u @ data.x
+        s = np.sum(op.y * v, axis=0, keepdims=True)
+        qv = op.y * v - op.y * s
+        assert np.array_equal(op.apply(u), qv @ data.x.T)
+
+    def test_wrong_shape_stack_names_both_shapes(self):
+        rng = np.random.default_rng(18)
+        w, data = random_instance(rng, 3, 4, 5)
+        op = HessianOperator(data, w)
+        with pytest.raises(DimensionMismatchError,
+                           match=re.escape("weights have shape (2, 4, 3), "
+                                           "expected (2, 3, 4)")):
+            op.apply(np.zeros((2, 4, 3)))
+
+    def test_non_finite_stack_is_refused_like_one_direction(self):
+        rng = np.random.default_rng(19)
+        w, data = random_instance(rng, 3, 4, 5)
+        op = HessianOperator(data, w)
+        u = np.zeros((2, 3, 4))
+        u[1, 2, 0] = np.nan
+        with pytest.raises(InvalidInputError) as single:
+            check_weights(u[1], data)
+        with pytest.raises(InvalidInputError, match=re.escape(str(single.value))):
+            op.apply(u)
 
 
 class TestQuadraticForm:
