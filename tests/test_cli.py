@@ -376,6 +376,26 @@ class TestHostileInput:
         assert rc == 2
         assert "offset 16" in capsys.readouterr().err
 
+    def test_csv_label_column_is_named_as_given(self, toy_csv, capsys):
+        rc = main(["train", "--csv", toy_csv, "--classes", "2", "--eta", "0.1",
+                   "--label-column", "-5"])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: label column -5 outside -3..2\n"
+
+    @pytest.mark.parametrize("text, flags", [
+        ("", []), ("a,b,label\n", ["--header"]), ("\n\n\n", []),
+    ], ids=["empty", "header-only", "blank-lines"])
+    def test_csv_without_data_rows_is_one_error_line(self, tmp_path, capsys,
+                                                     text, flags):
+        f = tmp_path / "empty.csv"
+        f.write_text(text)
+        assert main(["certify", "--csv", str(f), "--classes", "2", *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: no data rows\n"
+
     def test_memory_error_exits_2(self, toy_csv, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 26.8 GiB")

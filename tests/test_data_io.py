@@ -1,9 +1,13 @@
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smxreg import data_io
 from smxreg.core import Dataset, DimensionMismatchError, InvalidLabelError
 from smxreg.data_io import (
     IDX_BLOCK_IMAGES,
@@ -355,6 +359,174 @@ class TestCsv:
             tracemalloc.stop()
         assert data.x.shape == (60, 4000)
         assert peak <= 3.0 * data.x.nbytes
+
+
+    @pytest.mark.parametrize("label_column, message", [
+        (-5, "label column -5 outside -3..2"),
+        (3, "label column 3 outside -3..2"),
+    ])
+    def test_label_column_out_of_range_is_named_as_given(self, tmp_path,
+                                                         label_column, message):
+        f = tmp_path / "toy.csv"
+        f.write_text("1,2,0\n3,4,1\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(f, label_column, 2)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize("text, header", [
+        ("", False), ("a,b,label\n", True), ("\n\r\n\n", False), ("  \n\t\n", False),
+    ], ids=["empty", "header-only", "blank-lines", "whitespace-lines"])
+    def test_no_data_rows(self, tmp_path, text, header):
+        # pytest turns warnings into errors, so numpy's "input contained no
+        # data" warning would fail this test if it escaped the loader
+        f = tmp_path / "empty.csv"
+        f.write_bytes(text.encode())
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(f, -1, 2, header=header)
+        assert str(exc.value) == "no data rows"
+
+    def test_other_warnings_are_not_silenced(self, tmp_path, monkeypatch):
+        def warn(*args, **kwargs):
+            warnings.warn("unrelated", UserWarning)
+            return np.zeros((1, 3))
+
+        monkeypatch.setattr(np, "loadtxt", warn)
+        f = tmp_path / "toy.csv"
+        f.write_text("1,2,0\n")
+        with pytest.raises(UserWarning, match="unrelated"):
+            load_csv(f, -1, 2)
+
+    @pytest.mark.parametrize("text, x", [
+        ("1,2,0\n   \n3,4,1\n", [[1.0, 3.0], [2.0, 4.0]]),
+        ("1_000,2,0\n3,4,1\n", [[1000.0, 3.0], [2.0, 4.0]]),
+        ("\u0661,2,0\n3,\u0664,1\n", [[1.0, 3.0], [2.0, 4.0]]),
+    ], ids=["whitespace-line", "underscore", "arabic-indic-digits"])
+    def test_cells_only_float_reads(self, tmp_path, text, x):
+        f = tmp_path / "toy.csv"
+        f.write_bytes(text.encode())
+        data = load_csv(f, -1, 2)
+        assert np.array_equal(data.x, x)
+        assert np.array_equal(data.t, [[1.0, 0.0], [0.0, 1.0]])
+
+
+# Cells that one reader or both refuse, or that only float() reads.
+_FAULTS = ["1_0", "\xa01", "1\xa0", "\x851", "1\x85", "4\f5", "1\f", "\f",
+           "\u0661", "", " ", "x", "nan", "-inf", "1e999", "0x1"]
+# Bytes that are not UTF-8.
+_BAD_BYTES = [b"\xff", b"\xc3", b"\x85", b"\xa0"]
+
+
+@st.composite
+def _csv_texts(draw):
+    """(CSV bytes, label column, class count, header) around a clean table
+    of doubles, with blank lines, mixed line ends and injected faults."""
+    width = draw(st.integers(1, 5))
+    c = draw(st.integers(2, 4))
+    rows = draw(st.integers(0, 5))
+    col = draw(st.sampled_from(sorted({0, width // 2, width - 1, -1, -width})))
+    if draw(st.integers(0, 9)) == 0:
+        col = draw(st.sampled_from([width, -width - 1]))
+    double = st.floats(allow_nan=False, allow_infinity=False, width=64)
+    style = draw(st.sampled_from([repr, lambda v: format(v, ".17g")]))
+    place = col % width   # where the labels go, also when col is out of range
+    table = []
+    for _ in range(rows):
+        cells = [style(draw(double)) for _ in range(width)]
+        label = draw(st.integers(0, c - 1))
+        cells[place] = draw(st.sampled_from([str(label), f"{label}.0", f" {label} "]))
+        table.append(cells)
+    for _ in range(draw(st.integers(0, 2)) if table else 0):
+        cells = table[draw(st.integers(0, len(table) - 1))]
+        if draw(st.booleans()):
+            cells[draw(st.integers(0, width - 1))] = draw(st.sampled_from(_FAULTS))
+        else:
+            cells[place] = draw(st.sampled_from(["0.5", str(c), "-1", "1e0", "-0"]))
+    if table and draw(st.integers(0, 4)) == 0:
+        cells = table[draw(st.integers(0, len(table) - 1))]
+        if len(cells) > 1 and draw(st.booleans()):
+            cells.pop()
+        else:
+            cells.append("0")
+    lines = [",".join(cells) for cells in table]
+    for _ in range(draw(st.integers(0, 2))):
+        lines.insert(draw(st.integers(0, len(lines))),
+                     draw(st.sampled_from(["", " ", "\t", "\f", "\xa0"])))
+    header = draw(st.booleans())
+    if header:
+        lines.insert(0, draw(st.sampled_from(["a,b", "", "1,2,0", "h\u00e9"])))
+    ends = st.sampled_from(["\n", "\r\n", "\r"])
+    text = b"".join(line.encode() + draw(ends).encode() for line in lines)
+    if text and draw(st.integers(0, 19)) == 0:
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(_BAD_BYTES)) + text[at:]
+    if text and draw(st.booleans()):
+        text = text.rstrip(b"\r\n")
+    return text, col, c, header
+
+
+def _outcome(load):
+    """What a loader makes of a file, as a comparable value: the bytes and
+    shapes of X and T, or the type and text of the error."""
+    try:
+        data = load()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return data.x.shape, data.x.tobytes(), data.t.shape, data.t.tobytes()
+
+
+class TestCsvReaders:
+    """``load_csv`` parses with numpy's reader and hands the files it refuses
+    to the line-by-line reader ``_load_csv_lines``; the two must agree."""
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_17_digit_doubles_read_back_bit_for_bit(self, tmp_path, bias):
+        # random bit patterns cover subnormals and both ends of the exponent
+        rng = np.random.default_rng(11)
+        feats = rng.integers(0, 2**64, (300, 7), dtype=np.uint64).view(float)
+        feats[~np.isfinite(feats)] = 0.5
+        labels = rng.integers(0, 4, 300)
+        f = tmp_path / "exact.csv"
+        f.write_text("".join(",".join(format(v, ".17g") for v in row) + f",{lab}\n"
+                             for row, lab in zip(feats.tolist(), labels)))
+        data = load_csv(f, -1, 4, bias=bias)
+        want = add_bias_row(feats.T) if bias else feats.T
+        _assert_bit_equal(data.x, want)
+        assert np.array_equal(data.t.argmax(axis=0), labels)
+
+    @pytest.mark.parametrize("label_column, header, newline, bias", [
+        (0, False, "\n", False), (2, True, "\r\n", True),
+        (-1, False, "\r", False), (-4, True, "\n", True),
+    ])
+    def test_clean_csv_never_reaches_the_line_reader(self, tmp_path, monkeypatch,
+                                                     label_column, header,
+                                                     newline, bias):
+        # a numpy upgrade that refused these files would silently bring
+        # back the slow path; this makes it fail loudly instead
+        def refuse(*args, **kwargs):
+            raise AssertionError("clean CSV reached the line reader")
+
+        monkeypatch.setattr(data_io, "_load_csv_lines", refuse)
+        rng = np.random.default_rng(12)
+        table = rng.standard_normal((20, 5))
+        table[:, label_column] = rng.integers(0, 3, 20)
+        lines = (["a,b,c,d,e"] if header else []) + [
+            ",".join(repr(v) for v in row) for row in table.tolist()]
+        lines.insert(len(lines) // 2, "")
+        f = tmp_path / "clean.csv"
+        f.write_bytes(newline.join(lines).encode() + newline.encode())
+        data = load_csv(f, label_column, 3, header=header, bias=bias)
+        assert data.n == 20 and data.d == 4 + bias
+
+    @settings(max_examples=300, deadline=None)
+    @given(_csv_texts())
+    def test_fast_path_agrees_with_line_reader(self, tmp_path_factory, case):
+        text, label_column, c, header = case
+        f = tmp_path_factory.getbasetemp() / "agree.csv"
+        f.write_bytes(text)
+        fast = _outcome(lambda: load_csv(f, label_column, c, header=header))
+        lines = _outcome(lambda: data_io._load_csv_lines(f, label_column, c,
+                                                         header, False))
+        assert fast == lines
 
 
 class TestAddBiasRow:
