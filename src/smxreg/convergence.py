@@ -16,13 +16,16 @@ makes eigenvalues, determinants and condition numbers directly computable.
 
 For every C > 2 the extremes come from one deterministic LOBPCG run
 (Knyazev 2001, SIAM J. Sci. Comput. 23(2)) that finds both ends of the
-spectrum at once.  Its block holds three vectors: the two lowest Ritz
-vectors, whose residuals are preconditioned by Z -> Z (X X^T)^-1, and the
-top one, whose residual is used raw.  Every iteration applies H once, to a
-stack of at most three directions, and stores three blocks of at most three
-(C-1) D vectors.  At C=10, D=256, N=8000 it takes 170-270 products in 65-110
-stacked calls.  The dense Z-restricted Hessian, :func:`dense_hessian_on_z`,
-is only its oracle.
+spectrum at once.  It starts from the extreme eigenvectors of the Kronecker
+model Qbar kron X X^T (the factor of K-FAC, Martens & Grosse 2015), Qbar the
+sample mean of Q^(n), plus a small seeded random block.  Its block holds
+three vectors: the lowest Ritz vector, whose residual is preconditioned by
+Z -> Z (X X^T)^-1, the top one, whose residual is used raw, and the
+second-lowest as a guard that gets no direction of its own.  After the start
+block every iteration applies H once, to a stack of at most two directions,
+and stores three blocks of at most three (C-1) D vectors.  At C=10, D=256,
+N=8000 it takes 95-170 products in 60-130 stacked calls.  The dense
+Z-restricted Hessian, :func:`dense_hessian_on_z`, is only its oracle.
 """
 from __future__ import annotations
 
@@ -187,12 +190,14 @@ def dense_hessian_on_z(h: HessianOperator) -> np.ndarray:
     return p.T @ h.dense() @ p
 
 
-# LOBPCG on H_Z: the seed of the start block, the stop tolerance on both
-# extreme Ritz residuals relative to lambda_max, and the iteration cap, ten
-# times the most measured (53-111 iterations at C=10, D=256, N=8000 and on
-# an MNIST-shaped anchor; 225 and 306 on the sharply peaked C=30, D=8 and
-# C=12, D=20 problems of the tests).
+# LOBPCG on H_Z: the seed of the random part of the start block and the
+# expected length of its rows against the unit Kronecker vectors, the stop
+# tolerance on both extreme Ritz residuals relative to lambda_max, and the
+# iteration cap, about 7.5 times the most measured (60-125 iterations at
+# C=10, D=256, N=8000, 15-36 on MNIST-shaped anchors; 205 and 390 on the
+# sharply peaked C=30, D=8 and C=12, D=20 problems of the tests).
 LOBPCG_SEED = 0
+LOBPCG_START_NOISE = 0.1
 LOBPCG_TOL = 1e-8
 LOBPCG_MAX_ITER = 3000
 # A new direction with less than this share of its length outside the
@@ -219,16 +224,20 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
     """Both extreme eigenvalues of H_Z from one LOBPCG run (Knyazev 2001).
 
     Works in the coordinates of :func:`zero_sum_basis`, with vectors as rows.
+    The start block is the three extreme eigenvectors of the Kronecker model
+    Qbar kron X X^T plus ``LOBPCG_START_NOISE`` times a seeded random block.
     The block X holds the two lowest Ritz vectors and the top one.  The new
-    directions W are the residuals, those of the low pair preconditioned by
-    Z -> Z (X X^T)^-1 from the cached ``Dataset.rank_factors``, the top one
-    raw; a vector whose residual is within the tolerance gets none (soft
-    locking).  The basis [X, W, P] stays orthonormal: W is projected off
-    [X, P], and P, the move of each Ritz vector out of the old X, is made
-    orthogonal to the new X in coefficient space.  Each iteration applies H
-    once, to the stack W.  The run stops once both extreme residuals are at
-    most ``LOBPCG_TOL`` * theta_max, and raises :class:`NotConvergedError`
-    after ``LOBPCG_MAX_ITER`` iterations.
+    directions W are the residuals of the pairs that are returned: the
+    lowest's preconditioned by Z -> Z (X X^T)^-1 from the cached
+    ``Dataset.rank_factors``, the top's raw; the second-lowest stays in X as a
+    guard with no direction, and a vector whose residual is within the
+    tolerance gets none (soft locking).  The basis [X, W, P] stays
+    orthonormal: W is projected off [X, P], and P, the move of each vector
+    with a direction out of the old X, is made orthogonal to the new X in
+    coefficient space.  Each iteration applies H once, to the stack W.  The
+    run stops once both extreme residuals are at most ``LOBPCG_TOL`` *
+    theta_max, and raises :class:`NotConvergedError` after
+    ``LOBPCG_MAX_ITER`` iterations.
     """
     b = zero_sum_basis(h.c)
     shape = (h.c - 1, h.d)
@@ -242,9 +251,19 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
     def precondition(r: np.ndarray) -> np.ndarray:
         return ((r.reshape(-1, *shape) @ left.T) * inv_s2 @ left).reshape(r.shape)
 
+    # Qbar on Z has eigenpairs (mu_i, q_i), X X^T has (s_k^2, v_k); the start
+    # takes q_i v_k^T for the two lowest and the top mu_i s_k^2, by a stable
+    # sort so that ties pick the same pairs with every numpy.  The random
+    # rows, of expected length LOBPCG_START_NOISE, leave no eigenvector
+    # orthogonal to the start.
     nx = min(3, m)
-    start = np.random.default_rng(LOBPCG_SEED).standard_normal((nx, m))
-    basis = _orthonormal_rows(start, np.empty((0, m)))
+    y = h.y
+    mu, q = np.linalg.eigh(b.T @ (np.diag(y.mean(axis=1)) - (y @ y.T) / h.n) @ b)
+    order = np.argsort(np.outer(mu, s**2), axis=None, kind="stable")
+    i, k = np.unravel_index([*order[: nx - 1], order[-1]], shape)
+    start = (q.T[i][:, :, None] * left[k][:, None, :]).reshape(nx, m)
+    noise = np.random.default_rng(LOBPCG_SEED).standard_normal((nx, m)) / np.sqrt(m)
+    basis = _orthonormal_rows(start + LOBPCG_START_NOISE * noise, np.empty((0, m)))
     products = apply(basis)
     active = np.ones(nx, dtype=bool)
     it = 0
@@ -274,8 +293,11 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
                 it, (float(res[0]), float(res[-1])),
             )
         it += 1
+        # Only the returned pairs get directions: the lowest a preconditioned
+        # residual, the top a raw one; the guard between them gets none.
         active = res > tol
-        w = np.concatenate([precondition(r[: nx - 1]), r[nx - 1:]])[active]
+        active[1:-1] = False
+        w = np.concatenate([precondition(r[:1]), r[1:]])[active]
         w = _orthonormal_rows(w / np.linalg.norm(w, axis=1, keepdims=True),
                               np.concatenate([x, p]))
         basis = np.concatenate([x, w, p])
@@ -288,17 +310,21 @@ def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
     For C = 2 these are the extreme eigenvalues of M.  For every C > 2 both
     extremes come from one LOBPCG run in the coordinates of
     :func:`zero_sum_basis`, started from a fixed-seed block, so repeated
-    calls give identical values.  The block holds the two lowest Ritz
-    vectors and the top one; the low pair's residuals are preconditioned by
-    Z -> Z (X X^T)^-1, built from ``Dataset.rank_factors``, the top one's
-    are not.  The run stops when both extreme Ritz residuals are at most
-    ``LOBPCG_TOL`` (1e-8) * lambda_max, and raises
+    calls give identical values.  The start block is the extreme
+    eigenvectors of the Kronecker model Qbar kron X X^T, Qbar the mean of
+    Q^(n), plus a small fixed-seed random block.  The block holds the two
+    lowest Ritz vectors and the top one.  Only the lowest and the top get
+    new directions: the lowest's residual preconditioned by
+    Z -> Z (X X^T)^-1, built from ``Dataset.rank_factors``, the top's raw;
+    the second-lowest is a guard.  The run stops when both extreme Ritz
+    residuals are at most ``LOBPCG_TOL`` (1e-8) * lambda_max, and raises
     :class:`~smxreg.core.NotConvergedError` after ``LOBPCG_MAX_ITER``
-    iterations.  Each iteration is one ``h.apply`` on a stack of at most
-    three directions; storage is three blocks of at most three vectors of
-    (C-1) D floats.  At C=10, D=256, N=8000 it takes 170-270 products in
-    65-110 calls; no dense matrix is formed.  Requires rank(X) = D; the
-    rank test runs once per dataset, not once per anchor.
+    iterations.  The start block is one ``h.apply`` on a stack of three
+    directions, every iteration one on a stack of at most two; storage is
+    three blocks of at most three vectors of (C-1) D floats.  At C=10,
+    D=256, N=8000 it takes 95-170 products in 60-130 calls; no dense matrix
+    is formed.  Requires rank(X) = D; the rank test runs once per dataset,
+    not once per anchor.
     """
     _check_full_rank(h.data)
     if h.c == 2:

@@ -61,6 +61,19 @@ def peaked_operator(c, d, n=60):
     return HessianOperator(data, rng.standard_normal((c, d)))
 
 
+def record_stacks(monkeypatch):
+    """The shapes of the stacks that ``HessianOperator.apply`` gets from now on."""
+    shapes = []
+    original = HessianOperator.apply
+
+    def recording(self, u):
+        shapes.append(np.shape(u))
+        return original(self, u)
+
+    monkeypatch.setattr(HessianOperator, "apply", recording)
+    return shapes
+
+
 class TestReduceTwoClass:
     def test_zero_weights_give_uniform_alpha(self):
         rng = np.random.default_rng(0)
@@ -352,19 +365,47 @@ class TestExtremeEigenvaluesOnZ:
         assert f"{hi_res:.3e} (lambda_max)" in str(err)
 
     def test_every_product_is_one_stack_of_at_most_three(self, monkeypatch):
+        # the start block is one stack of three; after it only the lowest
+        # and the top Ritz vectors get directions, the guard between them none
         op = ill_conditioned_operator()
-        shapes = []
-        original = HessianOperator.apply
-
-        def recording(self, u):
-            shapes.append(np.shape(u))
-            return original(self, u)
-
-        monkeypatch.setattr(HessianOperator, "apply", recording)
+        shapes = record_stacks(monkeypatch)
         extreme_eigenvalues_on_z(op)
         assert shapes[0] == (3, op.c, op.d)
-        assert all(len(s) == 3 and 1 <= s[0] <= 3 and s[1:] == (op.c, op.d)
-                   for s in shapes)
+        assert all(len(s) == 3 and 1 <= s[0] <= 2 and s[1:] == (op.c, op.d)
+                   for s in shapes[1:])
+
+    @pytest.mark.parametrize("make, most", [
+        (lambda: peaked_operator(12, 20), 433),
+        (lambda: peaked_operator(30, 8), 229),
+        (ill_conditioned_operator, 53),
+    ], ids=["peaked-12x20", "peaked-30x8", "ill-conditioned"])
+    def test_product_totals(self, monkeypatch, make, most):
+        # the totals are exact: the start block and the problems are seeded
+        op = make()
+        shapes = record_stacks(monkeypatch)
+        extreme_eigenvalues_on_z(op)
+        assert sum(s[0] for s in shapes) <= most
+
+    @pytest.mark.parametrize("seed", range(24))
+    def test_extremes_match_dense_on_random_problems(self, seed):
+        # C 3-8, D 2-12, N D+1 to 3D+20, hard labels, activations of variance
+        # up to 100; a draw with K > 1e4 on Z is drawn again.  The stop rule
+        # bounds both errors by about LOBPCG_TOL * lambda_max, so a start or
+        # a guard that settles on a pair that is not extreme fails here.
+        rng = np.random.default_rng([31, seed])
+        while True:
+            c, d = int(rng.integers(3, 9)), int(rng.integers(2, 13))
+            n = int(rng.integers(d + 1, 3 * d + 21))
+            data = Dataset(rng.standard_normal((d, n)),
+                           one_hot(rng.integers(1, c + 1, n), c))
+            scale = np.sqrt(rng.uniform(0.0, 100.0) / d)
+            op = HessianOperator(data, scale * rng.standard_normal((c, d)))
+            lo_d, hi_d = dense_extremes(op)
+            if hi_d <= 1e4 * lo_d:
+                break
+        lo_i, hi_i = extreme_eigenvalues_on_z(op)
+        assert abs(lo_i - lo_d) <= 2e-8 * hi_d
+        assert abs(hi_i - hi_d) <= 2e-8 * hi_d
 
     def test_peak_memory_at_curvature_shape(self):
         # C=10, D=256, N=8000: the stacked products and three blocks of at
