@@ -6,14 +6,22 @@ so the activations of the whole batch are just ``w @ x``.
 """
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
 # Target columns and the y of the spectrum functions must sum to 1 to this
 # tolerance (:func:`check_probability`).
 TARGET_COLUMN_SUM_TOL = 1e-12
+
+# A conversion or copy that writes at least this many bytes runs in column
+# blocks on several threads (:func:`column_blocks`).  Below it, starting the
+# threads costs more than they save; X at the paper's scale is 376 MB.
+PARALLEL_MIN_BYTES = 16 << 20
 
 
 class InvalidInputError(ValueError):
@@ -59,19 +67,60 @@ class NotConvergedError(ValueError):
         self.residuals = residuals
 
 
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on: its affinity mask, or
+    the machine's CPU count where the platform has no affinity call."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> None:
+    """Call ``fn(cols)`` on disjoint column slices that together cover 0..n.
+
+    ``fn`` converts or copies the columns ``cols`` of an array and writes
+    no other column, so the blocks may run at once.  When the work writes at
+    least ``PARALLEL_MIN_BYTES`` (``nbytes``) and :func:`usable_cpus` is 2
+    or more, the columns are split into one block per CPU, each run on its
+    own thread of a pool that lives for this call only.  Each block runs in
+    a copy of the caller's :mod:`contextvars` context, so the caller's
+    ``np.errstate`` holds there too.  Otherwise ``fn(slice(0, n))`` runs
+    once on the calling thread.  Elementwise work gives the same bits
+    either way.  An exception raised by a block propagates unchanged once
+    every block has ended.
+    """
+    k = min(usable_cpus(), n)
+    if nbytes < PARALLEL_MIN_BYTES or k < 2:
+        fn(slice(0, n))
+        return
+    # Imported here: the import costs about 6 ms and 0.6 MB of RSS, which
+    # every process that never takes this path would pay.
+    from concurrent.futures import ThreadPoolExecutor
+
+    edges = [n * i // k for i in range(k + 1)]
+    with ThreadPoolExecutor(k) as pool:
+        futures = [pool.submit(contextvars.copy_context().run, fn, slice(a, b))
+                   for a, b in zip(edges, edges[1:])]
+        for future in futures:
+            future.result()
+
+
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Coerce to a float64 2-D array, rejecting non-finite entries.
 
-    A finite sum proves every entry finite without an elementwise
-    temporary; only a sum that is not finite (a NaN or infinity, or finite
-    entries whose sum overflows) takes the exact elementwise test.
+    Finite row sums prove every entry finite.  They come from one BLAS
+    product ``X @ 1``, which BLAS spreads over its threads and which
+    allocates O(D + N) whatever the layout of X.  Only a row sum that is
+    not finite (a NaN or infinity in the row, or finite entries whose sum
+    overflows) takes the exact elementwise test.
     """
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {out.shape}")
     with np.errstate(over="ignore", invalid="ignore"):
-        total = out.sum()
-    if not np.isfinite(total) and not np.all(np.isfinite(out)):
+        sums = out @ np.ones(out.shape[1])
+    if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(out)):
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
 
@@ -127,7 +176,9 @@ class Dataset:
     can be shared across threads.  An array that is already float64,
     C-contiguous, read-only and owns its data (as the loaders and
     :func:`~smxreg.data_io.add_bias_row` return) is adopted without a copy;
-    anything else is copied and frozen.  Every check runs either way.  The
+    anything else is copied and frozen.  A copy of at least
+    ``PARALLEL_MIN_BYTES`` is made in column blocks on one thread per
+    usable CPU (:func:`column_blocks`).  Every check runs either way.  The
     adopted array stays the caller's object, so a caller that makes it
     writeable again can still change the dataset.
 
@@ -182,11 +233,14 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 def _adopt_or_freeze(a: np.ndarray) -> np.ndarray:
     """``a`` itself if it is a frozen, owned, C-contiguous float64 array;
-    otherwise a frozen C-order copy."""
+    otherwise a frozen C-order copy, made by :func:`column_blocks`."""
     f = a.flags
     if a.dtype == np.float64 and f.c_contiguous and f.owndata and not f.writeable:
         return a
-    return freeze(a.copy())
+    out = np.empty(a.shape, a.dtype)
+    column_blocks(lambda cols: np.copyto(out[:, cols], a[:, cols]),
+                  a.shape[1], out.nbytes)
+    return freeze(out)
 
 
 def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

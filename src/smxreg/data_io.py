@@ -30,16 +30,16 @@ from array import array
 
 import numpy as np
 
-from .core import (Dataset, DimensionMismatchError, InvalidLabelError, freeze,
-                   one_hot)
+from .core import (Dataset, DimensionMismatchError, InvalidLabelError,
+                   column_blocks, freeze, one_hot)
 
 WEIGHTS_MAGIC = b"SMXW"
 IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 DTYPE_UBYTE = 0x08
 
-# Images converted per block when :func:`load_idx_images` transposes the
-# pixels: a block of 1024 images (784 KB at 28 x 28) stays in cache while
+# Images converted per step when :func:`load_idx_images` transposes the
+# pixels: a step of 1024 images (784 KB at 28 x 28) stays in cache while
 # its columns of X are written.
 IDX_BLOCK_IMAGES = 1024
 
@@ -124,9 +124,12 @@ def load_idx_images(path, bias: bool = False) -> np.ndarray:
     by 255, since raw bytes would inflate activations and slow descent.
     ``bias=True`` appends a constant-1 row, giving (D+1) x N.
 
-    The result is C-contiguous and built in one pass: each block of
+    The result is C-contiguous and built in one pass: each step of
     ``IDX_BLOCK_IMAGES`` images is transposed and scaled straight into its
     columns of X.  Besides X, only the payload bytes (1/8 of X) are held.
+    An X of at least ``core.PARALLEL_MIN_BYTES`` is converted in column
+    blocks on one thread per CPU the process may use
+    (:func:`~smxreg.core.column_blocks`), with the same bits.
     """
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
@@ -135,9 +138,13 @@ def load_idx_images(path, bias: bool = False) -> np.ndarray:
     d = rows * cols
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, d)
     x = _feature_matrix(d, n, bias)
-    for j in range(0, n, IDX_BLOCK_IMAGES):
-        block = slice(j, j + IDX_BLOCK_IMAGES)
-        np.divide(pixels[block].T, 255.0, out=x[:d, block])
+
+    def convert(cols: slice) -> None:
+        for j in range(cols.start, cols.stop, IDX_BLOCK_IMAGES):
+            step = slice(j, min(j + IDX_BLOCK_IMAGES, cols.stop))
+            np.divide(pixels[step].T, 255.0, out=x[:d, step])
+
+    column_blocks(convert, n, x.nbytes)
     return x
 
 
@@ -330,11 +337,18 @@ def _load_csv_lines(path, label_column: int, c: int, header: bool,
 
 def _csv_dataset(table: np.ndarray, col: int, c: int, bias: bool) -> Dataset:
     """The Dataset of an N x W table whose column ``col`` (0..W-1) holds
-    labels already checked to be integers in 0..C-1."""
+    labels already checked to be integers in 0..C-1.  The features are
+    transposed into X by :func:`~smxreg.core.column_blocks`, in column
+    blocks on several threads once X reaches ``core.PARALLEL_MIN_BYTES``."""
     d = table.shape[1] - 1
     x = _feature_matrix(d, table.shape[0], bias)
-    x[:col] = table[:, :col].T
-    x[col:d] = table[:, col + 1:].T
+
+    def transpose(cols: slice) -> None:
+        rows = table[cols]
+        x[:col, cols] = rows[:, :col].T
+        x[col:d, cols] = rows[:, col + 1:].T
+
+    column_blocks(transpose, table.shape[0], x.nbytes)
     t = one_hot(table[:, col].astype(int) + 1, c)
     return _dataset(x, t, bias)
 
@@ -351,12 +365,15 @@ def add_bias_row(x) -> np.ndarray:
     """Append a constant-1 feature row (affine trick): result is (D+1) x N.
 
     The result is a new read-only, C-contiguous array, which
-    :class:`~smxreg.core.Dataset` adopts without copying.  Not idempotent by
-    design; calling twice appends two rows.
+    :class:`~smxreg.core.Dataset` adopts without copying.  A result of at
+    least ``core.PARALLEL_MIN_BYTES`` is copied in column blocks on one
+    thread per CPU the process may use (:func:`~smxreg.core.column_blocks`).
+    Not idempotent by design; calling twice appends two rows.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-D, got shape {x.shape}")
     out = _feature_matrix(x.shape[0], x.shape[1], True)
-    out[:-1] = x
+    column_blocks(lambda cols: np.copyto(out[:-1, cols], x[:, cols]),
+                  x.shape[1], out.nbytes)
     return freeze(out)

@@ -1,8 +1,12 @@
+import threading
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smxreg import core
 from smxreg.convergence import reduce_two_class
 from smxreg.core import (
     Dataset,
@@ -11,6 +15,7 @@ from smxreg.core import (
     InvalidLabelError,
     as_matrix,
     center_columns,
+    column_blocks,
     freeze,
     one_hot,
 )
@@ -119,6 +124,16 @@ def _one_hot_loop(labels, c):
     return out
 
 
+# The layouts the finite probe must handle: C order, F order, and a view
+# whose rows and columns are both strided.
+_LAYOUTS = [
+    lambda x: x,
+    np.asfortranarray,
+    lambda x: np.repeat(np.repeat(x, 2, axis=0), 3, axis=1)[::2, ::3],
+]
+_LAYOUT_IDS = ["c-order", "fortran-order", "strided"]
+
+
 class TestAsMatrix:
     def test_finite_entries_whose_sum_overflows_are_accepted(self):
         out = as_matrix([[1e308, 1e308]])
@@ -130,6 +145,33 @@ class TestAsMatrix:
     def test_nonfinite_entries_are_rejected(self, bad):
         with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
             as_matrix(bad, "x")
+
+    @pytest.mark.parametrize("layout", _LAYOUTS, ids=_LAYOUT_IDS)
+    @pytest.mark.parametrize("value, ok", [
+        (np.nan, False), (np.inf, False), (-np.inf, False), (1e308, True),
+    ], ids=["nan", "inf", "minus_inf", "sum_overflows"])
+    def test_every_layout_is_probed(self, layout, value, ok):
+        # row 2 holds the value twice, so 1e308 overflows that row's sum
+        x = np.arange(24.0).reshape(4, 6)
+        x[2, 1] = x[2, 4] = value
+        x = layout(x)
+        if ok:
+            assert np.array_equal(as_matrix(x), x)
+        else:
+            with pytest.raises(InvalidInputError, match="non-finite"):
+                as_matrix(x)
+
+    @pytest.mark.parametrize("layout", _LAYOUTS, ids=_LAYOUT_IDS)
+    def test_probe_allocates_o_d_plus_n(self, layout):
+        x = layout(np.random.default_rng(0).standard_normal((400, 3000)))
+        d, n = x.shape
+        tracemalloc.start()
+        try:
+            as_matrix(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * (d + n) + 4096 < x.nbytes // 50
 
 
 class TestDataset:
@@ -190,6 +232,17 @@ class TestDatasetAdoption:
         assert data.x.flags.c_contiguous and not data.x.flags.writeable
         assert np.array_equal(data.x, x)
 
+    def test_fortran_order_copy_is_the_same_on_both_paths(self, both_paths):
+        # 3001 columns: a multiple of neither block count
+        x = freeze(np.asfortranarray(np.random.default_rng(8).standard_normal((5, 3001))))
+        t = one_hot(np.arange(3001) % 2 + 1, 2)
+        serial, parallel, submitted = both_paths(lambda: Dataset(x, t))
+        assert submitted == 6  # x and t, three blocks each
+        for data in (serial, parallel):
+            assert data.x.flags.c_contiguous and not data.x.flags.writeable
+        assert serial.x.tobytes() == parallel.x.tobytes() == np.ascontiguousarray(x).tobytes()
+        assert np.array_equal(serial.t, parallel.t)
+
     def test_frozen_nonfinite_array_is_rejected(self):
         x = freeze(np.array([[np.inf, 0.0, 1.0], [0.0, 1.0, 2.0]]))
         with pytest.raises(InvalidInputError):
@@ -239,3 +292,60 @@ class TestWeightShapeCheck:
         with pytest.raises(DimensionMismatchError, match=r"\(2, 3\)") as info:
             call(np.zeros(shape), self.DATA)
         assert str(shape) in str(info.value)
+
+
+class TestColumnBlocks:
+    def test_blocks_cover_every_column_once_on_pool_threads(self, forced_parallel):
+        seen, lock = [], threading.Lock()
+
+        def record(cols):
+            with lock:
+                seen.append((cols, threading.get_ident()))
+
+        column_blocks(record, 10, 0)
+        assert sorted((c.start, c.stop) for c, _ in seen) == [(0, 3), (3, 6), (6, 10)]
+        assert threading.get_ident() not in {ident for _, ident in seen}
+
+    @pytest.mark.parametrize("cpus, n, floor", [
+        (1, 10, 0), (3, 10, 1001), (3, 1, 0), (3, 0, 0),
+    ], ids=["one-cpu", "below-the-size-constant", "one-column", "no-columns"])
+    def test_serial_path_is_one_call_on_the_calling_thread(self, monkeypatch, cpus,
+                                                           n, floor):
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", floor)
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        calls = []
+        column_blocks(lambda cols: calls.append((cols, threading.get_ident())), n, 1000)
+        assert calls == [(slice(0, n), threading.get_ident())]
+
+    def test_usable_cpus_follows_the_affinity_mask(self, monkeypatch):
+        monkeypatch.setattr(core.os, "sched_getaffinity", lambda pid: {0, 5, 7},
+                            raising=False)
+        assert core.usable_cpus() == 3
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_no_thread_outlives_the_call(self, forced_parallel, fail):
+        error = KeyError("block")
+
+        def block(cols):
+            if fail and cols.start > 0:
+                raise error
+
+        before = threading.active_count()
+        if fail:
+            with pytest.raises(KeyError) as info:
+                column_blocks(block, 9, 0)
+            assert info.value is error
+        else:
+            column_blocks(block, 9, 0)
+        assert threading.active_count() == before
+
+    def test_blocks_run_in_the_callers_errstate(self, forced_parallel):
+        # numpy 2 keeps np.errstate in a context variable; pytest turns the
+        # overflow warning into an error if a block runs without it
+        big = np.full(4, 1e308)
+
+        def overflow(cols):
+            np.multiply(big[cols], 10.0)
+
+        with np.errstate(over="ignore"):
+            column_blocks(overflow, 4, 0)

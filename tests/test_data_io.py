@@ -134,6 +134,20 @@ class TestIdxImages:
         assert x.flags.c_contiguous and x.dtype == np.float64
         assert np.array_equal(x, images.reshape(n, 6).T / 255.0)
 
+    # 2087 images: a multiple of neither IDX_BLOCK_IMAGES nor the 3 blocks
+    @pytest.mark.parametrize("n", [1, 2 * IDX_BLOCK_IMAGES + 39])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_blocked_conversion_matches_serial(self, tmp_path, both_paths, n, bias):
+        images = np.random.default_rng(7).integers(0, 256, (n, 3, 2), dtype=np.uint8)
+        f = tmp_path / "imgs.idx"
+        write_raw_images(f, images)
+        serial, parallel, submitted = both_paths(lambda: load_idx_images(f, bias=bias))
+        assert submitted == (3 if n > 1 else 0)
+        _assert_bit_equal(serial, parallel)
+        assert parallel.flags.c_contiguous
+        assert np.array_equal(parallel[:6], images.reshape(n, 6).T / 255.0)
+        assert np.all(parallel[6:] == 1.0) and parallel.shape[0] == 6 + bias
+
 
 class TestIdxLabels:
     def test_huge_declared_count_is_refused_before_reading(self, tmp_path):
@@ -188,19 +202,64 @@ class TestIdxLabels:
         # load -> add_bias_row -> Dataset holds X and its biased copy at
         # most: about 2.1x the final X, where a copying Dataset and an
         # F-order load reach 3x.
-        imgs = tmp_path / "imgs.idx"
-        labs = tmp_path / "labs.idx"
-        rng = np.random.default_rng(3)
-        write_raw_images(imgs, rng.integers(0, 256, (5000, 28, 28), dtype=np.uint8))
-        write_raw_labels(labs, rng.integers(0, 10, 5000).tolist())
-        tracemalloc.start()
-        try:
-            raw = load_idx_dataset(imgs, labs, 10)
-            data = Dataset(add_bias_row(raw.x), raw.t)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.3 * data.x.nbytes
+        assert _load_and_bias_peak(tmp_path) <= 2.3
+
+
+def _idx_pair(tmp_path):
+    """A 5000-image 28 x 28 IDX pair with 10 classes."""
+    imgs = tmp_path / "imgs.idx"
+    labs = tmp_path / "labs.idx"
+    rng = np.random.default_rng(3)
+    write_raw_images(imgs, rng.integers(0, 256, (5000, 28, 28), dtype=np.uint8))
+    write_raw_labels(labs, rng.integers(0, 10, 5000).tolist())
+    return imgs, labs
+
+
+def _peak_ratio(load, shape):
+    """The traced peak of ``load()`` over the bytes of the X it returns,
+    which must have ``shape``."""
+    tracemalloc.start()
+    try:
+        x = load()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert x.shape == shape
+    return peak / x.nbytes
+
+
+def _load_and_bias_peak(tmp_path):
+    imgs, labs = _idx_pair(tmp_path)
+
+    def load():
+        raw = load_idx_dataset(imgs, labs, 10)
+        return Dataset(add_bias_row(raw.x), raw.t).x
+
+    return _peak_ratio(load, (785, 5000))
+
+
+def _biased_load_peak(tmp_path):
+    imgs, labs = _idx_pair(tmp_path)
+    return _peak_ratio(lambda: load_idx_dataset(imgs, labs, 10, bias=True).x,
+                       (785, 5000))
+
+
+def _csv_load_peak(tmp_path):
+    rng = np.random.default_rng(4)
+    f = tmp_path / "big.csv"
+    feats = rng.standard_normal((4000, 60))
+    labels = rng.integers(0, 3, 4000)
+    f.write_text("".join(",".join(map(repr, row)) + f",{lab}\n"
+                         for row, lab in zip(feats.tolist(), labels)))
+    return _peak_ratio(lambda: load_csv(f, -1, 3).x, (60, 4000))
+
+
+@pytest.mark.parametrize("peak, bound", [
+    (_load_and_bias_peak, 2.3), (_biased_load_peak, 1.3), (_csv_load_peak, 3.0),
+], ids=["load-and-bias", "biased-load", "csv"])
+def test_peak_bounds_hold_on_the_parallel_path(tmp_path, forced_parallel, peak, bound):
+    # the same bounds as the tests that run the default path
+    assert peak(tmp_path) <= bound
 
 
 def _assert_bit_equal(a, b):
@@ -257,19 +316,7 @@ class TestBiasedLoaders:
     def test_biased_load_peak_memory(self, tmp_path):
         # X is allocated once at its final (D+1) x N size; besides it only
         # the payload bytes (1/8 of X) and the one-hot targets are held.
-        imgs = tmp_path / "imgs.idx"
-        labs = tmp_path / "labs.idx"
-        rng = np.random.default_rng(3)
-        write_raw_images(imgs, rng.integers(0, 256, (5000, 28, 28), dtype=np.uint8))
-        write_raw_labels(labs, rng.integers(0, 10, 5000).tolist())
-        tracemalloc.start()
-        try:
-            data = load_idx_dataset(imgs, labs, 10, bias=True)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert data.x.shape == (785, 5000)
-        assert peak <= 1.3 * data.x.nbytes
+        assert _biased_load_peak(tmp_path) <= 1.3
 
 
 class TestCsv:
@@ -336,6 +383,21 @@ class TestCsv:
         assert str(exc.value) == message
 
 
+    @pytest.mark.parametrize("label_column", [0, 2, -1])
+    def test_blocked_transpose_matches_serial(self, tmp_path, both_paths, label_column):
+        rng = np.random.default_rng(13)
+        table = rng.standard_normal((101, 5))
+        table[:, label_column] = rng.integers(0, 3, 101)
+        f = tmp_path / "t.csv"
+        f.write_text("".join(",".join(repr(v) for v in row) + "\n"
+                             for row in table.tolist()))
+        serial, parallel, submitted = both_paths(
+            lambda: load_csv(f, label_column, 3, bias=True).x)
+        assert submitted == 3
+        _assert_bit_equal(serial, parallel)
+        feats = np.delete(table, label_column % 5, axis=1)
+        _assert_bit_equal(parallel, add_bias_row(feats.T))
+
     def test_form_feed_does_not_split_a_line(self, tmp_path):
         f = tmp_path / "bad.csv"
         f.write_bytes(b"1,2,0\n3,4\f5,1\n")
@@ -343,22 +405,9 @@ class TestCsv:
             load_csv(f, -1, 2)
 
     def test_load_peak_memory(self, tmp_path):
-        # the file is parsed line by line into one buffer of doubles, so
-        # besides X the load holds about one more X, never the whole text
-        rng = np.random.default_rng(4)
-        f = tmp_path / "big.csv"
-        feats = rng.standard_normal((4000, 60))
-        labels = rng.integers(0, 3, 4000)
-        f.write_text("".join(",".join(map(repr, row)) + f",{lab}\n"
-                             for row, lab in zip(feats.tolist(), labels)))
-        tracemalloc.start()
-        try:
-            data = load_csv(f, -1, 3)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert data.x.shape == (60, 4000)
-        assert peak <= 3.0 * data.x.nbytes
+        # numpy's reader parses the file into one N x W table of doubles,
+        # so besides X the load holds about one more X, never the whole text
+        assert _csv_load_peak(tmp_path) <= 3.0
 
 
     @pytest.mark.parametrize("label_column, message", [
@@ -546,6 +595,15 @@ class TestAddBiasRow:
     def test_result_is_read_only_c_order(self):
         out = add_bias_row(np.asfortranarray(np.ones((3, 4))))
         _assert_frozen_c(out)
+
+    def test_blocked_copy_of_a_strided_view_matches_serial(self, both_paths):
+        base = np.random.default_rng(9).standard_normal((8, 301))
+        x = base[1::2, ::3]
+        serial, parallel, submitted = both_paths(lambda: add_bias_row(x))
+        assert submitted == 3
+        _assert_bit_equal(serial, parallel)
+        _assert_bit_equal(parallel, np.vstack([x, np.ones((1, 101))]))
+        _assert_frozen_c(parallel)
 
 
 def _assert_frozen_c(x):
