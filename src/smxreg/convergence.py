@@ -209,15 +209,26 @@ def _orthonormal_rows(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the part of the row space of ``w`` that is
     orthogonal to the orthonormal rows of ``q``.
 
-    Directions whose singular value falls to ``LOBPCG_DROP`` or below are
-    dropped; two rounds of projection and SVD leave the rows orthogonal to
-    ``q`` to rounding level (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).
+    One projection and SVD drop the directions whose singular value falls
+    to ``LOBPCG_DROP`` or below.  The rows left are orthonormal, so a second
+    projection barely moves them, and ``eigh`` of their Gram matrix, which
+    is close to the identity, makes them orthonormal again; the two rounds
+    leave the rows orthogonal to ``q`` to rounding level (Hetmaniuk &
+    Lehoucq, J. Comput. Phys. 218, 2006).
     """
-    for _ in range(2):
-        w = w - (w @ q.T) @ q
-        _, sv, vt = np.linalg.svd(w, full_matrices=False)
-        w = vt[sv > LOBPCG_DROP]
-    return w
+    w = w - (w @ q.T) @ q
+    _, sv, vt = np.linalg.svd(w, full_matrices=False)
+    w = vt[sv > LOBPCG_DROP]
+    w -= (w @ q.T) @ q
+    gram, v = np.linalg.eigh(w @ w.T)
+    return (v / np.sqrt(gram)).T @ w
+
+
+def _xxt_inverse(s: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """(X X^T)^-1 = left^T diag(1/s^2) left as one D x D matrix, from the
+    singular values and left singular vectors (rows) of
+    ``Dataset.rank_factors``."""
+    return left.T @ (left / (s * s)[:, None])
 
 
 def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
@@ -228,7 +239,8 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
     Qbar kron X X^T plus ``LOBPCG_START_NOISE`` times a seeded random block.
     The block X holds the two lowest Ritz vectors and the top one.  The new
     directions W are the residuals of the pairs that are returned: the
-    lowest's preconditioned by Z -> Z (X X^T)^-1 from the cached
+    lowest's preconditioned by Z -> Z (X X^T)^-1, one product with the D x D
+    matrix :func:`_xxt_inverse` formed once per call from the cached
     ``Dataset.rank_factors``, the top's raw; the second-lowest stays in X as a
     guard with no direction, and a vector whose residual is within the
     tolerance gets none (soft locking).  The basis [X, W, P] stays
@@ -243,13 +255,13 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
     shape = (h.c - 1, h.d)
     m = shape[0] * shape[1]
     s, left = h.data.rank_factors
-    inv_s2 = 1.0 / s**2
+    xxt_inv = _xxt_inverse(s, left)
 
     def apply(v: np.ndarray) -> np.ndarray:
         return (b.T @ h.apply(b @ v.reshape(-1, *shape))).reshape(v.shape)
 
     def precondition(r: np.ndarray) -> np.ndarray:
-        return ((r.reshape(-1, *shape) @ left.T) * inv_s2 @ left).reshape(r.shape)
+        return (r.reshape(-1, h.d) @ xxt_inv).reshape(r.shape)
 
     # Qbar on Z has eigenpairs (mu_i, q_i), X X^T has (s_k^2, v_k); the start
     # takes q_i v_k^T for the two lowest and the top mu_i s_k^2, by a stable

@@ -9,11 +9,12 @@ kernel is exactly  {U : U X = 1 c^T for some c},  i.e. the directions whose
 activations shift every class equally on every sample.
 
 ``apply`` never materializes the rank-one factors x x^T: with V = U X the
-columns Q^(n) v^(n) are formed elementwise and closed with one D-sized
-product, so a Hessian product costs O(N C D).  It also takes a stack of b
-directions, shape (b, C, D): one (bC) x D by D x N product, the columns
-elementwise, and one product with X^T, which is cheaper per direction than
-b single products.
+columns Q^(n) v^(n) are formed elementwise in V's own buffer and closed
+with one D-sized product, so a Hessian product costs O(N C D) and holds V
+and one temporary of its size.  It also takes a stack of b directions,
+shape (b, C, D): one (bC) x D by D x N product, the columns elementwise,
+and one product with X^T, which is cheaper per direction than b single
+products.
 """
 from __future__ import annotations
 
@@ -64,13 +65,16 @@ class HessianOperator:
     def n(self) -> int:
         return self.data.n
 
-    def _q_columns(self, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # v^(n) = U x^(n);  Q^(n) v^(n) = y*v - y (y.v), all columns at once,
-        # and for a stack of directions all of them in one product.
-        v = (u.reshape(-1, self.d) @ self.data.x).reshape(*u.shape[:-1], self.n)
-        qv = self.y * v
-        qv -= self.y * np.sum(qv, axis=-2, keepdims=True)
-        return v, qv
+    def _times_x(self, u: np.ndarray) -> np.ndarray:
+        # v^(n) = U x^(n), all columns at once, and for a stack of directions
+        # all of them in one product.
+        return (u.reshape(-1, self.d) @ self.data.x).reshape(*u.shape[:-1], self.n)
+
+    def _q_columns(self, v: np.ndarray) -> np.ndarray:
+        # Q^(n) v^(n) = y*v - y (y.v) for every column, in v's own buffer.
+        v *= self.y
+        v -= self.y * np.sum(v, axis=-2, keepdims=True)
+        return v
 
     def _check_directions(self, u) -> np.ndarray:
         """One C x D direction, checked by :func:`check_weights`, or a
@@ -89,14 +93,14 @@ class HessianOperator:
         """H(U), computed matrix-free in O(N C D); for a (b, C, D) stack of
         directions, the stack of their products."""
         u = self._check_directions(u)
-        _, qv = self._q_columns(u)
+        qv = self._q_columns(self._times_x(u))
         return (qv.reshape(-1, self.n) @ self.data.x.T).reshape(u.shape)
 
     def quadratic_form(self, u) -> float:
         """<H(U), U>_F = sum_n (U x^(n))^T Q^(n) (U x^(n)); >= 0 up to rounding."""
         u = check_weights(u, self.data)
-        v, qv = self._q_columns(u)
-        return float(np.sum(qv * v))
+        v = self._times_x(u)
+        return float(np.sum(self._q_columns(v.copy()) * v))
 
     def kernel_test(self, u) -> KernelTest:
         """Decide membership in ker H = {U : U X = 1 c^T}.

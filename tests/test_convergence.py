@@ -445,6 +445,63 @@ class TestExtremeEigenvaluesOnZ:
             extreme_eigenvalues_on_z(op)
 
 
+class TestLobpcgSteps:
+    def test_orthonormal_rows_are_orthonormal_and_orthogonal_to_q(self):
+        rng = np.random.default_rng(40)
+        m = 300
+        q = np.linalg.qr(rng.standard_normal((m, 4)))[0].T
+        for k in (1, 2, 3, 6):
+            w = convergence._orthonormal_rows(rng.standard_normal((k, m)), q)
+            assert w.shape == (k, m)
+            assert np.max(np.abs(w @ w.T - np.eye(k))) <= 1e-13
+            assert np.max(np.abs(w @ q.T)) <= 1e-13
+        # rows with only 1e-7 of their length off q: one projection leaves
+        # them about 1e-9 inside span(q), the second round removes that
+        near = rng.standard_normal((2, 4)) @ q + 1e-7 * rng.standard_normal((2, m))
+        w = convergence._orthonormal_rows(near, q)
+        assert w.shape == (2, m)
+        assert np.max(np.abs(w @ w.T - np.eye(2))) <= 1e-13
+        assert np.max(np.abs(w @ q.T)) <= 1e-13
+
+    def test_orthonormal_rows_drop_dependent_rows(self):
+        rng = np.random.default_rng(41)
+        m = 50
+        q = np.linalg.qr(rng.standard_normal((m, 3)))[0].T
+        free = rng.standard_normal((2, m))
+        inside = rng.standard_normal(3) @ q
+        w = convergence._orthonormal_rows(np.vstack([free[0], inside, free[1], free[0]]), q)
+        assert w.shape == (2, m)
+        assert np.max(np.abs(w @ w.T - np.eye(2))) <= 1e-13
+        assert np.max(np.abs(w @ q.T)) <= 1e-13
+        # the span is that of the free rows off q
+        free_off_q = free - (free @ q.T) @ q
+        assert np.linalg.norm(free_off_q - (free_off_q @ w.T) @ w) <= 1e-12
+
+    def test_orthonormal_rows_of_dependent_rows_are_empty(self):
+        rng = np.random.default_rng(42)
+        m = 40
+        q = np.linalg.qr(rng.standard_normal((m, 3)))[0].T
+        w = convergence._orthonormal_rows(rng.standard_normal((4, 3)) @ q, q)
+        assert w.shape == (0, m)
+        assert convergence._orthonormal_rows(np.zeros((2, m)), q).shape == (0, m)
+
+    @pytest.mark.parametrize("decay", [1.0, 0.946], ids=["well-conditioned", "k-1e6"])
+    def test_one_product_preconditioner_equals_two_products(self, decay):
+        # r (X X^T)^-1 as one product with left^T diag(1/s^2) left, against
+        # the two products r left^T diag(1/s^2) and then left
+        rng = np.random.default_rng(43)
+        d, n = 256, 2000
+        x = rng.standard_normal((d, n)) * (decay ** np.arange(d))[:, None]
+        data = Dataset(x, softmax(rng.standard_normal((3, n))))
+        s, left = data.rank_factors
+        if decay < 1.0:
+            assert 1e5 <= s[0] / s[-1] <= 1e7
+        r = rng.standard_normal((2 * 9, d))
+        two = ((r @ left.T) / s**2) @ left
+        one = r @ convergence._xxt_inverse(s, left)
+        assert np.linalg.norm(one - two) <= 1e-12 * np.linalg.norm(two)
+
+
 class TestZeroSumBasis:
     def test_two_class_column_is_xi(self):
         assert np.allclose(zero_sum_basis(2)[:, 0], XI, atol=1e-15)

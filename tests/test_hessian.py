@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -123,6 +124,23 @@ class TestStackedApply:
                            match=re.escape("weights have shape (2, 4, 3), "
                                            "expected (2, 3, 4)")):
             op.apply(np.zeros((2, 4, 3)))
+
+    def test_peak_memory_of_a_stack_of_three(self):
+        # C=10, D=256, N=8000: V = U X is scaled and reduced in its own
+        # buffer, so the peak is V plus one temporary of its size
+        rng = np.random.default_rng(20)
+        c, d, n, b = 10, 256, 8000, 3
+        data = Dataset(rng.standard_normal((d, n)), softmax(rng.standard_normal((c, n))))
+        op = HessianOperator(data, 0.3 * rng.standard_normal((c, d)))
+        u = rng.standard_normal((b, c, d))
+        op.apply(u)
+        tracemalloc.start()
+        try:
+            op.apply(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.2 * b * c * n * 8
 
     def test_non_finite_stack_is_refused_like_one_direction(self):
         rng = np.random.default_rng(19)

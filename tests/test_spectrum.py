@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from smxreg import spectrum
 from smxreg.core import Dataset, InvalidInputError
 from smxreg.softmax import q_matrix, softmax
 from smxreg.spectrum import (
@@ -38,12 +41,21 @@ def scalar_groups(pos_sorted):
     return [float(np.mean(g)) for g in groups], [len(g) for g in groups]
 
 
+def secular_f(values, counts, lam):
+    return float(np.sum(counts * values * values / (values - lam)))
+
+
+def shrunk_bracket(lo, hi):
+    """The gap (lo, hi) shrunk inward as analyze_q shrinks it."""
+    pad = 1e-15 * (hi - lo)
+    return max(lo + pad, np.nextafter(lo, hi)), min(hi - pad, np.nextafter(hi, lo))
+
+
 def scalar_roots(values, counts):
-    """Reference bisection, one gap and one point at a time.  The batched
-    bisection in analyze_q does the same arithmetic, so its roots must be
-    equal bit for bit."""
+    """Reference bisection, one gap and one point at a time, to BISECT_TOL:
+    the oracle of analyze_q's interlaced roots."""
     def f(lam):
-        return float(np.sum(counts * values * values / (values - lam)))
+        return secular_f(values, counts, lam)
 
     roots = []
     for lo, hi in zip(values[:-1], values[1:]):
@@ -51,9 +63,7 @@ def scalar_roots(values, counts):
         if hi - lo < DEGENERATE_GAP:
             roots.append(lo)
             continue
-        pad = 1e-15 * (hi - lo)
-        lo2 = max(lo + pad, np.nextafter(lo, hi))
-        hi2 = min(hi - pad, np.nextafter(hi, lo))
+        lo2, hi2 = shrunk_bracket(lo, hi)
         if f(lo2) >= 1.0:
             roots.append(float(lo2))
             continue
@@ -70,6 +80,29 @@ def scalar_roots(values, counts):
                 hi2 = mid
         roots.append(float(0.5 * (lo2 + hi2)))
     return roots
+
+
+def adversarial_vectors(rng):
+    """Hard cases for the secular solver: gaps from 10^-9.5 to 10^-3, in
+    pairs and next to pairs of nearly equal values; coordinates down to
+    1e-11 beside ones of order 1; sharply peaked softmax outputs; C=2000."""
+    vectors = []
+    for e in np.linspace(-9.5, -3.0, 14):
+        raw = rng.random(int(rng.integers(3, 20)))
+        raw[rng.integers(1, raw.size)] = raw[0] * (1.0 + 10.0**e * raw.size)
+        vectors.append(raw / raw.sum())
+        raw = rng.random(int(rng.integers(3, 20)))
+        raw = np.concatenate([raw, raw + 10.0**e])
+        vectors.append(raw / raw.sum())
+    for e in range(-11, -2):
+        tiny = 10.0**e * (1.0 + rng.random(int(rng.integers(1, 4))))
+        raw = np.concatenate([tiny, rng.random(int(rng.integers(1, 8)))])
+        vectors.append(raw / raw.sum())
+    for scale in (5.0, 10.0, 20.0, 30.0):
+        vectors += [softmax(scale * rng.standard_normal(int(rng.integers(3, 40))))
+                    for _ in range(5)]
+    vectors.append(softmax(4.0 * rng.standard_normal(2000)))
+    return vectors
 
 
 class TestAnalyzeQ:
@@ -210,7 +243,10 @@ class TestAnalyzeQ:
         expected = np.linalg.eigvalsh(q_matrix(y))
         assert np.max(np.abs(analyze_q(y).multiset() - expected)) <= 1e-9
 
-    def test_batched_bisection_matches_scalar_reference(self):
+    def test_secular_roots_match_scalar_reference(self, monkeypatch):
+        # The pole-aware iteration against the scalar bisection: grouping
+        # equal, every root within BISECT_TOL of the oracle with a sign change
+        # of f - 1 across it, and at most 8 evaluations of f per vector.
         rng = np.random.default_rng(9)
         vectors = [softmax(rng.standard_normal(10)) for _ in range(50)]
         vectors.append(softmax(2.0 * rng.standard_normal(300)))
@@ -226,13 +262,77 @@ class TestAnalyzeQ:
         for _ in range(5):
             raw = np.concatenate([0.002 + 1e-14 * rng.random(400), rng.random(5)])
             vectors.append(raw / raw.sum())
+        vectors += adversarial_vectors(rng)
+
+        calls = []
+        secular = spectrum._secular
+
+        def counting(*args):
+            calls[-1] += 1
+            return secular(*args)
+
+        monkeypatch.setattr(spectrum, "_secular", counting)
         for y in vectors:
+            calls.append(0)
             report = analyze_q(y)
+            assert calls[-1] <= 8
             values, counts = scalar_groups(np.sort(y[y > GROUP_TOL]))
             assert report.distinct_values == tuple(values)
             assert report.counts == tuple(counts)
-            roots = [e.value for e in entry_of_kind(report, KIND_INTERLACED)]
-            assert roots == scalar_roots(np.array(values), np.array(counts))
+            a, nu = np.array(values), np.array(counts)
+            roots = sorted(entry_of_kind(report, KIND_INTERLACED), key=lambda e: e.bracket)
+            for e, ref in zip(roots, scalar_roots(a, nu), strict=True):
+                assert abs(e.value - ref) <= BISECT_TOL
+                if e.degenerate_gap:
+                    continue
+                lo2, hi2 = shrunk_bracket(*e.bracket)
+                left = min(max(e.value - BISECT_TOL / 2, lo2), hi2)
+                right = max(min(e.value + BISECT_TOL / 2, hi2), lo2)
+                assert secular_f(a, nu, left) <= 1.0 <= secular_f(a, nu, right)
+
+    @pytest.mark.parametrize("model", ["left-of-bracket", "nan"])
+    def test_model_root_outside_the_bracket_bisects(self, monkeypatch, model):
+        # a model root outside the bracket, or no root at all, is replaced by
+        # the bracket's midpoint: every step bisects, and the roots still
+        # match the oracle after about 45 steps
+        def outside(lo, delta, g, s1, s2):
+            return lo - delta if model == "left-of-bracket" else np.full_like(lo, np.nan)
+
+        calls = []
+        secular = spectrum._secular
+
+        def counting(*args):
+            calls[-1] += 1
+            assert calls[-1] <= 60
+            return secular(*args)
+
+        monkeypatch.setattr(spectrum, "_pole_root", outside)
+        monkeypatch.setattr(spectrum, "_secular", counting)
+        rng = np.random.default_rng(10)
+        for y in [softmax(rng.standard_normal(10)) for _ in range(5)]:
+            calls.append(0)
+            report = analyze_q(y)
+            values = np.array(report.distinct_values)
+            roots = sorted(e.value for e in entry_of_kind(report, KIND_INTERLACED))
+            ref = scalar_roots(values, np.array(report.counts))
+            assert np.max(np.abs(np.array(roots) - ref)) <= BISECT_TOL
+            assert calls[-1] >= 40
+
+    def test_secular_peak_memory_at_c1000(self):
+        # the solver reuses one gaps x r buffer per evaluation; at C=1000 it
+        # peaks at about 2.5 of them, where bisection took 2.0
+        rng = np.random.default_rng(8)
+        y = softmax(2.0 * rng.standard_normal(1000))
+        report = analyze_q(y)
+        r = len(report.distinct_values)
+        gaps = sum(not e.degenerate_gap for e in entry_of_kind(report, KIND_INTERLACED))
+        tracemalloc.start()
+        try:
+            analyze_q(y)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * gaps * r * 8
 
     @settings(max_examples=100, deadline=None)
     @given(probability_vectors)
