@@ -24,7 +24,6 @@ from .core import (
     DimensionMismatchError,
     InvalidInputError,
     InvalidLabelError,
-    NotConvergedError,
     RankDeficientError,
     SizeLimitError,
     UnsupportedShapeError,
@@ -45,7 +44,6 @@ __all__ = [
     "HessianOperator",
     "InvalidInputError",
     "InvalidLabelError",
-    "NotConvergedError",
     "RankDeficientError",
     "SizeLimitError",
     "SpectrumReport",

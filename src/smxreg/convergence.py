@@ -24,8 +24,11 @@ Z -> Z (X X^T)^-1, the top one, whose residual is used raw, and the
 second-lowest as a guard that gets no direction of its own.  After the start
 block every iteration applies H once, to a stack of at most two directions,
 and stores three blocks of at most three (C-1) D vectors.  At C=10, D=256,
-N=8000 it takes 95-170 products in 60-130 stacked calls.  The dense
-Z-restricted Hessian, :func:`dense_hessian_on_z`, is only its oracle.
+N=8000 it takes 91-361 directions.  A run about to pass 2m directions,
+m = (C-1) D, ends on the exact m x m matrix H_Z, assembled by applying H to
+the m coordinate directions of Z, so every call ends within 3m directions.
+The dense Z-restricted Hessian, :func:`dense_hessian_on_z`, assembled
+independently of ``apply``, is the oracle.
 """
 from __future__ import annotations
 
@@ -38,7 +41,6 @@ from .certify import ConvexityCertificate, certify
 from .core import (
     Dataset,
     InvalidInputError,
-    NotConvergedError,
     RankDeficientError,
     UnsupportedShapeError,
     activations,
@@ -193,13 +195,17 @@ def dense_hessian_on_z(h: HessianOperator) -> np.ndarray:
 # LOBPCG on H_Z: the seed of the random part of the start block and the
 # expected length of its rows against the unit Kronecker vectors, the stop
 # tolerance on both extreme Ritz residuals relative to lambda_max, and the
-# iteration cap, about 7.5 times the most measured (60-125 iterations at
-# C=10, D=256, N=8000, 15-36 on MNIST-shaped anchors; 205 and 390 on the
-# sharply peaked C=30, D=8 and C=12, D=20 problems of the tests).
+# budget of Hessian directions in units of m = (C-1) D, past which the run
+# assembles H_Z exactly instead.  Runs that converge stay inside 2m:
+# curvature anchors (C=10, D=256, N=8000) take 91-361 of 4608 directions,
+# and the slowest tier-1 run, peaked_operator(12, 20), 433 = 1.97 m.  A run
+# still going at 2m is a small, sharply peaked one, where LOBPCG can crawl
+# for thousands of directions; the m products of the exact matrix cost
+# less, so no run takes more than 3m directions.
 LOBPCG_SEED = 0
 LOBPCG_START_NOISE = 0.1
 LOBPCG_TOL = 1e-8
-LOBPCG_MAX_ITER = 3000
+LOBPCG_BUDGET = 2
 # A new direction with less than this share of its length outside the
 # basis it extends adds nothing and is dropped.
 LOBPCG_DROP = 1e-10
@@ -209,16 +215,19 @@ def _orthonormal_rows(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the part of the row space of ``w`` that is
     orthogonal to the orthonormal rows of ``q``.
 
-    One projection and SVD drop the directions whose singular value falls
-    to ``LOBPCG_DROP`` or below.  The rows left are orthonormal, so a second
-    projection barely moves them, and ``eigh`` of their Gram matrix, which
-    is close to the identity, makes them orthonormal again; the two rounds
-    leave the rows orthogonal to ``q`` to rounding level (Hetmaniuk &
-    Lehoucq, J. Comput. Phys. 218, 2006).
+    One projection drops the directions whose singular value falls to
+    ``LOBPCG_DROP`` or below; the singular values and vectors come from the
+    small triangular factor R of w^T = Q R, so the rows kept are
+    (V^T w) / sigma for the SVD R = U diag(sigma) V^T.  The rows left are
+    orthonormal, so a second projection barely moves them, and ``eigh`` of
+    their Gram matrix, which is close to the identity, makes them
+    orthonormal again; the two rounds leave the rows orthogonal to ``q`` to
+    rounding level (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).
     """
     w = w - (w @ q.T) @ q
-    _, sv, vt = np.linalg.svd(w, full_matrices=False)
-    w = vt[sv > LOBPCG_DROP]
+    _, sv, vt = np.linalg.svd(np.linalg.qr(w.T, mode="r"))
+    keep = sv > LOBPCG_DROP
+    w = (vt[keep] @ w) / sv[keep, None]
     w -= (w @ q.T) @ q
     gram, v = np.linalg.eigh(w @ w.T)
     return (v / np.sqrt(gram)).T @ w
@@ -248,8 +257,10 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
     with a direction out of the old X, is made orthogonal to the new X in
     coefficient space.  Each iteration applies H once, to the stack W.  The
     run stops once both extreme residuals are at most ``LOBPCG_TOL`` *
-    theta_max, and raises :class:`NotConvergedError` after
-    ``LOBPCG_MAX_ITER`` iterations.
+    theta_max.  When the next W is empty or would take the directions
+    applied past ``LOBPCG_BUDGET`` * m, it finishes exactly: H_Z assembled
+    from ``apply`` on the m coordinate directions, and the extremes of
+    ``eigvalsh`` on its symmetric part, so at most 3m directions in all.
     """
     b = zero_sum_basis(h.c)
     shape = (h.c - 1, h.d)
@@ -277,8 +288,8 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
     noise = np.random.default_rng(LOBPCG_SEED).standard_normal((nx, m)) / np.sqrt(m)
     basis = _orthonormal_rows(start + LOBPCG_START_NOISE * noise, np.empty((0, m)))
     products = apply(basis)
+    applied = nx
     active = np.ones(nx, dtype=bool)
-    it = 0
     while True:
         # Rayleigh-Ritz on the basis: keep the two lowest pairs and the top.
         gram = basis @ products.T
@@ -297,14 +308,6 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
         tol = LOBPCG_TOL * theta[-1]
         if res[0] <= tol and res[-1] <= tol:
             return float(theta[0]), float(theta[-1])
-        if it == LOBPCG_MAX_ITER:
-            raise NotConvergedError(
-                f"LOBPCG did not converge in {it} iterations: residuals "
-                f"{res[0]:.3e} (lambda_min) and {res[-1]:.3e} (lambda_max), "
-                f"tolerance {tol:.3e}",
-                it, (float(res[0]), float(res[-1])),
-            )
-        it += 1
         # Only the returned pairs get directions: the lowest a preconditioned
         # residual, the top a raw one; the guard between them gets none.
         active = res > tol
@@ -312,8 +315,24 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
         w = np.concatenate([precondition(r[:1]), r[1:]])[active]
         w = _orthonormal_rows(w / np.linalg.norm(w, axis=1, keepdims=True),
                               np.concatenate([x, p]))
+        # Every pass applies a direction or finishes, so the loop ends.
+        applied += len(w)
+        if not len(w) or applied > LOBPCG_BUDGET * m:
+            break
         basis = np.concatenate([x, w, p])
         products = np.concatenate([ax, apply(w), ap])
+    # The exact finish: H_Z from the m coordinate directions, in stacks whose
+    # V = U X is no larger than X.  Each block of rows is folded into the
+    # symmetric part of H_Z on the lower triangle, which eigvalsh reads, so
+    # H_Z is the only m x m array.
+    stack = max(1, h.d // h.c)
+    hz = np.empty((m, m))
+    for i in range(0, m, stack):
+        j = min(i + stack, m)
+        hz[i:j] = apply(np.eye(j - i, m, i))
+        hz[i:j, :j] = 0.5 * (hz[i:j, :j] + hz[:j, i:j].T)
+    evals = np.linalg.eigvalsh(hz)
+    return float(evals[0]), float(evals[-1])
 
 
 def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
@@ -321,22 +340,18 @@ def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
 
     For C = 2 these are the extreme eigenvalues of M.  For every C > 2 both
     extremes come from one LOBPCG run in the coordinates of
-    :func:`zero_sum_basis`, started from a fixed-seed block, so repeated
-    calls give identical values.  The start block is the extreme
-    eigenvectors of the Kronecker model Qbar kron X X^T, Qbar the mean of
-    Q^(n), plus a small fixed-seed random block.  The block holds the two
-    lowest Ritz vectors and the top one.  Only the lowest and the top get
-    new directions: the lowest's residual preconditioned by
-    Z -> Z (X X^T)^-1, built from ``Dataset.rank_factors``, the top's raw;
-    the second-lowest is a guard.  The run stops when both extreme Ritz
-    residuals are at most ``LOBPCG_TOL`` (1e-8) * lambda_max, and raises
-    :class:`~smxreg.core.NotConvergedError` after ``LOBPCG_MAX_ITER``
-    iterations.  The start block is one ``h.apply`` on a stack of three
-    directions, every iteration one on a stack of at most two; storage is
-    three blocks of at most three vectors of (C-1) D floats.  At C=10,
-    D=256, N=8000 it takes 95-170 products in 60-130 calls; no dense matrix
-    is formed.  Requires rank(X) = D; the rank test runs once per dataset,
-    not once per anchor.
+    :func:`zero_sum_basis`, set out in the module docstring and started from
+    a fixed-seed block, so repeated calls give identical values.  It stops
+    when both extreme Ritz residuals are at most ``LOBPCG_TOL`` (1e-8) *
+    lambda_max; each of its ``h.apply`` calls takes a stack of at most three
+    directions, and storage is three blocks of at most three vectors of
+    (C-1) D floats.  At C=10, D=256, N=8000 it takes 91-361 directions.  A
+    run that would pass ``LOBPCG_BUDGET`` * m directions, m = (C-1) D, ends
+    exactly instead, on the m x m matrix H_Z assembled from ``h.apply`` on
+    the m coordinate directions of Z, in stacks whose V = U X is no larger
+    than X.  So every call ends, after at most 3m directions and with at
+    most one m x m matrix.  Requires rank(X) = D; the rank test runs once
+    per dataset, not once per anchor.
     """
     _check_full_rank(h.data)
     if h.c == 2:

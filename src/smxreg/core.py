@@ -57,16 +57,6 @@ class RankDeficientError(ValueError):
         self.sv_max = sv_max
 
 
-class NotConvergedError(ValueError):
-    """An iterative solver reached its iteration cap unconverged; the
-    message and the attributes give the iterations and the residuals."""
-
-    def __init__(self, message: str, iterations: int, residuals: tuple[float, ...]):
-        super().__init__(message)
-        self.iterations = iterations
-        self.residuals = residuals
-
-
 def usable_cpus() -> int:
     """The number of CPUs this process may run on: its affinity mask, or
     the machine's CPU count where the platform has no affinity call."""

@@ -23,7 +23,6 @@ from smxreg.convergence import (
 from smxreg.core import (
     Dataset,
     InvalidInputError,
-    NotConvergedError,
     RankDeficientError,
     UnsupportedShapeError,
     one_hot,
@@ -59,6 +58,17 @@ def peaked_operator(c, d, n=60):
     x = rng.standard_normal((d, n))
     data = Dataset(x, softmax(rng.standard_normal((c, n))))
     return HessianOperator(data, rng.standard_normal((c, d)))
+
+
+def hard_label_operator(rng, most_c, most_d, extra_n, peaked=False):
+    """C from 3 to ``most_c``, D from 2 to ``most_d``, N from D+1 to
+    3D + ``extra_n``, hard labels, and W X with entries of variance up to
+    100, or up to 100 D when ``peaked``."""
+    c, d = int(rng.integers(3, most_c + 1)), int(rng.integers(2, most_d + 1))
+    n = int(rng.integers(d + 1, 3 * d + extra_n + 1))
+    data = Dataset(rng.standard_normal((d, n)), one_hot(rng.integers(1, c + 1, n), c))
+    scale = np.sqrt(rng.uniform(0.0, 100.0 * (d if peaked else 1)) / d)
+    return HessianOperator(data, scale * rng.standard_normal((c, d)))
 
 
 def record_stacks(monkeypatch):
@@ -352,17 +362,34 @@ class TestExtremeEigenvaluesOnZ:
         assert lo_i == pytest.approx(lo_d, rel=1e-8)
         assert hi_i == pytest.approx(hi_d, rel=1e-8)
 
-    def test_iteration_cap_raises_with_both_residuals(self, monkeypatch):
-        monkeypatch.setattr(convergence, "LOBPCG_MAX_ITER", 1)
-        with pytest.raises(NotConvergedError) as exc:
-            extreme_eigenvalues_on_z(ill_conditioned_operator())
-        err = exc.value
-        assert isinstance(err, ValueError)
-        assert err.iterations == 1 and len(err.residuals) == 2
-        lo_res, hi_res = err.residuals
-        assert "in 1 iterations" in str(err)
-        assert f"{lo_res:.3e} (lambda_min)" in str(err)
-        assert f"{hi_res:.3e} (lambda_max)" in str(err)
+    @pytest.mark.parametrize("seed", [41, 325, 693])
+    def test_sharply_peaked_problems_end_exactly(self, monkeypatch, seed):
+        # m = 99, 161 and 70, K on Z 1.7e5, 2.8e5 and 5.8e5: LOBPCG stalls
+        # here for thousands of directions, so the run reaches its budget of
+        # 2m and ends on the assembled H_Z
+        op = hard_label_operator(np.random.default_rng([7, seed]), 15, 29, 40, peaked=True)
+        m = (op.c - 1) * op.d
+        lo_d, hi_d = dense_extremes(op)
+        shapes = record_stacks(monkeypatch)
+        lo_i, hi_i = extreme_eigenvalues_on_z(op)
+        assert lo_i == pytest.approx(lo_d, rel=1e-10)
+        assert hi_i == pytest.approx(hi_d, rel=1e-10)
+        assert 2 * m < sum(s[0] for s in shapes) <= 3 * m
+
+    def test_saturated_anchor_with_no_direction_left_ends(self, monkeypatch):
+        # C=3, D=1: the start block spans Z, and outputs within 1.4e-11 of 1
+        # leave the products' rounding above the stop tolerance, so every new
+        # direction is dropped and the run ends on the assembled H_Z.  The
+        # cancellation in Q puts apply and the dense oracle about 1e-6 of
+        # lambda_max apart here.
+        data = Dataset(np.ones((1, 1)), one_hot([1], 3))
+        op = HessianOperator(data, np.array([[25.0], [0.0], [-25.0]]))
+        lo_d, hi_d = dense_extremes(op)
+        shapes = record_stacks(monkeypatch)
+        lo_i, hi_i = extreme_eigenvalues_on_z(op)
+        assert sum(s[0] for s in shapes) <= 3 * 2
+        assert abs(lo_i - lo_d) <= 1e-5 * hi_d
+        assert abs(hi_i - hi_d) <= 1e-5 * hi_d
 
     def test_every_product_is_one_stack_of_at_most_three(self, monkeypatch):
         # the start block is one stack of three; after it only the lowest
@@ -386,36 +413,41 @@ class TestExtremeEigenvaluesOnZ:
         extreme_eigenvalues_on_z(op)
         assert sum(s[0] for s in shapes) <= most
 
-    @pytest.mark.parametrize("seed", range(24))
-    def test_extremes_match_dense_on_random_problems(self, seed):
+    @pytest.mark.parametrize("seed, peaked, most_k", [
+        *(pytest.param(seed, False, 1e4, id=str(seed)) for seed in range(24)),
+        *(pytest.param(seed, True, 1e7, id=f"peaked-{seed}") for seed in range(24)),
+    ])
+    def test_extremes_match_dense_on_random_problems(self, monkeypatch, seed, peaked, most_k):
         # C 3-8, D 2-12, N D+1 to 3D+20, hard labels, activations of variance
-        # up to 100; a draw with K > 1e4 on Z is drawn again.  The stop rule
-        # bounds both errors by about LOBPCG_TOL * lambda_max, so a start or
-        # a guard that settles on a pair that is not extreme fails here.
+        # up to 100, or up to 100 D; a draw with K > most_k on Z is drawn
+        # again.  The stop rule bounds both errors by about LOBPCG_TOL *
+        # lambda_max, so a start or a guard that settles on a pair that is
+        # not extreme fails here; a run past its budget of 2m directions
+        # ends on the assembled H_Z, exact to rounding.
         rng = np.random.default_rng([31, seed])
         while True:
-            c, d = int(rng.integers(3, 9)), int(rng.integers(2, 13))
-            n = int(rng.integers(d + 1, 3 * d + 21))
-            data = Dataset(rng.standard_normal((d, n)),
-                           one_hot(rng.integers(1, c + 1, n), c))
-            scale = np.sqrt(rng.uniform(0.0, 100.0) / d)
-            op = HessianOperator(data, scale * rng.standard_normal((c, d)))
+            op = hard_label_operator(rng, 8, 12, 20, peaked)
             lo_d, hi_d = dense_extremes(op)
-            if hi_d <= 1e4 * lo_d:
+            if hi_d <= most_k * lo_d:
                 break
+        shapes = record_stacks(monkeypatch)
         lo_i, hi_i = extreme_eigenvalues_on_z(op)
-        assert abs(lo_i - lo_d) <= 2e-8 * hi_d
-        assert abs(hi_i - hi_d) <= 2e-8 * hi_d
+        exact = sum(s[0] for s in shapes) > 2 * (op.c - 1) * op.d
+        tol = 1e-12 if exact else 2e-8
+        assert abs(lo_i - lo_d) <= tol * hi_d
+        assert abs(hi_i - hi_d) <= tol * hi_d
 
-    def test_peak_memory_at_curvature_shape(self):
+    def test_peak_memory_at_curvature_shape(self, monkeypatch):
         # C=10, D=256, N=8000: the stacked products and three blocks of at
-        # most three (C-1) D vectors stay far below one copy of X (16 MiB)
+        # most three (C-1) D vectors stay far below one copy of X (16 MiB),
+        # and the run ends inside its budget, with no stack of the finish
         rng = np.random.default_rng(23)
         c, d, n = 10, 256, 8000
         x = rng.standard_normal((d - 1, n)) * (0.993 ** np.arange(d - 1))[:, None]
         data = Dataset(np.vstack([x, np.ones((1, n))]), one_hot(rng.integers(1, c + 1, n), c))
         op = HessianOperator(data, 0.3 * rng.standard_normal((c, d)))
         certify(data)  # the rank test copies X; it runs once per dataset
+        shapes = record_stacks(monkeypatch)
         tracemalloc.start()
         try:
             extreme_eigenvalues_on_z(op)
@@ -423,6 +455,31 @@ class TestExtremeEigenvaluesOnZ:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2**20
+        assert max(s[0] for s in shapes) <= 3
+
+    def test_peak_memory_of_the_exact_finish(self, monkeypatch):
+        # C=10, D=50, N=400, W X of variance 100 D: the run reaches its budget
+        # of 2m = 900 directions and assembles H_Z from stacks of D // C = 5
+        # directions, whose V = U X is the size of X.  The finish holds H_Z
+        # (m^2 floats) and one stacked product, V and one temporary of its
+        # size; the LOBPCG blocks, the (X X^T)^-1 factor and the C x D
+        # operands of the stack stay below 128 vectors of m floats.
+        rng = np.random.default_rng([23, 1])
+        c, d, n = 10, 50, 400
+        m = (c - 1) * d
+        data = Dataset(rng.standard_normal((d, n)), one_hot(rng.integers(1, c + 1, n), c))
+        op = HessianOperator(data, 10.0 * rng.standard_normal((c, d)))
+        certify(data)
+        shapes = record_stacks(monkeypatch)
+        tracemalloc.start()
+        try:
+            extreme_eigenvalues_on_z(op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(s[0] for s in shapes) > 2 * m
+        assert shapes[-1][0] == 5 and 5 * c * n * 8 == data.x.nbytes
+        assert peak <= 8 * m * m + 2.2 * data.x.nbytes + 128 * 8 * m
 
     def test_iterative_is_deterministic(self):
         op = ill_conditioned_operator()
