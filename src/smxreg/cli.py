@@ -31,7 +31,7 @@ from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
 from .trainer import BB_MODES, STOP_NONFINITE, TrainConfig, evaluate, train
 
-# Initial Barzilai-Borwein rate when train --bb bb1/bb2 omits --eta.
+# Initial Barzilai-Borwein rate when train --bb bb2 omits --eta.
 BB_ETA0 = 0.01
 
 
@@ -223,7 +223,7 @@ def _parse_sizes(text: str) -> dict:
 
 def cmd_checkgrad(args) -> tuple[int, dict, dict, list, dict]:
     sizes = _parse_sizes(args.sizes)
-    res = gradient_check_suite(args.seed, sizes, args.instances, args.corrupt)
+    res = gradient_check_suite(args.seed, sizes, args.instances)
     lines = [f"gradient: max rel err {res['grad_max_rel_err']:.3e}"
              f" (threshold {GRAD_TOL:g})",
              f"hessian:  max rel err {res['hess_max_rel_err']:.3e}"
@@ -274,7 +274,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sizes", default=sizes,
                    help=f'maximum instance sizes, e.g. "{sizes}"')
     p.add_argument("--instances", type=int, default=20)
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=cmd_checkgrad)
 
     return parser

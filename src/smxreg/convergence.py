@@ -23,9 +23,10 @@ three vectors: the lowest Ritz vector, whose residual is preconditioned by
 Z -> Z (X X^T)^-1, the top one, whose residual is used raw, and the
 second-lowest as a guard that gets no direction of its own.  After the start
 block every iteration applies H once, to a stack of at most two directions,
-and stores three blocks of at most three (C-1) D vectors.  At C=10, D=256,
-N=8000 it takes 91-361 directions.  A run about to pass 2m directions,
-m = (C-1) D, ends on the exact m x m matrix H_Z, assembled by applying H to
+and the run holds O(m) floats, m = (C-1) D: about 37 vectors of m floats at
+the budget break (C=10, D=50, N=400), plus the D x D (X X^T)^-1.  At C=10,
+D=256, N=8000 it takes 91-361 directions.  A run about to pass 2m
+directions ends on the exact m x m matrix H_Z, assembled by applying H to
 the m coordinate directions of Z, so every call ends within 3m directions.
 The dense Z-restricted Hessian, :func:`dense_hessian_on_z`, assembled
 independently of ``apply``, is the oracle.
@@ -344,14 +345,15 @@ def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
     a fixed-seed block, so repeated calls give identical values.  It stops
     when both extreme Ritz residuals are at most ``LOBPCG_TOL`` (1e-8) *
     lambda_max; each of its ``h.apply`` calls takes a stack of at most three
-    directions, and storage is three blocks of at most three vectors of
-    (C-1) D floats.  At C=10, D=256, N=8000 it takes 91-361 directions.  A
-    run that would pass ``LOBPCG_BUDGET`` * m directions, m = (C-1) D, ends
-    exactly instead, on the m x m matrix H_Z assembled from ``h.apply`` on
-    the m coordinate directions of Z, in stacks whose V = U X is no larger
-    than X.  So every call ends, after at most 3m directions and with at
-    most one m x m matrix.  Requires rank(X) = D; the rank test runs once
-    per dataset, not once per anchor.
+    directions, and it holds O(m) floats, m = (C-1) D: about 37 vectors of m
+    floats at the budget break (C=10, D=50, N=400), plus the D x D
+    (X X^T)^-1.  At C=10, D=256, N=8000 it takes 91-361 directions.  A run
+    that would pass ``LOBPCG_BUDGET`` * m directions ends exactly instead,
+    on the m x m matrix H_Z assembled from ``h.apply`` on the m coordinate
+    directions of Z, in stacks whose V = U X is no larger than X.  So every
+    call ends, after at most 3m directions and with at most one m x m
+    matrix.  Requires rank(X) = D; the rank test runs once per dataset, not
+    once per anchor.
     """
     _check_full_rank(h.data)
     if h.c == 2:

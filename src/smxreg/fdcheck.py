@@ -71,29 +71,28 @@ def random_instance(rng: np.random.Generator, c: int, d: int, n: int):
     return w, Dataset(x, t)
 
 
-def gradient_check_suite(seed: int, sizes: dict, instances: int, corrupt: bool) -> dict:
+def gradient_check_suite(seed: int, sizes: dict, instances: int) -> dict:
     """Run the gradient and Hessian-product finite-difference suites.
 
-    ``sizes`` gives the largest "C", "D" and "N" drawn (see ``CHECK_SIZES``).
-    Returns the worst relative errors seen.  ``corrupt`` perturbs the
-    analytic gradient before comparison (negative-control hook used to prove
-    the harness actually detects wrong gradients).  ``instances`` must be at
-    least 1, so that a passing suite has checked something.
+    ``sizes`` gives the largest "C", "D" and "N" drawn (see ``CHECK_SIZES``),
+    at least the smallest drawn, 2, 2 and 1.  Returns the worst relative
+    errors seen.  ``instances`` must be at least 1, so that a passing suite
+    has checked something.
     """
     if instances < 1:
         raise InvalidInputError(f"instances must be >= 1, got {instances}")
+    lows = {"C": 2, "D": 2, "N": 1}
+    for key, low in lows.items():
+        if sizes[key] < low:
+            raise InvalidInputError(f"sizes {key} must be >= {low}, got {sizes[key]}")
     rng = np.random.default_rng(seed)
     grad_worst = 0.0
     hess_worst = 0.0
     for _ in range(instances):
-        c = int(rng.integers(2, sizes["C"] + 1))
-        d = int(rng.integers(2, sizes["D"] + 1))
-        n = int(rng.integers(1, sizes["N"] + 1))
+        c, d, n = (int(rng.integers(lows[k], sizes[k] + 1)) for k in "CDN")
         w, data = random_instance(rng, c, d, n)
 
         g = gradient(w, data)
-        if corrupt:
-            g = g + 1e-3 * max(1.0, float(np.max(np.abs(g))))
         grad_worst = max(grad_worst, entrywise_rel_err(g, fd_gradient(w, data)))
 
         op = HessianOperator(data, w)

@@ -13,12 +13,13 @@ starting value.  When a row is dead, ``train`` copies the live rows once per
 call (live share x the size of X, held until it returns); when none is, the
 epoch reads ``data.x`` and ``w`` as they are, with no copy.
 
-The learning rate is fixed, or adapted by one of the two Barzilai-Borwein
-formulas built from successive weight and gradient differences
-(safeguarded: the previous rate is kept when the curvature estimate is
-non-positive or the step leaves [1e-12, 1e12]).  A run that overflows stops
-with reason "nonfinite" and emits no floating-point warning, since that
-overflow is an outcome the trace records.
+The learning rate is fixed, or adapted by the Barzilai-Borwein rate
+<dW, dG> / <dG, dG> of successive weight and gradient differences, by
+Cauchy-Schwarz the shorter of the two such rates (the other is
+<dW, dW> / <dW, dG>).  The previous rate is kept when dG = 0 or the rate
+leaves [1e-12, 1e12], as it does for every non-positive <dW, dG>.  A run
+that overflows stops with reason "nonfinite" and emits no floating-point
+warning, since that overflow is an outcome the trace records.
 
 Because 1^T G = 0 holds for every W, a step moves the column sums of W only
 by rounding: from a centered start they stay at rounding level, and
@@ -43,7 +44,7 @@ INIT_SCALE = 0.01
 BB_STEP_MIN = 1e-12
 BB_STEP_MAX = 1e12
 
-BB_MODES = ("off", "bb1", "bb2")
+BB_MODES = ("off", "bb2")
 
 STOP_EPOCHS = "epochs_exhausted"
 STOP_GRAD_TOL = "grad_tol"
@@ -54,9 +55,9 @@ STOP_NONFINITE = "nonfinite"
 class TrainConfig:
     """Knobs for :func:`train`.
 
-    ``eta`` is the fixed rate, or the initial rate under Barzilai-Borwein
-    adaptation (``bb_mode`` "bb1" or "bb2").  ``seed`` draws the initial
-    weights.  Training stops after ``epochs`` epochs, or as soon as
+    ``eta`` is the fixed rate (``bb_mode`` "off"), or the initial rate under
+    Barzilai-Borwein adaptation (``bb_mode`` "bb2").  ``seed`` draws the
+    initial weights.  Training stops after ``epochs`` epochs, or as soon as
     ||grad||_F <= tol_grad, or on a non-finite loss/gradient.
     """
 
@@ -105,17 +106,14 @@ def initial_weights(data: Dataset, cfg: TrainConfig) -> np.ndarray:
     return center_columns(INIT_SCALE * rng.standard_normal((data.c, data.d)))
 
 
-def _bb_step(mode: str, dw: np.ndarray, dg: np.ndarray, fallback: float) -> float:
-    """The Barzilai-Borwein rate from the weight change ``dw`` and the
-    gradient change ``dg``, both on the live columns."""
-    sy = float(np.sum(dw * dg))
-    if mode == "bb1":
-        num, den = float(np.sum(dw * dw)), sy
-    else:
-        num, den = sy, float(np.sum(dg * dg))
+def _bb_step(dw: np.ndarray, dg: np.ndarray, fallback: float) -> float:
+    """The Barzilai-Borwein rate <dw, dg> / <dg, dg> from the weight and
+    gradient changes on the live columns, or ``fallback`` when dg = 0 or the
+    rate leaves [``BB_STEP_MIN``, ``BB_STEP_MAX``], as it does if <dw, dg> <= 0."""
+    den = float(np.sum(dg * dg))
     if den <= 0.0:
         return fallback
-    step = num / den
+    step = float(np.sum(dw * dg)) / den
     if not BB_STEP_MIN <= step <= BB_STEP_MAX:
         return fallback
     return step
@@ -164,7 +162,7 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
                 cur_loss, g = forward(a, data.t, x)
                 grad_norm = float(np.linalg.norm(g))
                 if cfg.bb_mode != "off" and prev_w is not None:
-                    eta = _bb_step(cfg.bb_mode, (w - prev_w)[:, rows], g - prev_g, eta)
+                    eta = _bb_step((w - prev_w)[:, rows], g - prev_g, eta)
             else:
                 cur_loss = grad_norm = float("nan")
 

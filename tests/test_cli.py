@@ -11,9 +11,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg import TrainConfig, cli, reduce_two_class, train
+from smxreg import TrainConfig, cli, fdcheck, reduce_two_class, train
 from smxreg.cli import main
 from smxreg.data_io import encode_weights, load_csv, read_weights
+from smxreg.loss_grad import gradient
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
@@ -443,12 +444,27 @@ class TestCheckgrad:
         assert main(["checkgrad", "--seed", "1", "--instances", "5",
                      "--sizes", "C=5,D=7,N=10"]) == 0
 
-    def test_corrupted_gradient_fails(self):
-        assert main(["checkgrad", "--seed", "0", "--instances", "5",
-                     "--corrupt"]) == 1
+    def test_corrupted_gradient_fails(self, monkeypatch, capsys):
+        # a constant added to every gradient cancels in the Hessian check's
+        # central difference of gradients, so only the gradient check fails
+        monkeypatch.setattr(fdcheck, "gradient",
+                            lambda w, data: gradient(w, data) + 1e-3)
+        assert main(["checkgrad", "--seed", "0", "--instances", "5"]) == 1
+        assert "checkgrad: FAILED" in capsys.readouterr().out
 
     def test_bad_sizes_is_usage_error(self):
         assert main(["checkgrad", "--sizes", "Q=3"]) == 2
+
+    @pytest.mark.parametrize("sizes,message", [
+        ("C=1", "sizes C must be >= 2"),
+        ("D=1", "sizes D must be >= 2"),
+        ("N=0", "sizes N must be >= 1"),
+    ])
+    def test_sizes_below_the_draws_are_usage_errors(self, sizes, message, capsys):
+        assert main(["checkgrad", "--sizes", sizes]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: {message}, got")
 
     @pytest.mark.parametrize("instances", ["0", "-3"])
     def test_no_instances_is_usage_error(self, instances, capsys):
@@ -555,7 +571,7 @@ class TestCliSurface:
                                   "--tol-grad", "--log-every", "--out"},
         "spectrum": REPORT | DATA | {"--y", "--weights", "--sample"},
         "certify": REPORT | DATA | {"--weights"},
-        "checkgrad": REPORT | {"--seed", "--sizes", "--instances", "--corrupt"},
+        "checkgrad": REPORT | {"--seed", "--sizes", "--instances"},
     }
 
     def test_option_strings(self):
@@ -567,4 +583,13 @@ class TestCliSurface:
             for name, p in sub.choices.items()
         }
         assert got == self.OPTIONS
-        assert sum(map(len, got.values())) == 44
+        assert sum(map(len, got.values())) == 43
+        (bb,) = [a for a in sub.choices["train"]._actions
+                 if "--bb" in a.option_strings]
+        assert tuple(bb.choices) == ("off", "bb2")
+
+    def test_bb1_is_not_a_choice(self, toy_csv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--csv", toy_csv, "--classes", "2", "--bb", "bb1"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'bb1'" in capsys.readouterr().err

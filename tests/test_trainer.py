@@ -9,6 +9,9 @@ from smxreg.core import Dataset, InvalidInputError, center_columns, one_hot
 from smxreg.loss_grad import loss_from_activations
 from smxreg.softmax import softmax
 from smxreg.trainer import (
+    BB_MODES,
+    BB_STEP_MAX,
+    BB_STEP_MIN,
     STOP_EPOCHS,
     STOP_GRAD_TOL,
     STOP_NONFINITE,
@@ -52,7 +55,7 @@ def reference_train(data, cfg, w0=None):
             cur_loss = loss_from_activations(a, data.t)
             grad_norm = float(np.linalg.norm(g))
             if cfg.bb_mode != "off" and prev_w is not None:
-                eta = _bb_step(cfg.bb_mode, w - prev_w, g - prev_g, eta)
+                eta = _bb_step(w - prev_w, g - prev_g, eta)
         finite = np.isfinite(cur_loss) and np.isfinite(grad_norm)
         stopping = not finite or grad_norm <= cfg.tol_grad
         if epoch % cfg.log_every == 0 or epoch == cfg.epochs or stopping:
@@ -82,7 +85,7 @@ class TestTrainMatchesReferenceEpoch:
     """``train`` takes loss and gradient in one pass; every record and the
     final weights must equal the three-step epoch exactly."""
 
-    @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
     def test_records_and_weights_are_identical(self, mode):
         rng = np.random.default_rng(31)
         x = rng.standard_normal((12, 200))
@@ -97,7 +100,7 @@ class TestTrainMatchesReferenceEpoch:
         assert np.array_equal(w, w_ref)
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
     @pytest.mark.parametrize("scale,eta,w_scale", [
         (1e160, 1.0, 0.0),     # A finite, ||G|| overflows at epoch 1
         (1e100, 1e150, 1.0),   # the first step sends A = W X past the range
@@ -158,7 +161,7 @@ class TestTrainSkipsDeadRows:
 
     @pytest.mark.parametrize("uncentered_start", [False, True])
     @pytest.mark.parametrize("dead_shift", [0, 10])
-    @pytest.mark.parametrize("mode", ["off", "bb1", "bb2"])
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
     @pytest.mark.parametrize("layout", ["first", "middle", "last"])
     def test_matches_full_x_reference(self, layout, mode, dead_shift,
                                       uncentered_start):
@@ -237,6 +240,11 @@ class TestTrainConfig:
             TrainConfig(tol_grad=0.0)
         with pytest.raises(InvalidInputError):
             TrainConfig(log_every=0)
+
+    def test_bb1_is_refused_naming_the_modes(self):
+        assert BB_MODES == ("off", "bb2")
+        with pytest.raises(InvalidInputError, match=r"\('off', 'bb2'\)"):
+            TrainConfig(bb_mode="bb1")
 
     def test_knobs_are_pinned(self):
         # a new knob must be added here as well, so it is visible in review
@@ -318,21 +326,20 @@ class TestTrain:
 
     def test_bb_modes_reach_tolerance_faster_than_first_log(self):
         _, data = realizable_instance(seed=6)
-        for mode in ("bb1", "bb2"):
-            cfg = TrainConfig(eta=0.01, epochs=2000, bb_mode=mode,
-                              tol_grad=1e-10, log_every=1)
-            _, trace = train(data, cfg)
-            assert trace.stop_reason == STOP_GRAD_TOL
-            losses = [r.loss for r in trace.records]
-            assert losses[-1] < losses[0]
+        cfg = TrainConfig(eta=0.01, epochs=2000, bb_mode="bb2",
+                          tol_grad=1e-10, log_every=1)
+        _, trace = train(data, cfg)
+        assert trace.stop_reason == STOP_GRAD_TOL
+        losses = [r.loss for r in trace.records]
+        assert losses[-1] < losses[0]
 
     @pytest.mark.parametrize("layout", ["first", "last"])
-    def test_bb1_descends_from_uncentered_start(self, layout):
+    def test_bb2_descends_from_uncentered_start(self, layout):
         # W moves only by -eta G, so a Barzilai-Borwein pair holds no column
-        # shift that G did not make, and bb1 keeps descending here
+        # shift that G did not make, and bb2 keeps descending here
         data, _ = _dead_row_instance(layout)
         w0 = np.random.default_rng(5).standard_normal((data.c, data.d))
-        cfg = TrainConfig(eta=0.002, epochs=20, bb_mode="bb1", log_every=1)
+        cfg = TrainConfig(eta=0.002, epochs=20, bb_mode="bb2", log_every=1)
         _, trace = train(data, cfg, w0=w0)
         losses = [r.loss for r in trace.records]
         assert len(losses) == 20
@@ -340,10 +347,30 @@ class TestTrain:
 
     def test_bb_safeguard_keeps_step_bounded(self):
         _, data = realizable_instance(seed=7)
-        cfg = TrainConfig(eta=0.05, epochs=500, bb_mode="bb1", tol_grad=1e-12)
+        cfg = TrainConfig(eta=0.05, epochs=500, bb_mode="bb2", tol_grad=1e-12)
         _, trace = train(data, cfg)
         for r in trace.records:
             assert 1e-12 <= r.eta_used <= 1e12
+
+
+class TestBbStep:
+    """The Barzilai-Borwein rate <dw, dg> / <dg, dg> and each of its
+    safeguards, on hand-computed pairs, with fallback 0.5."""
+
+    @pytest.mark.parametrize("dw,dg,expected", [
+        ([[3.0, 1.0]], [[1.0, 1.0]], 2.0),                # 4 / 2
+        ([[1.0, -2.0], [0.5, 0.0]], [[2.0, 0.0], [0.0, 4.0]], 0.1),  # 2 / 20
+        ([[1.0, 2.0]], [[0.0, 0.0]], 0.5),                # dg = 0
+        ([[1.0, 0.0]], [[-1.0, 0.0]], 0.5),               # <dw, dg> < 0
+        ([[1.0, 0.0]], [[0.0, 1.0]], 0.5),                # <dw, dg> = 0
+        ([[BB_STEP_MIN]], [[1.0]], BB_STEP_MIN),          # both ends are kept
+        ([[BB_STEP_MAX]], [[1.0]], BB_STEP_MAX),
+        ([[1e-14]], [[1.0]], 0.5),                        # below BB_STEP_MIN
+        ([[1e14]], [[1.0]], 0.5),                         # above BB_STEP_MAX
+    ], ids=["exact", "exact_2x2", "zero_dg", "negative_curvature",
+            "orthogonal", "at_min", "at_max", "below_min", "above_max"])
+    def test_rate_and_safeguards(self, dw, dg, expected):
+        assert _bb_step(np.array(dw), np.array(dg), 0.5) == expected
 
 
 class TestEvaluate:
