@@ -110,6 +110,7 @@ def cmd_train(args) -> tuple[int, dict, dict, list, dict]:
     result: dict = {
         "stop_reason": trace.stop_reason,
         "live_rows": trace.live_rows,
+        "blocks": trace.blocks,
         "trace": [
             {k: _finite_or_none(v) for k, v in asdict(r).items()} for r in trace.records
         ],

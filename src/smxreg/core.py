@@ -8,9 +8,12 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable
+from functools import cache, cached_property
+from pathlib import Path
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -19,9 +22,19 @@ import numpy as np
 TARGET_COLUMN_SUM_TOL = 1e-12
 
 # A conversion or copy that writes at least this many bytes runs in column
-# blocks on several threads (:func:`column_blocks`).  Below it, starting the
-# threads costs more than they save; X at the paper's scale is 376 MB.
+# blocks on several threads (:func:`column_blocks`), and a training epoch
+# splits X into one column block per this many bytes (``trainer.train``).
+# Below it, starting the threads costs more than they save; X at the paper's
+# scale is 376 MB.
 PARALLEL_MIN_BYTES = 16 << 20
+
+# OpenBLAS keeps one thread count for the whole process: its
+# ``openblas_set_num_threads_local`` calls ``openblas_set_num_threads`` and
+# returns the previous count.  So every :func:`block_runner` pool shares one
+# holder count, and the first holder's saved count is restored when the
+# last one leaves.
+_BLAS_LIMIT_LOCK = threading.Lock()
+_blas_limit = {"holders": 0, "restore": 0}
 
 
 class InvalidInputError(ValueError):
@@ -66,6 +79,23 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def column_slices(n: int, k: int) -> list[slice]:
+    """``k`` consecutive column slices covering 0..n, of widths that differ
+    by at most one."""
+    edges = [n * i // k for i in range(k + 1)]
+    return [slice(a, b) for a, b in zip(edges, edges[1:])]
+
+
+def _run_on(pool, fn: Callable, items) -> list:
+    """``[fn(item) for item in items]``, each call on ``pool`` in a copy of
+    the caller's :mod:`contextvars` context, so the caller's
+    ``np.errstate`` holds there too.  The exception of the first item (in
+    item order) that raised is re-raised here; the caller's ``with`` on the
+    pool waits for the other calls."""
+    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+    return [future.result() for future in futures]
+
+
 def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> None:
     """Call ``fn(cols)`` on disjoint column slices that together cover 0..n.
 
@@ -88,12 +118,84 @@ def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> None:
     # every process that never takes this path would pay.
     from concurrent.futures import ThreadPoolExecutor
 
-    edges = [n * i // k for i in range(k + 1)]
     with ThreadPoolExecutor(k) as pool:
-        futures = [pool.submit(contextvars.copy_context().run, fn, slice(a, b))
-                   for a, b in zip(edges, edges[1:])]
-        for future in futures:
-            future.result()
+        _run_on(pool, fn, column_slices(n, k))
+
+
+@cache
+def _blas_thread_setter() -> Callable[[int], int] | None:
+    """OpenBLAS's ``openblas_set_num_threads_local`` from the shared objects
+    this process has loaded, or None (another BLAS, or no
+    ``/proc/self/maps``).  It sets the thread count and returns the
+    previous one."""
+    try:
+        maps = Path("/proc/self/maps").read_text()
+    except OSError:
+        return None
+    import ctypes
+
+    paths = set()
+    for line in maps.splitlines():
+        fields = line.split(maxsplit=5)  # address perms offset dev inode [path]
+        if len(fields) == 6 and "openblas" in fields[5].lower() and ".so" in fields[5]:
+            paths.add(fields[5])
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:  # a library replaced on disk since it was loaded
+            continue
+        setter = getattr(lib, "openblas_set_num_threads_local", None)
+        if setter is not None:
+            setter.argtypes = [ctypes.c_int]
+            setter.restype = ctypes.c_int
+            return setter
+    return None
+
+
+@contextmanager
+def _one_blas_thread(setter: Callable[[int], int]) -> Iterator[None]:
+    """OpenBLAS runs each call on one thread inside this block; the count
+    from before the first of any overlapping blocks is restored after the
+    last one ends."""
+    with _BLAS_LIMIT_LOCK:
+        if _blas_limit["holders"] == 0:
+            _blas_limit["restore"] = setter(1)
+        _blas_limit["holders"] += 1
+    try:
+        yield
+    finally:
+        with _BLAS_LIMIT_LOCK:
+            _blas_limit["holders"] -= 1
+            if _blas_limit["holders"] == 0:
+                setter(_blas_limit["restore"])
+
+
+@contextmanager
+def block_runner(blocks: int) -> Iterator[Callable[[Callable, list], list]]:
+    """Yield ``run(fn, items)``, which returns ``[fn(item) for item in
+    items]`` in the order of ``items``.
+
+    With ``blocks`` >= 2, 2 or more usable CPUs and OpenBLAS as numpy's
+    BLAS, the calls run on a pool of min(usable CPUs, ``blocks``) threads
+    that lives for the ``with`` block, each in a copy of the caller's
+    :mod:`contextvars` context, and OpenBLAS runs every product on one
+    thread for that time: BLAS's own split of a skinny product gains less
+    than one block per thread.  That count is the process's, restored when
+    the block ends; a product that another thread of the process runs
+    meanwhile is single-threaded too.  Otherwise the calls run in order on
+    the calling thread and nothing is limited.  An exception raised by a
+    call propagates once every call has ended, and no thread outlives the
+    ``with`` block.
+    """
+    k = min(usable_cpus(), blocks)
+    setter = _blas_thread_setter() if k >= 2 else None
+    if setter is None:
+        yield lambda fn, items: [fn(item) for item in items]
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _one_blas_thread(setter), ThreadPoolExecutor(k) as pool:
+        yield lambda fn, items: _run_on(pool, fn, items)
 
 
 def as_matrix(a, name: str = "array") -> np.ndarray:

@@ -71,7 +71,8 @@ class TestTrain:
         assert main(["train", "--csv", str(f), "--classes", "2", "--bias",
                      "--eta", "0.1", "--epochs", "5", "--out", str(out),
                      "--json", str(rep)]) == 0
-        assert json.loads(rep.read_text())["result"]["live_rows"] == 2
+        result = json.loads(rep.read_text())["result"]
+        assert (result["live_rows"], result["blocks"]) == (2, 1)
         assert read_weights(out).shape == (2, 3)
 
     def test_missing_eta_with_bb_off_is_usage_error(self, toy_csv):
@@ -329,6 +330,7 @@ class TestReportSchema:
             "--eta", "0.5", "--epochs", "20", "--log-every", "7"])
         assert [r["epoch"] for r in result["trace"]] == [7, 14, 20]
         assert result["live_rows"] == 3
+        assert result["blocks"] == 1
         for r in result["trace"]:
             assert set(r) == self.TRACE
             assert type(r["epoch"]) is int

@@ -1,3 +1,4 @@
+import sys
 import threading
 import tracemalloc
 
@@ -14,6 +15,7 @@ from smxreg.core import (
     InvalidInputError,
     InvalidLabelError,
     as_matrix,
+    block_runner,
     center_columns,
     column_blocks,
     freeze,
@@ -349,3 +351,104 @@ class TestColumnBlocks:
 
         with np.errstate(over="ignore"):
             column_blocks(overflow, 4, 0)
+
+
+class TestBlockRunner:
+    """``block_runner`` runs calls on a pool with OpenBLAS held to one
+    thread, and puts the process's thread count back afterwards."""
+
+    @staticmethod
+    def _count(setter):
+        count = setter(1)
+        setter(count)
+        return count
+
+    def test_blas_count_is_one_inside_and_restored(self, monkeypatch):
+        setter = core._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS is not OpenBLAS")
+        monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+        before = self._count(setter)
+        with block_runner(4) as run:
+            inside = run(lambda i: self._count(setter), range(4))
+        assert inside == [1] * 4
+        assert self._count(setter) == before
+
+    @pytest.mark.parametrize("maps", [
+        None,
+        "7f00-7f01 r-xp 0 00:00 1 /gone/libopenblas.so (deleted)\n",
+        "7f00-7f01 rw-p 0 00:00 0\n",
+    ], ids=["no-maps", "deleted-library", "no-openblas"])
+    def test_no_setter_without_a_loadable_openblas(self, monkeypatch, maps):
+        class FakePath:
+            def __init__(self, path):
+                pass
+
+            def read_text(self):
+                if maps is None:
+                    raise OSError("no /proc")
+                return maps
+
+        monkeypatch.setattr(core, "Path", FakePath)
+        assert core._blas_thread_setter.__wrapped__() is None
+
+    def test_overlapping_runners_restore_the_first_count(self, monkeypatch):
+        counts = [7]
+
+        def setter(count):
+            counts.append(count)
+            return counts[-2]
+
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_blas_thread_setter", lambda: setter)
+        with block_runner(2) as outer:
+            with block_runner(3) as inner:
+                assert inner(lambda i: i * i, range(5)) == [0, 1, 4, 9, 16]
+            assert outer(lambda i: -i, [1, 2]) == [-1, -2]
+        assert counts == [7, 1, 7]
+
+    def test_concurrent_runners_leave_the_first_count(self, monkeypatch):
+        state, lock = {"count": 5}, threading.Lock()
+
+        def setter(count):
+            with lock:
+                previous, state["count"] = state["count"], count
+            return previous
+
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "_blas_thread_setter", lambda: setter)
+        seen = []
+
+        def user():
+            for _ in range(20):
+                with block_runner(2) as run:
+                    seen.extend(run(lambda i: state["count"], range(2)))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            users = [threading.Thread(target=user) for _ in range(8)]
+            for thread in users:
+                thread.start()
+            for thread in users:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in users)
+        assert seen == [1] * (8 * 20 * 2)
+        assert state["count"] == 5
+
+    @pytest.mark.parametrize("cpus, blocks, setter", [
+        (1, 4, True), (3, 1, True), (3, 4, False),
+    ], ids=["one-cpu", "one-block", "no-setter"])
+    def test_serial_path_runs_in_order_on_the_calling_thread(
+            self, monkeypatch, cpus, blocks, setter):
+        def refuse(count):
+            raise AssertionError("the serial path changed the BLAS thread count")
+
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(core, "_blas_thread_setter",
+                            lambda: refuse if setter else None)
+        with block_runner(blocks) as run:
+            assert run(lambda i: (i, threading.get_ident()), range(blocks)) == [
+                (i, threading.get_ident()) for i in range(blocks)]

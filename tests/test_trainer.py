@@ -1,9 +1,12 @@
+import concurrent.futures
 import dataclasses
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from smxreg import core, trainer
 from smxreg.convergence import plan, reduce_two_class
 from smxreg.core import Dataset, InvalidInputError, center_columns, one_hot
 from smxreg.loss_grad import loss_from_activations
@@ -18,6 +21,7 @@ from smxreg.trainer import (
     EpochRecord,
     TrainConfig,
     TrainTrace,
+    _add_blocks,
     _bb_step,
     _max_abs_column_sum,
     evaluate,
@@ -118,14 +122,16 @@ class TestTrainMatchesReferenceEpoch:
 
 def _dead_row_instance(layout, seed=41, c=4, d=12, n=200):
     """X with a constant-1 bias row and two rows that are zero in every
-    sample, placed first, in the middle, or last right after the bias row;
-    returns the dataset and the dead rows.  Row scales spread over a decade,
-    so descent is slow and G stays far above rounding level."""
+    sample, placed first, in the middle, or last right after the bias row
+    (or none, for layout "none"); returns the dataset and the dead rows.
+    Row scales spread over a decade, so descent is slow and G stays far
+    above rounding level."""
     rng = np.random.default_rng(seed)
     x = rng.standard_normal((d, n)) * np.logspace(0, 1, d)[rng.permutation(d), None]
     bias, dead = {"first": (d - 1, [0, 1]),
                   "middle": (d - 1, [5, 6]),
-                  "last": (d - 3, [d - 2, d - 1])}[layout]
+                  "last": (d - 3, [d - 2, d - 1]),
+                  "none": (d - 1, [])}[layout]
     x[bias] = 1.0
     x[dead] = 0.0
     return Dataset(x, softmax(rng.standard_normal((c, n)))), dead
@@ -206,6 +212,144 @@ class TestTrainSkipsDeadRows:
         assert np.array_equal(w, w_ref)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """Three usable CPUs and a BLAS thread setter, whatever the machine;
+    returns the list of thread pools made, which grows as they are."""
+    made = []
+
+    class CountingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
+    monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+    if core._blas_thread_setter() is None:
+        monkeypatch.setattr(core, "_blas_thread_setter", lambda: lambda count: 1)
+    return made
+
+
+@pytest.fixture
+def both_block_paths(monkeypatch, pools):
+    """``both_block_paths(call, serial_by)`` runs ``call()`` with every X
+    cut into column blocks of at most 6400 bytes, so a 12 x 200 X spans
+    three: on the calling thread, with one usable CPU or no BLAS thread
+    setter (``serial_by``), and on a pool.  Returns (serial, pooled)."""
+    monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 12 * 200 * 8 // 3)
+
+    def run(call, serial_by="one_cpu"):
+        pools.clear()  # a Dataset made under this fixture copies on a pool
+        with monkeypatch.context() as serial_only:
+            if serial_by == "one_cpu":
+                serial_only.setattr(core, "usable_cpus", lambda: 1)
+            else:
+                serial_only.setattr(core, "_blas_thread_setter", lambda: None)
+            serial = call()
+        assert not pools
+        pooled = call()
+        assert len(pools) == 1
+        return serial, pooled
+
+    return run
+
+
+class TestTrainBlocks:
+    """An epoch is a sum over fixed column blocks of X.  The blocks give
+    the same bits on a pool as in order on the calling thread, and the run
+    matches the one-call reference loop to rounding; an X of one block
+    makes no pool and keeps the reference's bits."""
+
+    @pytest.mark.parametrize("serial_by", ["one_cpu", "no_setter"])
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
+    @pytest.mark.parametrize("layout", ["none", "middle"])
+    def test_pool_and_serial_are_identical(self, both_block_paths, layout, mode,
+                                           serial_by):
+        data, dead = _dead_row_instance(layout)
+        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
+                          tol_grad=1e-300)
+        (w_s, trace_s), (w_p, trace_p) = both_block_paths(
+            lambda: train(data, cfg), serial_by)
+        assert trace_s.blocks == trace_p.blocks == 3
+        assert trace_s.live_rows == trace_p.live_rows == 12 - len(dead)
+        assert trace_s.records == trace_p.records
+        assert np.array_equal(w_s, w_p)
+        w_ref, trace_ref = reference_train(data, cfg)
+        _assert_close_to_reference(trace_p, trace_ref, w_p, w_ref)
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_no_thread_outlives_train(self, monkeypatch, both_block_paths, fail):
+        error = KeyError("block")
+        calls, lock = [], threading.Lock()
+
+        real_forward = trainer.forward
+
+        def forward(a, t, x):
+            with lock:
+                calls.append(x.shape[1])
+                if fail and len(calls) == 2:
+                    raise error
+            return real_forward(a, t, x)
+
+        rng = np.random.default_rng(31)
+        data = Dataset(rng.standard_normal((12, 200)), one_hot(np.arange(200) % 3 + 1, 3))
+        cfg = TrainConfig(eta=0.01, epochs=3, tol_grad=1e-300)
+        monkeypatch.setattr(trainer, "forward", forward)
+        before = threading.active_count()
+        if fail:
+            with pytest.raises(KeyError) as info:
+                both_block_paths(lambda: train(data, cfg))
+            assert info.value is error
+        else:
+            both_block_paths(lambda: train(data, cfg))
+            assert sorted(calls) == sorted([66, 67, 67] * 3 * 2)
+        assert threading.active_count() == before
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("scale,eta,w_scale", [
+        (1e160, 1.0, 0.0),
+        (1e100, 1e150, 1.0),
+    ], ids=["grad_overflow", "activation_overflow"])
+    def test_nonfinite_stop_warns_on_no_path(self, both_block_paths, scale, eta,
+                                             w_scale):
+        # 12 x 200 X: rows 0 and 1 carry the 2-sample overflow instance of
+        # TestTrainMatchesReferenceEpoch, repeated, in every block
+        x = np.zeros((12, 200))
+        x[0], x[1] = np.tile([scale, -scale], 100), np.tile([1.0, 2.0], 100)
+        data = Dataset(x, one_hot([1, 2] * 100, 2))
+        w0 = np.zeros((2, 12))
+        w0[:, 1] = w_scale * np.array([1.0, -1.0])
+        cfg = TrainConfig(eta=eta, epochs=10, tol_grad=1e-300)
+        (w_s, trace_s), (w_p, trace_p) = both_block_paths(
+            lambda: train(data, cfg, w0=w0))
+        assert trace_s.stop_reason == trace_p.stop_reason == STOP_NONFINITE
+        assert trace_p.blocks == 3
+        _same_records(trace_s.records, trace_p.records)
+        assert np.array_equal(w_s, w_p)
+
+    def test_blocks_add_in_block_order(self):
+        # from the right, 2**-53 + 2**-53 would survive the addition to 1
+        tiny = 2.0 ** -53
+        sums = [(1.0, np.array([1.0])), (tiny, np.array([tiny])),
+                (tiny, np.array([tiny]))]
+        cost, g = _add_blocks(sums)
+        assert cost == 1.0 and g[0] == 1.0
+
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
+    def test_one_block_makes_no_pool_and_keeps_reference_bits(self, pools, mode):
+        rng = np.random.default_rng(31)
+        data = Dataset(rng.standard_normal((12, 200)),
+                       softmax(rng.standard_normal((5, 200))))
+        cfg = TrainConfig(eta=0.05, epochs=60, bb_mode=mode, seed=3,
+                          tol_grad=1e-300)
+        w, trace = train(data, cfg)
+        w_ref, trace_ref = reference_train(data, cfg)
+        assert pools == []
+        assert trace.blocks == 1
+        assert trace.records == trace_ref.records
+        assert np.array_equal(w, w_ref)
+
+
 class TestTrainMemory:
     """The epoch copies X only when a row is dead, and then only the live
     rows: the traced peak of ``train`` beyond its inputs bounds that."""
@@ -226,6 +370,24 @@ class TestTrainMemory:
             tracemalloc.stop()
         live_share = (200 - dead_rows) / 200 if dead_rows else 0.0
         assert peak < (live_share + 0.1) * data.x.nbytes
+
+    def test_zero_epochs_copy_no_rows(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((200, 20000))
+        x[:50] = 0.0
+        data = Dataset(x, one_hot(rng.integers(1, 3, size=20000), 2))
+        del x
+        cfg = TrainConfig(eta=1e-4, epochs=0)
+        tracemalloc.start()
+        try:
+            w, trace = train(data, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.live_rows == 150
+        assert trace.records == []
+        assert np.array_equal(w, initial_weights(data, cfg))
+        assert peak < 0.1 * data.x.nbytes
 
 
 class TestTrainConfig:
