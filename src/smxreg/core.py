@@ -21,11 +21,10 @@ import numpy as np
 # tolerance (:func:`check_probability`).
 TARGET_COLUMN_SUM_TOL = 1e-12
 
-# A conversion or copy that writes at least this many bytes runs in column
-# blocks on several threads (:func:`column_blocks`), and a training epoch
-# splits X into one column block per this many bytes (``trainer.train``).
-# Below it, starting the threads costs more than they save; X at the paper's
-# scale is 376 MB.
+# Every pass over X in column blocks (:func:`column_plan`) takes one block
+# per this many bytes: under twice this, an array is one block on the
+# calling thread, as starting threads would cost more than they save.  X at
+# the paper's scale is 376 MB, 22 blocks.
 PARALLEL_MIN_BYTES = 16 << 20
 
 # OpenBLAS keeps one thread count for the whole process: its
@@ -79,9 +78,12 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def column_slices(n: int, k: int) -> list[slice]:
-    """``k`` consecutive column slices covering 0..n, of widths that differ
-    by at most one."""
+def column_plan(n: int, nbytes: int) -> list[slice]:
+    """The column blocks of an array of ``n`` columns and ``nbytes`` bytes:
+    one per ``PARALLEL_MIN_BYTES``, at least one and at most one per column,
+    of widths that differ by at most one.  The count never depends on the
+    CPU count, so sums over the blocks have the same bits on every machine."""
+    k = max(1, min(n, nbytes // PARALLEL_MIN_BYTES))
     edges = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -96,30 +98,27 @@ def _run_on(pool, fn: Callable, items) -> list:
     return [future.result() for future in futures]
 
 
-def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> None:
-    """Call ``fn(cols)`` on disjoint column slices that together cover 0..n.
+def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> list:
+    """``[fn(cols) for cols in column_plan(n, nbytes)]``, for an ``fn`` that
+    reads or writes only the columns ``cols`` of an array.
 
-    ``fn`` converts or copies the columns ``cols`` of an array and writes
-    no other column, so the blocks may run at once.  When the work writes at
-    least ``PARALLEL_MIN_BYTES`` (``nbytes``) and :func:`usable_cpus` is 2
-    or more, the columns are split into one block per CPU, each run on its
-    own thread of a pool that lives for this call only.  Each block runs in
-    a copy of the caller's :mod:`contextvars` context, so the caller's
-    ``np.errstate`` holds there too.  Otherwise ``fn(slice(0, n))`` runs
-    once on the calling thread.  Elementwise work gives the same bits
-    either way.  An exception raised by a block propagates unchanged once
-    every block has ended.
+    Several blocks run on a pool of min(:func:`usable_cpus`, blocks) threads
+    that lives for this call only, each in a copy of the caller's
+    :mod:`contextvars` context (so its ``np.errstate`` holds); one block, or
+    one usable CPU, runs them in order on the calling thread, with the same
+    bits.  Unlike :func:`block_runner`, this leaves OpenBLAS's thread count
+    alone.  An exception raised by a block propagates unchanged once every
+    running block has ended.
     """
-    k = min(usable_cpus(), n)
-    if nbytes < PARALLEL_MIN_BYTES or k < 2:
-        fn(slice(0, n))
-        return
+    blocks = column_plan(n, nbytes)
+    if len(blocks) == 1 or (k := min(usable_cpus(), len(blocks))) < 2:
+        return [fn(cols) for cols in blocks]
     # Imported here: the import costs about 6 ms and 0.6 MB of RSS, which
     # every process that never takes this path would pay.
     from concurrent.futures import ThreadPoolExecutor
 
     with ThreadPoolExecutor(k) as pool:
-        _run_on(pool, fn, column_slices(n, k))
+        return _run_on(pool, fn, blocks)
 
 
 @cache
@@ -201,19 +200,26 @@ def block_runner(blocks: int) -> Iterator[Callable[[Callable, list], list]]:
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Coerce to a float64 2-D array, rejecting non-finite entries.
 
-    Finite row sums prove every entry finite.  They come from one BLAS
-    product ``X @ 1``, which BLAS spreads over its threads and which
-    allocates O(D + N) whatever the layout of X.  Only a row sum that is
-    not finite (a NaN or infinity in the row, or finite entries whose sum
-    overflows) takes the exact elementwise test.
+    Finite row sums prove every entry finite.  An array of several
+    :func:`column_plan` blocks sums each block's rows by ``np.add.reduce``
+    on the pool (:func:`column_blocks`), so no BLAS thread holds a core the
+    pool needs; one block takes one BLAS product ``X @ 1``, which BLAS
+    threads.  Only a block whose sums are not finite (a NaN or infinity, or
+    finite entries whose sum overflows) takes the exact elementwise test.
     """
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
         raise DimensionMismatchError(f"{name} must be 2-D, got shape {out.shape}")
+
+    def finite(cols: slice) -> bool:
+        block = out[:, cols]
+        whole = cols.stop - cols.start == out.shape[1]
+        sums = block @ np.ones(out.shape[1]) if whole else np.add.reduce(block, axis=1)
+        return np.isfinite(sums).all() or np.isfinite(block).all()
+
     with np.errstate(over="ignore", invalid="ignore"):
-        sums = out @ np.ones(out.shape[1])
-    if not np.all(np.isfinite(sums)) and not np.all(np.isfinite(out)):
-        raise InvalidInputError(f"{name} contains non-finite entries")
+        if not all(column_blocks(finite, out.shape[1], out.nbytes)):
+            raise InvalidInputError(f"{name} contains non-finite entries")
     return out
 
 
@@ -268,11 +274,11 @@ class Dataset:
     can be shared across threads.  An array that is already float64,
     C-contiguous, read-only and owns its data (as the loaders and
     :func:`~smxreg.data_io.add_bias_row` return) is adopted without a copy;
-    anything else is copied and frozen.  A copy of at least
-    ``PARALLEL_MIN_BYTES`` is made in column blocks on one thread per
-    usable CPU (:func:`column_blocks`).  Every check runs either way.  The
-    adopted array stays the caller's object, so a caller that makes it
-    writeable again can still change the dataset.
+    anything else is copied and frozen.  The finite check and the copy run
+    over the column blocks of :func:`column_plan`, on several threads when
+    there are several (:func:`column_blocks`).  Every check runs either
+    way.  The adopted array stays the caller's object, so a caller that
+    makes it writeable again can still change the dataset.
 
     :attr:`rank_factors` is computed on first use and kept, so certify,
     the condition bound and every Hessian anchor share one factorization.

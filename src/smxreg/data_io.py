@@ -38,11 +38,6 @@ IMAGE_MAGIC = 0x00000803
 LABEL_MAGIC = 0x00000801
 DTYPE_UBYTE = 0x08
 
-# Images converted per step when :func:`load_idx_images` transposes the
-# pixels: a step of 1024 images (784 KB at 28 x 28) stays in cache while
-# its columns of X are written.
-IDX_BLOCK_IMAGES = 1024
-
 
 class IdxFormatError(ValueError):
     """Malformed or truncated IDX or weights file; messages name the byte offset."""
@@ -124,12 +119,11 @@ def load_idx_images(path, bias: bool = False) -> np.ndarray:
     by 255, since raw bytes would inflate activations and slow descent.
     ``bias=True`` appends a constant-1 row, giving (D+1) x N.
 
-    The result is C-contiguous and built in one pass: each step of
-    ``IDX_BLOCK_IMAGES`` images is transposed and scaled straight into its
-    columns of X.  Besides X, only the payload bytes (1/8 of X) are held.
-    An X of at least ``core.PARALLEL_MIN_BYTES`` is converted in column
-    blocks on one thread per CPU the process may use
-    (:func:`~smxreg.core.column_blocks`), with the same bits.
+    The result is C-contiguous and built in one pass: each column block of
+    :func:`~smxreg.core.column_plan` is transposed and scaled straight into
+    its columns of X by one ``np.divide``, on several threads when there
+    are several blocks (:func:`~smxreg.core.column_blocks`).  Besides X,
+    only the payload bytes (1/8 of X) are held.
     """
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
@@ -139,26 +133,31 @@ def load_idx_images(path, bias: bool = False) -> np.ndarray:
     pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, d)
     x = _feature_matrix(d, n, bias)
 
-    def convert(cols: slice) -> None:
-        for j in range(cols.start, cols.stop, IDX_BLOCK_IMAGES):
-            step = slice(j, min(j + IDX_BLOCK_IMAGES, cols.stop))
-            np.divide(pixels[step].T, 255.0, out=x[:d, step])
-
-    column_blocks(convert, n, x.nbytes)
+    column_blocks(lambda cols: np.divide(pixels[cols].T, 255.0, out=x[:d, cols]),
+                  n, x.nbytes)
     return x
+
+
+def _require_bytes(values: np.ndarray, name) -> None:
+    """Raise ValueError naming, by ``name(index)``, the first entry of
+    ``values`` that is not an integer in 0..255, NaN and infinities included."""
+    bad = ~((values >= 0) & (values <= 255) & (values == np.rint(values)))
+    if bad.any():
+        at = np.unravel_index(np.argmax(bad), bad.shape)
+        raise ValueError(f"{name(at)} is not an integer in 0..255")
 
 
 def write_idx_images(path, x, rows: int, cols: int) -> None:
     """Write a D x N matrix of pixels in [0, 1] back to IDX as bytes
-    round(255 x); inverse of :func:`load_idx_images`."""
+    round(255 x); inverse of :func:`load_idx_images`.  A pixel that is not
+    finite or rounds outside 0..255 raises ValueError naming its position."""
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != rows * cols:
-        raise DimensionMismatchError(
-            f"x must be (rows*cols) x N = {rows * cols} x N, got {x.shape}"
-        )
+        raise DimensionMismatchError(f"x must be (rows*cols) x N = {rows * cols} x N, "
+                                     f"got {x.shape}")
     pixels = np.rint(x * 255.0)
-    if np.any(pixels < 0) or np.any(pixels > 255):
-        raise ValueError("pixel values fall outside the unsigned byte range")
+    _require_bytes(pixels, lambda i: f"round(255 x) of pixel x[{i[0]}, {i[1]}] = "
+                                     f"{x[i].item()!r}")
     payload = pixels.T.astype(np.uint8).tobytes()
     with open(path, "wb") as f:
         f.write(struct.pack(">IIII", IMAGE_MAGIC, x.shape[1], rows, cols))
@@ -186,10 +185,10 @@ def load_idx_labels(path, c: int) -> np.ndarray:
 
 
 def write_idx_labels(path, labels0) -> None:
-    """Write 0-based byte labels to IDX; inverse of the label reader."""
+    """Write 0-based byte labels to IDX; inverse of the label reader.  A
+    label that is not an integer in 0..255 raises ValueError naming its position."""
     labels0 = np.asarray(labels0)
-    if np.any(labels0 < 0) or np.any(labels0 > 255):
-        raise ValueError("labels fall outside the unsigned byte range")
+    _require_bytes(labels0, lambda i: f"label {labels0[i].item()!r} at position {i[0]}")
     with open(path, "wb") as f:
         f.write(struct.pack(">II", LABEL_MAGIC, labels0.shape[0]))
         f.write(labels0.astype(np.uint8).tobytes())
@@ -338,8 +337,8 @@ def _load_csv_lines(path, label_column: int, c: int, header: bool,
 def _csv_dataset(table: np.ndarray, col: int, c: int, bias: bool) -> Dataset:
     """The Dataset of an N x W table whose column ``col`` (0..W-1) holds
     labels already checked to be integers in 0..C-1.  The features are
-    transposed into X by :func:`~smxreg.core.column_blocks`, in column
-    blocks on several threads once X reaches ``core.PARALLEL_MIN_BYTES``."""
+    transposed into X over the column blocks of
+    :func:`~smxreg.core.column_plan` (:func:`~smxreg.core.column_blocks`)."""
     d = table.shape[1] - 1
     x = _feature_matrix(d, table.shape[0], bias)
 
@@ -365,9 +364,9 @@ def add_bias_row(x) -> np.ndarray:
     """Append a constant-1 feature row (affine trick): result is (D+1) x N.
 
     The result is a new read-only, C-contiguous array, which
-    :class:`~smxreg.core.Dataset` adopts without copying.  A result of at
-    least ``core.PARALLEL_MIN_BYTES`` is copied in column blocks on one
-    thread per CPU the process may use (:func:`~smxreg.core.column_blocks`).
+    :class:`~smxreg.core.Dataset` adopts without copying.  The copy runs
+    over the column blocks of :func:`~smxreg.core.column_plan`
+    (:func:`~smxreg.core.column_blocks`).
     Not idempotent by design; calling twice appends two rows.
     """
     x = np.asarray(x, dtype=float)

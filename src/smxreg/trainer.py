@@ -5,13 +5,13 @@ The loss and G are sums over samples, so the epoch is a sum over fixed
 column blocks of X: block b gives A_b = W X_b and, from one helper,
 :func:`~smxreg.loss_grad.forward`, its loss and G_b = (Y_b - T_b) X_b^T,
 with the column max and exp run once.  The calling thread adds the losses
-and the G_b in block order.  X is cut into one block per
-``core.PARALLEL_MIN_BYTES`` of its size (at least one), so the bits depend
-on X's shape alone; each block reads its columns of X twice (for A_b and
-for G_b) while they are still in cache.  The blocks run on one thread per
-usable CPU, with OpenBLAS single-threaded meanwhile, or in order on the
-calling thread (:func:`~smxreg.core.block_runner`).  An X of one block runs
-the one-call epoch A = W X on the calling thread.
+and the G_b in block order.  The blocks are those of every pass over X,
+:func:`~smxreg.core.column_plan`, so the bits depend on X's shape alone;
+each block reads its columns of X twice (for A_b and for G_b) while they
+are still in cache.  The blocks run on one thread per usable CPU, with
+OpenBLAS single-threaded meanwhile, or in order on the calling thread
+(:func:`~smxreg.core.block_runner`).  An X of one block runs the one-call
+epoch A = W X on the calling thread.
 
 A row of X that is zero in every sample adds nothing to A, and G's column
 for it is zero.  So the epoch reads only the live rows: A_b = W[:, live]
@@ -40,9 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import core
 from .core import (Dataset, InvalidInputError, activations, block_runner,
-                   center_columns, check_weights, column_slices)
+                   center_columns, check_weights, column_plan)
 from .loss_grad import forward, loss_from_activations
 # ``softmax`` stays importable from this module: bench/workloads.py times it
 # under the name ``smxreg.trainer.softmax``.
@@ -136,13 +135,6 @@ def _max_abs_column_sum(w: np.ndarray) -> float:
     return float(np.max(np.abs(w.sum(axis=0))))
 
 
-def _column_plan(x: np.ndarray) -> list[slice]:
-    """One column block of X per ``core.PARALLEL_MIN_BYTES`` of its size,
-    at least one and at most one per column."""
-    n = x.shape[1]
-    return column_slices(n, min(n, max(1, x.nbytes // core.PARALLEL_MIN_BYTES)))
-
-
 def _live_rows(x: np.ndarray, live: np.ndarray, blocks: list[slice], run) -> list:
     """The rows ``live`` of each column block of X, contiguous, copied by
     ``run`` into one buffer: freeing a single allocation returns its memory
@@ -202,12 +194,10 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
     else:
         w = check_weights(w0, data).copy()
 
-    blocks = _column_plan(data.x)
-    trace = TrainTrace(blocks=len(blocks))
+    blocks = column_plan(data.n, data.x.nbytes)
+    live = np.flatnonzero(np.any(data.x, axis=1))
+    trace = TrainTrace(live_rows=live.size, blocks=len(blocks))
     with block_runner(len(blocks)) as run:
-        scans = run(lambda cols: np.any(data.x[:, cols], axis=1), blocks)
-        live = np.flatnonzero(np.any(scans, axis=0))
-        trace.live_rows = live.size
         if live.size == data.d:
             rows, xs = slice(None), [data.x[:, cols] for cols in blocks]
         else:

@@ -11,20 +11,23 @@ if str(SRC) not in sys.path:
 
 @pytest.fixture
 def forced_parallel(monkeypatch):
-    """:func:`smxreg.core.column_blocks` splits any work into three blocks on
-    pool threads, whatever the size or the machine."""
+    """:func:`smxreg.core.column_plan` cuts every array into one block per
+    64 bytes (8 doubles, so a 4 x 6 float64 array spans three blocks), and
+    three CPUs are usable.  So :func:`smxreg.core.column_blocks` runs any
+    array of two blocks or more on pool threads, whatever the machine."""
     from smxreg import core
 
-    monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 0)
+    monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 64)
     monkeypatch.setattr(core, "usable_cpus", lambda: 3)
 
 
 @pytest.fixture
 def both_paths(monkeypatch, forced_parallel):
-    """``both_paths(call)`` runs ``call()`` on both paths of
-    :func:`smxreg.core.column_blocks` and returns ``(serial, parallel,
-    submitted)``: the result with one usable CPU, the result with three and
-    no size floor, and the number of blocks the second run gave to a pool.
+    """``both_paths(call)`` runs ``call()`` under :func:`forced_parallel`
+    on both paths of :func:`smxreg.core.column_blocks` and returns
+    ``(serial, parallel, submitted)``: the result with the blocks run in
+    order on the calling thread (one usable CPU), the result with three
+    usable CPUs, and the number of blocks the second run gave to a pool.
     """
     from smxreg import core
 

@@ -18,6 +18,7 @@ from smxreg.core import (
     block_runner,
     center_columns,
     column_blocks,
+    column_plan,
     freeze,
     one_hot,
 )
@@ -136,32 +137,64 @@ _LAYOUTS = [
 _LAYOUT_IDS = ["c-order", "fortran-order", "strided"]
 
 
-class TestAsMatrix:
-    def test_finite_entries_whose_sum_overflows_are_accepted(self):
-        out = as_matrix([[1e308, 1e308]])
-        assert np.array_equal(out, [[1e308, 1e308]])
+@pytest.fixture(params=["one-block", "three-blocks"])
+def plan(request):
+    """Run a test with its 4 x 6 arrays in one column block, and in three
+    (columns 0-1, 2-3 and 4-5) on pool threads."""
+    if request.param == "three-blocks":
+        request.getfixturevalue("forced_parallel")
 
-    @pytest.mark.parametrize("bad", [
-        [[1.0, np.nan]], [[np.inf, 2.0]], [[np.inf, -np.inf]], [[1e308, 1e308, np.nan]],
-    ], ids=["nan", "inf", "inf_and_minus_inf", "overflow_and_nan"])
-    def test_nonfinite_entries_are_rejected(self, bad):
+
+def _grid(*entries):
+    """The 4 x 6 array 0..23 with each ``(row, column, value)`` of
+    ``entries`` set."""
+    x = np.arange(24.0).reshape(4, 6)
+    for i, j, value in entries:
+        x[i, j] = value
+    return x
+
+
+class TestAsMatrix:
+    @pytest.mark.parametrize("entries", [
+        [(2, 1, 1e308), (2, 4, 1e308)], [(2, 4, 1e308), (2, 5, 1e308)],
+    ], ids=["across_blocks", "inside_the_last_block"])
+    def test_finite_entries_whose_sum_overflows_are_accepted(self, plan, entries):
+        x = _grid(*entries)
+        assert np.array_equal(as_matrix(x), x)
+
+    @pytest.mark.parametrize("entries", [
+        [(1, 5, np.nan)],
+        [(0, 0, np.inf)],
+        [(2, 4, np.inf), (2, 5, -np.inf)],
+        [(3, 4, 1e308), (3, 5, 1e308), (0, 4, np.nan)],
+    ], ids=["nan_in_the_last_block", "inf", "inf_and_minus_inf", "overflow_and_nan"])
+    def test_nonfinite_entries_are_rejected(self, plan, entries):
         with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
-            as_matrix(bad, "x")
+            as_matrix(_grid(*entries), "x")
 
     @pytest.mark.parametrize("layout", _LAYOUTS, ids=_LAYOUT_IDS)
     @pytest.mark.parametrize("value, ok", [
         (np.nan, False), (np.inf, False), (-np.inf, False), (1e308, True),
     ], ids=["nan", "inf", "minus_inf", "sum_overflows"])
-    def test_every_layout_is_probed(self, layout, value, ok):
+    @pytest.mark.parametrize("columns", [(1, 4), (4, 5)], ids=["across", "last_block"])
+    def test_every_layout_is_probed(self, plan, layout, value, ok, columns):
         # row 2 holds the value twice, so 1e308 overflows that row's sum
-        x = np.arange(24.0).reshape(4, 6)
-        x[2, 1] = x[2, 4] = value
-        x = layout(x)
+        x = layout(_grid(*[(2, j, value) for j in columns]))
         if ok:
             assert np.array_equal(as_matrix(x), x)
         else:
             with pytest.raises(InvalidInputError, match="non-finite"):
                 as_matrix(x)
+
+    def test_one_block_asks_for_no_cpu_count(self, monkeypatch):
+        # the pool and its import come after the CPU count
+        def refuse():
+            raise AssertionError("a one-block array asked for the CPU count")
+
+        monkeypatch.setattr(core, "usable_cpus", refuse)
+        x = np.ones((300, 700))
+        assert len(core.column_plan(700, x.nbytes)) == 1
+        assert as_matrix(x) is x
 
     @pytest.mark.parametrize("layout", _LAYOUTS, ids=_LAYOUT_IDS)
     def test_probe_allocates_o_d_plus_n(self, layout):
@@ -235,11 +268,11 @@ class TestDatasetAdoption:
         assert np.array_equal(data.x, x)
 
     def test_fortran_order_copy_is_the_same_on_both_paths(self, both_paths):
-        # 3001 columns: a multiple of neither block count
-        x = freeze(np.asfortranarray(np.random.default_rng(8).standard_normal((5, 3001))))
-        t = one_hot(np.arange(3001) % 2 + 1, 2)
+        # 31 columns: x spans 19 forced blocks and t 7, of unequal widths
+        x = freeze(np.asfortranarray(np.random.default_rng(8).standard_normal((5, 31))))
+        t = one_hot(np.arange(31) % 2 + 1, 2)
         serial, parallel, submitted = both_paths(lambda: Dataset(x, t))
-        assert submitted == 6  # x and t, three blocks each
+        assert submitted == 19 + 19 + 7  # x's finite check and copy, t's copy
         for data in (serial, parallel):
             assert data.x.flags.c_contiguous and not data.x.flags.writeable
         assert serial.x.tobytes() == parallel.x.tobytes() == np.ascontiguousarray(x).tobytes()
@@ -296,6 +329,25 @@ class TestWeightShapeCheck:
         assert str(shape) in str(info.value)
 
 
+class TestColumnPlan:
+    @pytest.mark.parametrize("cpus", [1, 64])
+    @pytest.mark.parametrize("n", [0, 1, 7, 60000])
+    @pytest.mark.parametrize("units", [0, 0.5, 1, 2.5, 22, 10**6])
+    def test_count_is_the_clamped_size_whatever_the_cpus(self, monkeypatch, cpus,
+                                                         n, units):
+        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+        nbytes = int(units * core.PARALLEL_MIN_BYTES)
+        blocks = column_plan(n, nbytes)
+        assert len(blocks) == min(max(nbytes // core.PARALLEL_MIN_BYTES, 1), max(n, 1))
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        widths = {c.stop - c.start for c in blocks}
+        assert max(widths) - min(widths) <= 1
+
+    def test_no_columns_is_one_empty_block(self):
+        assert column_plan(0, 10**12) == [slice(0, 0)]
+
+
 class TestColumnBlocks:
     def test_blocks_cover_every_column_once_on_pool_threads(self, forced_parallel):
         seen, lock = [], threading.Lock()
@@ -303,20 +355,33 @@ class TestColumnBlocks:
         def record(cols):
             with lock:
                 seen.append((cols, threading.get_ident()))
+            return cols.start
 
-        column_blocks(record, 10, 0)
+        assert column_blocks(record, 10, 3 * core.PARALLEL_MIN_BYTES) == [0, 3, 6]
         assert sorted((c.start, c.stop) for c, _ in seen) == [(0, 3), (3, 6), (6, 10)]
         assert threading.get_ident() not in {ident for _, ident in seen}
 
-    @pytest.mark.parametrize("cpus, n, floor", [
-        (1, 10, 0), (3, 10, 1001), (3, 1, 0), (3, 0, 0),
-    ], ids=["one-cpu", "below-the-size-constant", "one-column", "no-columns"])
-    def test_serial_path_is_one_call_on_the_calling_thread(self, monkeypatch, cpus,
-                                                           n, floor):
-        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", floor)
-        monkeypatch.setattr(core, "usable_cpus", lambda: cpus)
+    def test_one_cpu_runs_the_blocks_in_order_on_the_calling_thread(
+            self, forced_parallel, monkeypatch):
+        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
         calls = []
-        column_blocks(lambda cols: calls.append((cols, threading.get_ident())), n, 1000)
+        column_blocks(lambda cols: calls.append((cols, threading.get_ident())), 10,
+                      3 * core.PARALLEL_MIN_BYTES)
+        assert calls == [(slice(a, b), threading.get_ident())
+                         for a, b in [(0, 3), (3, 6), (6, 10)]]
+
+    @pytest.mark.parametrize("n, blocks", [(10, 1.99), (1, 50), (0, 50)],
+                             ids=["below-two-blocks", "one-column", "no-columns"])
+    def test_one_block_is_one_call_on_the_calling_thread(self, forced_parallel,
+                                                         monkeypatch, n, blocks):
+        nbytes = int(blocks * core.PARALLEL_MIN_BYTES)
+
+        def refuse():
+            raise AssertionError("a one-block plan asked for the CPU count")
+
+        monkeypatch.setattr(core, "usable_cpus", refuse)
+        calls = []
+        column_blocks(lambda cols: calls.append((cols, threading.get_ident())), n, nbytes)
         assert calls == [(slice(0, n), threading.get_ident())]
 
     def test_usable_cpus_follows_the_affinity_mask(self, monkeypatch):
@@ -335,10 +400,10 @@ class TestColumnBlocks:
         before = threading.active_count()
         if fail:
             with pytest.raises(KeyError) as info:
-                column_blocks(block, 9, 0)
+                column_blocks(block, 9, 3 * core.PARALLEL_MIN_BYTES)
             assert info.value is error
         else:
-            column_blocks(block, 9, 0)
+            column_blocks(block, 9, 3 * core.PARALLEL_MIN_BYTES)
         assert threading.active_count() == before
 
     def test_blocks_run_in_the_callers_errstate(self, forced_parallel):
@@ -350,7 +415,7 @@ class TestColumnBlocks:
             np.multiply(big[cols], 10.0)
 
         with np.errstate(over="ignore"):
-            column_blocks(overflow, 4, 0)
+            column_blocks(overflow, 4, 3 * core.PARALLEL_MIN_BYTES)
 
 
 class TestBlockRunner:

@@ -1,4 +1,6 @@
+import concurrent.futures
 import struct
+import threading
 import tracemalloc
 import warnings
 
@@ -7,10 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smxreg import data_io
-from smxreg.core import Dataset, DimensionMismatchError, InvalidLabelError
+from smxreg import core, data_io
+from smxreg.core import (Dataset, DimensionMismatchError, InvalidLabelError, as_matrix,
+                         column_blocks)
 from smxreg.data_io import (
-    IDX_BLOCK_IMAGES,
     CsvParseError,
     IdxFormatError,
     add_bias_row,
@@ -88,6 +90,16 @@ class TestIdxImages:
         write_idx_images(dst, x, rows, cols)
         assert src.read_bytes() == dst.read_bytes()
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.01, -0.01],
+                             ids=["nan", "inf", "minus_inf", "above_one", "below_zero"])
+    def test_writer_names_the_first_pixel_that_is_not_a_byte(self, tmp_path, value):
+        x = np.full((4, 3), 0.5)
+        x[3, 1] = x[0, 2] = value
+        dst = tmp_path / "dst.idx"
+        with pytest.raises(ValueError, match=rf"^round\(255 x\) of pixel x\[0, 2\] = {value!r} is not"):
+            write_idx_images(dst, x, 2, 2)
+        assert not dst.exists()
+
     def test_bad_magic_names_offset(self, tmp_path):
         f = tmp_path / "bad.idx"
         f.write_bytes(b"\x12\x00\x08\x03" + b"\x00" * 12)
@@ -125,8 +137,8 @@ class TestIdxImages:
         with pytest.raises(IdxFormatError):
             load_idx_images(f)
 
-    def test_c_order_and_exact_across_blocks(self, tmp_path):
-        n = 2 * IDX_BLOCK_IMAGES + 37
+    def test_c_order_and_exact_across_blocks(self, tmp_path, forced_parallel):
+        n = 37  # 27 forced blocks of 1 or 2 images
         images = np.random.default_rng(2).integers(0, 256, (n, 3, 2), dtype=np.uint8)
         f = tmp_path / "imgs.idx"
         write_raw_images(f, images)
@@ -134,15 +146,15 @@ class TestIdxImages:
         assert x.flags.c_contiguous and x.dtype == np.float64
         assert np.array_equal(x, images.reshape(n, 6).T / 255.0)
 
-    # 2087 images: a multiple of neither IDX_BLOCK_IMAGES nor the 3 blocks
-    @pytest.mark.parametrize("n", [1, 2 * IDX_BLOCK_IMAGES + 39])
+    # 37 images span 27 forced blocks (32 with the bias row), 1 image one
+    @pytest.mark.parametrize("n", [1, 37])
     @pytest.mark.parametrize("bias", [False, True])
     def test_blocked_conversion_matches_serial(self, tmp_path, both_paths, n, bias):
         images = np.random.default_rng(7).integers(0, 256, (n, 3, 2), dtype=np.uint8)
         f = tmp_path / "imgs.idx"
         write_raw_images(f, images)
         serial, parallel, submitted = both_paths(lambda: load_idx_images(f, bias=bias))
-        assert submitted == (3 if n > 1 else 0)
+        assert submitted == ((32 if bias else 27) if n > 1 else 0)
         _assert_bit_equal(serial, parallel)
         assert parallel.flags.c_contiguous
         assert np.array_equal(parallel[:6], images.reshape(n, 6).T / 255.0)
@@ -179,6 +191,14 @@ class TestIdxLabels:
         dst = tmp_path / "dst.idx"
         write_idx_labels(dst, np.argmax(t, axis=0))
         assert src.read_bytes() == dst.read_bytes()
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf, 1.7, 256, -1],
+                             ids=["nan", "inf", "minus_inf", "fraction", "256", "-1"])
+    def test_writer_names_the_first_label_that_is_not_a_byte(self, tmp_path, value):
+        dst = tmp_path / "dst.idx"
+        with pytest.raises(ValueError, match=rf"^label {value!r} at position 2 is not"):
+            write_idx_labels(dst, [0, 9, value, 1, value])
+        assert not dst.exists()
 
     def test_pair_length_mismatch(self, tmp_path):
         imgs = tmp_path / "imgs.idx"
@@ -257,9 +277,59 @@ def _csv_load_peak(tmp_path):
 @pytest.mark.parametrize("peak, bound", [
     (_load_and_bias_peak, 2.3), (_biased_load_peak, 1.3), (_csv_load_peak, 3.0),
 ], ids=["load-and-bias", "biased-load", "csv"])
-def test_peak_bounds_hold_on_the_parallel_path(tmp_path, forced_parallel, peak, bound):
-    # the same bounds as the tests that run the default path
+def test_peak_bounds_hold_on_the_parallel_path(tmp_path, forced_parallel, monkeypatch,
+                                               peak, bound):
+    # the same bounds as the tests that run the default path.  Blocks of
+    # 64 KiB: the 785 x 5000 X spans 479 blocks of 10 or 11 columns.  The
+    # pool keeps about 1.8 KB per block until the call returns, which the
+    # default plan (one block per 16 MiB) never makes significant.
+    monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 64 << 10)
     assert peak(tmp_path) <= bound
+
+
+def test_only_train_limits_blas_threads(tmp_path, forced_parallel, monkeypatch):
+    # every setup pass runs its blocks on a pool here; each block reads
+    # OpenBLAS's thread count before it runs
+    setter = core._blas_thread_setter()
+    if setter is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    lock, seen = threading.Lock(), []
+
+    def count():
+        with lock:
+            current = setter(1)
+            setter(current)
+        return current
+
+    class ReadingPool(concurrent.futures.ThreadPoolExecutor):
+        def submit(self, fn, *args, **kwargs):
+            def read_then_run(*a, **k):
+                seen.append(count())
+                return fn(*a, **k)
+
+            return super().submit(read_then_run, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", ReadingPool)
+    imgs, labs, table = tmp_path / "imgs.idx", tmp_path / "labs.idx", tmp_path / "t.csv"
+    rng = np.random.default_rng(12)
+    write_raw_images(imgs, rng.integers(0, 256, (30, 2, 3), dtype=np.uint8))
+    write_raw_labels(labs, rng.integers(0, 3, 30).tolist())
+    table.write_text("".join(f"{a!r},{b!r},{k}\n" for a, b, k in
+                             zip(*rng.standard_normal((2, 30)).tolist(), [0, 1, 2] * 10)))
+    restore = setter(2)
+    try:
+        before = count()
+        column_blocks(lambda cols: None, 30, 3 * core.PARALLEL_MIN_BYTES)
+        x = load_idx_images(imgs)
+        data = load_idx_dataset(imgs, labs, 3, bias=True)
+        load_csv(table, -1, 3, bias=True)
+        Dataset(np.asfortranarray(add_bias_row(x)), data.t)
+        as_matrix(x.T)
+        after = count()
+    finally:
+        setter(restore)
+    assert len(seen) >= 6 * 3
+    assert set(seen) == {before} and after == before
 
 
 def _assert_bit_equal(a, b):
@@ -269,8 +339,8 @@ def _assert_bit_equal(a, b):
 class TestBiasedLoaders:
     """``bias=True`` builds the same X as the ``add_bias_row`` idiom, once."""
 
-    def test_idx_images_match_bias_idiom(self, tmp_path):
-        n = 2 * IDX_BLOCK_IMAGES + 37
+    def test_idx_images_match_bias_idiom(self, tmp_path, forced_parallel):
+        n = 37
         images = np.random.default_rng(4).integers(0, 256, (n, 3, 2), dtype=np.uint8)
         f = tmp_path / "imgs.idx"
         write_raw_images(f, images)
@@ -393,7 +463,7 @@ class TestCsv:
                              for row in table.tolist()))
         serial, parallel, submitted = both_paths(
             lambda: load_csv(f, label_column, 3, bias=True).x)
-        assert submitted == 3
+        assert submitted == 2 * 63  # the transpose and Dataset's finite check
         _assert_bit_equal(serial, parallel)
         feats = np.delete(table, label_column % 5, axis=1)
         _assert_bit_equal(parallel, add_bias_row(feats.T))
@@ -600,7 +670,7 @@ class TestAddBiasRow:
         base = np.random.default_rng(9).standard_normal((8, 301))
         x = base[1::2, ::3]
         serial, parallel, submitted = both_paths(lambda: add_bias_row(x))
-        assert submitted == 3
+        assert submitted == 63  # a 5 x 101 result
         _assert_bit_equal(serial, parallel)
         _assert_bit_equal(parallel, np.vstack([x, np.ones((1, 101))]))
         _assert_frozen_c(parallel)
