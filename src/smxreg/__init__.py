@@ -24,6 +24,7 @@ from .core import (
     DimensionMismatchError,
     InvalidInputError,
     InvalidLabelError,
+    LiveRows,
     RankDeficientError,
     SizeLimitError,
     UnsupportedShapeError,
@@ -44,6 +45,7 @@ __all__ = [
     "HessianOperator",
     "InvalidInputError",
     "InvalidLabelError",
+    "LiveRows",
     "RankDeficientError",
     "SizeLimitError",
     "SpectrumReport",

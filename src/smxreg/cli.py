@@ -24,8 +24,9 @@ import numpy as np
 
 from .certify import certify
 from .convergence import condition_bound, plan, reduce_two_class
-from .core import Dataset, InvalidInputError, check_weights
-from .data_io import encode_weights, load_csv, load_idx_dataset, read_weights
+from .core import Dataset, InvalidInputError, LiveRows, check_weights
+from .data_io import (encode_weights, load_csv, load_idx_dataset, load_idx_live,
+                      read_weights)
 from .fdcheck import CHECK_SIZES, GRAD_TOL, HESS_TOL, gradient_check_suite
 from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
@@ -61,7 +62,9 @@ def _finite_or_none(x):
 
 def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--csv", help="numeric CSV with one sample per row")
-    p.add_argument("--label-column", type=int, default=-1,
+    # Unset defaults (None here and for spectrum's --sample) let spectrum
+    # --y tell a flag given from one left out.
+    p.add_argument("--label-column", type=int,
                    help="0-based CSV column holding the 0-based label (default: last)")
     p.add_argument("--header", action="store_true", help="skip one CSV header row")
     p.add_argument("--data", help="IDX image file")
@@ -70,20 +73,22 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bias", action="store_true", help="append a constant-1 feature row")
 
 
-def _load_dataset(args) -> Dataset:
+def _load_dataset(args, load_idx=load_idx_dataset) -> Dataset | LiveRows:
+    """The CSV's Dataset, or what ``load_idx`` returns for the IDX pair."""
     if args.csv:
         if args.classes is None:
             raise InvalidInputError("--classes is required with --csv")
-        return load_csv(args.csv, args.label_column, args.classes,
+        label_column = -1 if args.label_column is None else args.label_column
+        return load_csv(args.csv, label_column, args.classes,
                         header=args.header, bias=args.bias)
     if args.data and args.labels:
         if args.classes is None:
             raise InvalidInputError("--classes is required with --data/--labels")
-        return load_idx_dataset(args.data, args.labels, args.classes, bias=args.bias)
+        return load_idx(args.data, args.labels, args.classes, bias=args.bias)
     raise InvalidInputError("provide --csv or both --data and --labels")
 
 
-def _input_digest(args, data: Dataset | None) -> dict:
+def _input_digest(args, data: Dataset | LiveRows | None) -> dict:
     digest: dict = {}
     for key in ("csv", "data", "labels", "weights"):
         val = getattr(args, key, None)
@@ -105,7 +110,9 @@ def cmd_train(args) -> tuple[int, dict, dict, list, dict]:
         tol_grad=args.tol_grad,
         log_every=args.log_every,
     )
-    data = _load_dataset(args)
+    # An IDX pair is loaded as its live rows alone; train and evaluate
+    # read no others.
+    data = _load_dataset(args, load_idx_live)
     w, trace = train(data, cfg)
     result: dict = {
         "stop_reason": trace.stop_reason,
@@ -132,6 +139,15 @@ def cmd_train(args) -> tuple[int, dict, dict, list, dict]:
 
 def cmd_spectrum(args) -> tuple[int, dict, dict, list, dict]:
     if args.y:
+        ignored = [flag for flag in ("--weights", "--sample", "--csv", "--label-column",
+                                     "--header", "--data", "--labels", "--classes",
+                                     "--bias")
+                   # unset: None, or False for a switch (0 is a value)
+                   if (value := getattr(args, flag[2:].replace("-", "_"))) is not None
+                   and value is not False]
+        if ignored:
+            raise InvalidInputError(
+                f"--y takes no --weights, --sample or data flags, got {' '.join(ignored)}")
         y = np.array([float(tok) for tok in args.y.split(",")])
         data = None
     else:
@@ -139,12 +155,13 @@ def cmd_spectrum(args) -> tuple[int, dict, dict, list, dict]:
             raise InvalidInputError("provide --y or --weights with data flags")
         w = read_weights(args.weights)
         data = _load_dataset(args)
-        if not 0 <= args.sample < data.n:
+        sample = 0 if args.sample is None else args.sample
+        if not 0 <= sample < data.n:
             raise InvalidInputError(f"--sample must be in 0..{data.n - 1}")
         w = check_weights(w, data)
         # An overflowing column is refused by softmax, without a warning.
         with np.errstate(over="ignore", invalid="ignore"):
-            a = w @ data.x[:, args.sample]
+            a = w @ data.x[:, sample]
         y = softmax(a)
 
     report = analyze_q(y)
@@ -260,8 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_data_flags(p)
     p.add_argument("--y", help="comma-separated probability vector")
     p.add_argument("--weights", help="weights file (alternative to --y)")
-    p.add_argument("--sample", type=int, default=0,
-                   help="0-based sample column used with --weights")
+    p.add_argument("--sample", type=int,
+                   help="0-based sample column used with --weights (default: 0)")
     p.set_defaults(func=cmd_spectrum)
 
     p = sub.add_parser("certify", parents=[report], help="strict-convexity certificate")

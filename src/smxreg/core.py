@@ -78,12 +78,17 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
+def _block_count(n: int, nbytes: int) -> int:
+    """The number of blocks of :func:`column_plan`."""
+    return max(1, min(n, nbytes // PARALLEL_MIN_BYTES))
+
+
 def column_plan(n: int, nbytes: int) -> list[slice]:
     """The column blocks of an array of ``n`` columns and ``nbytes`` bytes:
     one per ``PARALLEL_MIN_BYTES``, at least one and at most one per column,
     of widths that differ by at most one.  The count never depends on the
     CPU count, so sums over the blocks have the same bits on every machine."""
-    k = max(1, min(n, nbytes // PARALLEL_MIN_BYTES))
+    k = _block_count(n, nbytes)
     edges = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
 
@@ -200,12 +205,13 @@ def block_runner(blocks: int) -> Iterator[Callable[[Callable, list], list]]:
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Coerce to a float64 2-D array, rejecting non-finite entries.
 
-    Finite row sums prove every entry finite.  An array of several
-    :func:`column_plan` blocks sums each block's rows by ``np.add.reduce``
-    on the pool (:func:`column_blocks`), so no BLAS thread holds a core the
-    pool needs; one block takes one BLAS product ``X @ 1``, which BLAS
-    threads.  Only a block whose sums are not finite (a NaN or infinity, or
-    finite entries whose sum overflows) takes the exact elementwise test.
+    Finite row sums prove every entry finite.  An array of one
+    :func:`column_plan` block takes one BLAS product ``X @ 1``, which BLAS
+    threads, and no plan or pool.  An array of several blocks sums each
+    block's rows by ``np.add.reduce`` on the pool (:func:`column_blocks`),
+    so no BLAS thread holds a core the pool needs.  Only a block whose sums
+    are not finite (a NaN or infinity, or finite entries whose sum
+    overflows) takes the exact elementwise test.
     """
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
@@ -213,18 +219,21 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
 
     def finite(cols: slice) -> bool:
         block = out[:, cols]
-        whole = cols.stop - cols.start == out.shape[1]
-        sums = block @ np.ones(out.shape[1]) if whole else np.add.reduce(block, axis=1)
-        return np.isfinite(sums).all() or np.isfinite(block).all()
+        return np.isfinite(np.add.reduce(block, axis=1)).all() or np.isfinite(block).all()
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if not all(column_blocks(finite, out.shape[1], out.nbytes)):
-            raise InvalidInputError(f"{name} contains non-finite entries")
+        if _block_count(out.shape[1], out.nbytes) == 1:
+            ok = np.isfinite(out @ np.ones(out.shape[1])).all() or np.isfinite(out).all()
+        else:
+            ok = all(column_blocks(finite, out.shape[1], out.nbytes))
+    if not ok:
+        raise InvalidInputError(f"{name} contains non-finite entries")
     return out
 
 
-def check_weights(w, data: Dataset) -> np.ndarray:
-    """``w`` as a float64 C x D matrix for ``data``; a wrong shape raises
+def check_weights(w, data: Dataset | LiveRows) -> np.ndarray:
+    """``w`` as a float64 C x D matrix for ``data`` (D the full width of a
+    :class:`LiveRows`); a wrong shape raises
     :class:`DimensionMismatchError` naming both shapes."""
     w = as_matrix(w, "w")
     if w.shape != (data.c, data.d):
@@ -321,6 +330,71 @@ class Dataset:
         vectors, computed once per dataset and read-only."""
         s, left = rank_test(self.x)
         return freeze(s), freeze(left)
+
+
+@dataclass(frozen=True)
+class LiveRows:
+    """The rows of a D x N feature matrix X that are nonzero in some sample.
+
+    A row of X that is zero in every sample adds nothing to W X, and the
+    gradient's column for it is zero, so these rows hold the whole
+    training problem.  ``data`` is the :class:`Dataset` of the live rows
+    (r x N) with X's targets, ``rows`` their ascending indices into
+    0..d-1, and ``d`` X's full width.  Weights keep all d columns:
+    :meth:`narrow` takes their live columns and :meth:`widen` writes them
+    back.  This class is the only code that maps weights between the two
+    widths.
+
+    :func:`~smxreg.data_io.load_idx_live` builds one from the pixel bytes,
+    and :func:`~smxreg.trainer.train` from a :class:`Dataset`.  When no row
+    is live (X is zero), ``data`` has no feature row, the one Dataset that
+    :class:`Dataset` itself refuses; see :meth:`adopt`.
+    """
+
+    data: Dataset
+    rows: np.ndarray
+    d: int
+
+    def __post_init__(self):
+        rows = np.array(self.rows, dtype=np.intp)
+        if rows.shape != (self.data.d,):
+            raise DimensionMismatchError(
+                f"rows must list the {self.data.d} rows of data.x, got shape {rows.shape}")
+        if rows.size and not (0 <= rows[0] and rows[-1] < self.d
+                              and np.all(np.diff(rows) > 0)):
+            raise InvalidInputError(f"rows must ascend within 0..{self.d - 1}")
+        object.__setattr__(self, "rows", freeze(rows))
+
+    @classmethod
+    def adopt(cls, x: np.ndarray, t: np.ndarray, rows, d: int) -> LiveRows:
+        """The LiveRows of fresh arrays whose entries are already known
+        good: ``x`` the rows ``rows`` copied from a checked X (or no row at
+        all), ``t`` checked targets.  Both are frozen and adopted as they
+        are, without the finite and probability checks of
+        :class:`Dataset`."""
+        data = object.__new__(Dataset)
+        object.__setattr__(data, "x", freeze(x))
+        object.__setattr__(data, "t", freeze(t))
+        return cls(data, rows, d)
+
+    @property
+    def c(self) -> int:
+        return self.data.c
+
+    @property
+    def n(self) -> int:
+        return self.data.n
+
+    def narrow(self, w: np.ndarray) -> np.ndarray:
+        """The live columns of C x d weights ``w``, as a new C x r array."""
+        return w[:, self.rows]
+
+    def widen(self, w: np.ndarray, live: np.ndarray) -> np.ndarray:
+        """A copy of C x d weights ``w`` whose live columns are ``live``
+        (C x r); its dead columns keep ``w``'s values."""
+        out = w.copy()
+        out[:, self.rows] = live
+        return out
 
 
 def freeze(a: np.ndarray) -> np.ndarray:

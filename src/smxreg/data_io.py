@@ -17,6 +17,10 @@ result equals ``add_bias_row`` applied to the unbiased load, bit for bit,
 but X is built and validated once.  :func:`add_bias_row` remains for
 arrays already in memory.
 
+:func:`load_idx_live` loads only the rows of X that training reads, those
+of the pixels that are nonzero in some image (and the bias row), as a
+:class:`~smxreg.core.LiveRows`: the full X is never built.
+
 :func:`load_csv` parses with numpy's C reader and keeps a Python line loop
 only for the files that reader refuses, so a clean CSV costs no Python
 call per cell, and an error still names its line.
@@ -30,7 +34,7 @@ from array import array
 
 import numpy as np
 
-from .core import (Dataset, DimensionMismatchError, InvalidLabelError,
+from .core import (Dataset, DimensionMismatchError, InvalidLabelError, LiveRows,
                    column_blocks, freeze, one_hot)
 
 WEIGHTS_MAGIC = b"SMXW"
@@ -113,6 +117,16 @@ def _feature_matrix(d: int, n: int, bias: bool) -> np.ndarray:
     return x
 
 
+def _read_pixels(path) -> np.ndarray:
+    """The N x D uint8 pixels of an IDX image file, one image per row, a
+    view of the payload bytes read at once."""
+    with open(path, "rb") as f:
+        n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
+        _check_payload_size(f, n * rows * cols, 16, "pixels")
+        payload = _read_exact(f, n * rows * cols, 16, "pixels")
+    return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
+
+
 def load_idx_images(path, bias: bool = False) -> np.ndarray:
     """D x N float64 matrix from an IDX image file, image n flattened
     row-major into column n.  Pixels are always mapped to [0, 1] by division
@@ -125,12 +139,8 @@ def load_idx_images(path, bias: bool = False) -> np.ndarray:
     are several blocks (:func:`~smxreg.core.column_blocks`).  Besides X,
     only the payload bytes (1/8 of X) are held.
     """
-    with open(path, "rb") as f:
-        n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
-        _check_payload_size(f, n * rows * cols, 16, "pixels")
-        payload = _read_exact(f, n * rows * cols, 16, "pixels")
-    d = rows * cols
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(n, d)
+    pixels = _read_pixels(path)
+    n, d = pixels.shape
     x = _feature_matrix(d, n, bias)
 
     column_blocks(lambda cols: np.divide(pixels[cols].T, 255.0, out=x[:d, cols]),
@@ -220,19 +230,61 @@ def load_idx_dataset(images_path, labels_path, c: int,
     constant-1 feature row appended when ``bias``.  The Dataset adopts the
     freshly loaded arrays, so X is built and validated exactly once."""
     x = load_idx_images(images_path, bias=bias)
-    t = load_idx_labels(labels_path, c)
-    if x.shape[1] != t.shape[1]:
-        raise IdxFormatError(
-            f"image count {x.shape[1]} does not match label count {t.shape[1]}"
-        )
+    t = _idx_targets(labels_path, c, x.shape[1])
     return _dataset(x, t, bias)
+
+
+def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveRows:
+    """The live rows of the X of :func:`load_idx_dataset`, without X.
+
+    A pixel that is zero in every image gives a row of X that is zero in
+    every sample, which training never reads.  One reduction over the
+    payload bytes finds those pixels, and only the live pixels (and the
+    constant-1 row, with ``bias``, always live) are converted: each column
+    block of :func:`~smxreg.core.column_plan` of the live rows' bytes is
+    gathered, transposed and scaled straight into its columns, on several
+    threads when there are several (:func:`~smxreg.core.column_blocks`).
+    The :class:`~smxreg.core.Dataset` of the live rows adopts the result
+    and validates it once.  The rows equal those of
+    :func:`load_idx_dataset`'s X bit for bit, so training on either gives
+    the same bits.  Besides the live rows, only the payload bytes (1/8 of
+    the full X) are held.  The errors are those of :func:`load_idx_dataset`.
+    """
+    pixels = _read_pixels(images_path)
+    n, d = pixels.shape
+    live = np.flatnonzero(np.bitwise_or.reduce(pixels, axis=0))
+    x = _feature_matrix(live.size, n, bias)
+    column_blocks(lambda cols: np.divide(pixels[cols][:, live].T, 255.0,
+                                         out=x[:live.size, cols]),
+                  n, x.nbytes)
+    t = _idx_targets(labels_path, c, n)
+    _require_features(d, n)
+    rows = np.append(live, d) if bias else live
+    if not rows.size:  # every pixel is zero and there is no bias row
+        return LiveRows.adopt(x, t, rows, d)
+    return LiveRows(Dataset(freeze(x), freeze(t)), rows, d + bias)
+
+
+def _idx_targets(labels_path, c: int, n: int) -> np.ndarray:
+    """The targets of an IDX label file, whose count must equal the image
+    count ``n``."""
+    t = load_idx_labels(labels_path, c)
+    if n != t.shape[1]:
+        raise IdxFormatError(f"image count {n} does not match label count {t.shape[1]}")
+    return t
+
+
+def _require_features(d: int, n: int) -> None:
+    """Refuse an X of no feature row or no sample, before a bias row alone
+    can pass for a feature."""
+    if d < 1 or n < 1:
+        raise DimensionMismatchError("x must have at least one row and column")
 
 
 def _dataset(x: np.ndarray, t: np.ndarray, bias: bool) -> Dataset:
     """The Dataset adopting fresh arrays.  A bias row alone holds no feature
     and is refused as an empty X would be."""
-    if bias and x.shape[0] == 1:
-        raise DimensionMismatchError("x must have at least one row and column")
+    _require_features(x.shape[0] - bias, x.shape[1])
     return Dataset(freeze(x), freeze(t))
 
 

@@ -5,22 +5,26 @@ The loss and G are sums over samples, so the epoch is a sum over fixed
 column blocks of X: block b gives A_b = W X_b and, from one helper,
 :func:`~smxreg.loss_grad.forward`, its loss and G_b = (Y_b - T_b) X_b^T,
 with the column max and exp run once.  The calling thread adds the losses
-and the G_b in block order.  The blocks are those of every pass over X,
-:func:`~smxreg.core.column_plan`, so the bits depend on X's shape alone;
-each block reads its columns of X twice (for A_b and for G_b) while they
-are still in cache.  The blocks run on one thread per usable CPU, with
+and the G_b in block order.  The blocks are
+:func:`~smxreg.core.column_plan`'s for the rows the epoch reads (below),
+so the bits depend on their shape alone; each block reads its columns of
+X twice (for A_b and for G_b) while they are still in cache.  The blocks run on one thread per usable CPU, with
 OpenBLAS single-threaded meanwhile, or in order on the calling thread
 (:func:`~smxreg.core.block_runner`).  An X of one block runs the one-call
 epoch A = W X on the calling thread.
 
 A row of X that is zero in every sample adds nothing to A, and G's column
-for it is zero.  So the epoch reads only the live rows: A_b = W[:, live]
-X_b,live, and G is formed on the live columns alone.  W keeps all D
-columns, and only the step W[:, live] -= eta G writes it, so a dead column
-keeps its starting value.  When a row is dead, ``train`` copies each
-block's live rows once per call (live share x the size of X, held until it
-returns; no copy for zero epochs); when none is, the blocks are views of
-``data.x``.
+for it is zero.  So the epoch reads only the live rows, held by a
+:class:`~smxreg.core.LiveRows`: A_b = W_live X_b,live, and G is formed on
+the live columns alone.  W keeps all D columns, and only the step
+W_live -= eta G writes it, so a dead column keeps its starting value.  The
+plan is sized by the live rows' bytes: 16 blocks for the 577 live rows of
+a 60000-image MNIST-shaped pair, where a pass over its full 785-row X
+takes 22.  ``train`` reads the live rows in place when given them, as
+:func:`~smxreg.data_io.load_idx_live` loads them, or finds them in a
+:class:`~smxreg.core.Dataset`: one scan of X and, when a row is dead, one
+copy of the live rows per call (held until it returns; no copy for zero
+epochs).  Both give the same bits.
 
 The learning rate is fixed, or adapted by the Barzilai-Borwein rate
 <dW, dG> / <dG, dG> of successive weight and gradient differences, by
@@ -40,7 +44,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import (Dataset, InvalidInputError, activations, block_runner,
+from .core import (Dataset, InvalidInputError, LiveRows, activations, block_runner,
                    center_columns, check_weights, column_plan)
 from .loss_grad import forward, loss_from_activations
 # ``softmax`` stays importable from this module: bench/workloads.py times it
@@ -78,8 +82,8 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
-        if not self.eta > 0.0:
-            raise InvalidInputError("eta must be positive")
+        if not 0.0 < self.eta < float("inf"):
+            raise InvalidInputError("eta must be finite and positive")
         if self.epochs < 0:
             raise InvalidInputError("epochs must be >= 0")
         if self.bb_mode not in BB_MODES:
@@ -103,8 +107,9 @@ class EpochRecord:
 class TrainTrace:
     """Logged epoch records, the stop reason, the number of rows of X that
     are nonzero in some sample (the rows an epoch reads) and the number of
-    column blocks of X whose sums give each epoch's loss and G (set by X's
-    shape alone, never by the CPU count)."""
+    column blocks of those rows whose sums give each epoch's loss and G
+    (:func:`~smxreg.core.column_plan` of the live rows' bytes, so set by
+    their shape alone, never by the CPU count)."""
 
     records: list[EpochRecord] = field(default_factory=list)
     stop_reason: str = STOP_EPOCHS
@@ -112,8 +117,9 @@ class TrainTrace:
     blocks: int = 1
 
 
-def initial_weights(data: Dataset, cfg: TrainConfig) -> np.ndarray:
-    """Seeded i.i.d. normal entries scaled by ``INIT_SCALE``, then recentered."""
+def initial_weights(data: Dataset | LiveRows, cfg: TrainConfig) -> np.ndarray:
+    """Seeded i.i.d. normal entries scaled by ``INIT_SCALE``, then
+    recentered; C x D, D the full width of a :class:`~smxreg.core.LiveRows`."""
     rng = np.random.default_rng(cfg.seed)
     return center_columns(INIT_SCALE * rng.standard_normal((data.c, data.d)))
 
@@ -135,25 +141,22 @@ def _max_abs_column_sum(w: np.ndarray) -> float:
     return float(np.max(np.abs(w.sum(axis=0))))
 
 
-def _live_rows(x: np.ndarray, live: np.ndarray, blocks: list[slice], run) -> list:
-    """The rows ``live`` of each column block of X, contiguous, copied by
-    ``run`` into one buffer: freeing a single allocation returns its memory
-    to the system, where freed per-block arrays can stay in the heap of the
-    thread that made them.  Each run of consecutive live rows is copied as
-    one slice, which needs no temporary copy of the block."""
-    buf = np.empty(live.size * x.shape[1])
-    xs = [buf[live.size * c.start:live.size * c.stop].reshape(live.size, c.stop - c.start)
-          for c in blocks]
-    starts = np.flatnonzero(np.diff(live, prepend=-2) != 1)
-    runs = [(int(i), int(j), int(live[i]))
-            for i, j in zip(starts, np.append(starts[1:], live.size))]
+def _copy_live_rows(data: Dataset, rows: np.ndarray, run) -> LiveRows:
+    """The LiveRows of ``data``'s rows ``rows``, copied block by block of
+    the live rows' column plan by ``run`` into one C-order buffer.  Each
+    run of consecutive live rows is copied as one slice, which needs no
+    temporary copy of the block."""
+    x = np.empty((rows.size, data.n))
+    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
+    runs = [(int(i), int(j), int(rows[i]))
+            for i, j in zip(starts, np.append(starts[1:], rows.size))]
 
-    def copy(b: int) -> None:
+    def copy(cols: slice) -> None:
         for i, j, row in runs:
-            xs[b][i:j] = x[row:row + j - i, blocks[b]]
+            x[i:j, cols] = data.x[row:row + j - i, cols]
 
-    run(copy, range(len(blocks)))
-    return xs
+    run(copy, column_plan(data.n, x.nbytes))
+    return LiveRows.adopt(x, data.t, rows, data.d)
 
 
 def _block_forward(w: np.ndarray, x: np.ndarray, t: np.ndarray):
@@ -174,7 +177,8 @@ def _add_blocks(sums: list) -> tuple[float, np.ndarray]:
     return cost, g
 
 
-def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTrace]:
+def train(data: Dataset | LiveRows, cfg: TrainConfig,
+          w0=None) -> tuple[np.ndarray, TrainTrace]:
     """Run the descent loop; returns (final weights, trace).
 
     ``w0`` overrides the seeded initialization and is used exactly as given
@@ -182,44 +186,50 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
     compared.  A non-finite loss or gradient stops the run with reason
     "nonfinite" (recorded in the trace) instead of raising.
 
-    Each epoch is a sum over ``trace.blocks`` fixed column blocks of X,
-    which read only the rows of X that are nonzero in some sample.  If any
-    row is zero in every sample, each block's live rows are copied once for
-    the call, an extra (live rows / D) x ``data.x.nbytes`` in all, unless
-    ``cfg.epochs`` is 0; otherwise X is read in place.  The weights, the
-    trace and the column sums keep all D columns.
+    Each epoch is a sum over ``trace.blocks`` fixed column blocks of the
+    rows of X that are nonzero in some sample.  ``data`` is either those
+    rows, a :class:`~smxreg.core.LiveRows`, read in place, or a
+    :class:`~smxreg.core.Dataset`, which costs one scan of X and, if any
+    row is zero in every sample, one copy of the live rows for the call,
+    an extra (live rows / D) x ``data.x.nbytes``, unless ``cfg.epochs`` is
+    0.  Both give the same bits.  The weights, the trace and the column
+    sums keep all D columns.
     """
     if w0 is None:
         w = initial_weights(data, cfg)
     else:
         w = check_weights(w0, data).copy()
 
-    blocks = column_plan(data.n, data.x.nbytes)
-    live = np.flatnonzero(np.any(data.x, axis=1))
-    trace = TrainTrace(live_rows=live.size, blocks=len(blocks))
-    with block_runner(len(blocks)) as run:
-        if live.size == data.d:
-            rows, xs = slice(None), [data.x[:, cols] for cols in blocks]
-        else:
-            rows = live
-            xs = _live_rows(data.x, live, blocks, run) if cfg.epochs else []
-        parts = [(x, data.t[:, cols]) for x, cols in zip(xs, blocks)]
+    if isinstance(data, LiveRows):
+        live, rows = data, data.rows
+    else:
+        live, rows = None, np.flatnonzero(np.any(data.x, axis=1))
+    blocks = column_plan(data.n, 8 * rows.size * data.n)  # the live rows' bytes
+    trace = TrainTrace(live_rows=rows.size, blocks=len(blocks))
+    if not cfg.epochs:
+        return w, trace
 
-        prev_w: np.ndarray | None = None
+    with block_runner(len(blocks)) as run:
+        if live is None:
+            live = (LiveRows(data, rows, data.d) if rows.size == data.d
+                    else _copy_live_rows(data, rows, run))
+        parts = [(live.data.x[:, cols], live.data.t[:, cols]) for cols in blocks]
+
+        prev_live: np.ndarray | None = None
         prev_g: np.ndarray | None = None
         eta = cfg.eta
         for epoch in range(1, cfg.epochs + 1):
+            w_live = live.narrow(w)
             # A diverging run overflows here; the check below turns that
             # into the "nonfinite" stop, so it raises no floating-point
             # warning.
             with np.errstate(over="ignore", invalid="ignore"):
-                w_rows = w[:, rows]
-                sums = run(lambda part: _block_forward(w_rows, *part), parts)
+                sums = run(lambda part: _block_forward(w_live, *part), parts)
                 if all(s is not None for s in sums):
                     cur_loss, g = _add_blocks(sums)
                     grad_norm = float(np.linalg.norm(g))
-                    if cfg.bb_mode != "off" and prev_w is not None:
-                        eta = _bb_step((w - prev_w)[:, rows], g - prev_g, eta)
+                    if cfg.bb_mode != "off" and prev_live is not None:
+                        eta = _bb_step(w_live - prev_live, g - prev_g, eta)
                 else:
                     cur_loss = grad_norm = float("nan")
 
@@ -235,15 +245,16 @@ def train(data: Dataset, cfg: TrainConfig, w0=None) -> tuple[np.ndarray, TrainTr
                 trace.stop_reason = STOP_GRAD_TOL
                 break
 
-            prev_w, prev_g = w, g
-            w = w.copy()
-            w[:, rows] -= eta * g
+            prev_live, prev_g = w_live, g
+            w = live.widen(w, w_live - eta * g)
 
     return w, trace
 
 
-def evaluate(w, data: Dataset) -> tuple[float, float]:
-    """(cross-entropy in nats, classification accuracy).
+def evaluate(w, data: Dataset | LiveRows) -> tuple[float, float]:
+    """(cross-entropy in nats, classification accuracy), for C x D weights
+    ``w``.  On a :class:`~smxreg.core.LiveRows` it reads only the live rows;
+    the loss then agrees with the full X's to rounding.
 
     Accuracy compares per-column argmax of the outputs against argmax of the
     targets; ties resolve to the lowest class index on both sides.  Softmax
@@ -251,6 +262,8 @@ def evaluate(w, data: Dataset) -> tuple[float, float]:
     Activations that overflow raise :class:`InvalidInputError`, as in
     :func:`~smxreg.loss_grad.loss`.
     """
+    if isinstance(data, LiveRows):
+        w, data = data.narrow(check_weights(w, data)), data.data
     a = activations(w, data)
     accuracy = float(np.mean(np.argmax(a, axis=0) == np.argmax(data.t, axis=0)))
     return loss_from_activations(a, data.t), accuracy

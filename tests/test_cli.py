@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -11,9 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg import TrainConfig, cli, fdcheck, reduce_two_class, train
+from smxreg import (TrainConfig, cli, core, evaluate, fdcheck, reduce_two_class, train,
+                    trainer)
 from smxreg.cli import main
-from smxreg.data_io import encode_weights, load_csv, read_weights
+from smxreg.data_io import encode_weights, load_csv, load_idx_dataset, read_weights
 from smxreg.loss_grad import gradient
 
 SRC = str(Path(__file__).resolve().parent.parent / "src")
@@ -131,6 +133,16 @@ class TestTrain:
                    "--eta", "1.0", "--epochs", "10", "--tol-grad", "1e-300"])
         assert rc == 1
 
+    @pytest.mark.parametrize("eta", ["inf", "nan", "0"])
+    def test_eta_must_be_finite_and_positive(self, toy_csv, tmp_path, capsys, eta):
+        rep = tmp_path / "rep.json"
+        assert main(["train", "--csv", toy_csv, "--classes", "2", "--eta", eta,
+                     "--epochs", "2", "--json", str(rep)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: eta must be finite and positive\n"
+        assert not rep.exists()
+
     def test_deterministic_reports_are_byte_identical(self, toy_csv, tmp_path):
         reps = []
         for name in ("a.json", "b.json"):
@@ -141,6 +153,95 @@ class TestTrain:
             assert rc == 0
             reps.append(rep.read_bytes())
         assert reps[0] == reps[1]
+
+
+def _idx_files(tmp_path, images, labels):
+    """An IDX image and label file of uint8 ``images`` (N, rows, cols)."""
+    imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+    n, rows, cols = images.shape
+    imgs.write_bytes(struct.pack(">IIII", 0x803, n, rows, cols) + images.tobytes())
+    labs.write_bytes(struct.pack(">II", 0x801, len(labels)) + bytes(labels))
+    return str(imgs), str(labs)
+
+
+class TestTrainIdx:
+    """``smxreg train`` loads an IDX pair as its live rows alone."""
+
+    @pytest.mark.parametrize("bias", [False, True])
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
+    def test_matches_the_library_on_the_full_load(self, tmp_path, monkeypatch, bias,
+                                                  mode):
+        # 120 images of 4 x 5 pixels; the first pixel row and two more
+        # pixels are zero in every image.  Blocks of 4 KiB cut the 13 or 14
+        # live rows into three blocks.
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 4096)
+        rng = np.random.default_rng(21)
+        images = rng.integers(0, 256, (120, 4, 5), dtype=np.uint8)
+        images[:, 0] = 0
+        images[:, 2, [1, 3]] = 0
+        labels = rng.integers(0, 3, 120).tolist()
+        imgs, labs = _idx_files(tmp_path, images, labels)
+        out, rep = tmp_path / "w.bin", tmp_path / "rep.json"
+        argv = ["train", "--data", imgs, "--labels", labs, "--classes", "3",
+                "--bb", mode, "--eta", "0.05", "--epochs", "15", "--seed", "4",
+                "--log-every", "4", "--out", str(out), "--json", str(rep)]
+        with monkeypatch.context() as no_copy:
+            # the CLI reads the live rows as loaded: train copies none
+            no_copy.setattr(trainer, "_copy_live_rows", None)
+            assert main(argv + ["--bias"] * bias) == 0
+        result = json.loads(rep.read_text())["result"]
+
+        data = load_idx_dataset(imgs, labs, 3, bias=bias)
+        w, trace = train(data, TrainConfig(eta=0.05, epochs=15, bb_mode=mode, seed=4,
+                                           log_every=4))
+        assert out.read_bytes() == encode_weights(w)
+        assert result["trace"] == [dataclasses.asdict(r) for r in trace.records]
+        assert (result["stop_reason"], result["live_rows"], result["blocks"]) == (
+            trace.stop_reason, trace.live_rows, trace.blocks) == (
+            "epochs_exhausted", 13 + bias, 3)
+        loss, accuracy = evaluate(w, data)
+        assert result["final_loss"] == pytest.approx(loss, rel=1e-12, abs=0)
+        assert result["accuracy"] == accuracy
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_all_zero_images(self, tmp_path, capsys, bias):
+        imgs, labs = _idx_files(tmp_path, np.zeros((10, 2, 2), dtype=np.uint8),
+                                [0, 1, 1, 0, 1, 1, 1, 0, 1, 1])
+        rep = tmp_path / "rep.json"
+        assert main(["train", "--data", imgs, "--labels", labs, "--classes", "2",
+                     "--eta", "0.1", "--epochs", "3", "--json", str(rep)]
+                    + ["--bias"] * bias) == 0
+        result = json.loads(rep.read_text())["result"]
+        assert result["live_rows"] == int(bias)
+        if bias:  # the bias row learns the class balance
+            assert result["stop_reason"] == "epochs_exhausted"
+            assert result["final_loss"] < 10 * np.log(2)
+        else:  # nothing to learn: the gradient is zero at the start
+            assert result["stop_reason"] == "grad_tol"
+            assert [r["epoch"] for r in result["trace"]] == [1]
+            assert result["final_loss"] == pytest.approx(10 * np.log(2), rel=1e-15)
+            assert result["accuracy"] == 0.3
+
+    @pytest.mark.parametrize("images, labels, message", [
+        (struct.pack(">IIII", 0x803, 2, 2, 2) + b"\1" * 7, [0, 1],
+         "truncated file: header declares 8 bytes of pixels at offset 16, file holds 7"),
+        (struct.pack(">IIII", 0x803, 3, 2, 2) + b"\1" * 12, [0, 1],
+         "image count 3 does not match label count 2"),
+        (struct.pack(">IIII", 0x803, 0, 2, 2), [],
+         "x must have at least one row and column"),
+        (struct.pack(">IIII", 0x803, 2, 0, 2), [0, 1],
+         "x must have at least one row and column"),
+    ], ids=["truncated", "count_mismatch", "no_images", "no_pixels"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_bad_pairs_exit_2(self, tmp_path, capsys, images, labels, message, bias):
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        imgs.write_bytes(images)
+        labs.write_bytes(struct.pack(">II", 0x801, len(labels)) + bytes(labels))
+        assert main(["train", "--data", str(imgs), "--labels", str(labs),
+                     "--classes", "2", "--eta", "0.1"] + ["--bias"] * bias) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
 
 class TestSpectrum:
@@ -161,6 +262,26 @@ class TestSpectrum:
     def test_failed_command_leaves_no_partial_output(self, tmp_path):
         rep = tmp_path / "rep.json"
         assert main(["spectrum", "--y", "0.5,0.6", "--json", str(rep)]) == 2
+        assert not rep.exists()
+
+    @pytest.mark.parametrize("flags, named", [
+        (["--weights", "/nonexistent.bin"], "--weights"),
+        (["--csv", "/nonexistent.csv"], "--csv"),
+        (["--weights", "/nonexistent.bin", "--csv", "/nonexistent.csv"],
+         "--weights --csv"),
+        (["--data", "i.idx", "--labels", "l.idx", "--classes", "2"],
+         "--data --labels --classes"),
+        (["--bias"], "--bias"),
+        (["--sample", "0", "--label-column", "-1"], "--sample --label-column"),
+    ])
+    def test_y_with_files_or_data_flags_is_usage_error(self, tmp_path, capsys, flags,
+                                                       named):
+        rep = tmp_path / "r.json"
+        assert main(["spectrum", "--y", "0.5,0.5", "--json", str(rep)] + flags) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: --y takes no --weights, --sample or data flags, "
+                                f"got {named}\n")
         assert not rep.exists()
 
     def test_above_dense_limit_skips_oracle(self, tmp_path, capsys):

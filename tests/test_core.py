@@ -14,6 +14,7 @@ from smxreg.core import (
     DimensionMismatchError,
     InvalidInputError,
     InvalidLabelError,
+    LiveRows,
     as_matrix,
     block_runner,
     center_columns,
@@ -196,6 +197,21 @@ class TestAsMatrix:
         assert len(core.column_plan(700, x.nbytes)) == 1
         assert as_matrix(x) is x
 
+    def test_one_block_builds_no_plan(self, monkeypatch):
+        # a weight matrix is checked once per Hessian product: its one
+        # product X @ 1 is the whole check
+        def refuse(*args):
+            raise AssertionError("a one-block array built a column plan")
+
+        monkeypatch.setattr(core, "column_plan", refuse)
+        monkeypatch.setattr(core, "column_blocks", refuse)
+        w = np.ones((10, 785))
+        assert as_matrix(w) is w
+        assert np.array_equal(as_matrix(_grid((2, 1, 1e308), (2, 4, 1e308))),
+                              _grid((2, 1, 1e308), (2, 4, 1e308)))
+        with pytest.raises(InvalidInputError, match="non-finite"):
+            as_matrix(_grid((1, 5, np.nan)))
+
     @pytest.mark.parametrize("layout", _LAYOUTS, ids=_LAYOUT_IDS)
     def test_probe_allocates_o_d_plus_n(self, layout):
         x = layout(np.random.default_rng(0).standard_normal((400, 3000)))
@@ -282,6 +298,54 @@ class TestDatasetAdoption:
         x = freeze(np.array([[np.inf, 0.0, 1.0], [0.0, 1.0, 2.0]]))
         with pytest.raises(InvalidInputError):
             Dataset(x, self.T)
+
+
+class TestLiveRows:
+    """The live rows of X as a Dataset, their indices and the full width;
+    weights move between the widths only through ``narrow`` and ``widen``."""
+
+    def _live(self):
+        x = np.arange(1.0, 13.0).reshape(2, 6)
+        return LiveRows(Dataset(x, one_hot([1, 2, 1, 2, 1, 2], 2)), [1, 3], 5)
+
+    def test_fields(self):
+        live = self._live()
+        assert (live.c, live.n, live.d) == (2, 6, 5)
+        assert live.rows.dtype == np.intp and not live.rows.flags.writeable
+
+    def test_narrow_and_widen(self):
+        live = self._live()
+        w = np.arange(10.0).reshape(2, 5)
+        assert np.array_equal(live.narrow(w), w[:, [1, 3]])
+        wide = live.widen(w, -live.narrow(w))
+        assert np.array_equal(wide[:, [0, 2, 4]], w[:, [0, 2, 4]])
+        assert np.array_equal(wide[:, [1, 3]], -w[:, [1, 3]])
+        assert np.array_equal(w, np.arange(10.0).reshape(2, 5))  # not written
+
+    @pytest.mark.parametrize("rows, d, match", [
+        ([1], 5, "rows must list the 2 rows"),
+        ([3, 1], 5, "ascend"),
+        ([1, 1], 5, "ascend"),
+        ([-1, 3], 5, "ascend"),
+        ([1, 5], 5, "ascend"),
+    ])
+    def test_rows_are_checked(self, rows, d, match):
+        data = self._live().data
+        with pytest.raises((DimensionMismatchError, InvalidInputError), match=match):
+            LiveRows(data, rows, d)
+
+    def test_no_live_row(self):
+        # an all-zero X: a Dataset of no row, which Dataset itself refuses
+        t = one_hot([1, 2, 2], 2)
+        live = LiveRows.adopt(np.empty((0, 3)), t, [], 4)
+        assert (live.data.d, live.n, live.c, live.d) == (0, 3, 2, 4)
+        w = np.ones((2, 4))
+        assert live.narrow(w).shape == (2, 0)
+        loss_, accuracy = evaluate(w, live)
+        assert loss_ == pytest.approx(3 * np.log(2), rel=1e-15)
+        assert accuracy == pytest.approx(1 / 3)
+        with pytest.raises(DimensionMismatchError, match="at least one row"):
+            Dataset(np.empty((0, 3)), t)
 
 
 class TestActivationsCheck:

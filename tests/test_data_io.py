@@ -1,4 +1,5 @@
 import concurrent.futures
+import re
 import struct
 import threading
 import tracemalloc
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smxreg import core, data_io
+from smxreg import TrainConfig, core, data_io, train
 from smxreg.core import (Dataset, DimensionMismatchError, InvalidLabelError, as_matrix,
                          column_blocks)
 from smxreg.data_io import (
@@ -21,6 +22,7 @@ from smxreg.data_io import (
     load_idx_dataset,
     load_idx_images,
     load_idx_labels,
+    load_idx_live,
     read_idx_image_header,
     read_weights,
     write_idx_images,
@@ -223,6 +225,91 @@ class TestIdxLabels:
         # most: about 2.1x the final X, where a copying Dataset and an
         # F-order load reach 3x.
         assert _load_and_bias_peak(tmp_path) <= 2.3
+
+
+def _dead_pixel_images(n, seed=5):
+    """n 3 x 4 images whose first pixel row and pixel (2, 1) are zero in
+    every image: 5 dead pixels of 12, in two runs."""
+    images = np.random.default_rng(seed).integers(0, 256, (n, 3, 4), dtype=np.uint8)
+    images[:, 0, :] = 0
+    images[:, 2, 1] = 0
+    return images
+
+
+class TestIdxLive:
+    """``load_idx_live`` gives the live rows of ``load_idx_dataset``'s X,
+    bit for bit, and the same errors, without building X."""
+
+    @pytest.mark.parametrize("n", [1, 37])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_rows_of_the_full_load(self, tmp_path, both_paths, n, bias):
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        write_raw_images(imgs, _dead_pixel_images(n))
+        write_raw_labels(labs, [k % 3 for k in range(n)])
+        serial, parallel, _ = both_paths(lambda: (
+            load_idx_dataset(imgs, labs, 3, bias=bias),
+            load_idx_live(imgs, labs, 3, bias=bias)))
+        full = serial[0]
+        rows = np.flatnonzero(np.any(full.x, axis=1))
+        if n > 1:
+            assert rows.tolist() == [4, 5, 6, 7, 8, 10, 11] + [12] * bias
+        for _, live in (serial, parallel):
+            assert live.d == full.d and np.array_equal(live.rows, rows)
+            _assert_bit_equal(live.data.x, full.x[rows])
+            _assert_bit_equal(live.data.t, full.t)
+            _assert_frozen_c(live.data.x)
+
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_all_zero_images(self, tmp_path, bias):
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        write_raw_images(imgs, np.zeros((4, 2, 3), dtype=np.uint8))
+        write_raw_labels(labs, [0, 1, 1, 0])
+        live = load_idx_live(imgs, labs, 2, bias=bias)
+        assert live.d == 6 + bias and live.n == 4
+        assert live.rows.tolist() == ([6] if bias else [])
+        assert np.array_equal(live.data.x, np.ones((int(bias), 4)))
+
+    @pytest.mark.parametrize("images, labels", [
+        (struct.pack(">IIII", IMAGE_MAGIC, 2, 2, 2) + b"\1" * 7, [0, 1]),
+        (struct.pack(">II", IMAGE_MAGIC, 2), [0, 1]),
+        (struct.pack(">IIII", IMAGE_MAGIC, 3, 2, 2) + b"\1" * 12, [0, 1]),
+        (struct.pack(">IIII", IMAGE_MAGIC, 2, 2, 2) + b"\1" * 8, [0, 5]),
+        (struct.pack(">IIII", IMAGE_MAGIC, 0, 2, 2), []),
+        (struct.pack(">IIII", IMAGE_MAGIC, 2, 0, 2), [0, 1]),
+        (struct.pack(">IIII", IMAGE_MAGIC, 2, 2, 2) + b"\1" * 7, [0, 5, 1]),
+    ], ids=["truncated", "short_header", "count_mismatch", "bad_label",
+            "no_images", "no_pixels", "two_faults"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_errors_of_the_full_load(self, tmp_path, images, labels, bias):
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        imgs.write_bytes(images)
+        write_raw_labels(labs, labels)
+        with pytest.raises(ValueError) as full:
+            load_idx_dataset(imgs, labs, 3, bias=bias)
+        with pytest.raises(type(full.value), match=f"^{re.escape(str(full.value))}$"):
+            load_idx_live(imgs, labs, 3, bias=bias)
+
+    def test_load_and_epoch_hold_no_full_x(self, tmp_path, monkeypatch):
+        # MNIST-shaped: a 2-pixel blank border leaves 576 of 784 pixels
+        # live.  Blocks of 1 MiB, as the paper's 277 MB of live rows make
+        # 16 blocks: each block's gathered pixels are then small.
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 1 << 20)
+        rng = np.random.default_rng(8)
+        images = np.zeros((4000, 28, 28), dtype=np.uint8)
+        images[:, 2:-2, 2:-2] = rng.integers(0, 256, (4000, 24, 24))
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        write_raw_images(imgs, images)
+        write_raw_labels(labs, rng.integers(0, 10, 4000).tolist())
+        full_x_bytes = 785 * 4000 * 8
+        tracemalloc.start()
+        try:
+            live = load_idx_live(imgs, labs, 10, bias=True)
+            _, trace = train(live, TrainConfig(eta=1e-4, epochs=1))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert trace.live_rows == live.data.d == 577 and live.d == 785
+        assert peak < full_x_bytes
 
 
 def _idx_pair(tmp_path):

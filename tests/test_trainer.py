@@ -8,7 +8,7 @@ import pytest
 
 from smxreg import core, trainer
 from smxreg.convergence import plan, reduce_two_class
-from smxreg.core import Dataset, InvalidInputError, center_columns, one_hot
+from smxreg.core import Dataset, InvalidInputError, LiveRows, center_columns, one_hot
 from smxreg.loss_grad import loss_from_activations
 from smxreg.softmax import softmax
 from smxreg.trainer import (
@@ -137,6 +137,19 @@ def _dead_row_instance(layout, seed=41, c=4, d=12, n=200):
     return Dataset(x, softmax(rng.standard_normal((c, n)))), dead
 
 
+def _start(data, cfg, dead, dead_shift, uncentered_start):
+    """(w0 for ``train``, the start it runs from): the seeded start or a
+    standard normal one, with ``dead_shift`` added to the dead columns."""
+    w0 = None
+    start = initial_weights(data, cfg)
+    if uncentered_start:
+        w0 = start = np.random.default_rng(5).standard_normal((data.c, data.d))
+    if dead_shift:
+        start[:, dead] += dead_shift
+        w0 = start
+    return w0, start
+
+
 def _assert_close_to_reference(trace, trace_ref, w, w_ref):
     """Same stop and epochs; every record field and weight within 1e-12
     relative (column sums, which are round-off, against the weight scale)."""
@@ -174,18 +187,39 @@ class TestTrainSkipsDeadRows:
         data, dead = _dead_row_instance(layout)
         cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
                           tol_grad=1e-300)
-        w0 = None
-        start = initial_weights(data, cfg)
-        if uncentered_start:
-            w0 = start = np.random.default_rng(5).standard_normal((data.c, data.d))
-        if dead_shift:
-            start[:, dead] += dead_shift
-            w0 = start
+        w0, start = _start(data, cfg, dead, dead_shift, uncentered_start)
         w, trace = train(data, cfg, w0=w0)
         w_ref, trace_ref = reference_train(data, cfg, w0=w0)
         assert trace.live_rows == data.d - len(dead)
         _assert_close_to_reference(trace, trace_ref, w, w_ref)
         assert np.array_equal(w[:, dead], start[:, dead])
+
+    # 4000-byte blocks cut the 10 or 12 live rows into four blocks
+    @pytest.mark.parametrize("block_bytes", [None, 4000], ids=["one_block", "blocks"])
+    @pytest.mark.parametrize("uncentered_start", [False, True])
+    @pytest.mark.parametrize("dead_shift", [0, 10])
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
+    @pytest.mark.parametrize("layout", ["first", "middle", "last", "none"])
+    def test_live_rows_give_the_dataset_bits(self, monkeypatch, layout, mode,
+                                             dead_shift, uncentered_start,
+                                             block_bytes):
+        if block_bytes:
+            monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", block_bytes)
+        data, dead = _dead_row_instance(layout)
+        rows = np.setdiff1d(np.arange(data.d), dead)
+        live = LiveRows(Dataset(data.x[rows], data.t), rows, data.d)
+        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
+                          tol_grad=1e-300)
+        w0, _ = _start(data, cfg, dead, dead_shift, uncentered_start)
+        w, trace = train(data, cfg, w0=w0)
+        w_live, trace_live = train(live, cfg, w0=w0)
+        assert trace.blocks == (4 if block_bytes else 1)
+        assert trace_live == trace
+        assert np.array_equal(w_live, w)
+        loss, accuracy = evaluate(w, data)
+        loss_live, accuracy_live = evaluate(w, live)
+        assert loss_live == pytest.approx(loss, rel=1e-12, abs=0)
+        assert accuracy_live == accuracy
 
     @pytest.mark.parametrize("mode", ["off", "bb2"])
     def test_bias_row_is_the_only_live_row(self, mode):
@@ -233,9 +267,10 @@ def pools(monkeypatch):
 @pytest.fixture
 def both_block_paths(monkeypatch, pools):
     """``both_block_paths(call, serial_by)`` runs ``call()`` with every X
-    cut into column blocks of at most 6400 bytes, so a 12 x 200 X spans
-    three: on the calling thread, with one usable CPU or no BLAS thread
-    setter (``serial_by``), and on a pool.  Returns (serial, pooled)."""
+    cut into column blocks of at most 6400 bytes, so the live rows of a
+    12 x 200 X span three when all 12 are live and two when 10 are: on the
+    calling thread, with one usable CPU or no BLAS thread setter
+    (``serial_by``), and on a pool.  Returns (serial, pooled)."""
     monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 12 * 200 * 8 // 3)
 
     def run(call, serial_by="one_cpu"):
@@ -270,7 +305,8 @@ class TestTrainBlocks:
                           tol_grad=1e-300)
         (w_s, trace_s), (w_p, trace_p) = both_block_paths(
             lambda: train(data, cfg), serial_by)
-        assert trace_s.blocks == trace_p.blocks == 3
+        # the plan follows the live rows' bytes: 12 x 200 or 10 x 200 doubles
+        assert trace_s.blocks == trace_p.blocks == (3 if layout == "none" else 2)
         assert trace_s.live_rows == trace_p.live_rows == 12 - len(dead)
         assert trace_s.records == trace_p.records
         assert np.array_equal(w_s, w_p)
@@ -310,10 +346,12 @@ class TestTrainBlocks:
         (1e160, 1.0, 0.0),
         (1e100, 1e150, 1.0),
     ], ids=["grad_overflow", "activation_overflow"])
-    def test_nonfinite_stop_warns_on_no_path(self, both_block_paths, scale, eta,
-                                             w_scale):
+    def test_nonfinite_stop_warns_on_no_path(self, monkeypatch, both_block_paths,
+                                             scale, eta, w_scale):
         # 12 x 200 X: rows 0 and 1 carry the 2-sample overflow instance of
-        # TestTrainMatchesReferenceEpoch, repeated, in every block
+        # TestTrainMatchesReferenceEpoch, repeated, in every block; they
+        # are the live rows, so blocks of 1066 bytes cut them into three
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 2 * 200 * 8 // 3)
         x = np.zeros((12, 200))
         x[0], x[1] = np.tile([scale, -scale], 100), np.tile([1.0, 2.0], 100)
         data = Dataset(x, one_hot([1, 2] * 100, 2))
@@ -371,6 +409,22 @@ class TestTrainMemory:
         live_share = (200 - dead_rows) / 200 if dead_rows else 0.0
         assert peak < (live_share + 0.1) * data.x.nbytes
 
+    def test_live_rows_are_read_in_place(self):
+        rng = np.random.default_rng(17)
+        x = rng.standard_normal((150, 20000))
+        live = LiveRows(Dataset(x, one_hot(rng.integers(1, 3, size=20000), 2)),
+                        np.arange(50, 200), 200)
+        del x
+        cfg = TrainConfig(eta=1e-4, epochs=3, bb_mode="bb2")
+        tracemalloc.start()
+        try:
+            _, trace = train(live, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.live_rows == 150
+        assert peak < 0.1 * live.data.x.nbytes
+
     def test_zero_epochs_copy_no_rows(self):
         rng = np.random.default_rng(17)
         x = rng.standard_normal((200, 20000))
@@ -402,6 +456,11 @@ class TestTrainConfig:
             TrainConfig(tol_grad=0.0)
         with pytest.raises(InvalidInputError):
             TrainConfig(log_every=0)
+
+    @pytest.mark.parametrize("eta", [float("inf"), float("nan"), -1.0])
+    def test_eta_must_be_finite_and_positive(self, eta):
+        with pytest.raises(InvalidInputError, match="eta must be finite and positive"):
+            TrainConfig(eta=eta)
 
     def test_bb1_is_refused_naming_the_modes(self):
         assert BB_MODES == ("off", "bb2")
