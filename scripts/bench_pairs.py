@@ -1,0 +1,145 @@
+"""Run the benchmark in alternating parent/change pairs and summarise them.
+
+    python3 scripts/bench_pairs.py --parent DIR --change DIR --workload W \
+        --seeds 9301-9310 --out BENCH_24.json [--seconds 25] \
+        [--note TEXT] [--claim W:METRIC]
+
+DIR is the root of a source checkout (a clone of the parent commit, and the
+tree of the change).  For each seed, ``python3 bench/run.py --workload W
+--seed S --seconds 25 --trace 0`` runs once in each tree, from that tree's
+root; the side that runs first alternates pair by pair, parent first in
+the first pair.  A run that exits non-zero or prints no result line stops
+the script with its stderr, and nothing is written.
+
+The summary goes under ``workloads[W]`` of ``--out``, which is created or
+updated in place, so one file collects every workload: each side's runs
+(seed, correct, attempted, failed) and, per end-to-end metric, each side's
+median, quartiles and values, and the number of pairs whose change value
+is lower.  ``--note`` sets the file's ``change`` text and ``--claim`` its
+claimed metric.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+DESCRIPTION = (
+    "Before/after medians and quartiles of every end-to-end metric of "
+    "BENCHMARK.json, from alternating parent/change pairs of `python3 "
+    "bench/run.py --workload W --seed S --seconds 25 --trace 0`, each side run "
+    "from its own source tree; the side that runs first alternates pair by "
+    "pair. Quartiles are Python's statistics.quantiles(n=4) (exclusive "
+    "method). `change_lower_in_pairs` counts the pairs whose change value is "
+    "lower. The seeds were not used while building the change.")
+
+
+def parse_seeds(text: str) -> list[int]:
+    """Seeds from "A-B" (inclusive) or "A,B,C"."""
+    if "-" in text:
+        first, last = (int(part) for part in text.split("-"))
+        return list(range(first, last + 1))
+    return [int(part) for part in text.split(",")]
+
+
+def result_line(stdout: str) -> dict:
+    """The benchmark's summary: the JSON object on its last output line."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("the benchmark printed nothing")
+    return json.loads(lines[-1])
+
+
+def _round(value: float) -> float:
+    """``value`` to 5 significant digits, which keeps a 2 ms setup time and
+    a 1200 MB peak alike readable."""
+    return float(f"{value:.5g}")
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return {"median": _round(statistics.median(values)), "q1": _round(q1),
+            "q3": _round(q3), "values": [_round(v) for v in values]}
+
+
+def summarize(pairs: list[tuple[int, dict, dict]]) -> dict:
+    """The ``workloads`` entry of ``(seed, parent result, change result)``
+    pairs, results as :func:`result_line` returns them."""
+    summary: dict = {"seeds": [seed for seed, _, _ in pairs], "pairs": len(pairs),
+                     "runs": {}, "metrics": {}}
+    for side, at in (("parent", 1), ("change", 2)):
+        summary["runs"][side] = [
+            {"seed": pair[0], **{k: pair[at][k] for k in ("correct", "attempted", "failed")}}
+            for pair in pairs]
+    for name in pairs[0][1]["metrics"]:
+        parent = [p["metrics"][name]["value"] for _, p, _ in pairs]
+        change = [c["metrics"][name]["value"] for _, _, c in pairs]
+        summary["metrics"][name] = {
+            "parent": _spread(parent), "change": _spread(change),
+            "change_lower_in_pairs": sum(c < p for p, c in zip(parent, change))}
+    return summary
+
+
+def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+           "--seconds", repr(seconds), "--trace", "0"]
+    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{tree}: seed {seed} exited {proc.returncode}:\n{proc.stderr}")
+    return result_line(proc.stdout)
+
+
+def _host() -> dict:
+    import numpy
+
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    return {"usable_cpus": len(os.sched_getaffinity(0)),
+            "memory_gb": round(memory / 2**30), "python": platform.python_version(),
+            "numpy": numpy.__version__,
+            "note": "shared host; other tenants' load varies between runs"}
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--parent", type=Path, required=True)
+    ap.add_argument("--change", type=Path, required=True)
+    ap.add_argument("--workload", required=True)
+    ap.add_argument("--seeds", type=parse_seeds, required=True)
+    ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--note", help="what the change does (the file's `change`)")
+    ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to lower")
+    args = ap.parse_args(argv)
+
+    pairs = []
+    for k, seed in enumerate(args.seeds):
+        order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
+        got = {side: _run(getattr(args, side), args.workload, seed, args.seconds)
+               for side in order}
+        pairs.append((seed, got["parent"], got["change"]))
+        print(f"{args.workload} seed {seed}: " + "  ".join(
+            f"{name} {got['parent']['metrics'][name]['value']:.4g} -> "
+            f"{got['change']['metrics'][name]['value']:.4g}"
+            for name in got["parent"]["metrics"]), flush=True)
+
+    old = json.loads(args.out.read_text()) if args.out.exists() else {}
+    parent_commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.parent,
+                                   capture_output=True, text=True).stdout.strip()
+    claim = old.get("claim")
+    if args.claim:
+        workload, metric = args.claim.split(":")
+        claim = {"workload": workload, "metric": metric, "better": "lower"}
+    doc = {"description": DESCRIPTION, "change": args.note or old.get("change"),
+           "parent_commit": parent_commit or None, "claim": claim, "host": _host(),
+           "workloads": {**old.get("workloads", {}), args.workload: summarize(pairs)}}
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -7,8 +7,9 @@ code, input digest, result, stdout lines and output files.  ``main`` alone
 adds the JSON report (sorted keys; --deterministic zeroes the wall-clock
 field so identical flags and seed give byte-identical files), writes all
 files or none, then prints the lines: so exit code 2 leaves stdout empty
-and no output or temp file behind.  Two output options naming one file
-(compared by ``os.path.realpath``) exit 2 before the command runs.
+and no output or temp file behind.  An output option naming the file of
+another output or of an input (compared by ``os.path.realpath``) exits 2
+before the command runs.
 """
 from __future__ import annotations
 
@@ -298,12 +299,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _check_distinct_outputs(args) -> None:
-    """Refuse --out and --json whose ``os.path.realpath`` is one file: the
-    later write would replace the earlier one."""
-    out, report = getattr(args, "out", None), args.json
-    if out and report and os.path.realpath(out) == os.path.realpath(report):
-        raise InvalidInputError(
-            f"--out {out!r} and --json {report!r} name the same file")
+    """Refuse an output (--out, --json) whose ``os.path.realpath`` is that of
+    the other output or of an input (--csv, --data, --labels, --weights):
+    writing it would replace that file."""
+    given = [(flag, path) for flag in ("out", "json", "csv", "data", "labels", "weights")
+             if (path := getattr(args, flag, None))]
+    for i, (flag, path) in enumerate(given):
+        for other, other_path in given[i + 1:]:
+            if flag in ("out", "json") and (
+                    os.path.realpath(path) == os.path.realpath(other_path)):
+                raise InvalidInputError(
+                    f"--{flag} {path!r} and --{other} {other_path!r} name the same file")
 
 
 def main(argv=None) -> int:

@@ -87,7 +87,12 @@ def column_plan(n: int, nbytes: int) -> list[slice]:
     """The column blocks of an array of ``n`` columns and ``nbytes`` bytes:
     one per ``PARALLEL_MIN_BYTES``, at least one and at most one per column,
     of widths that differ by at most one.  The count never depends on the
-    CPU count, so sums over the blocks have the same bits on every machine."""
+    CPU count, so sums over the blocks have the same bits on every machine.
+
+    A copy between two row-major arrays (:func:`copy_blocks`) applies the
+    same rule to the row count and cuts rows instead: each block is then
+    one contiguous run of the destination's pages, which only its own
+    thread touches first."""
     k = _block_count(n, nbytes)
     edges = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -105,7 +110,8 @@ def _run_on(pool, fn: Callable, items) -> list:
 
 def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> list:
     """``[fn(cols) for cols in column_plan(n, nbytes)]``, for an ``fn`` that
-    reads or writes only the columns ``cols`` of an array.
+    reads or writes only the columns ``cols`` of an array (or, with ``n``
+    its row count, only the rows ``cols``).
 
     Several blocks run on a pool of min(:func:`usable_cpus`, blocks) threads
     that lives for this call only, each in a copy of the caller's
@@ -280,14 +286,26 @@ class Dataset:
     to 1 within ``TARGET_COLUMN_SUM_TOL``).  Hard one-hot labels are the
     special case produced by :func:`one_hot`; soft labels are accepted
     everywhere.  Both arrays end up read-only and C-contiguous, so a dataset
-    can be shared across threads.  An array that is already float64,
-    C-contiguous, read-only and owns its data (as the loaders and
-    :func:`~smxreg.data_io.add_bias_row` return) is adopted without a copy;
-    anything else is copied and frozen.  The finite check and the copy run
-    over the column blocks of :func:`column_plan`, on several threads when
-    there are several (:func:`column_blocks`).  Every check runs either
-    way.  The adopted array stays the caller's object, so a caller that
-    makes it writeable again can still change the dataset.
+    can be shared across threads.
+
+    ``Dataset(x, t)`` runs every check: X finite (:func:`as_matrix`), T's
+    columns probability vectors (:func:`check_probability`), and the shape
+    invariants (N shared, at least one row and column, C >= 2).  An array
+    that is already float64, C-contiguous, read-only and owns its data (as
+    :func:`~smxreg.data_io.add_bias_row` returns) is then adopted without a
+    copy; anything else is copied (:func:`copy_blocks`) and frozen.  The
+    finite check and the copy run over the blocks of :func:`column_plan`,
+    on several threads when there are several (:func:`column_blocks`).
+    The adopted array stays the caller's object, so a caller that makes it
+    writeable again can still change the dataset.
+
+    :meth:`_adopt` skips the two O(size) checks, the finite pass over X and
+    the pass over T, and runs the shape invariants alone.  Only code whose
+    arrays are valid by construction uses it: the IDX loaders, whose X is
+    bytes / 255 and a bias row of 1.0 and whose T is :func:`one_hot` of
+    labels already checked to be below C, and :meth:`LiveRows.adopt`.  A
+    CSV's cells may read ``inf`` or ``nan``, so
+    :func:`~smxreg.data_io.load_csv` goes through ``Dataset(x, t)``.
 
     :attr:`rank_factors` is computed on first use and kept, so certify,
     the condition bound and every Hessian anchor share one factorization.
@@ -301,16 +319,21 @@ class Dataset:
     def __post_init__(self):
         x = as_matrix(self.x, "x")
         t = check_probability(self.t, "t", 2)
-        if x.shape[1] != t.shape[1]:
-            raise DimensionMismatchError(
-                f"x has {x.shape[1]} columns but t has {t.shape[1]}"
-            )
-        if x.shape[0] < 1 or x.shape[1] < 1:
-            raise DimensionMismatchError("x must have at least one row and column")
-        if t.shape[0] < 2:
-            raise InvalidInputError("need at least 2 classes")
+        _check_shapes(x, t)
         object.__setattr__(self, "x", _adopt_or_freeze(x))
         object.__setattr__(self, "t", _adopt_or_freeze(t))
+
+    @classmethod
+    def _adopt(cls, x: np.ndarray, t: np.ndarray, min_rows: int = 1) -> Dataset:
+        """The Dataset of fresh C-contiguous float64 arrays whose entries
+        are valid by construction: both are frozen and kept, and only the
+        shape invariants run, with at least ``min_rows`` rows of X (0 for
+        the live rows of a zero X, see :class:`LiveRows`)."""
+        _check_shapes(x, t, min_rows)
+        data = object.__new__(cls)
+        object.__setattr__(data, "x", freeze(x))
+        object.__setattr__(data, "t", freeze(t))
+        return data
 
     @property
     def d(self) -> int:
@@ -330,6 +353,19 @@ class Dataset:
         vectors, computed once per dataset and read-only."""
         s, left = rank_test(self.x)
         return freeze(s), freeze(left)
+
+
+def _check_shapes(x: np.ndarray, t: np.ndarray, min_rows: int = 1) -> None:
+    """The O(1) invariants of a :class:`Dataset`: X and T share N >= 1,
+    X has at least ``min_rows`` rows, and C >= 2."""
+    if x.shape[1] != t.shape[1]:
+        raise DimensionMismatchError(
+            f"x has {x.shape[1]} columns but t has {t.shape[1]}"
+        )
+    if x.shape[0] < min_rows or x.shape[1] < 1:
+        raise DimensionMismatchError("x must have at least one row and column")
+    if t.shape[0] < 2:
+        raise InvalidInputError("need at least 2 classes")
 
 
 @dataclass(frozen=True)
@@ -368,14 +404,11 @@ class LiveRows:
     @classmethod
     def adopt(cls, x: np.ndarray, t: np.ndarray, rows, d: int) -> LiveRows:
         """The LiveRows of fresh arrays whose entries are already known
-        good: ``x`` the rows ``rows`` copied from a checked X (or no row at
-        all), ``t`` checked targets.  Both are frozen and adopted as they
-        are, without the finite and probability checks of
-        :class:`Dataset`."""
-        data = object.__new__(Dataset)
-        object.__setattr__(data, "x", freeze(x))
-        object.__setattr__(data, "t", freeze(t))
-        return cls(data, rows, d)
+        good: ``x`` the rows ``rows`` of a checked or valid-by-construction
+        X (or no row at all), ``t`` valid targets.  Both are frozen and
+        adopted as they are by :meth:`Dataset._adopt`, without the finite
+        and probability checks of :class:`Dataset`."""
+        return cls(Dataset._adopt(x, t, min_rows=0), rows, d)
 
     @property
     def c(self) -> int:
@@ -405,14 +438,26 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 def _adopt_or_freeze(a: np.ndarray) -> np.ndarray:
     """``a`` itself if it is a frozen, owned, C-contiguous float64 array;
-    otherwise a frozen C-order copy, made by :func:`column_blocks`."""
+    otherwise a frozen C-order copy, made by :func:`copy_blocks`."""
     f = a.flags
     if a.dtype == np.float64 and f.c_contiguous and f.owndata and not f.writeable:
         return a
     out = np.empty(a.shape, a.dtype)
-    column_blocks(lambda cols: np.copyto(out[:, cols], a[:, cols]),
-                  a.shape[1], out.nbytes)
+    copy_blocks(out, a)
     return freeze(out)
+
+
+def copy_blocks(out: np.ndarray, a: np.ndarray) -> None:
+    """``np.copyto(out, a)`` for a C-contiguous 2-D ``out``, over the blocks
+    of :func:`column_plan` (:func:`column_blocks`).  A C-contiguous ``a`` is
+    cut by rows, so that each thread reads and first-touches only its own
+    contiguous pages; any other ``a`` (F-ordered or strided), whose copy
+    transposes, is cut by columns."""
+    if a.flags.c_contiguous:
+        column_blocks(lambda rows: np.copyto(out[rows], a[rows]), a.shape[0], out.nbytes)
+    else:
+        column_blocks(lambda cols: np.copyto(out[:, cols], a[:, cols]),
+                      a.shape[1], out.nbytes)
 
 
 def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,11 @@ With ``bias=True`` the loaders append the constant-1 feature row of the
 affine trick themselves: they allocate the (D+1) x N array, set its last
 row to 1.0 and write the features straight into the first D rows.  The
 result equals ``add_bias_row`` applied to the unbiased load, bit for bit,
-but X is built and validated once.  :func:`add_bias_row` remains for
-arrays already in memory.
+but X is built once.  An IDX X and its one-hot T are valid by
+construction and adopted unchecked (:meth:`~smxreg.core.Dataset._adopt`);
+a CSV's X, whose cells may read ``inf`` or ``nan``, is validated once by
+:class:`~smxreg.core.Dataset`.  :func:`add_bias_row` remains for arrays
+already in memory.
 
 :func:`load_idx_live` loads only the rows of X that training reads, those
 of the pixels that are nonzero in some image (and the bias row), as a
@@ -35,7 +38,7 @@ from array import array
 import numpy as np
 
 from .core import (Dataset, DimensionMismatchError, InvalidLabelError, LiveRows,
-                   column_blocks, freeze, one_hot)
+                   column_blocks, copy_blocks, freeze, one_hot)
 
 WEIGHTS_MAGIC = b"SMXW"
 IMAGE_MAGIC = 0x00000803
@@ -44,19 +47,23 @@ DTYPE_UBYTE = 0x08
 
 
 class IdxFormatError(ValueError):
-    """Malformed or truncated IDX or weights file; messages name the byte offset."""
+    """Malformed or truncated IDX or weights file; messages start with the
+    file's path, as given, and name the byte offset."""
 
 
 class CsvParseError(ValueError):
     """Malformed CSV; messages name the 1-based line number."""
 
 
-def _read_exact(f, count: int, offset: int, what: str) -> bytes:
-    data = f.read(count)
-    if len(data) != count:
+def _read_exact(f, count: int, offset: int, what: str) -> np.ndarray:
+    """The next ``count`` bytes of ``f``, read in place into a fresh uint8
+    array, with no intermediate ``bytes`` object."""
+    data = np.empty(count, np.uint8)
+    got = f.readinto(data)
+    if got != count:
         raise IdxFormatError(
-            f"truncated file: wanted {count} bytes of {what} at offset "
-            f"{offset}, got {len(data)}"
+            f"{f.name}: truncated file: wanted {count} bytes of {what} at offset "
+            f"{offset}, got {got}"
         )
     return data
 
@@ -68,32 +75,33 @@ def _check_payload_size(f, declared: int, offset: int, what: str) -> None:
     if declared != held:
         problem = "truncated file" if declared > held else "trailing bytes"
         raise IdxFormatError(
-            f"{problem}: header declares {declared} bytes of {what} at offset "
-            f"{offset}, file holds {held}"
+            f"{f.name}: {problem}: header declares {declared} bytes of {what} at "
+            f"offset {offset}, file holds {held}"
         )
 
 
 def _read_header(f, expected_magic: int, expected_ndim: int, kind: str):
-    b = _read_exact(f, 4, 0, "magic")
+    b = _read_exact(f, 4, 0, "magic").tobytes()
     if b[0] != 0 or b[1] != 0:
         raise IdxFormatError(
-            f"bad magic bytes 0x{b[0]:02x} 0x{b[1]:02x} at offset 0 "
+            f"{f.name}: bad magic bytes 0x{b[0]:02x} 0x{b[1]:02x} at offset 0 "
             f"(expected 0x00 0x00)"
         )
     if b[2] != DTYPE_UBYTE:
         raise IdxFormatError(
-            f"unsupported dtype 0x{b[2]:02x} at offset 2 "
+            f"{f.name}: unsupported dtype 0x{b[2]:02x} at offset 2 "
             f"(only unsigned byte 0x{DTYPE_UBYTE:02x})"
         )
     magic = int.from_bytes(b, "big")
     if magic != expected_magic:
         raise IdxFormatError(
-            f"bad {kind} magic 0x{magic:08x} at offset 0 "
+            f"{f.name}: bad {kind} magic 0x{magic:08x} at offset 0 "
             f"(expected 0x{expected_magic:08x})"
         )
     if b[3] != expected_ndim:
         raise IdxFormatError(
-            f"expected {expected_ndim} dims for {kind} at offset 3, got {b[3]}"
+            f"{f.name}: expected {expected_ndim} dims for {kind} at offset 3, "
+            f"got {b[3]}"
         )
     dims = struct.unpack(
         f">{expected_ndim}I", _read_exact(f, 4 * expected_ndim, 4, "dims")
@@ -118,13 +126,13 @@ def _feature_matrix(d: int, n: int, bias: bool) -> np.ndarray:
 
 
 def _read_pixels(path) -> np.ndarray:
-    """The N x D uint8 pixels of an IDX image file, one image per row, a
-    view of the payload bytes read at once."""
+    """The N x D uint8 pixels of an IDX image file, one image per row: the
+    payload read at once, in place, into one uint8 array."""
     with open(path, "rb") as f:
         n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
         _check_payload_size(f, n * rows * cols, 16, "pixels")
         payload = _read_exact(f, n * rows * cols, 16, "pixels")
-    return np.frombuffer(payload, dtype=np.uint8).reshape(n, rows * cols)
+    return payload.reshape(n, rows * cols)
 
 
 def load_idx_images(path, bias: bool = False) -> np.ndarray:
@@ -183,8 +191,7 @@ def load_idx_labels(path, c: int) -> np.ndarray:
     with open(path, "rb") as f:
         (n,) = _read_header(f, LABEL_MAGIC, 1, "label")
         _check_payload_size(f, n, 8, "labels")
-        payload = _read_exact(f, n, 8, "labels")
-    labels = np.frombuffer(payload, dtype=np.uint8)
+        labels = _read_exact(f, n, 8, "labels")
     bad = np.nonzero(labels >= c)[0]
     if bad.size:
         j = int(bad[0])
@@ -215,9 +222,9 @@ def encode_weights(w) -> bytes:
 def read_weights(path) -> np.ndarray:
     """C x D weights from an :func:`encode_weights` file, size-checked first."""
     with open(path, "rb") as f:
-        header = _read_exact(f, 12, 0, "weights header")
+        header = _read_exact(f, 12, 0, "weights header").tobytes()
         if header[:4] != WEIGHTS_MAGIC:
-            raise IdxFormatError(f"bad weights magic {header[:4]!r} at offset 0")
+            raise IdxFormatError(f"{f.name}: bad weights magic {header[:4]!r} at offset 0")
         c, d = struct.unpack("<II", header[4:])
         _check_payload_size(f, 8 * c * d, 12, "weights")
         payload = _read_exact(f, 8 * c * d, 12, "weights")
@@ -227,11 +234,15 @@ def read_weights(path) -> np.ndarray:
 def load_idx_dataset(images_path, labels_path, c: int,
                      bias: bool = False) -> Dataset:
     """Assemble a Dataset from a paired IDX image/label file, with a
-    constant-1 feature row appended when ``bias``.  The Dataset adopts the
-    freshly loaded arrays, so X is built and validated exactly once."""
+    constant-1 feature row appended when ``bias``.  X (bytes / 255 and the
+    bias row of 1.0) and T (:func:`~smxreg.core.one_hot` of labels below C)
+    are valid by construction, so the Dataset adopts them as they are
+    (:meth:`~smxreg.core.Dataset._adopt`): X is built once and never
+    re-checked."""
     x = load_idx_images(images_path, bias=bias)
     t = _idx_targets(labels_path, c, x.shape[1])
-    return _dataset(x, t, bias)
+    _require_features(x.shape[0] - bias, x.shape[1])
+    return Dataset._adopt(x, t)
 
 
 def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveRows:
@@ -244,8 +255,9 @@ def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveR
     block of :func:`~smxreg.core.column_plan` of the live rows' bytes is
     gathered, transposed and scaled straight into its columns, on several
     threads when there are several (:func:`~smxreg.core.column_blocks`).
-    The :class:`~smxreg.core.Dataset` of the live rows adopts the result
-    and validates it once.  The rows equal those of
+    The rows are valid by construction, as in :func:`load_idx_dataset`, so
+    :meth:`~smxreg.core.LiveRows.adopt` takes them without a check.  The
+    rows equal those of
     :func:`load_idx_dataset`'s X bit for bit, so training on either gives
     the same bits.  Besides the live rows, only the payload bytes (1/8 of
     the full X) are held.  The errors are those of :func:`load_idx_dataset`.
@@ -260,9 +272,7 @@ def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveR
     t = _idx_targets(labels_path, c, n)
     _require_features(d, n)
     rows = np.append(live, d) if bias else live
-    if not rows.size:  # every pixel is zero and there is no bias row
-        return LiveRows.adopt(x, t, rows, d)
-    return LiveRows(Dataset(freeze(x), freeze(t)), rows, d + bias)
+    return LiveRows.adopt(x, t, rows, d + bias)
 
 
 def _idx_targets(labels_path, c: int, n: int) -> np.ndarray:
@@ -279,13 +289,6 @@ def _require_features(d: int, n: int) -> None:
     can pass for a feature."""
     if d < 1 or n < 1:
         raise DimensionMismatchError("x must have at least one row and column")
-
-
-def _dataset(x: np.ndarray, t: np.ndarray, bias: bool) -> Dataset:
-    """The Dataset adopting fresh arrays.  A bias row alone holds no feature
-    and is refused as an empty X would be."""
-    _require_features(x.shape[0] - bias, x.shape[1])
-    return Dataset(freeze(x), freeze(t))
 
 
 def load_csv(path, label_column: int, c: int, header: bool = False,
@@ -401,7 +404,9 @@ def _csv_dataset(table: np.ndarray, col: int, c: int, bias: bool) -> Dataset:
 
     column_blocks(transpose, table.shape[0], x.nbytes)
     t = one_hot(table[:, col].astype(int) + 1, c)
-    return _dataset(x, t, bias)
+    # A cell may read inf or nan, so X takes every check of Dataset.
+    _require_features(d, table.shape[0])
+    return Dataset(freeze(x), freeze(t))
 
 
 def _is_number(cell: str) -> bool:
@@ -416,15 +421,15 @@ def add_bias_row(x) -> np.ndarray:
     """Append a constant-1 feature row (affine trick): result is (D+1) x N.
 
     The result is a new read-only, C-contiguous array, which
-    :class:`~smxreg.core.Dataset` adopts without copying.  The copy runs
-    over the column blocks of :func:`~smxreg.core.column_plan`
-    (:func:`~smxreg.core.column_blocks`).
+    :class:`~smxreg.core.Dataset` adopts without copying (after its checks).
+    The copy runs over the blocks of :func:`~smxreg.core.column_plan`
+    (:func:`~smxreg.core.copy_blocks`): rows for a C-contiguous ``x``,
+    columns otherwise.
     Not idempotent by design; calling twice appends two rows.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:
         raise DimensionMismatchError(f"x must be 2-D, got shape {x.shape}")
     out = _feature_matrix(x.shape[0], x.shape[1], True)
-    column_blocks(lambda cols: np.copyto(out[:-1, cols], x[:, cols]),
-                  x.shape[1], out.nbytes)
+    copy_blocks(out[:-1], x)
     return freeze(out)

@@ -142,20 +142,15 @@ def _max_abs_column_sum(w: np.ndarray) -> float:
 
 
 def _copy_live_rows(data: Dataset, rows: np.ndarray, run) -> LiveRows:
-    """The LiveRows of ``data``'s rows ``rows``, copied block by block of
-    the live rows' column plan by ``run`` into one C-order buffer.  Each
-    run of consecutive live rows is copied as one slice, which needs no
-    temporary copy of the block."""
+    """The LiveRows of ``data``'s rows ``rows``, copied by ``run`` into one
+    C-order buffer over :func:`~smxreg.core.column_plan` applied to its row
+    count: each block fills one contiguous range of the buffer's rows, so
+    each thread first-touches only its own pages.  ``rows`` lie in range,
+    and mode "clip" lets ``np.take`` write them straight into the buffer
+    without a temporary copy."""
     x = np.empty((rows.size, data.n))
-    starts = np.flatnonzero(np.diff(rows, prepend=-2) != 1)
-    runs = [(int(i), int(j), int(rows[i]))
-            for i, j in zip(starts, np.append(starts[1:], rows.size))]
-
-    def copy(cols: slice) -> None:
-        for i, j, row in runs:
-            x[i:j, cols] = data.x[row:row + j - i, cols]
-
-    run(copy, column_plan(data.n, x.nbytes))
+    run(lambda block: np.take(data.x, rows[block], axis=0, out=x[block], mode="clip"),
+        column_plan(rows.size, x.nbytes))
     return LiveRows.adopt(x, data.t, rows, data.d)
 
 

@@ -224,7 +224,8 @@ class TestTrainIdx:
 
     @pytest.mark.parametrize("images, labels, message", [
         (struct.pack(">IIII", 0x803, 2, 2, 2) + b"\1" * 7, [0, 1],
-         "truncated file: header declares 8 bytes of pixels at offset 16, file holds 7"),
+         "{imgs}: truncated file: header declares 8 bytes of pixels at offset 16, "
+         "file holds 7"),
         (struct.pack(">IIII", 0x803, 3, 2, 2) + b"\1" * 12, [0, 1],
          "image count 3 does not match label count 2"),
         (struct.pack(">IIII", 0x803, 0, 2, 2), [],
@@ -241,7 +242,18 @@ class TestTrainIdx:
                      "--classes", "2", "--eta", "0.1"] + ["--bias"] * bias) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: {message}\n"
+        assert captured.err == f"error: {message.format(imgs=imgs)}\n"
+
+    # a CSV given as the label file, then as the image file
+    @pytest.mark.parametrize("bad", ["labels", "data"])
+    def test_bad_file_is_named(self, tmp_path, toy_csv, capsys, bad):
+        imgs, labs = _idx_files(tmp_path, np.ones((4, 2, 2), dtype=np.uint8), [0, 1, 1, 0])
+        files = {"data": imgs, "labels": labs, bad: toy_csv}
+        assert main(["train", "--data", files["data"], "--labels", files["labels"],
+                     "--classes", "2", "--eta", "0.1"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {toy_csv}: bad magic bytes 0x30 0x2e at offset 0 "
+            "(expected 0x00 0x00)\n")
 
 
 class TestSpectrum:
@@ -643,6 +655,33 @@ class TestOutput:
         assert captured.err == (f"error: --out 'w.bin' and --json {report!r} "
                                 "name the same file\n")
         assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "toy.csv"]
+
+    # every output option against every input option of its commands
+    @pytest.mark.parametrize("command, output, source", [
+        ("train", "out", "csv"), ("train", "out", "data"), ("train", "out", "labels"),
+        ("certify", "json", "csv"), ("certify", "json", "data"),
+        ("certify", "json", "labels"), ("spectrum", "json", "weights"),
+    ])
+    def test_output_naming_an_input_exits_2(self, tmp_path, capsys, monkeypatch,
+                                            command, output, source):
+        monkeypatch.chdir(tmp_path)
+        files = {"csv": "s.csv", "data": "imgs.idx", "labels": "labs.idx",
+                 "weights": "w.bin"}
+        for name in files.values():
+            (tmp_path / name).write_bytes(b"input")
+        monkeypatch.setattr(cli, "load_csv", lambda *a, **k: pytest.fail("loaded"))
+        monkeypatch.setattr(cli, "read_weights", lambda *a, **k: pytest.fail("loaded"))
+        flags = {"csv": ["--csv", "s.csv"], "weights": ["--weights", "w.bin"]}.get(
+            source, ["--data", "imgs.idx", "--labels", "labs.idx"])
+        extra = ["--eta", "0.1"] if command == "train" else []
+        argv = [command, *flags, "--classes", "2", *extra,
+                f"--{output}", f"./{files[source]}"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: --{output} './{files[source]}' and --{source} "
+                                f"'{files[source]}' name the same file\n")
+        assert all((tmp_path / name).read_bytes() == b"input" for name in files.values())
 
     def test_write_failing_part_way_leaves_no_temp_file(self, toy_csv, tmp_path):
         # the file size limit stops the report's write after 1 KiB

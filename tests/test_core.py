@@ -20,6 +20,7 @@ from smxreg.core import (
     center_columns,
     column_blocks,
     column_plan,
+    copy_blocks,
     freeze,
     one_hot,
 )
@@ -253,6 +254,62 @@ class TestDataset:
             data.x[0, 0] = 5.0
 
 
+    # Dataset(x, t) keeps every O(size) check, whoever built the arrays
+    @pytest.mark.parametrize("x, t, match", [
+        ([[1.0, np.nan]], [[1.0, 0.0], [0.0, 1.0]], "^x contains non-finite"),
+        ([[1.0, np.inf]], [[1.0, 0.0], [0.0, 1.0]], "^x contains non-finite"),
+        ([[-np.inf, 1.0]], [[1.0, 0.0], [0.0, 1.0]], "^x contains non-finite"),
+        ([[1.0, 2.0]], [[1.0, np.nan], [0.0, 1.0]], "^t contains non-finite"),
+        ([[1.0, 2.0]], [[1.0, 0.5], [0.0, 0.6]], "^t columns must sum to 1"),
+        ([[1.0, 2.0]], [[1.0, -0.5], [0.0, 1.5]], r"^t entries must lie in \[0, 1\]"),
+    ], ids=["nan", "inf", "minus_inf", "t_nan", "t_sum", "t_range"])
+    def test_every_value_check_runs_on_frozen_arrays(self, x, t, match):
+        with pytest.raises(InvalidInputError, match=match):
+            Dataset(freeze(np.array(x)), freeze(np.array(t)))
+
+
+class TestDatasetAdopt:
+    """``Dataset._adopt`` keeps valid-by-construction arrays as they are and
+    runs only the shape invariants, never a pass over the values."""
+
+    @pytest.fixture
+    def no_value_check(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a value check ran")
+
+        monkeypatch.setattr(core, "as_matrix", refuse)
+        monkeypatch.setattr(core, "check_probability", refuse)
+
+    def test_arrays_are_frozen_and_kept(self, no_value_check):
+        x, t = np.arange(6.0).reshape(2, 3), one_hot([1, 2, 2], 2)
+        data = Dataset._adopt(x, t)
+        assert data.x is x and data.t is t
+        assert not x.flags.writeable and not t.flags.writeable
+        assert (data.d, data.c, data.n) == (2, 2, 3)
+
+    @pytest.mark.parametrize("x, t, error, match", [
+        (np.ones((2, 3)), one_hot([1, 2], 2), DimensionMismatchError,
+         "^x has 3 columns but t has 2$"),
+        (np.ones((0, 3)), one_hot([1, 2, 1], 2), DimensionMismatchError,
+         "^x must have at least one row and column$"),
+        (np.ones((2, 0)), np.ones((2, 0)), DimensionMismatchError,
+         "^x must have at least one row and column$"),
+        (np.ones((2, 3)), np.ones((1, 3)), InvalidInputError,
+         "^need at least 2 classes$"),
+    ], ids=["mismatched_n", "no_feature_row", "no_sample", "one_class"])
+    def test_shape_invariants_are_refused_as_by_dataset(self, x, t, error, match):
+        with pytest.raises(error, match=match):
+            Dataset(x, t)
+        with pytest.raises(error, match=match):
+            Dataset._adopt(x, t)
+
+    def test_live_rows_of_a_zero_x_have_no_feature_row(self, no_value_check):
+        live = LiveRows.adopt(np.empty((0, 3)), one_hot([1, 2, 1], 2), [], 4)
+        assert live.data.x.shape == (0, 3)
+        with pytest.raises(InvalidInputError, match="need at least 2 classes"):
+            LiveRows.adopt(np.empty((0, 3)), np.ones((1, 3)), [], 4)
+
+
 class TestDatasetAdoption:
     T = np.array([[1.0, 0.0, 0.5], [0.0, 1.0, 0.5]])
 
@@ -288,7 +345,8 @@ class TestDatasetAdoption:
         x = freeze(np.asfortranarray(np.random.default_rng(8).standard_normal((5, 31))))
         t = one_hot(np.arange(31) % 2 + 1, 2)
         serial, parallel, submitted = both_paths(lambda: Dataset(x, t))
-        assert submitted == 19 + 19 + 7  # x's finite check and copy, t's copy
+        # x's finite check and copy by columns; t (C-order) copied by its 2 rows
+        assert submitted == 19 + 19 + 2
         for data in (serial, parallel):
             assert data.x.flags.c_contiguous and not data.x.flags.writeable
         assert serial.x.tobytes() == parallel.x.tobytes() == np.ascontiguousarray(x).tobytes()
@@ -410,6 +468,32 @@ class TestColumnPlan:
 
     def test_no_columns_is_one_empty_block(self):
         assert column_plan(0, 10**12) == [slice(0, 0)]
+
+
+class TestCopyBlocks:
+    """``copy_blocks`` cuts a C-contiguous source by rows and any other by
+    columns; either way the copy equals ``np.copyto``'s bit for bit."""
+
+    @pytest.mark.parametrize("make, blocks", [
+        # 7 x 31 doubles span 27 forced blocks: 7 rows, or 27 column blocks
+        (lambda base: base[:7], 7),
+        (lambda base: np.asfortranarray(base[:7]), 27),
+        (lambda base: base[::2, ::2], 14),  # a 7 x 16 strided view: 14 column blocks
+    ], ids=["c_order", "fortran_order", "strided"])
+    def test_equals_a_plain_copy_on_both_paths(self, both_paths, make, blocks):
+        base = np.random.default_rng(12).standard_normal((13, 31))
+        a = make(base)
+
+        def copy():
+            out = np.empty(a.shape)
+            copy_blocks(out, a)
+            return out
+
+        serial, parallel, submitted = both_paths(copy)
+        assert submitted == blocks
+        want = np.empty(a.shape)
+        np.copyto(want, a)
+        assert serial.tobytes() == parallel.tobytes() == want.tobytes()
 
 
 class TestColumnBlocks:

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smxreg import TrainConfig, core, data_io, train
-from smxreg.core import (Dataset, DimensionMismatchError, InvalidLabelError, as_matrix,
-                         column_blocks)
+from smxreg.core import (Dataset, DimensionMismatchError, InvalidInputError,
+                         InvalidLabelError, as_matrix, column_blocks)
 from smxreg.data_io import (
     CsvParseError,
     IdxFormatError,
@@ -61,6 +61,32 @@ class TestWeightsFile:
         path.write_bytes(b"SMXW\x02\x00")
         with pytest.raises(IdxFormatError, match="truncated file: .* at offset 0"):
             read_weights(path)
+
+
+class TestErrorsNameTheirFile:
+    """Every IdxFormatError message starts with its file's path as given."""
+
+    @pytest.mark.parametrize("read, blob", [
+        (load_idx_images, b"\x12\x00\x08\x03" + b"\x00" * 12),
+        (load_idx_images, struct.pack(">IIII", 0x00000D03, 1, 1, 1) + b"\x00"),
+        (load_idx_images, struct.pack(">II", LABEL_MAGIC, 1) + b"\x00"),
+        (load_idx_images, struct.pack(">II", IMAGE_MAGIC, 1)),
+        (load_idx_images, struct.pack(">IIII", IMAGE_MAGIC, 2, 2, 2) + b"\x00" * 5),
+        (load_idx_images, struct.pack(">IIII", IMAGE_MAGIC, 1, 2, 2) + b"\x00" * 5),
+        (lambda path: load_idx_labels(path, 2), struct.pack(">II", LABEL_MAGIC, 3)),
+        (read_idx_image_header, b"\x00\x00"),
+        (read_weights, b"NOPE" + b"\x00" * 16),
+        (read_weights, b"SMXW\x02\x00"),
+        (read_weights, encode_weights(np.zeros((2, 3)))[:-1]),
+    ], ids=["magic_bytes", "dtype", "kind_magic", "short_dims", "truncated",
+            "trailing", "labels_truncated", "short_magic", "weights_magic",
+            "weights_header", "weights_payload"])
+    def test_message_starts_with_the_path(self, tmp_path, monkeypatch, read, blob):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "sub").mkdir()
+        (tmp_path / "sub" / "f.bin").write_bytes(blob)
+        with pytest.raises(IdxFormatError, match=r"^sub/\./f\.bin: \S"):
+            read("sub/./f.bin")
 
 
 class TestIdxImages:
@@ -289,6 +315,34 @@ class TestIdxLive:
         with pytest.raises(type(full.value), match=f"^{re.escape(str(full.value))}$"):
             load_idx_live(imgs, labs, 3, bias=bias)
 
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_loaders_run_no_value_check(self, tmp_path, monkeypatch, bias):
+        # X is bytes / 255 (and 1.0) and T one-hot, valid by construction
+        images = _dead_pixel_images(37)
+        labels = [k % 3 for k in range(37)]
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        write_raw_images(imgs, images)
+        write_raw_labels(labs, labels)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a value check ran")
+
+        monkeypatch.setattr(core, "as_matrix", refuse)
+        monkeypatch.setattr(core, "check_probability", refuse)
+        full = load_idx_dataset(imgs, labs, 3, bias=bias)
+        live = load_idx_live(imgs, labs, 3, bias=bias)
+        want = images.reshape(37, -1).T / 255.0
+        if bias:
+            want = np.vstack([want, np.ones((1, 37))])
+        _assert_bit_equal(full.x, want)
+        _assert_bit_equal(live.data.x, want[live.rows])
+        for t in (full.t, live.data.t):
+            _assert_bit_equal(t, core.one_hot(np.array(labels) + 1, 3))
+        for x in (full.x, live.data.x, full.t, live.data.t):
+            _assert_frozen_c(x)
+        with pytest.raises(AssertionError, match="a value check ran"):
+            Dataset(full.x, full.t)
+
     def test_load_and_epoch_hold_no_full_x(self, tmp_path, monkeypatch):
         # MNIST-shaped: a 2-pixel blank border leaves 576 of 784 pixels
         # live.  Blocks of 1 MiB, as the paper's 277 MB of live rows make
@@ -462,6 +516,14 @@ class TestBiasedLoaders:
         _assert_bit_equal(loaded.t, raw.t)
         _assert_frozen_c(loaded.x)
         assert np.shares_memory(Dataset(loaded.x, loaded.t).x, loaded.x)
+
+    @pytest.mark.parametrize("cell", ["inf", "-inf", "nan", "1e999"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_csv_keeps_the_finite_check(self, tmp_path, cell, bias):
+        f = tmp_path / "t.csv"
+        f.write_text(f"1.0,0\n{cell},1\n")
+        with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
+            load_csv(f, -1, 2, bias=bias)
 
     def test_bias_row_alone_is_refused(self, tmp_path):
         f = tmp_path / "labels-only.csv"
@@ -753,11 +815,19 @@ class TestAddBiasRow:
         out = add_bias_row(np.asfortranarray(np.ones((3, 4))))
         _assert_frozen_c(out)
 
+    def test_blocked_copy_of_a_c_array_by_rows_matches_serial(self, both_paths):
+        x = np.random.default_rng(10).standard_normal((5, 101))
+        serial, parallel, submitted = both_paths(lambda: add_bias_row(x))
+        assert submitted == 5  # one block per row of x
+        _assert_bit_equal(serial, parallel)
+        _assert_bit_equal(parallel, np.vstack([x, np.ones((1, 101))]))
+        _assert_frozen_c(parallel)
+
     def test_blocked_copy_of_a_strided_view_matches_serial(self, both_paths):
         base = np.random.default_rng(9).standard_normal((8, 301))
         x = base[1::2, ::3]
         serial, parallel, submitted = both_paths(lambda: add_bias_row(x))
-        assert submitted == 63  # a 5 x 101 result
+        assert submitted == 50  # a transposing copy of 4 x 101 doubles, by columns
         _assert_bit_equal(serial, parallel)
         _assert_bit_equal(parallel, np.vstack([x, np.ones((1, 101))]))
         _assert_frozen_c(parallel)

@@ -1,3 +1,5 @@
+import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -43,3 +45,44 @@ def test_train_mnist_script_runs(tmp_path):
 
 def test_train_mnist_script_subset_keeps_bias_row(tmp_path):
     assert "train: D=65 N=200   test: N=100" in _run_train_mnist(tmp_path, 200)
+
+
+def _bench_pairs():
+    spec = importlib.util.spec_from_file_location(
+        "bench_pairs", ROOT / "scripts" / "bench_pairs.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _result(setup_s, cli_s, failed=0):
+    """A canned last line of ``bench/run.py --trace 0``."""
+    return json.dumps({"correct": True, "attempted": 12, "failed": failed, "metrics": {
+        "setup_s": {"value": setup_s, "unit": "s"},
+        "cli_s": {"value": cli_s, "unit": "s"}}})
+
+
+def test_bench_pairs_summary_of_canned_result_lines():
+    bench_pairs = _bench_pairs()
+    assert bench_pairs.parse_seeds("9301-9305") == [9301, 9302, 9303, 9304, 9305]
+    assert bench_pairs.parse_seeds("7,3") == [7, 3]
+    parent = [0.35, 0.36, 0.34, 0.37, 0.0017963]
+    change = [0.28, 0.29, 0.35, 0.27, 0.30]
+    pairs = [(seed,
+              bench_pairs.result_line(f"{{\"machine\": 1}}\n{_result(p, 1.5)}\n"),
+              bench_pairs.result_line(_result(c, 1.5, failed=seed % 2)))
+             for seed, p, c in zip(range(1, 6), parent, change)]
+    summary = bench_pairs.summarize(pairs)
+    assert summary["seeds"] == [1, 2, 3, 4, 5] and summary["pairs"] == 5
+    assert summary["runs"]["change"][0] == {
+        "seed": 1, "correct": True, "attempted": 12, "failed": 1}
+    setup = summary["metrics"]["setup_s"]
+    # statistics.quantiles (exclusive) of 0.0017963, 0.34, 0.35, 0.36, 0.37,
+    # to 5 significant digits
+    assert setup["parent"] == {"median": 0.35, "q1": 0.17090, "q3": 0.365,
+                               "values": parent}
+    assert setup["change"]["median"] == 0.29
+    # the third pair reads 0.34 -> 0.35, the fifth 0.0017963 -> 0.30
+    assert setup["change_lower_in_pairs"] == 3
+    # equal values are ties, which count for neither side
+    assert summary["metrics"]["cli_s"]["change_lower_in_pairs"] == 0

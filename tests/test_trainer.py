@@ -289,6 +289,29 @@ def both_block_paths(monkeypatch, pools):
     return run
 
 
+class TestCopyLiveRows:
+    """``_copy_live_rows`` fills contiguous row ranges of its buffer; the
+    result equals the fancy-indexed copy bit for bit, in order on the
+    calling thread and on a pool."""
+
+    @pytest.mark.parametrize("layout", ["first", "middle", "last", "none"])
+    def test_equals_a_plain_copy_on_both_paths(self, both_block_paths, layout):
+        data, dead = _dead_row_instance(layout)
+        rows = np.setdiff1d(np.arange(data.d), dead)
+        blocks = len(core.column_plan(rows.size, 8 * rows.size * data.n))
+        assert blocks == (3 if layout == "none" else 2)
+
+        def copy():
+            with core.block_runner(blocks) as run:
+                return trainer._copy_live_rows(data, rows, run)
+
+        for live in both_block_paths(copy):
+            assert live.data.x.tobytes() == data.x[rows].tobytes()
+            assert live.data.x.flags.c_contiguous and not live.data.x.flags.writeable
+            assert live.data.t is data.t
+            assert np.array_equal(live.rows, rows) and live.d == data.d
+
+
 class TestTrainBlocks:
     """An epoch is a sum over fixed column blocks of X.  The blocks give
     the same bits on a pool as in order on the calling thread, and the run
