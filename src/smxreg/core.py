@@ -89,10 +89,10 @@ def column_plan(n: int, nbytes: int) -> list[slice]:
     of widths that differ by at most one.  The count never depends on the
     CPU count, so sums over the blocks have the same bits on every machine.
 
-    A copy between two row-major arrays (:func:`copy_blocks`) applies the
-    same rule to the row count and cuts rows instead: each block is then
-    one contiguous run of the destination's pages, which only its own
-    thread touches first."""
+    A copy into a row-major array (:func:`copy_blocks`) applies the same
+    rule to the row count and cuts rows instead: each block is then one
+    contiguous run of the destination's pages, which only its own thread
+    touches first."""
     k = _block_count(n, nbytes)
     edges = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -449,15 +449,11 @@ def _adopt_or_freeze(a: np.ndarray) -> np.ndarray:
 
 def copy_blocks(out: np.ndarray, a: np.ndarray) -> None:
     """``np.copyto(out, a)`` for a C-contiguous 2-D ``out``, over the blocks
-    of :func:`column_plan` (:func:`column_blocks`).  A C-contiguous ``a`` is
-    cut by rows, so that each thread reads and first-touches only its own
-    contiguous pages; any other ``a`` (F-ordered or strided), whose copy
-    transposes, is cut by columns."""
-    if a.flags.c_contiguous:
-        column_blocks(lambda rows: np.copyto(out[rows], a[rows]), a.shape[0], out.nbytes)
-    else:
-        column_blocks(lambda cols: np.copyto(out[:, cols], a[:, cols]),
-                      a.shape[1], out.nbytes)
+    of :func:`column_plan` (:func:`column_blocks`) applied to the rows, so
+    that each thread first-touches only its own contiguous pages of
+    ``out``.  Any layout of ``a`` (C-ordered, F-ordered or strided) is cut
+    the same way."""
+    column_blocks(lambda rows: np.copyto(out[rows], a[rows]), a.shape[0], out.nbytes)
 
 
 def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

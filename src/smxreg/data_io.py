@@ -422,9 +422,8 @@ def add_bias_row(x) -> np.ndarray:
 
     The result is a new read-only, C-contiguous array, which
     :class:`~smxreg.core.Dataset` adopts without copying (after its checks).
-    The copy runs over the blocks of :func:`~smxreg.core.column_plan`
-    (:func:`~smxreg.core.copy_blocks`): rows for a C-contiguous ``x``,
-    columns otherwise.
+    The copy cuts the rows by :func:`~smxreg.core.column_plan`
+    (:func:`~smxreg.core.copy_blocks`).
     Not idempotent by design; calling twice appends two rows.
     """
     x = np.asarray(x, dtype=float)

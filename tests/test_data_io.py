@@ -827,7 +827,7 @@ class TestAddBiasRow:
         base = np.random.default_rng(9).standard_normal((8, 301))
         x = base[1::2, ::3]
         serial, parallel, submitted = both_paths(lambda: add_bias_row(x))
-        assert submitted == 50  # a transposing copy of 4 x 101 doubles, by columns
+        assert submitted == 4  # one block per row of x, as for a C array
         _assert_bit_equal(serial, parallel)
         _assert_bit_equal(parallel, np.vstack([x, np.ones((1, 101))]))
         _assert_frozen_c(parallel)
