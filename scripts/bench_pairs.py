@@ -8,15 +8,19 @@ DIR is the root of a source checkout (a clone of the parent commit, and the
 tree of the change).  For each seed, ``python3 bench/run.py --workload W
 --seed S --seconds 25 --trace 0`` runs once in each tree, from that tree's
 root; the side that runs first alternates pair by pair, parent first in
-the first pair.  A run that exits non-zero or prints no result line stops
-the script with its stderr, and nothing is written.
+the first pair.  Fewer than 2 seeds are refused before anything runs, as
+quartiles need two runs per side.  A run that exits non-zero or prints no
+result line stops the script with its stderr, and nothing is written.
 
 The summary goes under ``workloads[W]`` of ``--out``, which is created or
 updated in place, so one file collects every workload: each side's runs
 (seed, correct, attempted, failed) and, per end-to-end metric, each side's
 median, quartiles and values, and the number of pairs whose change value
 is lower.  ``--note`` sets the file's ``change`` text and ``--claim`` its
-claimed metric.
+claimed metric.  Last, one line per end-to-end metric says whether the
+change's median is worse than the parent's by more than that metric's
+``bound`` in the change tree's ``BENCHMARK.json`` (a fraction of the
+parent's median).
 """
 from __future__ import annotations
 
@@ -85,6 +89,24 @@ def summarize(pairs: list[tuple[int, dict, dict]]) -> dict:
     return summary
 
 
+def bound_lines(summary: dict, benchmark: dict) -> list[str]:
+    """For each end-to-end metric of ``benchmark`` (a parsed
+    ``BENCHMARK.json``) in ``summary``, whether the change's median is worse
+    than the parent's by more than the metric's ``bound`` times the
+    parent's median."""
+    lines = []
+    for spec in benchmark["end_to_end"]:
+        if spec["name"] not in summary["metrics"]:
+            continue
+        m = summary["metrics"][spec["name"]]
+        parent, change = m["parent"]["median"], m["change"]["median"]
+        worse_by = change - parent if spec["better"] == "lower" else parent - change
+        over = worse_by > spec["bound"] * abs(parent)
+        lines.append(f"{spec['name']}: median {parent:.5g} -> {change:.5g}; worse by more "
+                     f"than its bound {spec['bound']:g}: {'YES' if over else 'no'}")
+    return lines
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
@@ -115,6 +137,9 @@ def main(argv=None) -> int:
     ap.add_argument("--note", help="what the change does (the file's `change`)")
     ap.add_argument("--claim", help="WORKLOAD:METRIC the change claims to lower")
     args = ap.parse_args(argv)
+    if len(args.seeds) < 2:
+        ap.error(f"--seeds needs at least 2 seeds for quartiles, got {args.seeds}")
+    benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
 
     pairs = []
     for k, seed in enumerate(args.seeds):
@@ -138,6 +163,7 @@ def main(argv=None) -> int:
            "parent_commit": parent_commit or None, "claim": claim, "host": _host(),
            "workloads": {**old.get("workloads", {}), args.workload: summarize(pairs)}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    print("\n".join(bound_lines(doc["workloads"][args.workload], benchmark)))
     return 0
 
 

@@ -290,10 +290,12 @@ class Dataset:
 
     ``Dataset(x, t)`` runs every check: X finite (:func:`as_matrix`), T's
     columns probability vectors (:func:`check_probability`), and the shape
-    invariants (N shared, at least one row and column, C >= 2).  An array
-    that is already float64, C-contiguous, read-only and owns its data (as
-    :func:`~smxreg.data_io.add_bias_row` returns) is then adopted without a
-    copy; anything else is copied (:func:`copy_blocks`) and frozen.  The
+    invariants (N shared, at least one row and column, C >= 2).  A
+    C-contiguous float64 array is then adopted without a copy if it is
+    read-only and owns its data (as :func:`~smxreg.data_io.add_bias_row`
+    returns), or if the check's float64 conversion made it (from a list, a
+    tuple or an array of another dtype); anything else is copied
+    (:func:`copy_blocks`) and frozen.  The
     finite check and the copy run over the blocks of :func:`column_plan`,
     on several threads when there are several (:func:`column_blocks`).
     The adopted array stays the caller's object, so a caller that makes it
@@ -303,7 +305,7 @@ class Dataset:
     the pass over T, and runs the shape invariants alone.  Only code whose
     arrays are valid by construction uses it: the IDX loaders, whose X is
     bytes / 255 and a bias row of 1.0 and whose T is :func:`one_hot` of
-    labels already checked to be below C, and :meth:`LiveRows.adopt`.  A
+    labels already checked to be below C, and :meth:`LiveRows.of`.  A
     CSV's cells may read ``inf`` or ``nan``, so
     :func:`~smxreg.data_io.load_csv` goes through ``Dataset(x, t)``.
 
@@ -320,8 +322,8 @@ class Dataset:
         x = as_matrix(self.x, "x")
         t = check_probability(self.t, "t", 2)
         _check_shapes(x, t)
-        object.__setattr__(self, "x", _adopt_or_freeze(x))
-        object.__setattr__(self, "t", _adopt_or_freeze(t))
+        object.__setattr__(self, "x", _adopt_or_freeze(x, self.x))
+        object.__setattr__(self, "t", _adopt_or_freeze(t, self.t))
 
     @classmethod
     def _adopt(cls, x: np.ndarray, t: np.ndarray, min_rows: int = 1) -> Dataset:
@@ -382,9 +384,10 @@ class LiveRows:
     widths.
 
     :func:`~smxreg.data_io.load_idx_live` builds one from the pixel bytes,
-    and :func:`~smxreg.trainer.train` from a :class:`Dataset`.  When no row
-    is live (X is zero), ``data`` has no feature row, the one Dataset that
-    :class:`Dataset` itself refuses; see :meth:`adopt`.
+    and :meth:`of`, for :func:`~smxreg.trainer.train`, from a
+    :class:`Dataset`.  When no row is live (X is zero), ``data`` has no
+    feature row, the one Dataset that :class:`Dataset` itself refuses;
+    both adopt it with :meth:`Dataset._adopt`.
     """
 
     data: Dataset
@@ -402,13 +405,21 @@ class LiveRows:
         object.__setattr__(self, "rows", freeze(rows))
 
     @classmethod
-    def adopt(cls, x: np.ndarray, t: np.ndarray, rows, d: int) -> LiveRows:
-        """The LiveRows of fresh arrays whose entries are already known
-        good: ``x`` the rows ``rows`` of a checked or valid-by-construction
-        X (or no row at all), ``t`` valid targets.  Both are frozen and
-        adopted as they are by :meth:`Dataset._adopt`, without the finite
-        and probability checks of :class:`Dataset`."""
-        return cls(Dataset._adopt(x, t, min_rows=0), rows, d)
+    def of(cls, data: Dataset, rows: np.ndarray) -> LiveRows:
+        """The LiveRows of ``data`` whose live rows are ``rows``.  When every
+        row is live, ``data`` itself holds them, uncopied.  Otherwise they
+        are copied into one C-order array over :func:`column_plan` applied
+        to their count (:func:`column_blocks`): each block fills one
+        contiguous range of its rows, so each thread first-touches only its
+        own pages, and ``np.take`` in mode "clip" (the rows lie in range)
+        writes them there without a temporary.  Rows of a checked X need
+        no check, so the copy is adopted (:meth:`Dataset._adopt`)."""
+        if rows.size == data.d:
+            return cls(data, rows, data.d)
+        x = np.empty((rows.size, data.n))
+        column_blocks(lambda block: np.take(data.x, rows[block], axis=0, out=x[block],
+                                            mode="clip"), rows.size, x.nbytes)
+        return cls(Dataset._adopt(x, data.t, min_rows=0), rows, data.d)
 
     @property
     def c(self) -> int:
@@ -436,12 +447,16 @@ def freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _adopt_or_freeze(a: np.ndarray) -> np.ndarray:
-    """``a`` itself if it is a frozen, owned, C-contiguous float64 array;
+def _adopt_or_freeze(a: np.ndarray, source) -> np.ndarray:
+    """``a``, the float64 array of the caller's ``source``, frozen and kept
+    if it is C-contiguous and either converted from a list, a tuple or an
+    array of another dtype (so no one else holds it) or frozen and owned;
     otherwise a frozen C-order copy, made by :func:`copy_blocks`."""
     f = a.flags
-    if a.dtype == np.float64 and f.c_contiguous and f.owndata and not f.writeable:
-        return a
+    made = isinstance(source, (list, tuple)) or (
+        isinstance(source, np.ndarray) and source.dtype != a.dtype)
+    if f.c_contiguous and (made or f.owndata and not f.writeable):
+        return freeze(a)
     out = np.empty(a.shape, a.dtype)
     copy_blocks(out, a)
     return freeze(out)

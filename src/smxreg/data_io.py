@@ -80,7 +80,9 @@ def _check_payload_size(f, declared: int, offset: int, what: str) -> None:
         )
 
 
-def _read_header(f, expected_magic: int, expected_ndim: int, kind: str):
+def _read_header(f, expected_magic: int, kind: str):
+    """The dimension sizes of an IDX header whose magic must be
+    ``expected_magic``; its last byte is the number of dimensions."""
     b = _read_exact(f, 4, 0, "magic").tobytes()
     if b[0] != 0 or b[1] != 0:
         raise IdxFormatError(
@@ -98,21 +100,13 @@ def _read_header(f, expected_magic: int, expected_ndim: int, kind: str):
             f"{f.name}: bad {kind} magic 0x{magic:08x} at offset 0 "
             f"(expected 0x{expected_magic:08x})"
         )
-    if b[3] != expected_ndim:
-        raise IdxFormatError(
-            f"{f.name}: expected {expected_ndim} dims for {kind} at offset 3, "
-            f"got {b[3]}"
-        )
-    dims = struct.unpack(
-        f">{expected_ndim}I", _read_exact(f, 4 * expected_ndim, 4, "dims")
-    )
-    return dims
+    return struct.unpack(f">{b[3]}I", _read_exact(f, 4 * b[3], 4, "dims"))
 
 
 def read_idx_image_header(path) -> tuple[int, int, int]:
     """(count, rows, cols) of an IDX image file, header validation included."""
     with open(path, "rb") as f:
-        n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
+        n, rows, cols = _read_header(f, IMAGE_MAGIC, "image")
     return int(n), int(rows), int(cols)
 
 
@@ -129,7 +123,7 @@ def _read_pixels(path) -> np.ndarray:
     """The N x D uint8 pixels of an IDX image file, one image per row: the
     payload read at once, in place, into one uint8 array."""
     with open(path, "rb") as f:
-        n, rows, cols = _read_header(f, IMAGE_MAGIC, 3, "image")
+        n, rows, cols = _read_header(f, IMAGE_MAGIC, "image")
         _check_payload_size(f, n * rows * cols, 16, "pixels")
         payload = _read_exact(f, n * rows * cols, 16, "pixels")
     return payload.reshape(n, rows * cols)
@@ -141,17 +135,26 @@ def load_idx_images(path, bias: bool = False) -> np.ndarray:
     by 255, since raw bytes would inflate activations and slow descent.
     ``bias=True`` appends a constant-1 row, giving (D+1) x N.
 
-    The result is C-contiguous and built in one pass: each column block of
-    :func:`~smxreg.core.column_plan` is transposed and scaled straight into
-    its columns of X by one ``np.divide``, on several threads when there
-    are several blocks (:func:`~smxreg.core.column_blocks`).  Besides X,
-    only the payload bytes (1/8 of X) are held.
+    The result is C-contiguous and built in one pass, the conversion that
+    :func:`load_idx_live` makes of the live pixels alone
+    (:func:`_scaled_pixels`).  Besides X, only the payload bytes (1/8 of X)
+    are held.
     """
-    pixels = _read_pixels(path)
-    n, d = pixels.shape
-    x = _feature_matrix(d, n, bias)
+    return _scaled_pixels(_read_pixels(path), slice(None), bias)
 
-    column_blocks(lambda cols: np.divide(pixels[cols].T, 255.0, out=x[:d, cols]),
+
+def _scaled_pixels(pixels: np.ndarray, live, bias: bool) -> np.ndarray:
+    """The feature rows of the N x D ``pixels``' columns ``live`` (an index
+    array, or ``slice(None)`` for all D): each column block of
+    :func:`~smxreg.core.column_plan` is gathered (not for ``slice(None)``),
+    transposed and scaled straight into its columns of a fresh C-order
+    array by one ``np.divide``, on several threads when there are several
+    blocks (:func:`~smxreg.core.column_blocks`).  With ``bias``, a last
+    row of 1.0 follows."""
+    n = pixels.shape[0]
+    x = _feature_matrix(pixels[:0, live].shape[1], n, bias)
+    r = x.shape[0] - bias
+    column_blocks(lambda cols: np.divide(pixels[cols][:, live].T, 255.0, out=x[:r, cols]),
                   n, x.nbytes)
     return x
 
@@ -189,7 +192,7 @@ def load_idx_labels(path, c: int) -> np.ndarray:
     satisfy b < c.
     """
     with open(path, "rb") as f:
-        (n,) = _read_header(f, LABEL_MAGIC, 1, "label")
+        (n,) = _read_header(f, LABEL_MAGIC, "label")
         _check_payload_size(f, n, 8, "labels")
         labels = _read_exact(f, n, 8, "labels")
     bad = np.nonzero(labels >= c)[0]
@@ -251,28 +254,23 @@ def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveR
     A pixel that is zero in every image gives a row of X that is zero in
     every sample, which training never reads.  One reduction over the
     payload bytes finds those pixels, and only the live pixels (and the
-    constant-1 row, with ``bias``, always live) are converted: each column
-    block of :func:`~smxreg.core.column_plan` of the live rows' bytes is
-    gathered, transposed and scaled straight into its columns, on several
-    threads when there are several (:func:`~smxreg.core.column_blocks`).
-    The rows are valid by construction, as in :func:`load_idx_dataset`, so
-    :meth:`~smxreg.core.LiveRows.adopt` takes them without a check.  The
-    rows equal those of
-    :func:`load_idx_dataset`'s X bit for bit, so training on either gives
-    the same bits.  Besides the live rows, only the payload bytes (1/8 of
-    the full X) are held.  The errors are those of :func:`load_idx_dataset`.
+    constant-1 row, with ``bias``, always live) are converted, by the
+    helper of :func:`load_idx_images` (:func:`_scaled_pixels`).  The rows
+    are valid by construction, as in :func:`load_idx_dataset`, so they are
+    adopted without a check (:meth:`~smxreg.core.Dataset._adopt`).  They
+    equal those of :func:`load_idx_dataset`'s X bit for bit, so training
+    on either gives the same bits.  Besides the live rows, only the
+    payload bytes (1/8 of the full X) are held.  The errors are those of
+    :func:`load_idx_dataset`.
     """
     pixels = _read_pixels(images_path)
     n, d = pixels.shape
     live = np.flatnonzero(np.bitwise_or.reduce(pixels, axis=0))
-    x = _feature_matrix(live.size, n, bias)
-    column_blocks(lambda cols: np.divide(pixels[cols][:, live].T, 255.0,
-                                         out=x[:live.size, cols]),
-                  n, x.nbytes)
+    x = _scaled_pixels(pixels, live, bias)
     t = _idx_targets(labels_path, c, n)
     _require_features(d, n)
     rows = np.append(live, d) if bias else live
-    return LiveRows.adopt(x, t, rows, d + bias)
+    return LiveRows(Dataset._adopt(x, t, min_rows=0), rows, d + bias)
 
 
 def _idx_targets(labels_path, c: int, n: int) -> np.ndarray:
@@ -392,17 +390,12 @@ def _load_csv_lines(path, label_column: int, c: int, header: bool,
 def _csv_dataset(table: np.ndarray, col: int, c: int, bias: bool) -> Dataset:
     """The Dataset of an N x W table whose column ``col`` (0..W-1) holds
     labels already checked to be integers in 0..C-1.  The features are
-    transposed into X over the column blocks of
-    :func:`~smxreg.core.column_plan` (:func:`~smxreg.core.column_blocks`)."""
+    transposed into X on the calling thread: parsing the table costs
+    about 100 times as much."""
     d = table.shape[1] - 1
     x = _feature_matrix(d, table.shape[0], bias)
-
-    def transpose(cols: slice) -> None:
-        rows = table[cols]
-        x[:col, cols] = rows[:, :col].T
-        x[col:d, cols] = rows[:, col + 1:].T
-
-    column_blocks(transpose, table.shape[0], x.nbytes)
+    x[:col] = table[:, :col].T
+    x[col:d] = table[:, col + 1:].T
     t = one_hot(table[:, col].astype(int) + 1, c)
     # A cell may read inf or nan, so X takes every check of Dataset.
     _require_features(d, table.shape[0])

@@ -8,10 +8,10 @@ with the column max and exp run once.  The calling thread adds the losses
 and the G_b in block order.  The blocks are
 :func:`~smxreg.core.column_plan`'s for the rows the epoch reads (below),
 so the bits depend on their shape alone; each block reads its columns of
-X twice (for A_b and for G_b) while they are still in cache.  The blocks run on one thread per usable CPU, with
-OpenBLAS single-threaded meanwhile, or in order on the calling thread
-(:func:`~smxreg.core.block_runner`).  An X of one block runs the one-call
-epoch A = W X on the calling thread.
+X twice (for A_b and for G_b) while they are still in cache.  The blocks
+run on one thread per usable CPU, with OpenBLAS single-threaded meanwhile,
+or in order on the calling thread (:func:`~smxreg.core.block_runner`).  An
+X of one block runs the one-call epoch A = W X on the calling thread.
 
 A row of X that is zero in every sample adds nothing to A, and G's column
 for it is zero.  So the epoch reads only the live rows, held by a
@@ -22,9 +22,9 @@ plan is sized by the live rows' bytes: 16 blocks for the 577 live rows of
 a 60000-image MNIST-shaped pair, where a pass over its full 785-row X
 takes 22.  ``train`` reads the live rows in place when given them, as
 :func:`~smxreg.data_io.load_idx_live` loads them, or finds them in a
-:class:`~smxreg.core.Dataset`: one scan of X and, when a row is dead, one
-copy of the live rows per call (held until it returns; no copy for zero
-epochs).  Both give the same bits.
+:class:`~smxreg.core.Dataset` by one scan of X; when a row is dead,
+:meth:`~smxreg.core.LiveRows.of` copies the live rows once per call (held
+until it returns; no copy for zero epochs).  Both give the same bits.
 
 The learning rate is fixed, or adapted by the Barzilai-Borwein rate
 <dW, dG> / <dG, dG> of successive weight and gradient differences, by
@@ -141,19 +141,6 @@ def _max_abs_column_sum(w: np.ndarray) -> float:
     return float(np.max(np.abs(w.sum(axis=0))))
 
 
-def _copy_live_rows(data: Dataset, rows: np.ndarray, run) -> LiveRows:
-    """The LiveRows of ``data``'s rows ``rows``, copied by ``run`` into one
-    C-order buffer over :func:`~smxreg.core.column_plan` applied to its row
-    count: each block fills one contiguous range of the buffer's rows, so
-    each thread first-touches only its own pages.  ``rows`` lie in range,
-    and mode "clip" lets ``np.take`` write them straight into the buffer
-    without a temporary copy."""
-    x = np.empty((rows.size, data.n))
-    run(lambda block: np.take(data.x, rows[block], axis=0, out=x[block], mode="clip"),
-        column_plan(rows.size, x.nbytes))
-    return LiveRows.adopt(x, data.t, rows, data.d)
-
-
 def _block_forward(w: np.ndarray, x: np.ndarray, t: np.ndarray):
     """(loss, G) of one column block, or None if its activations are not
     finite."""
@@ -185,10 +172,15 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
     rows of X that are nonzero in some sample.  ``data`` is either those
     rows, a :class:`~smxreg.core.LiveRows`, read in place, or a
     :class:`~smxreg.core.Dataset`, which costs one scan of X and, if any
-    row is zero in every sample, one copy of the live rows for the call,
-    an extra (live rows / D) x ``data.x.nbytes``, unless ``cfg.epochs`` is
-    0.  Both give the same bits.  The weights, the trace and the column
-    sums keep all D columns.
+    row is zero in every sample, one copy of the live rows for the call
+    (:meth:`~smxreg.core.LiveRows.of`), an extra (live rows / D) x
+    ``data.x.nbytes``, unless ``cfg.epochs`` is 0.  Both give the same
+    bits.  The weights, the trace and the column sums keep all D columns.
+
+    OpenBLAS's thread count is the process's, so while a run of several
+    blocks holds it at 1 (:func:`~smxreg.core.block_runner`), a BLAS
+    product that another thread of the process runs is single-threaded
+    too, and can round differently.
     """
     if w0 is None:
         w = initial_weights(data, cfg)
@@ -204,10 +196,9 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
     if not cfg.epochs:
         return w, trace
 
+    if live is None:
+        live = LiveRows.of(data, rows)
     with block_runner(len(blocks)) as run:
-        if live is None:
-            live = (LiveRows(data, rows, data.d) if rows.size == data.d
-                    else _copy_live_rows(data, rows, run))
         parts = [(live.data.x[:, cols], live.data.t[:, cols]) for cols in blocks]
 
         prev_live: np.ndarray | None = None

@@ -12,8 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg import (TrainConfig, cli, core, evaluate, fdcheck, reduce_two_class, train,
-                    trainer)
+from smxreg import TrainConfig, cli, core, evaluate, fdcheck, reduce_two_class, train
 from smxreg.cli import main
 from smxreg.data_io import encode_weights, load_csv, load_idx_dataset, read_weights
 from smxreg.loss_grad import gradient
@@ -187,7 +186,7 @@ class TestTrainIdx:
                 "--log-every", "4", "--out", str(out), "--json", str(rep)]
         with monkeypatch.context() as no_copy:
             # the CLI reads the live rows as loaded: train copies none
-            no_copy.setattr(trainer, "_copy_live_rows", None)
+            no_copy.setattr(core.LiveRows, "of", None)
             assert main(argv + ["--bias"] * bias) == 0
         result = json.loads(rep.read_text())["result"]
 
@@ -499,6 +498,32 @@ class TestReportSchema:
     def test_checkgrad(self, tmp_path):
         result = self._report(tmp_path, ["checkgrad", "--instances", "3"])
         assert result["passed"] is True
+
+
+class TestRefusals:
+    """A command missing what it needs exits 2 with this message and no
+    report."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["certify", "--csv", "{csv}"], "--classes is required with --csv"),
+        (["certify", "--data", "i.idx", "--labels", "l.idx"],
+         "--classes is required with --data/--labels"),
+        (["certify", "--data", "i.idx", "--classes", "2"],
+         "provide --csv or both --data and --labels"),
+        (["spectrum", "--csv", "{csv}", "--classes", "2"],
+         "provide --y or --weights with data flags"),
+        (["spectrum", "--weights", "{w}", "--csv", "{csv}", "--classes", "2", "--bias",
+          "--sample", "4"], "--sample must be in 0..3"),
+        (["spectrum", "--weights", "{w}", "--csv", "{csv}", "--classes", "2", "--bias",
+          "--sample", "-1"], "--sample must be in 0..3"),
+    ], ids=["csv_classes", "idx_classes", "no_data", "spectrum_no_input",
+            "sample_past_n", "sample_negative"])
+    def test_exits_2(self, toy_csv, tmp_path, capsys, argv, message):
+        wfile = tmp_path / "w.bin"
+        wfile.write_bytes(encode_weights(np.zeros((2, 3))))
+        argv = [arg.format(csv=toy_csv, w=wfile) for arg in argv]
+        assert main(argv) == 2
+        assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
 class TestHostileInput:

@@ -254,6 +254,12 @@ class TestPlan:
         assert p.eta_window == (1.0, 1.0)
         assert p.eta_optimal == pytest.approx(1.0)
 
+    def test_lambda_max_below_lambda_min_is_refused(self):
+        with pytest.raises(InvalidInputError) as info:
+            plan(2.0, 1.0)
+        assert type(info.value) is InvalidInputError
+        assert str(info.value) == "lambda_max must be >= lambda_min"
+
     def test_theta_depends_only_on_ratio(self):
         assert plan(2.0, 8.0).theta == pytest.approx(plan(1.0, 4.0).theta)
 

@@ -156,6 +156,26 @@ def _grid(*entries):
     return x
 
 
+class TestRefusals:
+    """An input of the wrong shape or kind raises exactly this error."""
+
+    @pytest.mark.parametrize("call, error, message", [
+        (lambda: as_matrix(np.zeros((2, 2, 2)), "x"), DimensionMismatchError,
+         "x must be 2-D, got shape (2, 2, 2)"),
+        (lambda: core.check_probability(np.full((2, 2), 0.5), "y", 1),
+         DimensionMismatchError, "y must be 1-D, got shape (2, 2)"),
+        (lambda: one_hot([[1, 2]], 2), DimensionMismatchError,
+         "labels must be a 1-D sequence"),
+        (lambda: one_hot([1, 1], 1), InvalidInputError, "need at least 2 classes"),
+        (lambda: one_hot(["1", "2"], 2), InvalidLabelError,
+         "labels must be numbers, got dtype <U1"),
+    ], ids=["as_matrix_3d", "probability_ndim", "labels_2d", "one_class", "string_labels"])
+    def test_refused(self, call, error, message):
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error and str(info.value) == message
+
+
 class TestAsMatrix:
     @pytest.mark.parametrize("entries", [
         [(2, 1, 1e308), (2, 4, 1e308)], [(2, 4, 1e308), (2, 5, 1e308)],
@@ -304,10 +324,10 @@ class TestDatasetAdopt:
             Dataset._adopt(x, t)
 
     def test_live_rows_of_a_zero_x_have_no_feature_row(self, no_value_check):
-        live = LiveRows.adopt(np.empty((0, 3)), one_hot([1, 2, 1], 2), [], 4)
-        assert live.data.x.shape == (0, 3)
+        data = Dataset._adopt(np.empty((0, 3)), one_hot([1, 2, 1], 2), min_rows=0)
+        assert LiveRows(data, [], 4).data.x.shape == (0, 3)
         with pytest.raises(InvalidInputError, match="need at least 2 classes"):
-            LiveRows.adopt(np.empty((0, 3)), np.ones((1, 3)), [], 4)
+            Dataset._adopt(np.empty((0, 3)), np.ones((1, 3)), min_rows=0)
 
 
 class TestDatasetAdoption:
@@ -331,12 +351,29 @@ class TestDatasetAdoption:
         lambda: np.frombuffer(np.arange(6.0).tobytes()).reshape(2, 3),
         lambda: freeze(np.arange(12.0).reshape(2, 6))[:, ::2],
         lambda: freeze(np.asfortranarray(np.arange(6.0).reshape(2, 3))),
-    ], ids=["frombuffer", "frozen-slice", "fortran-order"])
+        lambda: freeze(np.asfortranarray(np.arange(6.0).reshape(2, 3), np.float32)),
+    ], ids=["frombuffer", "frozen-slice", "fortran-order", "fortran-float32"])
     def test_views_and_other_layouts_are_copied(self, make):
         x = make()
         assert not x.flags.writeable
         data = Dataset(x, self.T)
         assert not np.shares_memory(data.x, x)
+        assert data.x.flags.c_contiguous and not data.x.flags.writeable
+        assert np.array_equal(data.x, x)
+
+    @pytest.mark.parametrize("convert", [lambda x: x.astype(np.float32),
+                                         lambda x: x.tolist()], ids=["float32", "list"])
+    def test_converted_array_is_not_copied_again(self, convert):
+        # the conversion makes X's one float64 array, which no one else holds
+        x = np.random.default_rng(9).standard_normal((50, 2000)).astype(np.float32)
+        source, t = convert(x), freeze(one_hot(np.arange(2000) % 2 + 1, 2))
+        tracemalloc.start()
+        try:
+            data = Dataset(source, t)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.1 * data.x.nbytes
         assert data.x.flags.c_contiguous and not data.x.flags.writeable
         assert np.array_equal(data.x, x)
 
@@ -395,7 +432,7 @@ class TestLiveRows:
     def test_no_live_row(self):
         # an all-zero X: a Dataset of no row, which Dataset itself refuses
         t = one_hot([1, 2, 2], 2)
-        live = LiveRows.adopt(np.empty((0, 3)), t, [], 4)
+        live = LiveRows.of(Dataset(np.zeros((4, 3)), t), np.array([], np.intp))
         assert (live.data.d, live.n, live.c, live.d) == (0, 3, 2, 4)
         w = np.ones((2, 4))
         assert live.narrow(w).shape == (2, 0)

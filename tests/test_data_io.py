@@ -89,6 +89,29 @@ class TestErrorsNameTheirFile:
             read("sub/./f.bin")
 
 
+class TestRefusals:
+    """An input of the wrong shape raises exactly this error."""
+
+    def test_wrong_ndim_byte_is_a_bad_magic(self, tmp_path):
+        # the magic's last byte, at offset 3, is the number of dimensions
+        f = tmp_path / "imgs.idx"
+        f.write_bytes(struct.pack(">IIIII", 0x00000804, 1, 1, 1, 1) + b"\x00")
+        with pytest.raises(IdxFormatError) as info:
+            load_idx_images(f)
+        assert str(info.value) == (
+            f"{f}: bad image magic 0x00000804 at offset 0 (expected 0x00000803)")
+
+    @pytest.mark.parametrize("call, message", [
+        (lambda path: write_idx_images(path, np.zeros((5, 2)), 2, 2),
+         "x must be (rows*cols) x N = 4 x N, got (5, 2)"),
+        (lambda path: add_bias_row(np.zeros(3)), "x must be 2-D, got shape (3,)"),
+    ], ids=["write_idx_images", "add_bias_row"])
+    def test_wrong_shape_is_refused(self, tmp_path, call, message):
+        with pytest.raises(DimensionMismatchError) as info:
+            call(tmp_path / "imgs.idx")
+        assert type(info.value) is DimensionMismatchError and str(info.value) == message
+
+
 class TestIdxImages:
     def test_pixel_mapping(self, tmp_path):
         images = np.array(
@@ -502,7 +525,8 @@ class TestBiasedLoaders:
         data = Dataset(loaded.x, loaded.t)
         assert np.shares_memory(data.x, loaded.x)
 
-    @pytest.mark.parametrize("label_column,header", [(1, False), (2, True), (-1, False)])
+    @pytest.mark.parametrize("label_column,header",
+                             [(0, False), (1, False), (2, True), (-1, False)])
     def test_csv_matches_bias_idiom(self, tmp_path, label_column, header):
         rng = np.random.default_rng(6)
         table = rng.standard_normal((25, 4)).round(6)
@@ -512,6 +536,7 @@ class TestBiasedLoaders:
         f.write_text("\n".join((["a,b,c,d"] if header else []) + lines) + "\n")
         loaded = load_csv(f, label_column, 3, header=header, bias=True)
         raw = load_csv(f, label_column, 3, header=header)
+        _assert_bit_equal(raw.x, np.delete(table, label_column % 4, axis=1).T)
         _assert_bit_equal(loaded.x, add_bias_row(raw.x))
         _assert_bit_equal(loaded.t, raw.t)
         _assert_frozen_c(loaded.x)
@@ -601,21 +626,6 @@ class TestCsv:
             load_csv(f, -1, c, header=header)
         assert str(exc.value) == message
 
-
-    @pytest.mark.parametrize("label_column", [0, 2, -1])
-    def test_blocked_transpose_matches_serial(self, tmp_path, both_paths, label_column):
-        rng = np.random.default_rng(13)
-        table = rng.standard_normal((101, 5))
-        table[:, label_column] = rng.integers(0, 3, 101)
-        f = tmp_path / "t.csv"
-        f.write_text("".join(",".join(repr(v) for v in row) + "\n"
-                             for row in table.tolist()))
-        serial, parallel, submitted = both_paths(
-            lambda: load_csv(f, label_column, 3, bias=True).x)
-        assert submitted == 2 * 63  # the transpose and Dataset's finite check
-        _assert_bit_equal(serial, parallel)
-        feats = np.delete(table, label_column % 5, axis=1)
-        _assert_bit_equal(parallel, add_bias_row(feats.T))
 
     def test_form_feed_does_not_split_a_line(self, tmp_path):
         f = tmp_path / "bad.csv"

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from smxreg.data_io import write_idx_images, write_idx_labels
 
@@ -86,3 +87,47 @@ def test_bench_pairs_summary_of_canned_result_lines():
     assert setup["change_lower_in_pairs"] == 3
     # equal values are ties, which count for neither side
     assert summary["metrics"]["cli_s"]["change_lower_in_pairs"] == 0
+
+
+def test_bench_pairs_bound_lines_of_canned_medians():
+    bench_pairs = _bench_pairs()
+    pairs = [(seed, json.loads(_result(0.35, 1.5)), json.loads(_result(0.30, c)))
+             for seed, c in zip(range(1, 4), [1.8, 1.9, 2.0])]
+    benchmark = {"end_to_end": [
+        {"name": "setup_s", "better": "lower", "bound": 0.25},
+        {"name": "cli_s", "better": "lower", "bound": 0.25},
+        {"name": "cli_peak_rss_mb", "better": "lower", "bound": 0.05}]}
+    # 1.9 is 26.7 % above 1.5; no run reports a peak
+    assert bench_pairs.bound_lines(bench_pairs.summarize(pairs), benchmark) == [
+        "setup_s: median 0.35 -> 0.3; worse by more than its bound 0.25: no",
+        "cli_s: median 1.5 -> 1.9; worse by more than its bound 0.25: YES"]
+    benchmark["end_to_end"][1]["better"] = "higher"
+    assert bench_pairs.bound_lines(bench_pairs.summarize(pairs), benchmark)[1] == (
+        "cli_s: median 1.5 -> 1.9; worse by more than its bound 0.25: no")
+
+
+def test_bench_pairs_runs_pairs_then_prints_the_bounds(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    runs = []
+
+    def run(tree, workload, seed, seconds):
+        runs.append((tree, seed))
+        return json.loads(_result(0.35, 1.5) if tree == tmp_path else _result(0.5, 1.5))
+
+    monkeypatch.setattr(bench_pairs, "_run", run)
+    out = tmp_path / "b.json"
+    argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--workload", "w",
+            "--out", str(out), "--seeds"]
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv + ["9301"])
+    assert info.value.code == 2 and runs == [] and not out.exists()
+    assert "--seeds needs at least 2 seeds for quartiles, got [9301]" in (
+        capsys.readouterr().err)
+
+    assert bench_pairs.main(argv + ["1,2"]) == 0
+    # the side that runs first alternates, parent first
+    assert runs == [(tmp_path, 1), (ROOT, 1), (ROOT, 2), (tmp_path, 2)]
+    assert json.loads(out.read_text())["workloads"]["w"]["pairs"] == 2
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "setup_s: median 0.35 -> 0.5; worse by more than its bound 0.25: YES",
+        "cli_s: median 1.5 -> 1.5; worse by more than its bound 0.25: no"]

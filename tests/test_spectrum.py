@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smxreg import spectrum
-from smxreg.core import Dataset, InvalidInputError
+from smxreg.core import Dataset, InvalidInputError, SizeLimitError
 from smxreg.softmax import q_matrix, softmax
 from smxreg.spectrum import (
     BISECT_TOL,
@@ -349,6 +349,12 @@ class TestDenseQSpectrum:
     def test_uniform_three(self):
         assert np.allclose(dense_q_spectrum(np.array([1, 1, 1]) / 3.0),
                            [0.0, 1 / 3, 1 / 3], atol=1e-15)
+
+    def test_above_the_size_guard_is_refused(self):
+        with pytest.raises(SizeLimitError) as info:
+            dense_q_spectrum(np.full(513, 1 / 513))
+        assert type(info.value) is SizeLimitError
+        assert str(info.value) == "dense spectrum limited to C <= 512"
 
     def test_self_consistency_random_six(self):
         rng = np.random.default_rng(6)

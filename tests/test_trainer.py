@@ -266,14 +266,16 @@ def pools(monkeypatch):
 
 @pytest.fixture
 def both_block_paths(monkeypatch, pools):
-    """``both_block_paths(call, serial_by)`` runs ``call()`` with every X
-    cut into column blocks of at most 6400 bytes, so the live rows of a
-    12 x 200 X span three when all 12 are live and two when 10 are: on the
-    calling thread, with one usable CPU or no BLAS thread setter
-    (``serial_by``), and on a pool.  Returns (serial, pooled)."""
+    """``both_block_paths(call, serial_by, copies)`` runs ``call()`` with
+    every X cut into column blocks of at most 6400 bytes, so the live rows
+    of a 12 x 200 X span three when all 12 are live and two when 10 are: on
+    the calling thread, with one usable CPU or no BLAS thread setter
+    (``serial_by``), and on a pool.  ``copies`` counts the pools of the
+    live-row copy (:meth:`~smxreg.core.LiveRows.of`), which calls no BLAS
+    and so pools without a setter too.  Returns (serial, pooled)."""
     monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 12 * 200 * 8 // 3)
 
-    def run(call, serial_by="one_cpu"):
+    def run(call, serial_by="one_cpu", copies=0):
         pools.clear()  # a Dataset made under this fixture copies on a pool
         with monkeypatch.context() as serial_only:
             if serial_by == "one_cpu":
@@ -281,35 +283,38 @@ def both_block_paths(monkeypatch, pools):
             else:
                 serial_only.setattr(core, "_blas_thread_setter", lambda: None)
             serial = call()
-        assert not pools
+        assert len(pools) == (copies if serial_by == "no_setter" else 0)
+        pools.clear()
         pooled = call()
-        assert len(pools) == 1
+        assert len(pools) == 1 + copies
         return serial, pooled
 
     return run
 
 
-class TestCopyLiveRows:
-    """``_copy_live_rows`` fills contiguous row ranges of its buffer; the
+class TestLiveRowsOf:
+    """``LiveRows.of`` fills contiguous row ranges of its buffer; the
     result equals the fancy-indexed copy bit for bit, in order on the
-    calling thread and on a pool."""
+    calling thread and on a pool.  With every row live it copies nothing."""
 
-    @pytest.mark.parametrize("layout", ["first", "middle", "last", "none"])
-    def test_equals_a_plain_copy_on_both_paths(self, both_block_paths, layout):
+    @pytest.mark.parametrize("layout", ["first", "middle", "last"])
+    def test_equals_a_plain_copy_on_both_paths(self, request, layout):
         data, dead = _dead_row_instance(layout)
         rows = np.setdiff1d(np.arange(data.d), dead)
-        blocks = len(core.column_plan(rows.size, 8 * rows.size * data.n))
-        assert blocks == (3 if layout == "none" else 2)
-
-        def copy():
-            with core.block_runner(blocks) as run:
-                return trainer._copy_live_rows(data, rows, run)
-
-        for live in both_block_paths(copy):
+        # requested once the Dataset is made, so its pools are not counted
+        both_paths = request.getfixturevalue("both_paths")
+        *lives, submitted = both_paths(lambda: LiveRows.of(data, rows))
+        assert submitted == rows.size  # a block per row under 64-byte blocks
+        for live in lives:
             assert live.data.x.tobytes() == data.x[rows].tobytes()
             assert live.data.x.flags.c_contiguous and not live.data.x.flags.writeable
             assert live.data.t is data.t
             assert np.array_equal(live.rows, rows) and live.d == data.d
+
+    def test_every_row_live_is_the_dataset_itself(self, pools):
+        data, _ = _dead_row_instance("none")
+        live = LiveRows.of(data, np.arange(data.d))
+        assert live.data is data and live.d == data.d and pools == []
 
 
 class TestTrainBlocks:
@@ -327,7 +332,7 @@ class TestTrainBlocks:
         cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
                           tol_grad=1e-300)
         (w_s, trace_s), (w_p, trace_p) = both_block_paths(
-            lambda: train(data, cfg), serial_by)
+            lambda: train(data, cfg), serial_by, copies=int(layout != "none"))
         # the plan follows the live rows' bytes: 12 x 200 or 10 x 200 doubles
         assert trace_s.blocks == trace_p.blocks == (3 if layout == "none" else 2)
         assert trace_s.live_rows == trace_p.live_rows == 12 - len(dead)
@@ -382,7 +387,7 @@ class TestTrainBlocks:
         w0[:, 1] = w_scale * np.array([1.0, -1.0])
         cfg = TrainConfig(eta=eta, epochs=10, tol_grad=1e-300)
         (w_s, trace_s), (w_p, trace_p) = both_block_paths(
-            lambda: train(data, cfg, w0=w0))
+            lambda: train(data, cfg, w0=w0), copies=1)
         assert trace_s.stop_reason == trace_p.stop_reason == STOP_NONFINITE
         assert trace_p.blocks == 3
         _same_records(trace_s.records, trace_p.records)
