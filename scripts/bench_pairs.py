@@ -20,7 +20,9 @@ is lower.  ``--note`` sets the file's ``change`` text and ``--claim`` its
 claimed metric.  Last, one line per end-to-end metric says whether the
 change's median is worse than the parent's by more than that metric's
 ``bound`` in the change tree's ``BENCHMARK.json`` (a fraction of the
-parent's median).
+parent's median).  Two more lines follow: whether any run on either side
+reported ``correct: false``, and whether the change's share of failed
+operations (failed / attempted over its runs) exceeds the parent's.
 """
 from __future__ import annotations
 
@@ -107,6 +109,25 @@ def bound_lines(summary: dict, benchmark: dict) -> list[str]:
     return lines
 
 
+def run_lines(summary: dict) -> list[str]:
+    """Whether any run of ``summary`` on either side was ``correct: false``,
+    and whether the change's share of failed operations (failed /
+    attempted over its runs, 0 with none attempted) exceeds the parent's."""
+    runs = summary["runs"]
+    wrong = {side: sum(not run["correct"] for run in runs[side]) for side in runs}
+    tally = {side: (sum(run["failed"] for run in runs[side]),
+                    sum(run["attempted"] for run in runs[side])) for side in runs}
+    share = {side: failed / attempted if attempted else 0.0
+             for side, (failed, attempted) in tally.items()}
+    counts = {side: f"{failed}/{attempted} ({share[side]:.3%})"
+              for side, (failed, attempted) in tally.items()}
+    return [f"correct: false in parent {wrong['parent']} and change {wrong['change']} of "
+            f"{len(runs['change'])} runs each; any: "
+            f"{'YES' if wrong['parent'] or wrong['change'] else 'no'}",
+            f"failed operations: parent {counts['parent']} -> change {counts['change']}; "
+            f"change share larger: {'YES' if share['change'] > share['parent'] else 'no'}"]
+
+
 def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", repr(seconds), "--trace", "0"]
@@ -163,7 +184,8 @@ def main(argv=None) -> int:
            "parent_commit": parent_commit or None, "claim": claim, "host": _host(),
            "workloads": {**old.get("workloads", {}), args.workload: summarize(pairs)}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
-    print("\n".join(bound_lines(doc["workloads"][args.workload], benchmark)))
+    summary = doc["workloads"][args.workload]
+    print("\n".join(bound_lines(summary, benchmark) + run_lines(summary)))
     return 0
 
 

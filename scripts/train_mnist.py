@@ -1,12 +1,14 @@
 """Train the softmax classifier on MNIST-style IDX files.
 
 Expects the standard four uncompressed files.  A bias feature row is added;
-stepping uses the second Barzilai-Borwein formula by default.
+stepping uses the second Barzilai-Borwein formula by default.  Both sets are
+loaded as their live rows (``load_idx_live``): ``train`` reads them in
+place and ``evaluate`` reads only them, so the full X is never built.
 """
 import argparse
 
-from smxreg import Dataset, TrainConfig, evaluate, train
-from smxreg.data_io import load_idx_dataset
+from smxreg import Dataset, LiveRows, TrainConfig, evaluate, train
+from smxreg.data_io import load_idx_live
 from smxreg.trainer import BB_MODES
 
 
@@ -25,12 +27,14 @@ def main():
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
 
-    train_ds = load_idx_dataset(args.train_images, args.train_labels,
-                                args.classes, bias=True)
+    train_ds = load_idx_live(args.train_images, args.train_labels, args.classes,
+                             bias=True)
     if args.subset and args.subset < train_ds.n:
-        train_ds = Dataset(train_ds.x[:, :args.subset], train_ds.t[:, :args.subset])
-    test_ds = load_idx_dataset(args.test_images, args.test_labels, args.classes,
-                               bias=True)
+        k = args.subset
+        train_ds = LiveRows(Dataset(train_ds.data.x[:, :k], train_ds.data.t[:, :k]),
+                            train_ds.rows, train_ds.d)
+    test_ds = load_idx_live(args.test_images, args.test_labels, args.classes,
+                            bias=True)
     print(f"train: D={train_ds.d} N={train_ds.n}   test: N={test_ds.n}")
 
     cfg = TrainConfig(eta=args.eta, epochs=args.epochs, bb_mode=args.bb,

@@ -78,11 +78,6 @@ def usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _block_count(n: int, nbytes: int) -> int:
-    """The number of blocks of :func:`column_plan`."""
-    return max(1, min(n, nbytes // PARALLEL_MIN_BYTES))
-
-
 def column_plan(n: int, nbytes: int) -> list[slice]:
     """The column blocks of an array of ``n`` columns and ``nbytes`` bytes:
     one per ``PARALLEL_MIN_BYTES``, at least one and at most one per column,
@@ -93,43 +88,9 @@ def column_plan(n: int, nbytes: int) -> list[slice]:
     rule to the row count and cuts rows instead: each block is then one
     contiguous run of the destination's pages, which only its own thread
     touches first."""
-    k = _block_count(n, nbytes)
+    k = max(1, min(n, nbytes // PARALLEL_MIN_BYTES))
     edges = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
-
-
-def _run_on(pool, fn: Callable, items) -> list:
-    """``[fn(item) for item in items]``, each call on ``pool`` in a copy of
-    the caller's :mod:`contextvars` context, so the caller's
-    ``np.errstate`` holds there too.  The exception of the first item (in
-    item order) that raised is re-raised here; the caller's ``with`` on the
-    pool waits for the other calls."""
-    futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
-    return [future.result() for future in futures]
-
-
-def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> list:
-    """``[fn(cols) for cols in column_plan(n, nbytes)]``, for an ``fn`` that
-    reads or writes only the columns ``cols`` of an array (or, with ``n``
-    its row count, only the rows ``cols``).
-
-    Several blocks run on a pool of min(:func:`usable_cpus`, blocks) threads
-    that lives for this call only, each in a copy of the caller's
-    :mod:`contextvars` context (so its ``np.errstate`` holds); one block, or
-    one usable CPU, runs them in order on the calling thread, with the same
-    bits.  Unlike :func:`block_runner`, this leaves OpenBLAS's thread count
-    alone.  An exception raised by a block propagates unchanged once every
-    running block has ended.
-    """
-    blocks = column_plan(n, nbytes)
-    if len(blocks) == 1 or (k := min(usable_cpus(), len(blocks))) < 2:
-        return [fn(cols) for cols in blocks]
-    # Imported here: the import costs about 6 ms and 0.6 MB of RSS, which
-    # every process that never takes this path would pay.
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(k) as pool:
-        return _run_on(pool, fn, blocks)
 
 
 @cache
@@ -183,41 +144,67 @@ def _one_blas_thread(setter: Callable[[int], int]) -> Iterator[None]:
 @contextmanager
 def block_runner(blocks: int) -> Iterator[Callable[[Callable, list], list]]:
     """Yield ``run(fn, items)``, which returns ``[fn(item) for item in
-    items]`` in the order of ``items``.
+    items]`` in the order of ``items``.  This is the only code that makes a
+    thread pool, so one policy holds for every blocked pass: the epochs of
+    :func:`~smxreg.trainer.train` and every :func:`column_blocks` pass.
 
     With ``blocks`` >= 2, 2 or more usable CPUs and OpenBLAS as numpy's
     BLAS, the calls run on a pool of min(usable CPUs, ``blocks``) threads
     that lives for the ``with`` block, each in a copy of the caller's
-    :mod:`contextvars` context, and OpenBLAS runs every product on one
-    thread for that time: BLAS's own split of a skinny product gains less
-    than one block per thread.  That count is the process's, restored when
-    the block ends; a product that another thread of the process runs
-    meanwhile is single-threaded too.  Otherwise the calls run in order on
-    the calling thread and nothing is limited.  An exception raised by a
-    call propagates once every call has ended, and no thread outlives the
-    ``with`` block.
+    :mod:`contextvars` context (so its ``np.errstate`` holds), and OpenBLAS
+    runs every product on one thread for that time: BLAS's own split of a
+    skinny product gains less than one block per thread.  That count is
+    the process's, restored when the block ends; a product that another
+    thread of the process runs meanwhile is single-threaded too.
+    Otherwise (one block, one usable CPU, or another BLAS) the calls run in
+    order on the calling thread and nothing is limited.  An exception
+    raised by a call propagates unchanged once every call has ended (the
+    first in item order), and no thread outlives the ``with`` block.
     """
     k = min(usable_cpus(), blocks)
     setter = _blas_thread_setter() if k >= 2 else None
     if setter is None:
         yield lambda fn, items: [fn(item) for item in items]
         return
+    # Imported here: the import costs about 6 ms and 0.6 MB of RSS, which
+    # every process that never pools would pay.
     from concurrent.futures import ThreadPoolExecutor
 
+    def run(fn: Callable, items) -> list:
+        futures = [pool.submit(contextvars.copy_context().run, fn, item) for item in items]
+        return [future.result() for future in futures]
+
     with _one_blas_thread(setter), ThreadPoolExecutor(k) as pool:
-        yield lambda fn, items: _run_on(pool, fn, items)
+        yield run
+
+
+def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> list:
+    """``[fn(cols) for cols in column_plan(n, nbytes)]``, for an ``fn`` that
+    reads or writes only the columns ``cols`` of an array (or, with ``n``
+    its row count, only the rows ``cols``).
+
+    Several blocks run under :func:`block_runner`: on a pool, with OpenBLAS
+    held at one thread, where OpenBLAS is numpy's BLAS and 2 or more CPUs
+    are usable, and otherwise in order on the calling thread, with the
+    same bits.  One block is one call on the calling thread, which asks
+    for no CPU count and leaves BLAS alone.
+    """
+    blocks = column_plan(n, nbytes)
+    if len(blocks) == 1:
+        return [fn(blocks[0])]
+    with block_runner(len(blocks)) as run:
+        return run(fn, blocks)
 
 
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Coerce to a float64 2-D array, rejecting non-finite entries.
 
-    Finite row sums prove every entry finite.  An array of one
-    :func:`column_plan` block takes one BLAS product ``X @ 1``, which BLAS
-    threads, and no plan or pool.  An array of several blocks sums each
-    block's rows by ``np.add.reduce`` on the pool (:func:`column_blocks`),
-    so no BLAS thread holds a core the pool needs.  Only a block whose sums
-    are not finite (a NaN or infinity, or finite entries whose sum
-    overflows) takes the exact elementwise test.
+    Finite row sums prove every entry finite: each :func:`column_plan`
+    block takes one BLAS product ``block @ 1`` (:func:`column_blocks`), so
+    an array of one block, such as a weight matrix, is one product on the
+    calling thread, and several blocks follow :func:`block_runner`'s
+    policy.  Only a block whose sums are not finite (a NaN or infinity, or
+    finite entries whose sum overflows) takes the exact elementwise test.
     """
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
@@ -225,13 +212,10 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
 
     def finite(cols: slice) -> bool:
         block = out[:, cols]
-        return np.isfinite(np.add.reduce(block, axis=1)).all() or np.isfinite(block).all()
+        return np.isfinite(block @ np.ones(block.shape[1])).all() or np.isfinite(block).all()
 
     with np.errstate(over="ignore", invalid="ignore"):
-        if _block_count(out.shape[1], out.nbytes) == 1:
-            ok = np.isfinite(out @ np.ones(out.shape[1])).all() or np.isfinite(out).all()
-        else:
-            ok = all(column_blocks(finite, out.shape[1], out.nbytes))
+        ok = all(column_blocks(finite, out.shape[1], out.nbytes))
     if not ok:
         raise InvalidInputError(f"{name} contains non-finite entries")
     return out
@@ -295,9 +279,11 @@ class Dataset:
     read-only and owns its data (as :func:`~smxreg.data_io.add_bias_row`
     returns), or if the check's float64 conversion made it (from a list, a
     tuple or an array of another dtype); anything else is copied
-    (:func:`copy_blocks`) and frozen.  The
-    finite check and the copy run over the blocks of :func:`column_plan`,
-    on several threads when there are several (:func:`column_blocks`).
+    (:func:`copy_blocks`) and frozen.  The finite check and the copy run
+    over the blocks of :func:`column_plan` (:func:`column_blocks`):
+    several blocks run on a pool with OpenBLAS held at one thread, or in
+    order on the calling thread where OpenBLAS is absent or one CPU is
+    usable (:func:`block_runner`).
     The adopted array stays the caller's object, so a caller that makes it
     writeable again can still change the dataset.
 
@@ -412,8 +398,10 @@ class LiveRows:
         to their count (:func:`column_blocks`): each block fills one
         contiguous range of its rows, so each thread first-touches only its
         own pages, and ``np.take`` in mode "clip" (the rows lie in range)
-        writes them there without a temporary.  Rows of a checked X need
-        no check, so the copy is adopted (:meth:`Dataset._adopt`)."""
+        writes them there without a temporary.  Several blocks run on a
+        pool with OpenBLAS held at one thread, or in order on the calling
+        thread without OpenBLAS (:func:`block_runner`).  Rows of a checked
+        X need no check, so the copy is adopted (:meth:`Dataset._adopt`)."""
         if rows.size == data.d:
             return cls(data, rows, data.d)
         x = np.empty((rows.size, data.n))
@@ -467,7 +455,9 @@ def copy_blocks(out: np.ndarray, a: np.ndarray) -> None:
     of :func:`column_plan` (:func:`column_blocks`) applied to the rows, so
     that each thread first-touches only its own contiguous pages of
     ``out``.  Any layout of ``a`` (C-ordered, F-ordered or strided) is cut
-    the same way."""
+    the same way.  Several blocks run on a pool with OpenBLAS held at one
+    thread, or in order on the calling thread without OpenBLAS
+    (:func:`block_runner`)."""
     column_blocks(lambda rows: np.copyto(out[rows], a[rows]), a.shape[0], out.nbytes)
 
 

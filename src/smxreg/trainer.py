@@ -9,9 +9,11 @@ and the G_b in block order.  The blocks are
 :func:`~smxreg.core.column_plan`'s for the rows the epoch reads (below),
 so the bits depend on their shape alone; each block reads its columns of
 X twice (for A_b and for G_b) while they are still in cache.  The blocks
-run on one thread per usable CPU, with OpenBLAS single-threaded meanwhile,
-or in order on the calling thread (:func:`~smxreg.core.block_runner`).  An
-X of one block runs the one-call epoch A = W X on the calling thread.
+run under the policy of every blocked pass of the package
+(:func:`~smxreg.core.block_runner`): on a pool of min(usable CPUs,
+blocks) threads, with OpenBLAS single-threaded meanwhile, or, without
+OpenBLAS or with one usable CPU, in order on the calling thread.  An X
+of one block runs the one-call epoch A = W X on the calling thread.
 
 A row of X that is zero in every sample adds nothing to A, and G's column
 for it is zero.  So the epoch reads only the live rows, held by a
@@ -177,10 +179,12 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
     ``data.x.nbytes``, unless ``cfg.epochs`` is 0.  Both give the same
     bits.  The weights, the trace and the column sums keep all D columns.
 
-    OpenBLAS's thread count is the process's, so while a run of several
-    blocks holds it at 1 (:func:`~smxreg.core.block_runner`), a BLAS
-    product that another thread of the process runs is single-threaded
-    too, and can round differently.
+    Several blocks, and a live-row copy of several blocks, run on a pool
+    while OpenBLAS is held at one thread, or in order on the calling
+    thread where OpenBLAS is absent (:func:`~smxreg.core.block_runner`).
+    OpenBLAS's thread count is the process's, so meanwhile a BLAS product
+    that another thread of the process runs is single-threaded too, and
+    can round differently.
     """
     if w0 is None:
         w = initial_weights(data, cfg)

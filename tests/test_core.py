@@ -218,14 +218,15 @@ class TestAsMatrix:
         assert len(core.column_plan(700, x.nbytes)) == 1
         assert as_matrix(x) is x
 
-    def test_one_block_builds_no_plan(self, monkeypatch):
+    def test_one_block_never_calls_the_blas_setter(self, monkeypatch):
         # a weight matrix is checked once per Hessian product: its one
-        # product X @ 1 is the whole check
+        # product X @ 1, on the calling thread, is the whole check
         def refuse(*args):
-            raise AssertionError("a one-block array built a column plan")
+            raise AssertionError("a one-block array reached the pool's machinery")
 
-        monkeypatch.setattr(core, "column_plan", refuse)
-        monkeypatch.setattr(core, "column_blocks", refuse)
+        monkeypatch.setattr(core, "usable_cpus", lambda: 3)
+        monkeypatch.setattr(core, "_blas_thread_setter", lambda: refuse)
+        monkeypatch.setattr(core, "block_runner", refuse)
         w = np.ones((10, 785))
         assert as_matrix(w) is w
         assert np.array_equal(as_matrix(_grid((2, 1, 1e308), (2, 4, 1e308))),
@@ -546,14 +547,21 @@ class TestColumnBlocks:
         assert sorted((c.start, c.stop) for c, _ in seen) == [(0, 3), (3, 6), (6, 10)]
         assert threading.get_ident() not in {ident for _, ident in seen}
 
-    def test_one_cpu_runs_the_blocks_in_order_on_the_calling_thread(
-            self, forced_parallel, monkeypatch):
-        monkeypatch.setattr(core, "usable_cpus", lambda: 1)
+    @pytest.mark.parametrize("serial_by", ["one_cpu", "no_setter"])
+    def test_serial_path_runs_the_blocks_in_order_on_the_calling_thread(
+            self, forced_parallel, monkeypatch, pools, serial_by):
+        # without OpenBLAS's thread setter, copies and conversions run
+        # serially, as the epoch does
+        if serial_by == "one_cpu":
+            monkeypatch.setattr(core, "usable_cpus", lambda: 1)
+        else:
+            monkeypatch.setattr(core, "_blas_thread_setter", lambda: None)
         calls = []
         column_blocks(lambda cols: calls.append((cols, threading.get_ident())), 10,
                       3 * core.PARALLEL_MIN_BYTES)
         assert calls == [(slice(a, b), threading.get_ident())
                          for a, b in [(0, 3), (3, 6), (6, 10)]]
+        assert pools == []
 
     @pytest.mark.parametrize("n, blocks", [(10, 1.99), (1, 50), (0, 50)],
                              ids=["below-two-blocks", "one-column", "no-columns"])

@@ -451,9 +451,10 @@ def test_peak_bounds_hold_on_the_parallel_path(tmp_path, forced_parallel, monkey
     assert peak(tmp_path) <= bound
 
 
-def test_only_train_limits_blas_threads(tmp_path, forced_parallel, monkeypatch):
+def test_pooled_setup_passes_hold_one_blas_thread_and_restore(tmp_path, forced_parallel,
+                                                              monkeypatch):
     # every setup pass runs its blocks on a pool here; each block reads
-    # OpenBLAS's thread count before it runs
+    # OpenBLAS's thread count before it runs: one, as in train's epochs
     setter = core._blas_thread_setter()
     if setter is None:
         pytest.skip("numpy's BLAS is not OpenBLAS")
@@ -493,7 +494,7 @@ def test_only_train_limits_blas_threads(tmp_path, forced_parallel, monkeypatch):
     finally:
         setter(restore)
     assert len(seen) >= 6 * 3
-    assert set(seen) == {before} and after == before
+    assert set(seen) == {1} and before == after == 2
 
 
 def _assert_bit_equal(a, b):
@@ -832,6 +833,21 @@ class TestAddBiasRow:
         _assert_bit_equal(serial, parallel)
         _assert_bit_equal(parallel, np.vstack([x, np.ones((1, 101))]))
         _assert_frozen_c(parallel)
+
+    def test_pooled_copy_leaves_the_blas_thread_count_as_found(self, forced_parallel,
+                                                               monkeypatch):
+        # a setter that keeps a count, as OpenBLAS does, found at 4
+        count, calls = [4], []
+
+        def setter(new):
+            calls.append(new)
+            previous, count[0] = count[0], new
+            return previous
+
+        monkeypatch.setattr(core, "_blas_thread_setter", lambda: setter)
+        x = np.random.default_rng(11).standard_normal((5, 101))
+        _assert_bit_equal(add_bias_row(x), np.vstack([x, np.ones((1, 101))]))
+        assert calls == [1, 4] and count == [4]
 
     def test_blocked_copy_of_a_strided_view_matches_serial(self, both_paths):
         base = np.random.default_rng(9).standard_normal((8, 301))

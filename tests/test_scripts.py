@@ -56,11 +56,12 @@ def _bench_pairs():
     return module
 
 
-def _result(setup_s, cli_s, failed=0):
+def _result(setup_s, cli_s, failed=0, correct=True, attempted=12):
     """A canned last line of ``bench/run.py --trace 0``."""
-    return json.dumps({"correct": True, "attempted": 12, "failed": failed, "metrics": {
-        "setup_s": {"value": setup_s, "unit": "s"},
-        "cli_s": {"value": cli_s, "unit": "s"}}})
+    return json.dumps({
+        "correct": correct, "attempted": attempted, "failed": failed, "metrics": {
+            "setup_s": {"value": setup_s, "unit": "s"},
+            "cli_s": {"value": cli_s, "unit": "s"}}})
 
 
 def test_bench_pairs_summary_of_canned_result_lines():
@@ -106,6 +107,39 @@ def test_bench_pairs_bound_lines_of_canned_medians():
         "cli_s: median 1.5 -> 1.9; worse by more than its bound 0.25: no")
 
 
+def test_bench_pairs_run_lines_of_canned_result_lines():
+    bench_pairs = _bench_pairs()
+
+    def lines(parent, change):
+        pairs = [(seed, bench_pairs.result_line(p), bench_pairs.result_line(c))
+                 for seed, p, c in zip(range(1, 4), parent, change)]
+        return bench_pairs.run_lines(bench_pairs.summarize(pairs))
+
+    clean = [_result(0.3, 1.5)] * 3
+    assert lines(clean, clean) == [
+        "correct: false in parent 0 and change 0 of 3 runs each; any: no",
+        "failed operations: parent 0/36 (0.000%) -> change 0/36 (0.000%); "
+        "change share larger: no"]
+    # one wrong run on either side is enough
+    assert lines(clean, clean[:2] + [_result(0.3, 1.5, correct=False)])[0] == (
+        "correct: false in parent 0 and change 1 of 3 runs each; any: YES")
+    assert lines([_result(0.3, 1.5, correct=False)] * 3, clean)[0] == (
+        "correct: false in parent 3 and change 0 of 3 runs each; any: YES")
+    # shares, not counts: 2/36 against 3/60 is a smaller share
+    parent = [_result(0.3, 1.5, failed=1)] * 2 + [_result(0.3, 1.5)]
+    change = [_result(0.3, 1.5, failed=1, attempted=20)] * 3
+    assert lines(parent, change)[1] == (
+        "failed operations: parent 2/36 (5.556%) -> change 3/60 (5.000%); "
+        "change share larger: no")
+    assert lines(change, parent)[1] == (
+        "failed operations: parent 3/60 (5.000%) -> change 2/36 (5.556%); "
+        "change share larger: YES")
+    # no operation attempted is a share of 0
+    assert lines([_result(0.3, 1.5, attempted=0)] * 3, clean)[1] == (
+        "failed operations: parent 0/0 (0.000%) -> change 0/36 (0.000%); "
+        "change share larger: no")
+
+
 def test_bench_pairs_runs_pairs_then_prints_the_bounds(tmp_path, monkeypatch, capsys):
     bench_pairs = _bench_pairs()
     runs = []
@@ -128,6 +162,9 @@ def test_bench_pairs_runs_pairs_then_prints_the_bounds(tmp_path, monkeypatch, ca
     # the side that runs first alternates, parent first
     assert runs == [(tmp_path, 1), (ROOT, 1), (ROOT, 2), (tmp_path, 2)]
     assert json.loads(out.read_text())["workloads"]["w"]["pairs"] == 2
-    assert capsys.readouterr().out.splitlines()[-2:] == [
+    assert capsys.readouterr().out.splitlines()[-4:] == [
         "setup_s: median 0.35 -> 0.5; worse by more than its bound 0.25: YES",
-        "cli_s: median 1.5 -> 1.5; worse by more than its bound 0.25: no"]
+        "cli_s: median 1.5 -> 1.5; worse by more than its bound 0.25: no",
+        "correct: false in parent 0 and change 0 of 2 runs each; any: no",
+        "failed operations: parent 0/24 (0.000%) -> change 0/24 (0.000%); "
+        "change share larger: no"]

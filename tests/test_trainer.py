@@ -1,4 +1,3 @@
-import concurrent.futures
 import dataclasses
 import threading
 import tracemalloc
@@ -246,50 +245,9 @@ class TestTrainSkipsDeadRows:
         assert np.array_equal(w, w_ref)
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Three usable CPUs and a BLAS thread setter, whatever the machine;
-    returns the list of thread pools made, which grows as they are."""
-    made = []
-
-    class CountingPool(concurrent.futures.ThreadPoolExecutor):
-        def __init__(self, *args, **kwargs):
-            made.append(self)
-            super().__init__(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", CountingPool)
-    monkeypatch.setattr(core, "usable_cpus", lambda: 3)
-    if core._blas_thread_setter() is None:
-        monkeypatch.setattr(core, "_blas_thread_setter", lambda: lambda count: 1)
-    return made
-
-
-@pytest.fixture
-def both_block_paths(monkeypatch, pools):
-    """``both_block_paths(call, serial_by, copies)`` runs ``call()`` with
-    every X cut into column blocks of at most 6400 bytes, so the live rows
-    of a 12 x 200 X span three when all 12 are live and two when 10 are: on
-    the calling thread, with one usable CPU or no BLAS thread setter
-    (``serial_by``), and on a pool.  ``copies`` counts the pools of the
-    live-row copy (:meth:`~smxreg.core.LiveRows.of`), which calls no BLAS
-    and so pools without a setter too.  Returns (serial, pooled)."""
-    monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 12 * 200 * 8 // 3)
-
-    def run(call, serial_by="one_cpu", copies=0):
-        pools.clear()  # a Dataset made under this fixture copies on a pool
-        with monkeypatch.context() as serial_only:
-            if serial_by == "one_cpu":
-                serial_only.setattr(core, "usable_cpus", lambda: 1)
-            else:
-                serial_only.setattr(core, "_blas_thread_setter", lambda: None)
-            serial = call()
-        assert len(pools) == (copies if serial_by == "no_setter" else 0)
-        pools.clear()
-        pooled = call()
-        assert len(pools) == 1 + copies
-        return serial, pooled
-
-    return run
+# Column blocks of at most 6400 bytes: the live rows of a 12 x 200 X span
+# three when all 12 are live and two when 10 are.
+_BLOCK_BYTES = 12 * 200 * 8 // 3
 
 
 class TestLiveRowsOf:
@@ -297,14 +255,15 @@ class TestLiveRowsOf:
     result equals the fancy-indexed copy bit for bit, in order on the
     calling thread and on a pool.  With every row live it copies nothing."""
 
+    @pytest.mark.parametrize("serial_by", ["one_cpu", "no_setter"])
     @pytest.mark.parametrize("layout", ["first", "middle", "last"])
-    def test_equals_a_plain_copy_on_both_paths(self, request, layout):
+    def test_equals_a_plain_copy_on_both_paths(self, both_paths, pools, layout,
+                                               serial_by):
         data, dead = _dead_row_instance(layout)
         rows = np.setdiff1d(np.arange(data.d), dead)
-        # requested once the Dataset is made, so its pools are not counted
-        both_paths = request.getfixturevalue("both_paths")
-        *lives, submitted = both_paths(lambda: LiveRows.of(data, rows))
-        assert submitted == rows.size  # a block per row under 64-byte blocks
+        *lives, submitted = both_paths(lambda: LiveRows.of(data, rows), serial_by)
+        # one pool, given a block per row under 64-byte blocks
+        assert len(pools) == 1 and submitted == rows.size
         for live in lives:
             assert live.data.x.tobytes() == data.x[rows].tobytes()
             assert live.data.x.flags.c_contiguous and not live.data.x.flags.writeable
@@ -326,13 +285,15 @@ class TestTrainBlocks:
     @pytest.mark.parametrize("serial_by", ["one_cpu", "no_setter"])
     @pytest.mark.parametrize("mode", ["off", "bb2"])
     @pytest.mark.parametrize("layout", ["none", "middle"])
-    def test_pool_and_serial_are_identical(self, both_block_paths, layout, mode,
-                                           serial_by):
+    def test_pool_and_serial_are_identical(self, monkeypatch, both_paths, pools, layout,
+                                           mode, serial_by):
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", _BLOCK_BYTES)
         data, dead = _dead_row_instance(layout)
         cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
                           tol_grad=1e-300)
-        (w_s, trace_s), (w_p, trace_p) = both_block_paths(
-            lambda: train(data, cfg), serial_by, copies=int(layout != "none"))
+        (w_s, trace_s), (w_p, trace_p), _ = both_paths(lambda: train(data, cfg), serial_by)
+        # the epochs' pool, and the live-row copy's when a row is dead
+        assert len(pools) == 1 + (layout != "none")
         # the plan follows the live rows' bytes: 12 x 200 or 10 x 200 doubles
         assert trace_s.blocks == trace_p.blocks == (3 if layout == "none" else 2)
         assert trace_s.live_rows == trace_p.live_rows == 12 - len(dead)
@@ -342,7 +303,7 @@ class TestTrainBlocks:
         _assert_close_to_reference(trace_p, trace_ref, w_p, w_ref)
 
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-    def test_no_thread_outlives_train(self, monkeypatch, both_block_paths, fail):
+    def test_no_thread_outlives_train(self, monkeypatch, both_paths, fail):
         error = KeyError("block")
         calls, lock = [], threading.Lock()
 
@@ -358,14 +319,15 @@ class TestTrainBlocks:
         rng = np.random.default_rng(31)
         data = Dataset(rng.standard_normal((12, 200)), one_hot(np.arange(200) % 3 + 1, 3))
         cfg = TrainConfig(eta=0.01, epochs=3, tol_grad=1e-300)
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", _BLOCK_BYTES)
         monkeypatch.setattr(trainer, "forward", forward)
         before = threading.active_count()
         if fail:
             with pytest.raises(KeyError) as info:
-                both_block_paths(lambda: train(data, cfg))
+                both_paths(lambda: train(data, cfg))
             assert info.value is error
         else:
-            both_block_paths(lambda: train(data, cfg))
+            both_paths(lambda: train(data, cfg))
             assert sorted(calls) == sorted([66, 67, 67] * 3 * 2)
         assert threading.active_count() == before
 
@@ -374,7 +336,7 @@ class TestTrainBlocks:
         (1e160, 1.0, 0.0),
         (1e100, 1e150, 1.0),
     ], ids=["grad_overflow", "activation_overflow"])
-    def test_nonfinite_stop_warns_on_no_path(self, monkeypatch, both_block_paths,
+    def test_nonfinite_stop_warns_on_no_path(self, monkeypatch, both_paths,
                                              scale, eta, w_scale):
         # 12 x 200 X: rows 0 and 1 carry the 2-sample overflow instance of
         # TestTrainMatchesReferenceEpoch, repeated, in every block; they
@@ -386,8 +348,7 @@ class TestTrainBlocks:
         w0 = np.zeros((2, 12))
         w0[:, 1] = w_scale * np.array([1.0, -1.0])
         cfg = TrainConfig(eta=eta, epochs=10, tol_grad=1e-300)
-        (w_s, trace_s), (w_p, trace_p) = both_block_paths(
-            lambda: train(data, cfg, w0=w0), copies=1)
+        (w_s, trace_s), (w_p, trace_p), _ = both_paths(lambda: train(data, cfg, w0=w0))
         assert trace_s.stop_reason == trace_p.stop_reason == STOP_NONFINITE
         assert trace_p.blocks == 3
         _same_records(trace_s.records, trace_p.records)
