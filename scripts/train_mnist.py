@@ -12,6 +12,14 @@ from smxreg.data_io import load_idx_live
 from smxreg.trainer import BB_MODES
 
 
+def first_samples(data: LiveRows, k: int) -> LiveRows:
+    """The live rows of the first ``k`` samples of ``data``: a row live in
+    all of ``data`` may be zero in those ``k``, and is then left out."""
+    x = data.data.x[:, :k]
+    live = x.any(axis=1)
+    return LiveRows(Dataset(x[live], data.data.t[:, :k]), data.rows[live], data.d)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--train-images", required=True)
@@ -30,9 +38,7 @@ def main():
     train_ds = load_idx_live(args.train_images, args.train_labels, args.classes,
                              bias=True)
     if args.subset and args.subset < train_ds.n:
-        k = args.subset
-        train_ds = LiveRows(Dataset(train_ds.data.x[:, :k], train_ds.data.t[:, :k]),
-                            train_ds.rows, train_ds.d)
+        train_ds = first_samples(train_ds, args.subset)
     test_ds = load_idx_live(args.test_images, args.test_labels, args.classes,
                             bias=True)
     print(f"train: D={train_ds.d} N={train_ds.n}   test: N={test_ds.n}")

@@ -183,11 +183,9 @@ def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> list:
     reads or writes only the columns ``cols`` of an array (or, with ``n``
     its row count, only the rows ``cols``).
 
-    Several blocks run under :func:`block_runner`: on a pool, with OpenBLAS
-    held at one thread, where OpenBLAS is numpy's BLAS and 2 or more CPUs
-    are usable, and otherwise in order on the calling thread, with the
-    same bits.  One block is one call on the calling thread, which asks
-    for no CPU count and leaves BLAS alone.
+    Several blocks run under :func:`block_runner`, with the same bits on
+    either of its paths.  One block is one call on the calling thread,
+    which asks for no CPU count and leaves BLAS alone.
     """
     blocks = column_plan(n, nbytes)
     if len(blocks) == 1:
@@ -202,9 +200,9 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
     Finite row sums prove every entry finite: each :func:`column_plan`
     block takes one BLAS product ``block @ 1`` (:func:`column_blocks`), so
     an array of one block, such as a weight matrix, is one product on the
-    calling thread, and several blocks follow :func:`block_runner`'s
-    policy.  Only a block whose sums are not finite (a NaN or infinity, or
-    finite entries whose sum overflows) takes the exact elementwise test.
+    calling thread.  Only a block whose sums are not finite (a NaN or
+    infinity, or finite entries whose sum overflows) takes the exact
+    elementwise test.
     """
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
@@ -280,10 +278,7 @@ class Dataset:
     returns), or if the check's float64 conversion made it (from a list, a
     tuple or an array of another dtype); anything else is copied
     (:func:`copy_blocks`) and frozen.  The finite check and the copy run
-    over the blocks of :func:`column_plan` (:func:`column_blocks`):
-    several blocks run on a pool with OpenBLAS held at one thread, or in
-    order on the calling thread where OpenBLAS is absent or one CPU is
-    usable (:func:`block_runner`).
+    over the blocks of :func:`column_plan` (:func:`column_blocks`).
     The adopted array stays the caller's object, so a caller that makes it
     writeable again can still change the dataset.
 
@@ -398,9 +393,7 @@ class LiveRows:
         to their count (:func:`column_blocks`): each block fills one
         contiguous range of its rows, so each thread first-touches only its
         own pages, and ``np.take`` in mode "clip" (the rows lie in range)
-        writes them there without a temporary.  Several blocks run on a
-        pool with OpenBLAS held at one thread, or in order on the calling
-        thread without OpenBLAS (:func:`block_runner`).  Rows of a checked
+        writes them there without a temporary.  Rows of a checked
         X need no check, so the copy is adopted (:meth:`Dataset._adopt`)."""
         if rows.size == data.d:
             return cls(data, rows, data.d)
@@ -455,9 +448,7 @@ def copy_blocks(out: np.ndarray, a: np.ndarray) -> None:
     of :func:`column_plan` (:func:`column_blocks`) applied to the rows, so
     that each thread first-touches only its own contiguous pages of
     ``out``.  Any layout of ``a`` (C-ordered, F-ordered or strided) is cut
-    the same way.  Several blocks run on a pool with OpenBLAS held at one
-    thread, or in order on the calling thread without OpenBLAS
-    (:func:`block_runner`)."""
+    the same way."""
     column_blocks(lambda rows: np.copyto(out[rows], a[rows]), a.shape[0], out.nbytes)
 
 

@@ -148,11 +148,8 @@ def _scaled_pixels(pixels: np.ndarray, live, bias: bool) -> np.ndarray:
     array, or ``slice(None)`` for all D): each column block of
     :func:`~smxreg.core.column_plan` is gathered (not for ``slice(None)``),
     transposed and scaled straight into its columns of a fresh C-order
-    array by one ``np.divide`` (:func:`~smxreg.core.column_blocks`).
-    Several blocks run on a pool with OpenBLAS held at one thread, or in
-    order on the calling thread without OpenBLAS
-    (:func:`~smxreg.core.block_runner`).  With ``bias``, a last row of 1.0
-    follows."""
+    array by one ``np.divide`` (:func:`~smxreg.core.column_blocks`).  With
+    ``bias``, a last row of 1.0 follows."""
     n = pixels.shape[0]
     x = _feature_matrix(pixels[:0, live].shape[1], n, bias)
     r = x.shape[0] - bias

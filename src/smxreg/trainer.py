@@ -9,11 +9,9 @@ and the G_b in block order.  The blocks are
 :func:`~smxreg.core.column_plan`'s for the rows the epoch reads (below),
 so the bits depend on their shape alone; each block reads its columns of
 X twice (for A_b and for G_b) while they are still in cache.  The blocks
-run under the policy of every blocked pass of the package
-(:func:`~smxreg.core.block_runner`): on a pool of min(usable CPUs,
-blocks) threads, with OpenBLAS single-threaded meanwhile, or, without
-OpenBLAS or with one usable CPU, in order on the calling thread.  An X
-of one block runs the one-call epoch A = W X on the calling thread.
+run under :func:`~smxreg.core.block_runner`, the pool policy of every
+blocked pass of the package.  An X of one block runs the one-call epoch
+A = W X on the calling thread.
 
 A row of X that is zero in every sample adds nothing to A, and G's column
 for it is zero.  So the epoch reads only the live rows, held by a
@@ -179,11 +177,10 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
     ``data.x.nbytes``, unless ``cfg.epochs`` is 0.  Both give the same
     bits.  The weights, the trace and the column sums keep all D columns.
 
-    Several blocks, and a live-row copy of several blocks, run on a pool
-    while OpenBLAS is held at one thread, or in order on the calling
-    thread where OpenBLAS is absent (:func:`~smxreg.core.block_runner`).
-    OpenBLAS's thread count is the process's, so meanwhile a BLAS product
-    that another thread of the process runs is single-threaded too, and
+    The blocks, and those of a live-row copy, run under
+    :func:`~smxreg.core.block_runner`, which may hold OpenBLAS's
+    process-wide thread count at one meanwhile: a BLAS product that
+    another thread of the process runs then is single-threaded too, and
     can round differently.
     """
     if w0 is None:

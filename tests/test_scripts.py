@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg.data_io import write_idx_images, write_idx_labels
+from smxreg.data_io import load_idx_live, write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -46,6 +46,29 @@ def test_train_mnist_script_runs(tmp_path):
 
 def test_train_mnist_script_subset_keeps_bias_row(tmp_path):
     assert "train: D=65 N=200   test: N=100" in _run_train_mnist(tmp_path, 200)
+
+
+def test_train_mnist_subset_drops_rows_dead_in_it(tmp_path):
+    # pixel 5 is zero in the first 40 images only, pixel 9 in all of them
+    rng = np.random.default_rng(3)
+    pixels = rng.integers(1, 256, (100, 16))
+    pixels[:40, 5] = pixels[:, 9] = 0
+    labels = rng.integers(0, 10, 100)
+    for name, n in (("all", 100), ("first", 40)):
+        write_idx_images(tmp_path / f"{name}-images", pixels[:n].T / 255.0, 4, 4)
+        write_idx_labels(tmp_path / f"{name}-labels", labels[:n])
+    spec = importlib.util.spec_from_file_location(
+        "train_mnist", ROOT / "scripts" / "train_mnist.py")
+    train_mnist = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(train_mnist)
+    full = load_idx_live(tmp_path / "all-images", tmp_path / "all-labels", 10, bias=True)
+    subset = train_mnist.first_samples(full, 40)
+    alone = load_idx_live(tmp_path / "first-images", tmp_path / "first-labels", 10,
+                          bias=True)
+    assert 5 in full.rows and 5 not in subset.rows and subset.d == full.d == 17
+    assert np.array_equal(subset.rows, alone.rows)
+    assert subset.data.x.tobytes() == alone.data.x.tobytes()
+    assert subset.data.t.tobytes() == alone.data.t.tobytes()
 
 
 def _bench_pairs():

@@ -303,17 +303,21 @@ class TestTrainBlocks:
         _assert_close_to_reference(trace_p, trace_ref, w_p, w_ref)
 
     @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
-    def test_no_thread_outlives_train(self, monkeypatch, both_paths, fail):
+    def test_no_thread_outlives_train(self, monkeypatch, both_paths, pools, fail):
+        # with ``fail``, the second block run on a pool thread raises, so
+        # the serial run returns and the pooled run raises
         error = KeyError("block")
-        calls, lock = [], threading.Lock()
+        calls, pooled, lock = [], [], threading.Lock()
 
         real_forward = trainer.forward
 
         def forward(a, t, x):
             with lock:
                 calls.append(x.shape[1])
-                if fail and len(calls) == 2:
-                    raise error
+                if threading.current_thread() is not threading.main_thread():
+                    pooled.append(x.shape[1])
+                    if fail and len(pooled) == 2:
+                        raise error
             return real_forward(a, t, x)
 
         rng = np.random.default_rng(31)
@@ -327,8 +331,11 @@ class TestTrainBlocks:
                 both_paths(lambda: train(data, cfg))
             assert info.value is error
         else:
-            both_paths(lambda: train(data, cfg))
+            *_, submitted = both_paths(lambda: train(data, cfg))
             assert sorted(calls) == sorted([66, 67, 67] * 3 * 2)
+            assert submitted == len(pooled) == 3 * 3
+        # every row is live, so the epochs' pool is the only one
+        assert len(pools) == 1
         assert threading.active_count() == before
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -336,7 +343,7 @@ class TestTrainBlocks:
         (1e160, 1.0, 0.0),
         (1e100, 1e150, 1.0),
     ], ids=["grad_overflow", "activation_overflow"])
-    def test_nonfinite_stop_warns_on_no_path(self, monkeypatch, both_paths,
+    def test_nonfinite_stop_warns_on_no_path(self, monkeypatch, both_paths, pools,
                                              scale, eta, w_scale):
         # 12 x 200 X: rows 0 and 1 carry the 2-sample overflow instance of
         # TestTrainMatchesReferenceEpoch, repeated, in every block; they
@@ -349,6 +356,8 @@ class TestTrainBlocks:
         w0[:, 1] = w_scale * np.array([1.0, -1.0])
         cfg = TrainConfig(eta=eta, epochs=10, tol_grad=1e-300)
         (w_s, trace_s), (w_p, trace_p), _ = both_paths(lambda: train(data, cfg, w0=w0))
+        # the epochs' pool and the live-row copy's
+        assert len(pools) == 2
         assert trace_s.stop_reason == trace_p.stop_reason == STOP_NONFINITE
         assert trace_p.blocks == 3
         _same_records(trace_s.records, trace_p.records)
