@@ -20,9 +20,15 @@ is lower.  ``--note`` sets the file's ``change`` text and ``--claim`` its
 claimed metric.  Last, one line per end-to-end metric says whether the
 change's median is worse than the parent's by more than that metric's
 ``bound`` in the change tree's ``BENCHMARK.json`` (a fraction of the
-parent's median).  Two more lines follow: whether any run on either side
-reported ``correct: false``, and whether the change's share of failed
-operations (failed / attempted over its runs) exceeds the parent's.
+parent's median), or ``unresolved`` when the parent's own runs spread
+wider than that bound (q3 - q1 above bound x median) and not every change
+run is better than every parent run.  Two more lines follow: whether any
+run on either side reported ``correct: false``, and whether the change's
+share of failed operations (failed / attempted over its runs) exceeds the
+parent's.  With a claim whose workload the file holds, a last line gives
+the pairs the change wins (ties count for neither side) against nine
+tenths of the pairs, and the medians' difference against the parent's
+q3 - q1, and ends ``met`` when both hold, else ``not met``.
 """
 from __future__ import annotations
 
@@ -91,22 +97,52 @@ def summarize(pairs: list[tuple[int, dict, dict]]) -> dict:
     return summary
 
 
+def _sign(better: str) -> int:
+    """+1 when lower is better, -1 when higher is: sign x value is then
+    smaller for the better value."""
+    return 1 if better == "lower" else -1
+
+
 def bound_lines(summary: dict, benchmark: dict) -> list[str]:
     """For each end-to-end metric of ``benchmark`` (a parsed
     ``BENCHMARK.json``) in ``summary``, whether the change's median is worse
     than the parent's by more than the metric's ``bound`` times the
-    parent's median."""
+    parent's median, or ``unresolved`` when the parent's q3 - q1 exceeds
+    that margin and some change run is no better than some parent run."""
     lines = []
     for spec in benchmark["end_to_end"]:
         if spec["name"] not in summary["metrics"]:
             continue
         m = summary["metrics"][spec["name"]]
         parent, change = m["parent"]["median"], m["change"]["median"]
-        worse_by = change - parent if spec["better"] == "lower" else parent - change
-        over = worse_by > spec["bound"] * abs(parent)
+        sign, margin = _sign(spec["better"]), spec["bound"] * abs(parent)
+        spread = m["parent"]["q3"] - m["parent"]["q1"]
+        separated = (max(sign * v for v in m["change"]["values"])
+                     < min(sign * v for v in m["parent"]["values"]))
+        if spread > margin and not separated:
+            verdict = f"unresolved (parent q3 - q1 is {spread / abs(parent):.0%} of its median)"
+        else:
+            verdict = "YES" if sign * (change - parent) > margin else "no"
         lines.append(f"{spec['name']}: median {parent:.5g} -> {change:.5g}; worse by more "
-                     f"than its bound {spec['bound']:g}: {'YES' if over else 'no'}")
+                     f"than its bound {spec['bound']:g}: {verdict}")
     return lines
+
+
+def claim_line(summary: dict, claim: dict) -> str:
+    """Whether ``summary`` meets ``claim`` (workload, metric, better): the
+    change wins at least nine tenths of the pairs, ties counting for
+    neither side, and its median is better than the parent's by more than
+    the parent's q3 - q1."""
+    m, sign = summary["metrics"][claim["metric"]], _sign(claim["better"])
+    pairs = list(zip(m["parent"]["values"], m["change"]["values"]))
+    wins = sum(sign * c < sign * p for p, c in pairs)
+    parent, change = m["parent"]["median"], m["change"]["median"]
+    spread = m["parent"]["q3"] - m["parent"]["q1"]
+    met = 10 * wins >= 9 * len(pairs) and sign * (parent - change) > spread
+    return (f"claim {claim['workload']}:{claim['metric']}: change better in {wins} of "
+            f"{len(pairs)} pairs (needs 9 in 10); median {parent:.5g} -> {change:.5g}, "
+            f"better by {sign * (parent - change):.5g} against parent q3 - q1 "
+            f"{spread:.5g}: {'met' if met else 'not met'}")
 
 
 def run_lines(summary: dict) -> list[str]:
@@ -185,7 +221,10 @@ def main(argv=None) -> int:
            "workloads": {**old.get("workloads", {}), args.workload: summarize(pairs)}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     summary = doc["workloads"][args.workload]
-    print("\n".join(bound_lines(summary, benchmark) + run_lines(summary)))
+    lines = bound_lines(summary, benchmark) + run_lines(summary)
+    if claim and claim["workload"] in doc["workloads"]:
+        lines.append(claim_line(doc["workloads"][claim["workload"]], claim))
+    print("\n".join(lines))
     return 0
 
 

@@ -149,7 +149,10 @@ def cmd_spectrum(args) -> tuple[int, dict, dict, list, dict]:
         if ignored:
             raise InvalidInputError(
                 f"--y takes no --weights, --sample or data flags, got {' '.join(ignored)}")
-        y = np.array([float(tok) for tok in args.y.split(",")])
+        try:
+            y = np.array([float(tok) for tok in args.y.split(",")])
+        except ValueError as exc:  # names the token
+            raise InvalidInputError(f"--y: {exc}") from None
         data = None
     else:
         if not args.weights:
@@ -266,11 +269,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", parents=[report], help="full-batch gradient descent")
     _add_data_flags(p)
     p.add_argument("--eta", type=float, help="learning rate (initial rate under --bb)")
-    p.add_argument("--epochs", type=int, default=100)
-    p.add_argument("--bb", choices=BB_MODES, default="off")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol-grad", type=float, default=1e-10)
-    p.add_argument("--log-every", type=int, default=1)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--bb", choices=BB_MODES, default=TrainConfig.bb_mode)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
+    p.add_argument("--tol-grad", type=float, default=TrainConfig.tol_grad)
+    p.add_argument("--log-every", type=int, default=TrainConfig.log_every)
     p.add_argument("--out", help="weights output file")
     p.set_defaults(func=cmd_train)
 

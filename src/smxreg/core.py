@@ -249,15 +249,22 @@ def check_probability(p, name: str, ndim: int) -> np.ndarray:
     return p
 
 
-def activations(w, data: Dataset) -> np.ndarray:
-    """A = W X for weights ``w`` checked by :func:`check_weights`; a product
-    that overflows raises :class:`InvalidInputError`, without a warning."""
-    w = check_weights(w, data)
-    with np.errstate(over="ignore", invalid="ignore"):
-        a = w @ data.x
+def check_activations(a) -> np.ndarray:
+    """``a`` as a float64 array; a non-finite entry raises
+    :class:`InvalidInputError`.  The one activation check of the package."""
+    a = np.asarray(a, dtype=float)
     if not np.all(np.isfinite(a)):
         raise InvalidInputError("activations contain non-finite entries")
     return a
+
+
+def activations(w, data: Dataset) -> np.ndarray:
+    """A = W X for weights ``w`` checked by :func:`check_weights`, refused
+    by :func:`check_activations` if the product overflows, without a
+    warning."""
+    w = check_weights(w, data)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return check_activations(w @ data.x)
 
 
 @dataclass(frozen=True)

@@ -109,8 +109,7 @@ class HessianOperator:
         the residual after removing it is at most ``KERNEL_TOL`` (1e-10)
         relative to ||U X||_F.  The returned residual is the witness.
         """
-        u = check_weights(u, self.data)
-        v = u @ self.data.x
+        v = self._times_x(check_weights(u, self.data))
         residual = float(np.linalg.norm(v - v.mean(axis=0, keepdims=True)))
         return KernelTest(residual <= KERNEL_TOL * float(np.linalg.norm(v)), residual)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset, activations
-from .softmax import logsumexp
+from .softmax import logsumexp, shifted_exp
 
 
 def loss(w, data: Dataset) -> float:
@@ -32,17 +32,15 @@ def forward(a: np.ndarray, t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndar
     """Loss and gradient at finite activations A = W X with targets ``t``,
     in one pass over A; G is closed with the rows ``x``.
 
-    With column maxima m, e = exp(A - m) and column sums s of e:
-    Y = e / s, loss = sum(m + log s) - sum(T * A) and G = (Y - T) x^T.
-    These are the floating-point operations of ``softmax``,
-    :func:`loss_from_activations` and -(T - Y) X^T, so both results are
-    bit-identical to that composition, while the max and exp run once.
-    Given X itself, G is the full gradient; given a subset of X's rows, G
-    holds the gradient's columns for those rows.
+    With (m, e, s) of :func:`~smxreg.softmax.shifted_exp`, the one home of
+    the shift and the exponential: Y = e / s, loss = sum(m + log s) -
+    sum(T * A) and G = (Y - T) x^T.  ``softmax`` and ``logsumexp`` take the
+    same (m, e, s), so both results are bit-identical to the composition
+    ``softmax``, :func:`loss_from_activations` and -(T - Y) X^T, while the
+    max and exp run once.  Given X itself, G is the full gradient; given a
+    subset of X's rows, G holds the gradient's columns for those rows.
     """
-    m = a.max(axis=0, keepdims=True)
-    e = np.exp(a - m)
-    s = e.sum(axis=0, keepdims=True)
+    m, e, s = shifted_exp(a)
     cost = float(np.sum(m + np.log(s)) - np.sum(t * a))
     return cost, (e / s - t) @ x.T
 

@@ -1,41 +1,49 @@
 """Numerically stable softmax, its -log composition, and their Jacobians.
 
 Batch operations act columnwise: a C x N input is treated as N independent
-activation columns.  Both ``softmax`` and ``rho`` subtract the column
-maximum before exponentiating, so no finite input overflows.
+activation columns.  The column-max shift and the exponential live in
+:func:`shifted_exp` alone; ``softmax``, ``logsumexp`` and
+:func:`~smxreg.loss_grad.forward` build on it, so no finite input overflows
+and the three agree bit for bit.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from .core import InvalidInputError
+from .core import check_activations
 
 
-def _activations(a) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    if not np.all(np.isfinite(a)):
-        raise InvalidInputError("activations contain non-finite entries")
-    return a
+def shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(m, e, s) for activations ``a`` (vector, or C x N matrix columnwise):
+    the column maxima m, e = exp(a - m) and the column sums s of e, m and s
+    keeping the column axis.
+
+    For finite ``a`` every exponent is <= 0, so the largest entry of e is 1
+    and 1 <= s <= C.
+    """
+    m = a.max(axis=0, keepdims=True)
+    e = np.exp(a - m)
+    return m, e, e.sum(axis=0, keepdims=True)
 
 
 def softmax(a) -> np.ndarray:
-    """Exp-normalize ``a`` (vector, or C x N matrix columnwise).
+    """Exp-normalize ``a`` (vector, or C x N matrix columnwise): e / s of
+    :func:`shifted_exp`, after :func:`~smxreg.core.check_activations`.
 
     Shifting by the column maximum leaves the value unchanged and keeps every
     exponent <= 0, so the largest intermediate is 1.  Column sums are 1 up to
     rounding; entries can underflow to exactly 0 when the spread of a column
     exceeds ~745, which downstream curvature code accepts.
     """
-    a = _activations(a)
-    e = np.exp(a - a.max(axis=0, keepdims=True))
-    return e / e.sum(axis=0, keepdims=True)
+    _, e, s = shifted_exp(check_activations(a))
+    return e / s
 
 
 def logsumexp(a) -> np.ndarray:
-    """log(sum(exp(a))) per column, max-shifted.  Keeps the column axis."""
-    a = np.asarray(a, dtype=float)
-    m = a.max(axis=0, keepdims=True)
-    return m + np.log(np.exp(a - m).sum(axis=0, keepdims=True))
+    """log(sum(exp(a))) per column, as m + log s of :func:`shifted_exp`.
+    Keeps the column axis."""
+    m, _, s = shifted_exp(np.asarray(a, dtype=float))
+    return m + np.log(s)
 
 
 def rho(a) -> np.ndarray:
@@ -44,7 +52,7 @@ def rho(a) -> np.ndarray:
     This form stays finite even where softmax underflows, which makes it the
     right building block for the cross-entropy loss.
     """
-    a = _activations(a)
+    a = check_activations(a)
     return -a + logsumexp(a)
 
 

@@ -516,8 +516,10 @@ class TestRefusals:
           "--sample", "4"], "--sample must be in 0..3"),
         (["spectrum", "--weights", "{w}", "--csv", "{csv}", "--classes", "2", "--bias",
           "--sample", "-1"], "--sample must be in 0..3"),
+        (["spectrum", "--y", "0.5,abc"], "--y: could not convert string to float: 'abc'"),
+        (["spectrum", "--y", "0.5,,0.5"], "--y: could not convert string to float: ''"),
     ], ids=["csv_classes", "idx_classes", "no_data", "spectrum_no_input",
-            "sample_past_n", "sample_negative"])
+            "sample_past_n", "sample_negative", "y_bad_entry", "y_empty_entry"])
     def test_exits_2(self, toy_csv, tmp_path, capsys, argv, message):
         wfile = tmp_path / "w.bin"
         wfile.write_bytes(encode_weights(np.zeros((2, 3))))
@@ -774,6 +776,16 @@ class TestCliSurface:
         (bb,) = [a for a in sub.choices["train"]._actions
                  if "--bb" in a.option_strings]
         assert tuple(bb.choices) == ("off", "bb2")
+
+    def test_train_defaults_are_the_config_defaults(self):
+        # --eta has the CLI's own rule (required under --bb off, BB_ETA0
+        # under bb2); every other knob of TrainConfig defaults to its field
+        args = cli._build_parser().parse_args(["train"])
+        fields = {f.name: f.default for f in dataclasses.fields(TrainConfig)}
+        assert {"epochs": args.epochs, "bb_mode": args.bb, "seed": args.seed,
+                "tol_grad": args.tol_grad, "log_every": args.log_every,
+                "eta": fields["eta"]} == fields
+        assert args.eta is None
 
     def test_bb1_is_not_a_choice(self, toy_csv, capsys):
         with pytest.raises(SystemExit) as exc:

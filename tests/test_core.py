@@ -1,6 +1,10 @@
+import os
+import subprocess
 import sys
+import textwrap
 import threading
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,15 @@ from smxreg.core import (
 from smxreg.hessian import HessianOperator
 from smxreg.loss_grad import error_covariance, gradient, loss
 from smxreg.trainer import TrainConfig, evaluate, train
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def _run_python(code: str) -> subprocess.CompletedProcess:
+    """``code`` in a fresh interpreter that imports the package from ``SRC``."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-c", textwrap.dedent(code)],
+                          capture_output=True, text=True, env=env, timeout=120)
 
 
 class TestCenterColumns:
@@ -695,6 +708,55 @@ class TestBlockRunner:
         assert not any(thread.is_alive() for thread in users)
         assert seen == [1] * (8 * 20 * 2)
         assert state["count"] == 5
+
+    def test_the_setter_is_numpys_openblas_beside_scipys(self):
+        # A fresh process, as the setter is cached: with scipy's OpenBLAS
+        # loaded too, the one held must be the library numpy's products
+        # use, or numpy's BLAS stays threaded under the pool.
+        proc = _run_python("""
+            import ctypes, os, sys
+            import numpy
+            try:
+                import scipy.sparse.linalg  # loads scipy's own OpenBLAS
+            except ImportError:
+                sys.exit(3)
+            if not os.path.exists("/proc/self/maps"):
+                sys.exit(3)
+            from smxreg import core
+            fields = [line.split(maxsplit=5) for line in open("/proc/self/maps")]
+            libs = {f[5].strip() for f in fields
+                    if len(f) == 6 and "openblas" in f[5].lower() and ".so" in f[5]}
+            home = os.path.dirname(numpy.__file__)
+            own = [p for p in libs if p.startswith((home + os.sep, home + ".libs" + os.sep))]
+            if len(own) != 1 or len(libs) < 2:
+                sys.exit(3)
+
+            def address(fn):
+                return ctypes.cast(fn, ctypes.c_void_p).value
+
+            want = ctypes.CDLL(own[0]).openblas_set_num_threads_local
+            print(address(core._blas_thread_setter()) == address(want))
+        """)
+        if proc.returncode == 3:
+            pytest.skip("needs /proc/self/maps and numpy's and scipy's own OpenBLAS")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
+
+    def test_small_runs_never_import_the_pool(self, tmp_path):
+        # block_runner imports concurrent.futures only to make a pool, which
+        # saves every CLI start about 6 ms and 0.6 MB
+        csv = tmp_path / "toy.csv"
+        csv.write_text("0.0,0.0,0\n1.0,0.0,0\n0.0,1.0,1\n1.0,1.0,1\n")
+        proc = _run_python(f"""
+            import contextlib, io, sys
+            import smxreg.cli
+            with contextlib.redirect_stdout(io.StringIO()):
+                codes = [smxreg.cli.main(argv) for argv in (
+                    ["train", "--csv", {str(csv)!r}, "--classes", "2", "--eta", "0.1"],
+                    ["certify", "--csv", {str(csv)!r}, "--classes", "2"],
+                    ["spectrum", "--y", "0.25,0.75"])]
+            print(codes, "concurrent.futures" in sys.modules)
+        """)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[0, 0, 0] False\n", "")
 
     @pytest.mark.parametrize("cpus, blocks, setter", [
         (1, 4, True), (3, 1, True), (3, 4, False),

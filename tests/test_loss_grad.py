@@ -64,6 +64,45 @@ class TestLoss:
         assert np.isfinite(val) and val == pytest.approx(1000.0, rel=1e-12)
 
 
+def spread(v):
+    """max - min of each column."""
+    return v.max(axis=0) - v.min(axis=0)
+
+
+class TestMinimizerExists:
+    """With every target entry at least t_min > 0, each sample's loss is at
+    least t_min times the spread of its activation column, since
+    rho_i(a) >= max(a) - a_i >= 0.  The spread is a seminorm, so
+
+        L(W0 + sU) >= t_min (s sum_n spread(U x_n) - sum_n spread(W0 x_n)),
+
+    and for U in Z with U X != 0 some column of U X is not constant: the
+    loss grows at least linearly along every such direction, so a minimizer
+    exists without an L2 term."""
+
+    def test_soft_targets_meet_the_linear_growth_bound(self):
+        rng = np.random.default_rng(29)
+        for _ in range(50):
+            c, d = rng.integers(2, 7, size=2)
+            w0, data = random_instance(rng, c, d, int(rng.integers(d, 40)))
+            u = rng.standard_normal((c, d))
+            u -= u.mean(axis=0)  # in Z: zero column sums
+            t_min = data.t.min()
+            grow, start = spread(u @ data.x).sum(), spread(w0 @ data.x).sum()
+            assert t_min > 0.0 and grow > 0.0
+            for s in (1.0, 10.0, 100.0, 1000.0):
+                assert loss(w0 + s * u, data) >= t_min * (s * grow - start)
+
+    def test_separated_hard_labels_fall_toward_zero(self):
+        # labels split by the sign of the feature: no minimizer, the loss
+        # goes to 0 along U, which the bound allows as t_min = 0
+        x = np.array([[-2.0, -1.0, 1.0, 2.0], [1.0, 1.0, 1.0, 1.0]])
+        data = Dataset(x, one_hot([1, 1, 2, 2], 2))
+        u = np.array([[-1.0, 0.0], [1.0, 0.0]])
+        losses = [loss(s * u, data) for s in (1.0, 10.0, 100.0)]
+        assert losses[0] > losses[1] > losses[2] == 0.0
+
+
 class TestForward:
     @pytest.mark.parametrize("spread", [1.0, 50.0, 800.0])
     def test_bit_identical_to_three_step_composition(self, spread):

@@ -130,6 +130,57 @@ def test_bench_pairs_bound_lines_of_canned_medians():
         "cli_s: median 1.5 -> 1.9; worse by more than its bound 0.25: no")
 
 
+def test_bench_pairs_bound_lines_unresolved_when_the_parent_spreads_wider():
+    bench_pairs = _bench_pairs()
+    benchmark = {"end_to_end": [{"name": "setup_s", "better": "lower", "bound": 0.25}]}
+    # the parent's q1 0.11 and q3 0.155 are 35 % of its 0.13 median, over the bound
+    parent = [0.10, 0.12, 0.13, 0.15, 0.16]
+
+    def line(change, better="lower"):
+        benchmark["end_to_end"][0]["better"] = better
+        pairs = [(seed, json.loads(_result(p, 1.5)), json.loads(_result(c, 1.5)))
+                 for seed, p, c in zip(range(1, 6), parent, change)]
+        return bench_pairs.bound_lines(bench_pairs.summarize(pairs), benchmark)[0]
+
+    unresolved = "unresolved (parent q3 - q1 is 35% of its median)"
+    assert line([0.12, 0.13, 0.14, 0.15, 0.11]) == (
+        f"setup_s: median 0.13 -> 0.13; worse by more than its bound 0.25: {unresolved}")
+    # every change run better than every parent run settles it
+    assert line([0.05, 0.06, 0.07, 0.08, 0.09]) == (
+        "setup_s: median 0.13 -> 0.07; worse by more than its bound 0.25: no")
+    higher = [0.17, 0.18, 0.19, 0.20, 0.21]
+    assert line(higher).endswith(unresolved)
+    assert line(higher, better="higher").endswith("its bound 0.25: no")
+
+
+def test_bench_pairs_claim_line_of_canned_pairs():
+    bench_pairs = _bench_pairs()
+    parent = [1.50, 1.52, 1.48, 1.55, 1.45, 1.51, 1.49, 1.53, 1.47, 1.50]
+    claim = {"workload": "w", "metric": "cli_s", "better": "lower"}
+
+    def line(change):
+        pairs = [(seed, json.loads(_result(0.3, p)), json.loads(_result(0.3, c)))
+                 for seed, (p, c) in enumerate(zip(parent, change))]
+        return bench_pairs.claim_line(bench_pairs.summarize(pairs), claim)
+
+    # nine wins and a tie; the parent's q1 1.4775 and q3 1.5225
+    nine = [p - 0.2 for p in parent[:9]] + [1.50]
+    assert line(nine) == (
+        "claim w:cli_s: change better in 9 of 10 pairs (needs 9 in 10); median 1.5 -> "
+        "1.305, better by 0.195 against parent q3 - q1 0.045: met")
+    # a tie counts for neither side: eight wins fall short
+    assert line(nine[:8] + [1.49, 1.50]).startswith(
+        "claim w:cli_s: change better in 8 of 10 pairs")
+    assert line(nine[:8] + [1.49, 1.50]).endswith(": not met")
+    # winning every pair by less than the parent's spread is not met either
+    assert line([p - 0.01 for p in parent]).endswith(
+        "10 of 10 pairs (needs 9 in 10); median 1.5 -> 1.49, better by 0.01 against "
+        "parent q3 - q1 0.045: not met")
+    claim["better"] = "higher"
+    assert line(nine).endswith("0 of 10 pairs (needs 9 in 10); median 1.5 -> 1.305, "
+                               "better by -0.195 against parent q3 - q1 0.045: not met")
+
+
 def test_bench_pairs_run_lines_of_canned_result_lines():
     bench_pairs = _bench_pairs()
 
@@ -191,3 +242,18 @@ def test_bench_pairs_runs_pairs_then_prints_the_bounds(tmp_path, monkeypatch, ca
         "correct: false in parent 0 and change 0 of 2 runs each; any: no",
         "failed operations: parent 0/24 (0.000%) -> change 0/24 (0.000%); "
         "change share larger: no"]
+
+
+def test_bench_pairs_prints_the_claim_verdict_last(tmp_path, monkeypatch, capsys):
+    bench_pairs = _bench_pairs()
+    monkeypatch.setattr(bench_pairs, "_run", lambda tree, workload, seed, seconds: json.loads(
+        _result(0.35, 1.5) if tree == tmp_path else _result(0.5, 1.5)))
+    argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--workload", "w",
+            "--out", str(tmp_path / "b.json"), "--seeds", "1,2"]
+    assert bench_pairs.main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1].startswith("failed operations:")
+    # the claim's verdict is read from the file's entry for its workload
+    assert bench_pairs.main(argv + ["--claim", "w:setup_s"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "claim w:setup_s: change better in 0 of 2 pairs (needs 9 in 10); median 0.35 "
+        "-> 0.5, better by -0.15 against parent q3 - q1 0: not met")
