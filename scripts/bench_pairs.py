@@ -14,9 +14,10 @@ result line stops the script with its stderr, and nothing is written.
 
 The summary goes under ``workloads[W]`` of ``--out``, which is created or
 updated in place, so one file collects every workload: each side's runs
-(seed, correct, attempted, failed) and, per end-to-end metric, each side's
-median, quartiles and values, and the number of pairs whose change value
-is lower.  ``--note`` sets the file's ``change`` text and ``--claim`` its
+(seed, correct, attempted, failed, and the scalar notes of the benchmark's
+detail line, such as rounds, problems and epochs_to_tol) and, per
+end-to-end metric, each side's median, quartiles and values, and the
+number of pairs whose change value is lower.  ``--note`` sets the file's ``change`` text and ``--claim`` its
 claimed metric.  Last, one line per end-to-end metric says whether the
 change's median is worse than the parent's by more than that metric's
 ``bound`` in the change tree's ``BENCHMARK.json`` (a fraction of the
@@ -48,7 +49,9 @@ DESCRIPTION = (
     "from its own source tree; the side that runs first alternates pair by "
     "pair. Quartiles are Python's statistics.quantiles(n=4) (exclusive "
     "method). `change_lower_in_pairs` counts the pairs whose change value is "
-    "lower. The seeds were not used while building the change.")
+    "lower. Each run keeps the scalar `notes` of the benchmark's detail line "
+    "(its sample lists are left out). The seeds were not used while building "
+    "the change.")
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -60,11 +63,20 @@ def parse_seeds(text: str) -> list[int]:
 
 
 def result_line(stdout: str) -> dict:
-    """The benchmark's summary: the JSON object on its last output line."""
+    """The benchmark's summary: the JSON object on its last output line,
+    with the scalar entries of the ``notes`` of the detail line before it
+    (such as ``rounds``, ``problems`` and ``epochs_to_tol``), if any, under
+    ``notes``; lists and objects, such as timing samples, are left out."""
     lines = stdout.strip().splitlines()
     if not lines:
         raise ValueError("the benchmark printed nothing")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    detail = json.loads(lines[-2]) if len(lines) > 1 else {}
+    notes = {k: v for k, v in detail.get("notes", {}).items()
+             if isinstance(v, (bool, int, float, str))}
+    if notes:
+        result["notes"] = notes
+    return result
 
 
 def _round(value: float) -> float:
@@ -86,7 +98,8 @@ def summarize(pairs: list[tuple[int, dict, dict]]) -> dict:
                      "runs": {}, "metrics": {}}
     for side, at in (("parent", 1), ("change", 2)):
         summary["runs"][side] = [
-            {"seed": pair[0], **{k: pair[at][k] for k in ("correct", "attempted", "failed")}}
+            {"seed": pair[0], **{k: pair[at][k] for k in ("correct", "attempted", "failed",
+                                                          "notes") if k in pair[at]}}
             for pair in pairs]
     for name in pairs[0][1]["metrics"]:
         parent = [p["metrics"][name]["value"] for _, p, _ in pairs]

@@ -30,7 +30,9 @@ def main():
     ap.add_argument("--subset", type=int, default=10000,
                     help="number of training samples used (0 = all)")
     ap.add_argument("--epochs", type=int, default=60)
-    ap.add_argument("--eta", type=float, default=1e-3)
+    ap.add_argument("--eta", type=float, default=1e-3,
+                    help="fixed rate under --bb off; under bb2 the first step's "
+                         "rate in the metric of X's row means and variances")
     ap.add_argument("--bb", choices=BB_MODES, default="bb2")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()

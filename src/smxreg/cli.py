@@ -33,7 +33,8 @@ from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
 from .trainer import BB_MODES, STOP_NONFINITE, TrainConfig, evaluate, train
 
-# Initial Barzilai-Borwein rate when train --bb bb2 omits --eta.
+# First-step Barzilai-Borwein rate, in bb2's metric, when train --bb bb2
+# omits --eta.
 BB_ETA0 = 0.01
 
 
@@ -268,7 +269,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", parents=[report], help="full-batch gradient descent")
     _add_data_flags(p)
-    p.add_argument("--eta", type=float, help="learning rate (initial rate under --bb)")
+    p.add_argument("--eta", type=float,
+                   help="learning rate; under --bb bb2 the first step's rate in the "
+                        "metric of X's row means and variances")
     p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
     p.add_argument("--bb", choices=BB_MODES, default=TrainConfig.bb_mode)
     p.add_argument("--seed", type=int, default=TrainConfig.seed)

@@ -1,6 +1,7 @@
 """Full-batch gradient descent for the softmax cross-entropy objective.
 
-Each epoch runs  A = W X;  Y = softmax(A);  G = -(T - Y) X^T;  W <- W - eta G.
+Each epoch runs  A = W X;  Y = softmax(A);  G = -(T - Y) X^T;  W <- W - eta G,
+or under bb2 W <- W - eta P, with P the direction defined below.
 The loss and G are sums over samples, so the epoch is a sum over fixed
 column blocks of X: block b gives A_b = W X_b and, from one helper,
 :func:`~smxreg.loss_grad.forward`, its loss and G_b = (Y_b - T_b) X_b^T,
@@ -16,8 +17,8 @@ A = W X on the calling thread.
 A row of X that is zero in every sample adds nothing to A, and G's column
 for it is zero.  So the epoch reads only the live rows, held by a
 :class:`~smxreg.core.LiveRows`: A_b = W_live X_b,live, and G is formed on
-the live columns alone.  W keeps all D columns, and only the step
-W_live -= eta G writes it, so a dead column keeps its starting value.  The
+the live columns alone.  W keeps all D columns, and only the step on
+W_live writes it, so a dead column keeps its starting value.  The
 plan is sized by the live rows' bytes: 16 blocks for the 577 live rows of
 a 60000-image MNIST-shaped pair, where a pass over its full 785-row X
 takes 22.  ``train`` reads the live rows in place when given them, as
@@ -26,13 +27,26 @@ takes 22.  ``train`` reads the live rows in place when given them, as
 :meth:`~smxreg.core.LiveRows.of` copies the live rows once per call (held
 until it returns; no copy for zero epochs).  Both give the same bits.
 
-The learning rate is fixed, or adapted by the Barzilai-Borwein rate
-<dW, dG> / <dG, dG> of successive weight and gradient differences, by
-Cauchy-Schwarz the shorter of the two such rates (the other is
-<dW, dW> / <dW, dG>).  The previous rate is kept when dG = 0 or the rate
-leaves [1e-12, 1e12], as it does for every non-positive <dW, dG>.  A run
-that overflows stops with reason "nonfinite" and emits no floating-point
-warning, since that overflow is an outcome the trace records.
+Under ``bb_mode`` "off" the step is W_live -= eta G at a fixed rate.  Under
+"bb2" it is a preconditioned Barzilai-Borwein step (Molina & Raydan 1996)
+in the metric of M = N (diag(s) + mu mu^T), the model of X X^T that keeps
+the per-row means mu and variances s of the live rows and drops their
+covariances: the moments of centred, scaled inputs (LeCun et al. 1998,
+"Efficient BackProp").  ``train`` gathers mu and s once per call, in one
+pass over the epochs' own column blocks added in block order.  Each epoch
+sets P = 2 G M^+, recentred, and steps W_live -= eta P; M^+ is applied in
+closed form in O(CD) (:class:`_Metric`), so the bits still depend on X's
+shape alone.  The rate is <dW, dG> / <dG, dP> of successive weight,
+gradient and direction differences, by Cauchy-Schwarz in M's metric the
+shorter of the two such rates; the first step's rate is ``eta``.  The
+metric takes the mean direction and the row scales out of the condition
+number of X X^T, which the rate of plain descent carries squared.  Where
+the rows are centred and mutually orthogonal M = X X^T, and rate 1 is
+Bohning's majorize-minimize step.  The previous rate is kept when
+<dG, dP> = 0 or the rate leaves [1e-12, 1e12], as it does for every
+non-positive <dW, dG>.  A run that overflows stops with reason "nonfinite" and emits no
+floating-point warning, since that overflow is an outcome the trace
+records.
 
 Because 1^T G = 0 holds for every W, a step moves the column sums of W only
 by rounding: from a centered start they stay at rounding level, and
@@ -44,6 +58,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .certify import RANK_RTOL
 from .core import (Dataset, InvalidInputError, LiveRows, activations, block_runner,
                    center_columns, check_weights, column_plan)
 from .loss_grad import forward, loss_from_activations
@@ -68,8 +83,10 @@ STOP_NONFINITE = "nonfinite"
 class TrainConfig:
     """Knobs for :func:`train`.
 
-    ``eta`` is the fixed rate (``bb_mode`` "off"), or the initial rate under
-    Barzilai-Borwein adaptation (``bb_mode`` "bb2").  ``seed`` draws the
+    ``eta`` is the fixed rate (``bb_mode`` "off"), or under Barzilai-Borwein
+    adaptation (``bb_mode`` "bb2") the first step's rate, a rate in the
+    metric of the row-moment model M (see the module docstring), where 1 is
+    the majorize-minimize step when M = X X^T.  ``seed`` draws the
     initial weights.  Training stops after ``epochs`` epochs, or as soon as
     ||grad||_F <= tol_grad, or on a non-finite loss/gradient.
     """
@@ -96,6 +113,9 @@ class TrainConfig:
 
 @dataclass(frozen=True)
 class EpochRecord:
+    """One logged epoch.  ``eta_used`` is the rate of the step that follows:
+    the fixed rate under "off", the rate in M's metric under "bb2"."""
+
     epoch: int
     loss: float
     grad_norm: float
@@ -124,17 +144,71 @@ def initial_weights(data: Dataset | LiveRows, cfg: TrainConfig) -> np.ndarray:
     return center_columns(INIT_SCALE * rng.standard_normal((data.c, data.d)))
 
 
-def _bb_step(dw: np.ndarray, dg: np.ndarray, fallback: float) -> float:
-    """The Barzilai-Borwein rate <dw, dg> / <dg, dg> from the weight and
-    gradient changes on the live columns, or ``fallback`` when dg = 0 or the
-    rate leaves [``BB_STEP_MIN``, ``BB_STEP_MAX``], as it does if <dw, dg> <= 0."""
-    den = float(np.sum(dg * dg))
+def _bb_step(dw: np.ndarray, dg: np.ndarray, dp: np.ndarray, fallback: float) -> float:
+    """The Barzilai-Borwein rate <dw, dg> / <dg, dp> from the weight,
+    gradient and direction changes on the live columns, or ``fallback`` when
+    <dg, dp> <= 0 or the rate leaves [``BB_STEP_MIN``, ``BB_STEP_MAX``], as it
+    does if <dw, dg> <= 0."""
+    den = float(np.sum(dg * dp))
     if den <= 0.0:
         return fallback
     step = float(np.sum(dw * dg)) / den
     if not BB_STEP_MIN <= step <= BB_STEP_MAX:
         return fallback
     return step
+
+
+def _row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The per-row sums of x and of x**2 of one column block."""
+    with np.errstate(over="ignore"):
+        return x.sum(axis=1), np.einsum("ij,ij->i", x, x)
+
+
+@dataclass(frozen=True)
+class _Metric:
+    """The row-moment model M = N (diag(s) + mu mu^T) of X X^T, from the
+    per-row sums of X and X**2 over its N columns, and
+    :meth:`direction`, which applies M^+ in closed form.
+
+    A row is constant when s <= ``RANK_RTOL`` E[x^2]; the bias row is one,
+    and so is a row of zeros.  With constant rows "0" (not all zero) and the
+    others "+", each row g of G gives, with tau = <g0, mu0> / |mu0|^2,
+    z+ = (g+ - tau mu+) / s+ and z0 = mu0 (tau - <mu+, z+>) / |mu0|^2; then
+    (diag(s) + mu mu^T) z is g with g0 projected on mu0, and z lies in that
+    matrix's range, so z = (diag(s) + mu mu^T)^+ g.  Without such rows z is
+    Sherman-Morrison's inverse and z0 = 0.  Only elementwise products and
+    numpy sums are used, so no BLAS thread count changes the bits."""
+
+    n: int
+    mean: np.ndarray
+    var: np.ndarray
+    const: np.ndarray
+
+    @classmethod
+    def of(cls, sums: tuple[np.ndarray, np.ndarray], n: int) -> _Metric:
+        with np.errstate(over="ignore", invalid="ignore"):
+            mean, second = sums[0] / n, sums[1] / n
+            var = second - mean * mean
+            return cls(n, mean, var, var <= RANK_RTOL * second)
+
+    def direction(self, g: np.ndarray) -> np.ndarray:
+        """P = 2 G M^+, recentred."""
+        const = self.const
+        mu0, mu, s = self.mean[const], self.mean[~const], self.var[~const]
+        mu0_sq = float(np.sum(mu0 * mu0))
+        z = np.zeros_like(g)
+        if mu0_sq > 0.0:
+            tau = np.sum(g[:, const] * mu0, axis=1) / mu0_sq
+            z_pos = (g[:, ~const] - np.multiply.outer(tau, mu)) / s
+            z[:, const] = np.multiply.outer(tau - np.sum(z_pos * mu, axis=1), mu0 / mu0_sq)
+        else:
+            u, v = g[:, ~const] / s, mu / s
+            z_pos = u - np.multiply.outer(np.sum(u * mu, axis=1) / (1.0 + np.sum(v * mu)), v)
+        z[:, ~const] = z_pos
+        # recentred without center_columns' finiteness check: on an epoch
+        # whose ||G|| overflows P is not finite, and the run stops there
+        p = (2.0 / self.n) * z
+        return p - p.mean(axis=0)
 
 
 def _max_abs_column_sum(w: np.ndarray) -> float:
@@ -151,7 +225,8 @@ def _block_forward(w: np.ndarray, x: np.ndarray, t: np.ndarray):
 
 
 def _add_blocks(sums: list) -> tuple[float, np.ndarray]:
-    """The losses and gradients of the blocks, added in block order."""
+    """The blocks' pairs (loss and gradient, or row sums), added in block
+    order."""
     cost, g = sums[0]
     for block_cost, block_g in sums[1:]:
         cost += block_cost
@@ -176,6 +251,8 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
     (:meth:`~smxreg.core.LiveRows.of`), an extra (live rows / D) x
     ``data.x.nbytes``, unless ``cfg.epochs`` is 0.  Both give the same
     bits.  The weights, the trace and the column sums keep all D columns.
+    Under bb2 one more pass over the blocks, before the first epoch,
+    gathers the live rows' means and variances.
 
     The blocks, and those of a live-row copy, run under
     :func:`~smxreg.core.block_runner`, which may hold OpenBLAS's
@@ -201,9 +278,12 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
         live = LiveRows.of(data, rows)
     with block_runner(len(blocks)) as run:
         parts = [(live.data.x[:, cols], live.data.t[:, cols]) for cols in blocks]
+        metric = None
+        if cfg.bb_mode == "bb2":
+            metric = _Metric.of(_add_blocks(run(lambda part: _row_sums(part[0]), parts)),
+                                data.n)
 
-        prev_live: np.ndarray | None = None
-        prev_g: np.ndarray | None = None
+        prev_live = prev_g = prev_p = None
         eta = cfg.eta
         for epoch in range(1, cfg.epochs + 1):
             w_live = live.narrow(w)
@@ -215,8 +295,9 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
                 if all(s is not None for s in sums):
                     cur_loss, g = _add_blocks(sums)
                     grad_norm = float(np.linalg.norm(g))
-                    if cfg.bb_mode != "off" and prev_live is not None:
-                        eta = _bb_step(w_live - prev_live, g - prev_g, eta)
+                    p = g if metric is None else metric.direction(g)
+                    if metric is not None and prev_live is not None:
+                        eta = _bb_step(w_live - prev_live, g - prev_g, p - prev_p, eta)
                 else:
                     cur_loss = grad_norm = float("nan")
 
@@ -232,8 +313,8 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
                 trace.stop_reason = STOP_GRAD_TOL
                 break
 
-            prev_live, prev_g = w_live, g
-            w = live.widen(w, w_live - eta * g)
+            prev_live, prev_g, prev_p = w_live, g, p
+            w = live.widen(w, w_live - eta * p)
 
     return w, trace
 

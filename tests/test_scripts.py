@@ -181,6 +181,25 @@ def test_bench_pairs_claim_line_of_canned_pairs():
                                "better by -0.195 against parent q3 - q1 0.045: not met")
 
 
+def test_bench_pairs_keeps_the_scalar_notes_of_each_run():
+    bench_pairs = _bench_pairs()
+    detail = json.dumps({"workload": "teacher-to-tol", "machine": {"cpus": 2}, "notes": {
+        "rounds": 3, "problems": 15, "epochs_to_tol": 64.2, "in_process_certify": "ok",
+        "samples": {"solve_s": [0.1, 0.2]}, "plan_k": [1, 2]}})
+    with_notes = bench_pairs.result_line(f"{detail}\n{_result(0.3, 1.5)}\n")
+    assert with_notes["notes"] == {"rounds": 3, "problems": 15, "epochs_to_tol": 64.2,
+                                   "in_process_certify": "ok"}
+    bare = bench_pairs.result_line(_result(0.3, 1.5))
+    assert "notes" not in bare
+    summary = bench_pairs.summarize([(7, bare, with_notes), (8, bare, with_notes)])
+    assert summary["runs"]["change"][1] == {
+        "seed": 8, "correct": True, "attempted": 12, "failed": 0,
+        "notes": {"rounds": 3, "problems": 15, "epochs_to_tol": 64.2,
+                  "in_process_certify": "ok"}}
+    assert summary["runs"]["parent"][0] == {
+        "seed": 7, "correct": True, "attempted": 12, "failed": 0}
+
+
 def test_bench_pairs_run_lines_of_canned_result_lines():
     bench_pairs = _bench_pairs()
 

@@ -23,6 +23,8 @@ from smxreg.trainer import (
     _add_blocks,
     _bb_step,
     _max_abs_column_sum,
+    _Metric,
+    _row_sums,
     evaluate,
     initial_weights,
     train,
@@ -38,11 +40,16 @@ def realizable_instance(seed=0, c=2, d=3, n=10, scale=0.5):
 
 
 def reference_train(data, cfg, w0=None):
-    """The descent loop with its epoch written as softmax, then
-    loss_from_activations, then -(T - Y) X^T."""
+    """The descent loop on the full X with its epoch written as softmax,
+    then loss_from_activations, then -(T - Y) X^T; under bb2 the direction
+    comes from the library's metric of the full X's row sums, where a dead
+    row is a constant row of zeros."""
     w = initial_weights(data, cfg) if w0 is None else np.array(w0, dtype=float)
     trace = TrainTrace()
-    prev_w = prev_g = None
+    metric = None
+    if cfg.bb_mode == "bb2":
+        metric = _Metric.of(_row_sums(data.x), data.n)
+    prev_w = prev_g = prev_p = None
     eta = cfg.eta
     for epoch in range(1, cfg.epochs + 1):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -57,8 +64,9 @@ def reference_train(data, cfg, w0=None):
             g = -(data.t - y) @ data.x.T
             cur_loss = loss_from_activations(a, data.t)
             grad_norm = float(np.linalg.norm(g))
-            if cfg.bb_mode != "off" and prev_w is not None:
-                eta = _bb_step(w - prev_w, g - prev_g, eta)
+            p = g if metric is None else metric.direction(g)
+            if metric is not None and prev_w is not None:
+                eta = _bb_step(w - prev_w, g - prev_g, p - prev_p, eta)
         finite = np.isfinite(cur_loss) and np.isfinite(grad_norm)
         stopping = not finite or grad_norm <= cfg.tol_grad
         if epoch % cfg.log_every == 0 or epoch == cfg.epochs or stopping:
@@ -70,8 +78,8 @@ def reference_train(data, cfg, w0=None):
         if grad_norm <= cfg.tol_grad:
             trace.stop_reason = STOP_GRAD_TOL
             break
-        prev_w, prev_g = w, g
-        w = w - eta * g
+        prev_w, prev_g, prev_p = w, g, p
+        w = w - eta * p
     return w, trace
 
 
@@ -105,18 +113,26 @@ class TestTrainMatchesReferenceEpoch:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("mode", ["off", "bb2"])
     @pytest.mark.parametrize("scale,eta,w_scale", [
-        (1e160, 1.0, 0.0),     # A finite, ||G|| overflows at epoch 1
-        (1e100, 1e150, 1.0),   # the first step sends A = W X past the range
+        # A finite, ||G|| overflows at epoch 1
+        (1e160, {"off": 1.0, "bb2": 1.0}, 0.0),
+        # the first step sends A = W X past the range; under bb2 that step
+        # changes A by about eta whatever X's row scales, so it needs a rate
+        # near the largest double
+        (1e100, {"off": 1e150, "bb2": 1e308}, 1.0),
     ], ids=["grad_overflow", "activation_overflow"])
     def test_nonfinite_stop_is_identical(self, mode, scale, eta, w_scale):
         data = Dataset(np.array([[scale, -scale], [1.0, 2.0]]), one_hot([1, 2], 2))
         w0 = w_scale * np.array([[0.0, 1.0], [0.0, -1.0]])
-        cfg = TrainConfig(eta=eta, epochs=10, bb_mode=mode, tol_grad=1e-300)
+        cfg = TrainConfig(eta=eta[mode], epochs=10, bb_mode=mode, tol_grad=1e-300)
         w, trace = train(data, cfg, w0=w0)
         w_ref, trace_ref = reference_train(data, cfg, w0=w0)
         assert trace.stop_reason == trace_ref.stop_reason == STOP_NONFINITE
         _same_records(trace.records, trace_ref.records)
         assert np.array_equal(w, w_ref)
+
+
+# Epochs of the runs compared with the full-X reference to 1e-12.
+_CLOSE_EPOCHS = {"off": 12, "bb2": 8}
 
 
 def _dead_row_instance(layout, seed=41, c=4, d=12, n=200):
@@ -170,8 +186,9 @@ class TestTrainSkipsDeadRows:
 
     The two loops sum G, its norm and the Barzilai-Borwein products in a
     different order, and the Barzilai-Borwein rate amplifies that rounding
-    difference as G shrinks.  So the runs stop after 12 epochs, well before
-    G nears rounding level.
+    difference as G shrinks.  So the runs stop well before G nears rounding
+    level: after ``_CLOSE_EPOCHS[mode]`` epochs, 8 under bb2, whose metric
+    takes ||G|| down about 3.5 decades in 8 epochs here.
 
     ``dead_shift`` is added to the start's dead columns: X's zero rows hide
     it from the loss and no step removes it, so it must survive bit for
@@ -184,7 +201,7 @@ class TestTrainSkipsDeadRows:
     def test_matches_full_x_reference(self, layout, mode, dead_shift,
                                       uncentered_start):
         data, dead = _dead_row_instance(layout)
-        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
+        cfg = TrainConfig(eta=0.01, epochs=_CLOSE_EPOCHS[mode], bb_mode=mode, seed=3,
                           tol_grad=1e-300)
         w0, start = _start(data, cfg, dead, dead_shift, uncentered_start)
         w, trace = train(data, cfg, w0=w0)
@@ -289,7 +306,7 @@ class TestTrainBlocks:
                                            mode, serial_by):
         monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", _BLOCK_BYTES)
         data, dead = _dead_row_instance(layout)
-        cfg = TrainConfig(eta=0.01, epochs=12, bb_mode=mode, seed=3,
+        cfg = TrainConfig(eta=0.01, epochs=_CLOSE_EPOCHS[mode], bb_mode=mode, seed=3,
                           tol_grad=1e-300)
         (w_s, trace_s), (w_p, trace_p), _ = both_paths(lambda: train(data, cfg), serial_by)
         # the epochs' pool, and the live-row copy's when a row is dead
@@ -572,9 +589,111 @@ class TestTrain:
             assert 1e-12 <= r.eta_used <= 1e12
 
 
+def _dense_metric(metric):
+    """M = N (diag(s) + mu mu^T) as a dense matrix, s taken as 0 on the
+    metric's constant rows."""
+    s = np.where(metric.const, 0.0, metric.var)
+    return metric.n * (np.diag(s) + np.outer(metric.mean, metric.mean))
+
+
+def _metric_layout(layout, seed=23, d=9, n=300):
+    """X of d rows with means in [-1, 1] and scales over a decade: no
+    constant row, a bias row, a bias row plus a constant 0.3 row (M is then
+    singular), or a bias row and two rows of zeros."""
+    rng = np.random.default_rng(seed)
+    x = (rng.standard_normal((d, n)) + rng.uniform(-1.0, 1.0, (d, 1))) \
+        * np.logspace(0, 1, d)[:, None]
+    if layout != "no_constant":
+        x[d - 1] = 1.0
+    if layout == "bias_and_0.3":
+        x[2] = 0.3
+    if layout == "dead_rows":
+        x[[1, 4]] = 0.0
+    return x
+
+
+class TestMetric:
+    """bb2's direction P = 2 G M^+, recentred, with M the row-moment model
+    of X X^T, applied in closed form."""
+
+    @pytest.mark.parametrize("layout", ["no_constant", "bias", "bias_and_0.3",
+                                        "dead_rows"])
+    def test_closed_form_is_the_pseudoinverse(self, layout):
+        x = _metric_layout(layout)
+        metric = _Metric.of(_row_sums(x), x.shape[1])
+        expected_const = {"no_constant": [], "bias": [8], "bias_and_0.3": [2, 8],
+                          "dead_rows": [1, 4, 8]}[layout]
+        assert list(np.flatnonzero(metric.const)) == expected_const
+        g = center_columns(np.random.default_rng(3).standard_normal((4, x.shape[0])))
+        if layout == "dead_rows":
+            g[:, [1, 4]] = 0.0  # G has no component on a dead row
+        p = metric.direction(g)
+        p_oracle = center_columns(2.0 * g @ np.linalg.pinv(_dense_metric(metric)))
+        assert np.max(np.abs(p - p_oracle)) <= 1e-12 * np.max(np.abs(p_oracle))
+        if layout == "dead_rows":
+            # the full-X reference agrees with the live rows train reads
+            rows = np.setdiff1d(np.arange(x.shape[0]), [1, 4])
+            live = _Metric.of(_row_sums(x[rows]), x.shape[1])
+            assert np.max(np.abs(p[:, rows] - live.direction(g[:, rows]))) \
+                <= 1e-12 * np.max(np.abs(p))
+            assert np.all(p[:, [1, 4]] == 0.0)
+
+    def test_exact_on_centred_orthogonal_rows(self):
+        # centred, mutually orthogonal rows and a bias row: M = X X^T, so
+        # P = 2 G (X X^T)^{-1} and rate 1 is Bohning's majorize-minimize
+        # step, which lowers the loss from any start
+        rng = np.random.default_rng(8)
+        n, d, c = 400, 6, 4
+        g = rng.standard_normal((n, d - 1))
+        q, _ = np.linalg.qr(g - g.mean(axis=0))
+        x = np.vstack([(np.sqrt(n) * np.logspace(0, 1, d - 1))[:, None] * q.T,
+                       np.ones((1, n))])
+        data = Dataset(x, softmax(rng.standard_normal((c, d)) @ x))
+        metric = _Metric.of(_row_sums(x), n)
+        cfg = TrainConfig(eta=1.0, epochs=1, bb_mode="bb2", tol_grad=1e-300)
+        for seed in range(3):
+            w0 = 3.0 * center_columns(np.random.default_rng(seed).standard_normal((c, d)))
+            y = softmax(w0 @ x)
+            grad = (y - data.t) @ x.T
+            p_exact = center_columns(2.0 * grad @ np.linalg.inv(x @ x.T))
+            p = metric.direction(grad)
+            assert np.max(np.abs(p - p_exact)) <= 1e-12 * np.max(np.abs(p_exact))
+            w1, trace = train(data, cfg, w0=w0)
+            assert np.max(np.abs(w1 - (w0 - p_exact))) <= 1e-12 * np.max(np.abs(w0))
+            assert loss_from_activations(w1 @ x, data.t) < trace.records[0].loss
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("row", [[1e160, 2e160], [1e308, 1.5e308]],
+                             ids=["mean_squared", "sum"])
+    def test_moments_that_overflow_stop_without_a_warning(self, row):
+        # the row's mean squared, or its sum, overflows, and so does ||G||
+        # at epoch 1, where the run stops as before the metric
+        data = Dataset(np.array([row, [1.0, 2.0]]), one_hot([1, 2], 2))
+        cfg = TrainConfig(eta=1.0, epochs=5, bb_mode="bb2", tol_grad=1e-300)
+        _, trace = train(data, cfg)
+        assert trace.stop_reason == STOP_NONFINITE
+        assert [r.epoch for r in trace.records] == [1]
+
+    def test_epochs_to_tolerance_are_pinned(self):
+        # a teacher-shaped problem whose rows have means in [-1, 1] and
+        # scales 0.9**i: the rule before the metric, <dW, dG> / <dG, dG>
+        # with steps along G, took 2784 epochs here
+        rng = np.random.default_rng(0)
+        d, n = 40, 2000
+        x = 0.9 ** np.arange(d - 1)[:, None] \
+            * (rng.standard_normal((d - 1, n)) + rng.uniform(-1.0, 1.0, (d - 1, 1)))
+        x = np.vstack([x, np.ones((1, n))])
+        data = Dataset(x, softmax(0.5 * rng.standard_normal((5, d)) @ x))
+        cfg = TrainConfig(eta=1e-3, epochs=2784 // 5, bb_mode="bb2", tol_grad=1e-6,
+                          log_every=1000)
+        _, trace = train(data, cfg)
+        assert trace.stop_reason == STOP_GRAD_TOL
+        assert trace.records[-1].epoch <= 56
+
+
 class TestBbStep:
-    """The Barzilai-Borwein rate <dw, dg> / <dg, dg> and each of its
-    safeguards, on hand-computed pairs, with fallback 0.5."""
+    """The Barzilai-Borwein rate <dw, dg> / <dg, dp> and each of its
+    safeguards, on hand-computed pairs with dp = dg, with fallback 0.5."""
 
     @pytest.mark.parametrize("dw,dg,expected", [
         ([[3.0, 1.0]], [[1.0, 1.0]], 2.0),                # 4 / 2
@@ -589,7 +708,7 @@ class TestBbStep:
     ], ids=["exact", "exact_2x2", "zero_dg", "negative_curvature",
             "orthogonal", "at_min", "at_max", "below_min", "above_max"])
     def test_rate_and_safeguards(self, dw, dg, expected):
-        assert _bb_step(np.array(dw), np.array(dg), 0.5) == expected
+        assert _bb_step(np.array(dw), np.array(dg), np.array(dg), 0.5) == expected
 
 
 class TestEvaluate:
