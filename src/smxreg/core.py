@@ -81,8 +81,9 @@ def usable_cpus() -> int:
 def column_plan(n: int, nbytes: int) -> list[slice]:
     """The column blocks of an array of ``n`` columns and ``nbytes`` bytes:
     one per ``PARALLEL_MIN_BYTES``, at least one and at most one per column,
-    of widths that differ by at most one.  The count never depends on the
-    CPU count, so sums over the blocks have the same bits on every machine.
+    of widths that differ by at most one.  The count and order never depend
+    on the CPU count; a sum's bits also need fixed BLAS threads, as on a
+    :func:`block_runner` pool, but not in a one-block or serial pass.
 
     A copy into a row-major array (:func:`copy_blocks`) applies the same
     rule to the row count and cuts rows instead: each block is then one

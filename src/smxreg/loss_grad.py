@@ -29,8 +29,10 @@ def loss_from_activations(a, t) -> float:
 
 
 def forward(a: np.ndarray, t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
-    """Loss and gradient at finite activations A = W X with targets ``t``,
-    in one pass over A; G is closed with the rows ``x``.
+    """Loss and gradient at activations A = W X with targets ``t``, in one
+    pass over A; G is closed with the rows ``x``.  Non-finite A gives a
+    non-finite loss: NaN or +inf makes the column max or the exp NaN, and
+    -inf alone gives -t a = +inf where t > 0, else 0 (-inf) = NaN.
 
     With (m, e, s) of :func:`~smxreg.softmax.shifted_exp`, the one home of
     the shift and the exponential: Y = e / s, loss = sum(m + log s) -

@@ -8,11 +8,12 @@ column blocks of X: block b gives A_b = W X_b and, from one helper,
 with the column max and exp run once.  The calling thread adds the losses
 and the G_b in block order.  The blocks are
 :func:`~smxreg.core.column_plan`'s for the rows the epoch reads (below),
-so the bits depend on their shape alone; each block reads its columns of
-X twice (for A_b and for G_b) while they are still in cache.  The blocks
-run under :func:`~smxreg.core.block_runner`, the pool policy of every
-blocked pass of the package.  An X of one block runs the one-call epoch
-A = W X on the calling thread.
+so their count and order depend on X's shape alone; each block reads its
+columns of X twice (for A_b and for G_b) while they are still in cache.
+The blocks run under :func:`~smxreg.core.block_runner`, the pool policy of
+every blocked pass.  A pooled run holds OpenBLAS at one thread; an X of
+one block runs the one-call epoch A = W X on the calling thread, and it
+or a serial run takes BLAS's own thread count, which can change the bits.
 
 A row of X that is zero in every sample adds nothing to A, and G's column
 for it is zero.  So the epoch reads only the live rows, held by a
@@ -35,18 +36,25 @@ covariances: the moments of centred, scaled inputs (LeCun et al. 1998,
 "Efficient BackProp").  ``train`` gathers mu and s once per call, in one
 pass over the epochs' own column blocks added in block order.  Each epoch
 sets P = 2 G M^+, recentred, and steps W_live -= eta P; M^+ is applied in
-closed form in O(CD) (:class:`_Metric`), so the bits still depend on X's
-shape alone.  The rate is <dW, dG> / <dG, dP> of successive weight,
-gradient and direction differences, by Cauchy-Schwarz in M's metric the
-shorter of the two such rates; the first step's rate is ``eta``.  The
-metric takes the mean direction and the row scales out of the condition
-number of X X^T, which the rate of plain descent carries squared.  Where
-the rows are centred and mutually orthogonal M = X X^T, and rate 1 is
-Bohning's majorize-minimize step.  The previous rate is kept when
-<dG, dP> = 0 or the rate leaves [1e-12, 1e12], as it does for every
-non-positive <dW, dG>.  A run that overflows stops with reason "nonfinite" and emits no
-floating-point warning, since that overflow is an outcome the trace
-records.
+closed form in O(CD) (:class:`_Metric`), with no BLAS product.  The rate
+is <dW, dG> / <dG, dP> of successive weight, gradient and direction
+differences, by Cauchy-Schwarz in M's metric the shorter of the two such
+rates; the first step's rate is ``eta``.  The metric takes the mean
+direction and the row scales out of the condition number of X X^T, which
+the rate of plain descent carries squared.  Where the rows are centred
+and mutually orthogonal M = X X^T, and rate 1 is Bohning's
+majorize-minimize step.  The previous rate is kept when <dG, dP> = 0 or
+the rate leaves [1e-12, 1e12], as it does for every non-positive
+<dW, dG>.
+
+A run that diverges, from too large a rate or on data with no minimizer,
+is an outcome the trace records, so one rule ends it: the first epoch
+whose loss or ||G|| is not finite stops the run with reason "nonfinite",
+and its record, the last, holds the loss, ||G|| and rate it computed;
+non-finite A always gives a non-finite loss (:func:`~smxreg.loss_grad.forward`).
+Weights that the last step leaves not finite stop the run "nonfinite"
+too, after that epoch's finite record.  The run, pool threads included,
+ignores floating-point overflow and emits no warning.
 
 Because 1^T G = 0 holds for every W, a step moves the column sums of W only
 by rounding: from a centered start they stay at rounding level, and
@@ -87,8 +95,10 @@ class TrainConfig:
     adaptation (``bb_mode`` "bb2") the first step's rate, a rate in the
     metric of the row-moment model M (see the module docstring), where 1 is
     the majorize-minimize step when M = X X^T.  ``seed`` draws the
-    initial weights.  Training stops after ``epochs`` epochs, or as soon as
-    ||grad||_F <= tol_grad, or on a non-finite loss/gradient.
+    initial weights.  Training stops after ``epochs`` epochs, as soon as
+    ||grad||_F <= tol_grad, or with reason "nonfinite" at the first epoch
+    whose loss or ||grad||_F is not finite (that epoch's record is the
+    last) or after a last step that leaves the weights not finite.
     """
 
     eta: float = 0.1
@@ -160,8 +170,7 @@ def _bb_step(dw: np.ndarray, dg: np.ndarray, dp: np.ndarray, fallback: float) ->
 
 def _row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The per-row sums of x and of x**2 of one column block."""
-    with np.errstate(over="ignore"):
-        return x.sum(axis=1), np.einsum("ij,ij->i", x, x)
+    return x.sum(axis=1), np.einsum("ij,ij->i", x, x)
 
 
 @dataclass(frozen=True)
@@ -186,10 +195,9 @@ class _Metric:
 
     @classmethod
     def of(cls, sums: tuple[np.ndarray, np.ndarray], n: int) -> _Metric:
-        with np.errstate(over="ignore", invalid="ignore"):
-            mean, second = sums[0] / n, sums[1] / n
-            var = second - mean * mean
-            return cls(n, mean, var, var <= RANK_RTOL * second)
+        mean, second = sums[0] / n, sums[1] / n
+        var = second - mean * mean
+        return cls(n, mean, var, var <= RANK_RTOL * second)
 
     def direction(self, g: np.ndarray) -> np.ndarray:
         """P = 2 G M^+, recentred."""
@@ -215,15 +223,6 @@ def _max_abs_column_sum(w: np.ndarray) -> float:
     return float(np.max(np.abs(w.sum(axis=0))))
 
 
-def _block_forward(w: np.ndarray, x: np.ndarray, t: np.ndarray):
-    """(loss, G) of one column block, or None if its activations are not
-    finite."""
-    a = w @ x
-    if not np.all(np.isfinite(a)):
-        return None
-    return forward(a, t, x)
-
-
 def _add_blocks(sums: list) -> tuple[float, np.ndarray]:
     """The blocks' pairs (loss and gradient, or row sums), added in block
     order."""
@@ -240,8 +239,9 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
 
     ``w0`` overrides the seeded initialization and is used exactly as given
     (not recentered), so runs starting from W and from W + 1 c^T can be
-    compared.  A non-finite loss or gradient stops the run with reason
-    "nonfinite" (recorded in the trace) instead of raising.
+    compared.  The first epoch whose loss or ||G|| is not finite stops the
+    run with reason "nonfinite", recording what it computed, as do
+    returned weights that are not finite; nothing is raised or warned.
 
     Each epoch is a sum over ``trace.blocks`` fixed column blocks of the
     rows of X that are nonzero in some sample.  ``data`` is either those
@@ -255,10 +255,10 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
     gathers the live rows' means and variances.
 
     The blocks, and those of a live-row copy, run under
-    :func:`~smxreg.core.block_runner`, which may hold OpenBLAS's
-    process-wide thread count at one meanwhile: a BLAS product that
-    another thread of the process runs then is single-threaded too, and
-    can round differently.
+    :func:`~smxreg.core.block_runner`, which holds OpenBLAS's process-wide
+    thread count at one while it pools: a BLAS product that another
+    thread of the process runs then is single-threaded too, and can round
+    differently.  A one-block or serial run takes BLAS's own count.
     """
     if w0 is None:
         w = initial_weights(data, cfg)
@@ -276,7 +276,8 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
 
     if live is None:
         live = LiveRows.of(data, rows)
-    with block_runner(len(blocks)) as run:
+    # overflow ends a diverging run by the "nonfinite" rule, not a warning
+    with block_runner(len(blocks)) as run, np.errstate(over="ignore", invalid="ignore"):
         parts = [(live.data.x[:, cols], live.data.t[:, cols]) for cols in blocks]
         metric = None
         if cfg.bb_mode == "bb2":
@@ -287,19 +288,12 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
         eta = cfg.eta
         for epoch in range(1, cfg.epochs + 1):
             w_live = live.narrow(w)
-            # A diverging run overflows here; the check below turns that
-            # into the "nonfinite" stop, so it raises no floating-point
-            # warning.
-            with np.errstate(over="ignore", invalid="ignore"):
-                sums = run(lambda part: _block_forward(w_live, *part), parts)
-                if all(s is not None for s in sums):
-                    cur_loss, g = _add_blocks(sums)
-                    grad_norm = float(np.linalg.norm(g))
-                    p = g if metric is None else metric.direction(g)
-                    if metric is not None and prev_live is not None:
-                        eta = _bb_step(w_live - prev_live, g - prev_g, p - prev_p, eta)
-                else:
-                    cur_loss = grad_norm = float("nan")
+            cur_loss, g = _add_blocks(run(
+                lambda part: forward(w_live @ part[0], part[1], part[0]), parts))
+            grad_norm = float(np.linalg.norm(g))
+            p = g if metric is None else metric.direction(g)
+            if metric is not None and prev_live is not None:
+                eta = _bb_step(w_live - prev_live, g - prev_g, p - prev_p, eta)
 
             finite = np.isfinite(cur_loss) and np.isfinite(grad_norm)
             stopping = not finite or grad_norm <= cfg.tol_grad
@@ -315,7 +309,8 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
 
             prev_live, prev_g, prev_p = w_live, g, p
             w = live.widen(w, w_live - eta * p)
-
+    if not np.isfinite(w).all():  # the last epoch's step overflowed
+        trace.stop_reason = STOP_NONFINITE
     return w, trace
 
 

@@ -132,6 +132,20 @@ class TestTrain:
                    "--eta", "1.0", "--epochs", "10", "--tol-grad", "1e-300"])
         assert rc == 1
 
+    @pytest.mark.parametrize("epochs", ["1", "2"])
+    def test_overflowing_step_stops_nonfinite(self, tmp_path, epochs):
+        # epoch 1's step overflows W: with one epoch it is the run's last
+        # step, with two the next epoch's A = W X overflows
+        f = tmp_path / "f.csv"
+        f.write_text("1e100,1,0\n-1e100,2,1\n")
+        proc = _run_module(["train", "--csv", str(f), "--classes", "2", "--bb", "off",
+                            "--eta", "1e300", "--epochs", epochs])
+        assert proc.returncode == 1
+        assert proc.stderr == ""
+        lines = proc.stdout.splitlines()
+        assert len(lines) == int(epochs) + 1
+        assert lines[-1] == "stop: nonfinite"
+
     @pytest.mark.parametrize("eta", ["inf", "nan", "0"])
     def test_eta_must_be_finite_and_positive(self, toy_csv, tmp_path, capsys, eta):
         rep = tmp_path / "rep.json"

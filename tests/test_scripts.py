@@ -276,3 +276,33 @@ def test_bench_pairs_prints_the_claim_verdict_last(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out.splitlines()[-1] == (
         "claim w:setup_s: change better in 0 of 2 pairs (needs 9 in 10); median 0.35 "
         "-> 0.5, better by -0.15 against parent q3 - q1 0: not met")
+
+
+def test_loc_counts_code_lines_without_docstrings(tmp_path):
+    pkg = tmp_path / "pkg"
+    (pkg / "sub").mkdir(parents=True)
+    (pkg / "a.py").write_text(
+        '"""Module docstring,\n'
+        'two lines."""\n'
+        "import os  # a trailing comment keeps the line\n"
+        "\n"
+        "# a comment alone\n"
+        "class K:\n"
+        '    """Class docstring."""\n'
+        "    x = 1\n"
+        "\n"
+        "    def f(self):\n"
+        '        """Method\n'
+        '        docstring."""\n'
+        '        s = """not a\n'
+        'docstring"""\n'
+        "        return s\n")
+    (pkg / "sub" / "b.py").write_text('def g():\n    "one line"\n    return 2\n')
+    proc = subprocess.run([sys.executable, str(ROOT / "scripts" / "loc.py"), str(pkg)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert [line.split() for line in proc.stdout.splitlines()] == [
+        ["module", "lines", "code"],
+        ["a.py", "15", "7"],
+        ["sub/b.py", "3", "2"],
+        ["total", "18", "9"]]

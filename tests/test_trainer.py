@@ -9,7 +9,7 @@ from smxreg import core, trainer
 from smxreg.convergence import plan, reduce_two_class
 from smxreg.core import Dataset, InvalidInputError, LiveRows, center_columns, one_hot
 from smxreg.loss_grad import loss_from_activations
-from smxreg.softmax import softmax
+from smxreg.softmax import shifted_exp, softmax
 from smxreg.trainer import (
     BB_MODES,
     BB_STEP_MAX,
@@ -46,40 +46,40 @@ def reference_train(data, cfg, w0=None):
     row is a constant row of zeros."""
     w = initial_weights(data, cfg) if w0 is None else np.array(w0, dtype=float)
     trace = TrainTrace()
-    metric = None
-    if cfg.bb_mode == "bb2":
-        metric = _Metric.of(_row_sums(data.x), data.n)
-    prev_w = prev_g = prev_p = None
-    eta = cfg.eta
-    for epoch in range(1, cfg.epochs + 1):
-        with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
+        metric = None
+        if cfg.bb_mode == "bb2":
+            metric = _Metric.of(_row_sums(data.x), data.n)
+        prev_w = prev_g = prev_p = None
+        eta = cfg.eta
+        for epoch in range(1, cfg.epochs + 1):
             a = w @ data.x
-        if not np.all(np.isfinite(a)):
-            trace.records.append(EpochRecord(
-                epoch, float("nan"), float("nan"), eta, _max_abs_column_sum(w)))
-            trace.stop_reason = STOP_NONFINITE
-            break
-        with np.errstate(over="ignore", invalid="ignore"):
-            y = softmax(a)
+            if np.isfinite(a).all():
+                y = softmax(a)
+            else:  # softmax refuses these activations: its e / s unchecked
+                _, e, s = shifted_exp(a)
+                y = e / s
             g = -(data.t - y) @ data.x.T
             cur_loss = loss_from_activations(a, data.t)
             grad_norm = float(np.linalg.norm(g))
             p = g if metric is None else metric.direction(g)
             if metric is not None and prev_w is not None:
                 eta = _bb_step(w - prev_w, g - prev_g, p - prev_p, eta)
-        finite = np.isfinite(cur_loss) and np.isfinite(grad_norm)
-        stopping = not finite or grad_norm <= cfg.tol_grad
-        if epoch % cfg.log_every == 0 or epoch == cfg.epochs or stopping:
-            trace.records.append(EpochRecord(
-                epoch, cur_loss, grad_norm, eta, _max_abs_column_sum(w)))
-        if not finite:
-            trace.stop_reason = STOP_NONFINITE
-            break
-        if grad_norm <= cfg.tol_grad:
-            trace.stop_reason = STOP_GRAD_TOL
-            break
-        prev_w, prev_g, prev_p = w, g, p
-        w = w - eta * p
+            finite = np.isfinite(cur_loss) and np.isfinite(grad_norm)
+            stopping = not finite or grad_norm <= cfg.tol_grad
+            if epoch % cfg.log_every == 0 or epoch == cfg.epochs or stopping:
+                trace.records.append(EpochRecord(
+                    epoch, cur_loss, grad_norm, eta, _max_abs_column_sum(w)))
+            if not finite:
+                trace.stop_reason = STOP_NONFINITE
+                break
+            if grad_norm <= cfg.tol_grad:
+                trace.stop_reason = STOP_GRAD_TOL
+                break
+            prev_w, prev_g, prev_p = w, g, p
+            w = w - eta * p
+    if not np.isfinite(w).all():
+        trace.stop_reason = STOP_NONFINITE
     return w, trace
 
 
@@ -355,30 +355,61 @@ class TestTrainBlocks:
         assert len(pools) == 1
         assert threading.active_count() == before
 
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("scale,eta,w_scale", [
-        (1e160, 1.0, 0.0),
-        (1e100, 1e150, 1.0),
-    ], ids=["grad_overflow", "activation_overflow"])
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("scale,mode,eta,w_scale,stop_epoch", [
+        (1e160, "off", 1.0, 0.0, 1),
+        (1e100, "off", 1e150, 1.0, 2),
+        # the first step itself overflows W
+        (1e100, "off", 1e300, 1.0, 2),
+        (1.0, "bb2", 1.7e308, 1.0, 2),
+    ], ids=["grad_overflow", "activation_overflow", "step_overflow", "bb2_step_overflow"])
     def test_nonfinite_stop_warns_on_no_path(self, monkeypatch, both_paths, pools,
-                                             scale, eta, w_scale):
-        # 12 x 200 X: rows 0 and 1 carry the 2-sample overflow instance of
-        # TestTrainMatchesReferenceEpoch, repeated, in every block; they
-        # are the live rows, so blocks of 1066 bytes cut them into three
+                                             scale, mode, eta, w_scale, stop_epoch):
+        # 12 x 200 X: rows 0 and 1 carry the 2-sample overflow instance
+        # X = [[scale, -scale], [1, 2]] of TestTrainMatchesReferenceEpoch,
+        # repeated, in every block; they are the live rows, so blocks of
+        # 1066 bytes cut them into three
         monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 2 * 200 * 8 // 3)
         x = np.zeros((12, 200))
         x[0], x[1] = np.tile([scale, -scale], 100), np.tile([1.0, 2.0], 100)
         data = Dataset(x, one_hot([1, 2] * 100, 2))
         w0 = np.zeros((2, 12))
         w0[:, 1] = w_scale * np.array([1.0, -1.0])
-        cfg = TrainConfig(eta=eta, epochs=10, tol_grad=1e-300)
+        cfg = TrainConfig(eta=eta, epochs=10, bb_mode=mode, tol_grad=1e-300)
         (w_s, trace_s), (w_p, trace_p), _ = both_paths(lambda: train(data, cfg, w0=w0))
         # the epochs' pool and the live-row copy's
         assert len(pools) == 2
         assert trace_s.stop_reason == trace_p.stop_reason == STOP_NONFINITE
+        assert trace_p.records[-1].epoch == stop_epoch
         assert trace_p.blocks == 3
         _same_records(trace_s.records, trace_p.records)
         assert np.array_equal(w_s, w_p)
+
+    def test_pooled_bits_ignore_the_callers_blas_threads(self, monkeypatch):
+        # A pooled run holds OpenBLAS at one thread, so the count its caller
+        # set cannot change its bits.  With one block, this run's weights
+        # differ between 1 and 2 OpenBLAS threads.
+        setter = core._blas_thread_setter()
+        if setter is None:
+            pytest.skip("numpy's BLAS has no OpenBLAS thread setter")
+        monkeypatch.setattr(core, "usable_cpus", lambda: 2)
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 100 * 3000 * 8 // 2)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((100, 3000))
+        x[-1] = 1.0
+        data = Dataset(x, softmax(rng.standard_normal((10, 100)) @ x))
+        cfg = TrainConfig(eta=1e-3, epochs=10, bb_mode="bb2", seed=1, tol_grad=1e-300)
+        runs = []
+        for threads in (1, 2):
+            before = setter(threads)
+            try:
+                runs.append(train(data, cfg))
+            finally:
+                setter(before)
+        (w_1, trace_1), (w_2, trace_2) = runs
+        assert trace_1.blocks == 2
+        assert trace_1.records == trace_2.records
+        assert np.array_equal(w_1, w_2)
 
     def test_blocks_add_in_block_order(self):
         # from the right, 2**-53 + 2**-53 would survive the addition to 1
@@ -515,6 +546,30 @@ class TestTrain:
         # records before the stop are finite
         for r in trace.records[:-1]:
             assert np.isfinite(r.loss)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("epochs", [1, 2])
+    def test_overflowing_last_step_stops_nonfinite(self, epochs):
+        # epoch 1 is finite and its step overflows W: with one epoch that
+        # step is the run's last, with two the next epoch's A overflows
+        data = Dataset(np.array([[1e100, -1e100], [1.0, 2.0]]), one_hot([1, 2], 2))
+        w, trace = train(data, TrainConfig(eta=1e300, epochs=epochs, tol_grad=1e-300))
+        assert trace.stop_reason == STOP_NONFINITE
+        assert [r.epoch for r in trace.records] == list(range(1, epochs + 1))
+        assert np.isfinite(trace.records[0].loss)
+        assert not np.isfinite(w).all()
+
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_stop_records_the_epochs_gradient(self):
+        # A = [[-inf, -1e10], [0, 0]]: -inf without +inf or NaN makes the
+        # loss NaN (0 * -inf), while Y = T in both columns, so G is 0
+        data = Dataset(np.array([[1e300, 1.0]]), one_hot([2, 2], 2))
+        cfg = TrainConfig(eta=1.0, epochs=5, tol_grad=1e-300)
+        w, trace = train(data, cfg, w0=np.array([[-1e10], [0.0]]))
+        assert trace.stop_reason == STOP_NONFINITE
+        (last,) = trace.records
+        assert np.isnan(last.loss) and last.grad_norm == 0.0
+        assert np.array_equal(w, [[-1e10], [0.0]])
 
     @pytest.mark.parametrize("seed,epochs", [(1, 500), (5, 2000)])
     def test_column_sums_stay_tiny(self, seed, epochs):
