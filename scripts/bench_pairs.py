@@ -5,12 +5,16 @@
         [--note TEXT] [--claim W:METRIC]
 
 DIR is the root of a source checkout (a clone of the parent commit, and the
-tree of the change).  For each seed, ``python3 bench/run.py --workload W
---seed S --seconds 25 --trace 0`` runs once in each tree, from that tree's
-root; the side that runs first alternates pair by pair, parent first in
-the first pair.  Fewer than 2 seeds are refused before anything runs, as
-quartiles need two runs per side.  A run that exits non-zero or prints no
-result line stops the script with its stderr, and nothing is written.
+tree of the change).  A --parent that is not the root of a git checkout
+(``git rev-parse --show-toplevel`` names another directory, or none) is
+refused before anything runs, since its commit, recorded as
+``parent_commit``, would be missing or another checkout's.  For each seed,
+``python3 bench/run.py --workload W --seed S --seconds 25 --trace 0`` runs
+once in each tree, from that tree's root; the side that runs first
+alternates pair by pair, parent first in the first pair.  Fewer than 2
+seeds are refused before anything runs, as quartiles need two runs per
+side.  A run that exits non-zero or prints no result line stops the
+script with its stderr, and nothing is written.
 
 The summary goes under ``workloads[W]`` of ``--out``, which is created or
 updated in place, so one file collects every workload: each side's runs
@@ -186,6 +190,15 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
     return result_line(proc.stdout)
 
 
+def checkout_root(tree: Path) -> Path | None:
+    """The root of the git checkout that holds ``tree``, or None."""
+    if not tree.is_dir():
+        return None
+    proc = subprocess.run(["git", "rev-parse", "--show-toplevel"], cwd=tree,
+                          capture_output=True, text=True)
+    return Path(proc.stdout.strip()).resolve() if proc.returncode == 0 else None
+
+
 def _host() -> dict:
     import numpy
 
@@ -209,6 +222,9 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     if len(args.seeds) < 2:
         ap.error(f"--seeds needs at least 2 seeds for quartiles, got {args.seeds}")
+    if checkout_root(args.parent) != args.parent.resolve():
+        ap.error(f"--parent {args.parent} is not the root of a git checkout, so its "
+                 "commit cannot be recorded")
     benchmark = json.loads((args.change / "BENCHMARK.json").read_text())
 
     pairs = []
@@ -223,8 +239,9 @@ def main(argv=None) -> int:
             for name in got["parent"]["metrics"]), flush=True)
 
     old = json.loads(args.out.read_text()) if args.out.exists() else {}
-    parent_commit = subprocess.run(["git", "rev-parse", "HEAD"], cwd=args.parent,
-                                   capture_output=True, text=True).stdout.strip()
+    parent_commit = subprocess.run(["git", "rev-parse", "--verify", "-q", "HEAD"],
+                                   cwd=args.parent, capture_output=True,
+                                   text=True).stdout.strip()
     claim = old.get("claim")
     if args.claim:
         workload, metric = args.claim.split(":")

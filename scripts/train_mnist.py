@@ -4,12 +4,20 @@ Expects the standard four uncompressed files.  A bias feature row is added;
 stepping uses the second Barzilai-Borwein formula by default.  Both sets are
 loaded as their live rows (``load_idx_live``): ``train`` reads them in
 place and ``evaluate`` reads only them, so the full X is never built.
+
+As with ``smxreg train``, a run that stops ``nonfinite`` is not evaluated,
+and the script exits 1 after such a stop or when the train or test loss is
+not finite; it prints no numpy warning.
 """
 import argparse
+import sys
+
+import numpy as np
 
 from smxreg import Dataset, LiveRows, TrainConfig, evaluate, train
+from smxreg.core import freeze
 from smxreg.data_io import load_idx_live
-from smxreg.trainer import BB_MODES
+from smxreg.trainer import BB_MODES, STOP_NONFINITE
 
 
 def first_samples(data: LiveRows, k: int) -> LiveRows:
@@ -17,7 +25,9 @@ def first_samples(data: LiveRows, k: int) -> LiveRows:
     all of ``data`` may be zero in those ``k``, and is then left out."""
     x = data.data.x[:, :k]
     live = x.any(axis=1)
-    return LiveRows(Dataset(x[live], data.data.t[:, :k]), data.rows[live], data.d)
+    # x[live] is a fresh array: frozen, Dataset adopts it without a copy.
+    return LiveRows(Dataset(freeze(x[live]), data.data.t[:, :k]), data.rows[live],
+                    data.d)
 
 
 def main():
@@ -52,11 +62,16 @@ def main():
         print(f"epoch {r.epoch:4d}  loss {r.loss:12.4f}  "
               f"grad {r.grad_norm:.4e}  eta {r.eta_used:.4e}")
     print(f"stop: {trace.stop_reason}")
+    if trace.stop_reason == STOP_NONFINITE:
+        return 1
 
-    train_loss, train_acc = evaluate(w, train_ds)
-    test_loss, test_acc = evaluate(w, test_ds)
+    with np.errstate(all="ignore"):
+        train_loss, train_acc = evaluate(w, train_ds)
+        test_loss, test_acc = evaluate(w, test_ds)
+    print(f"train loss {train_loss:.4f}   test loss {test_loss:.4f}")
     print(f"train accuracy {train_acc:.4f}   test accuracy {test_acc:.4f}")
+    return int(not (np.isfinite(train_loss) and np.isfinite(test_loss)))
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -1,15 +1,19 @@
 """Command-line surface: train, spectrum, certify, checkgrad.
 
-Exit codes: 0 success, 1 check failure (including a non-finite training
-stop), 2 usage or input-format errors, including inputs too large to hold
-in memory.  Each ``cmd_*`` prints and writes nothing: it returns its exit
-code, input digest, result, stdout lines and output files.  ``main`` alone
-adds the JSON report (sorted keys; --deterministic zeroes the wall-clock
-field so identical flags and seed give byte-identical files), writes all
-files or none, then prints the lines: so exit code 2 leaves stdout empty
-and no output or temp file behind.  An output option naming the file of
-another output or of an input (compared by ``os.path.realpath``) exits 2
-before the command runs.
+Exit codes: 0 success, 1 check failure (including a training run that
+stops nonfinite or whose final loss is not finite), 2 usage or
+input-format errors, including inputs too large to hold in memory.  Each
+``cmd_*`` prints and writes nothing: it returns its exit code, input
+digest, result, stdout lines and output files.  ``main`` alone runs every
+command under one ``np.errstate(all="ignore")``, so no command prints a
+numpy warning.  It alone adds the JSON report: sorted keys, every
+non-finite float written as null (``allow_nan=False`` makes a missed one
+raise), and --deterministic zeroing the wall-clock field so identical
+flags and seed give byte-identical files.  It writes all files or none,
+then prints the lines: so exit code 2 leaves stdout empty and no output or
+temp file behind.  An output option naming the file of another output or
+of an input (compared by ``os.path.realpath``) exits 2 before the command
+runs.
 """
 from __future__ import annotations
 
@@ -28,7 +32,7 @@ from .convergence import condition_bound, plan, reduce_two_class
 from .core import Dataset, InvalidInputError, LiveRows, check_weights
 from .data_io import (encode_weights, load_csv, load_idx_dataset, load_idx_live,
                       read_weights)
-from .fdcheck import CHECK_SIZES, GRAD_TOL, HESS_TOL, gradient_check_suite
+from .fdcheck import GRAD_TOL, HESS_TOL, gradient_check_suite
 from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
 from .trainer import BB_MODES, STOP_NONFINITE, TrainConfig, evaluate, train
@@ -58,7 +62,12 @@ def _write_files(files: dict) -> None:
 
 
 def _finite_or_none(x):
-    """``x`` with a non-finite float replaced by None (JSON has no NaN)."""
+    """``x`` with every non-finite float in it, at any depth of dicts, lists
+    and tuples, replaced by None (JSON has no NaN or Infinity)."""
+    if isinstance(x, dict):
+        return {k: _finite_or_none(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_finite_or_none(v) for v in x]
     return None if isinstance(x, float) and not np.isfinite(x) else x
 
 
@@ -120,22 +129,22 @@ def cmd_train(args) -> tuple[int, dict, dict, list, dict]:
         "stop_reason": trace.stop_reason,
         "live_rows": trace.live_rows,
         "blocks": trace.blocks,
-        "trace": [
-            {k: _finite_or_none(v) for k, v in asdict(r).items()} for r in trace.records
-        ],
+        "trace": [asdict(r) for r in trace.records],
     }
     lines = [f"epoch {r.epoch:6d}  loss {r.loss:.9f}  grad {r.grad_norm:.6e}"
              f"  eta {r.eta_used:.6e}" for r in trace.records]
     lines.append(f"stop: {trace.stop_reason}")
+    # A run that ends with a non-finite loss failed, as a nonfinite stop did.
+    code = 1
     if trace.stop_reason != STOP_NONFINITE:
         final_loss, accuracy = evaluate(w, data)
         lines.append(f"final loss {final_loss:.9f}  accuracy {accuracy:.4f}")
-        result.update(final_loss=_finite_or_none(final_loss), accuracy=accuracy)
+        result.update(final_loss=final_loss, accuracy=accuracy)
+        code = int(not np.isfinite(final_loss))
     files = {}
     if args.out:
         files[args.out] = encode_weights(w)
         result["weights_file"] = str(args.out)
-    code = int(trace.stop_reason == STOP_NONFINITE)
     return code, _input_digest(args, data), result, lines, files
 
 
@@ -164,10 +173,8 @@ def cmd_spectrum(args) -> tuple[int, dict, dict, list, dict]:
         if not 0 <= sample < data.n:
             raise InvalidInputError(f"--sample must be in 0..{data.n - 1}")
         w = check_weights(w, data)
-        # An overflowing column is refused by softmax, without a warning.
-        with np.errstate(over="ignore", invalid="ignore"):
-            a = w @ data.x[:, sample]
-        y = softmax(a)
+        # An overflowing column is refused by softmax.
+        y = softmax(w @ data.x[:, sample])
 
     report = analyze_q(y)
     max_delta = None
@@ -233,26 +240,14 @@ def cmd_certify(args) -> tuple[int, dict, dict, list, dict]:
     return 0, _input_digest(args, data), result, lines, {}
 
 
-def _parse_sizes(text: str) -> dict:
-    sizes = dict(CHECK_SIZES)
-    for part in text.split(","):
-        key, sep, val = part.partition("=")
-        key = key.strip().upper()
-        if not sep or key not in sizes or not val.strip().isdigit():
-            raise InvalidInputError(f"bad --sizes component {part!r}")
-        sizes[key] = int(val)
-    return sizes
-
-
 def cmd_checkgrad(args) -> tuple[int, dict, dict, list, dict]:
-    sizes = _parse_sizes(args.sizes)
-    res = gradient_check_suite(args.seed, sizes, args.instances)
+    res = gradient_check_suite(args.seed, args.instances)
     lines = [f"gradient: max rel err {res['grad_max_rel_err']:.3e}"
              f" (threshold {GRAD_TOL:g})",
              f"hessian:  max rel err {res['hess_max_rel_err']:.3e}"
              f" (threshold {HESS_TOL:g})",
              "checkgrad: " + ("ok" if res["passed"] else "FAILED")]
-    digest = {"seed": args.seed, "sizes": sizes, "instances": args.instances}
+    digest = {"seed": args.seed, "instances": args.instances}
     return int(not res["passed"]), digest, res, lines, {}
 
 
@@ -295,9 +290,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("checkgrad", parents=[report], help="finite-difference derivative checks")
     p.add_argument("--seed", type=int, default=0)
-    sizes = ",".join(f"{k}={v}" for k, v in CHECK_SIZES.items())
-    p.add_argument("--sizes", default=sizes,
-                   help=f'maximum instance sizes, e.g. "{sizes}"')
     p.add_argument("--instances", type=int, default=20)
     p.set_defaults(func=cmd_checkgrad)
 
@@ -323,7 +315,8 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     try:
         _check_distinct_outputs(args)
-        code, digest, result, lines, files = args.func(args)
+        with np.errstate(all="ignore"):
+            code, digest, result, lines, files = args.func(args)
         if args.json:
             report = {
                 "command": args.command,
@@ -331,7 +324,8 @@ def main(argv=None) -> int:
                 "result": result,
                 "duration_s": 0.0 if args.deterministic else time.perf_counter() - t0,
             }
-            text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+            text = json.dumps(_finite_or_none(report), sort_keys=True, indent=2,
+                              allow_nan=False) + "\n"
             files[args.json] = text.encode("utf-8")
         _write_files(files)
         print(*lines, sep="\n")

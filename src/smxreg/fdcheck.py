@@ -21,7 +21,8 @@ HESS_TOL = 1e-5
 FD_STEP = 1e-5
 REL_ERR_FLOOR = 1e-3
 
-# Largest C, D and N of the instances gradient_check_suite draws.
+# Largest C, D and N of the instances gradient_check_suite draws; they are
+# also the ranges of acceptance criteria 1-2.
 CHECK_SIZES = {"C": 5, "D": 7, "N": 10}
 
 
@@ -71,25 +72,22 @@ def random_instance(rng: np.random.Generator, c: int, d: int, n: int):
     return w, Dataset(x, t)
 
 
-def gradient_check_suite(seed: int, sizes: dict, instances: int) -> dict:
+def gradient_check_suite(seed: int, instances: int) -> dict:
     """Run the gradient and Hessian-product finite-difference suites.
 
-    ``sizes`` gives the largest "C", "D" and "N" drawn (see ``CHECK_SIZES``),
-    at least the smallest drawn, 2, 2 and 1.  Returns the worst relative
-    errors seen.  ``instances`` must be at least 1, so that a passing suite
-    has checked something.
+    Each of the ``instances`` random instances draws C from 2..5, D from
+    2..7 and N from 1..10 (the upper ends are ``CHECK_SIZES``).  Returns the
+    worst relative errors seen.  ``instances`` must be at least 1, so that a
+    passing suite has checked something.
     """
     if instances < 1:
         raise InvalidInputError(f"instances must be >= 1, got {instances}")
     lows = {"C": 2, "D": 2, "N": 1}
-    for key, low in lows.items():
-        if sizes[key] < low:
-            raise InvalidInputError(f"sizes {key} must be >= {low}, got {sizes[key]}")
     rng = np.random.default_rng(seed)
     grad_worst = 0.0
     hess_worst = 0.0
     for _ in range(instances):
-        c, d, n = (int(rng.integers(lows[k], sizes[k] + 1)) for k in "CDN")
+        c, d, n = (int(rng.integers(lows[k], CHECK_SIZES[k] + 1)) for k in "CDN")
         w, data = random_instance(rng, c, d, n)
 
         g = gradient(w, data)

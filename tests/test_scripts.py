@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from smxreg import core
 from smxreg.data_io import load_idx_live, write_idx_images, write_idx_labels
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -23,20 +24,24 @@ def _idx_pair(tmp_path, name, rng, n, rows=8, cols=8):
     return str(images), str(label_file)
 
 
+def _train_mnist(train_imgs, train_labs, test_imgs, test_labs, *flags):
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "train_mnist.py"),
+         "--train-images", train_imgs, "--train-labels", train_labs,
+         "--test-images", test_imgs, "--test-labels", test_labs, *flags],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
+    )
+
+
 def _run_train_mnist(tmp_path, subset):
     rng = np.random.default_rng(0)
     train_imgs, train_labs = _idx_pair(tmp_path, "train", rng, 300)
     test_imgs, test_labs = _idx_pair(tmp_path, "test", rng, 100)
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "train_mnist.py"),
-         "--train-images", train_imgs, "--train-labels", train_labs,
-         "--test-images", test_imgs, "--test-labels", test_labs,
-         "--subset", str(subset), "--epochs", "3"],
-        capture_output=True, text=True,
-        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")),
-    )
+    proc = _train_mnist(train_imgs, train_labs, test_imgs, test_labs,
+                        "--subset", str(subset), "--epochs", "3")
     assert proc.returncode == 0, proc.stderr
-    assert "test accuracy" in proc.stdout
+    assert "train loss" in proc.stdout and "test accuracy" in proc.stdout
     return proc.stdout
 
 
@@ -48,7 +53,25 @@ def test_train_mnist_script_subset_keeps_bias_row(tmp_path):
     assert "train: D=65 N=200   test: N=100" in _run_train_mnist(tmp_path, 200)
 
 
-def test_train_mnist_subset_drops_rows_dead_in_it(tmp_path):
+# 200 random 4 x 4 images at rate 1e306: after one epoch both losses are
+# NaN; with ten epochs the second epoch's loss is, and the run stops
+# nonfinite with nothing evaluated
+@pytest.mark.parametrize("epochs, line", [
+    ("1", "train loss nan   test loss nan"), ("10", "stop: nonfinite")], ids=["1", "10"])
+def test_train_mnist_nonfinite_run_exits_1(tmp_path, epochs, line):
+    rng = np.random.default_rng(0)
+    write_idx_images(tmp_path / "images", rng.integers(0, 256, (16, 200)) / 255.0, 4, 4)
+    write_idx_labels(tmp_path / "labels", rng.integers(0, 10, 200))
+    files = [str(tmp_path / "images"), str(tmp_path / "labels")]
+    proc = _train_mnist(*files, *files, "--bb", "off", "--eta", "1e306",
+                        "--epochs", epochs)
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert line in proc.stdout.splitlines()
+    assert ("accuracy" in proc.stdout) == (epochs == "1")
+
+
+def test_train_mnist_subset_drops_rows_dead_in_it(tmp_path, monkeypatch):
     # pixel 5 is zero in the first 40 images only, pixel 9 in all of them
     rng = np.random.default_rng(3)
     pixels = rng.integers(1, 256, (100, 16))
@@ -62,7 +85,14 @@ def test_train_mnist_subset_drops_rows_dead_in_it(tmp_path):
     train_mnist = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(train_mnist)
     full = load_idx_live(tmp_path / "all-images", tmp_path / "all-labels", 10, bias=True)
+    copies = []
+    copy_blocks = core.copy_blocks
+    monkeypatch.setattr(core, "copy_blocks",
+                        lambda out, a: copies.append(out) or copy_blocks(out, a))
     subset = train_mnist.first_samples(full, 40)
+    # the subset's live rows are copied once, by the row selection: the
+    # Dataset adopts them
+    assert all(out is not subset.data.x for out in copies)
     alone = load_idx_live(tmp_path / "first-images", tmp_path / "first-labels", 10,
                           bias=True)
     assert 5 in full.rows and 5 not in subset.rows and subset.d == full.d == 17
@@ -77,6 +107,12 @@ def _bench_pairs():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _git_init(path):
+    """Make ``path`` the root of a new, empty git checkout."""
+    subprocess.run(["git", "init", "-q", str(path)], check=True)
+    return path
 
 
 def _result(setup_s, cli_s, failed=0, correct=True, attempted=12):
@@ -242,6 +278,7 @@ def test_bench_pairs_runs_pairs_then_prints_the_bounds(tmp_path, monkeypatch, ca
         return json.loads(_result(0.35, 1.5) if tree == tmp_path else _result(0.5, 1.5))
 
     monkeypatch.setattr(bench_pairs, "_run", run)
+    _git_init(tmp_path)
     out = tmp_path / "b.json"
     argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--workload", "w",
             "--out", str(out), "--seeds"]
@@ -267,6 +304,7 @@ def test_bench_pairs_prints_the_claim_verdict_last(tmp_path, monkeypatch, capsys
     bench_pairs = _bench_pairs()
     monkeypatch.setattr(bench_pairs, "_run", lambda tree, workload, seed, seconds: json.loads(
         _result(0.35, 1.5) if tree == tmp_path else _result(0.5, 1.5)))
+    _git_init(tmp_path)
     argv = ["--parent", str(tmp_path), "--change", str(ROOT), "--workload", "w",
             "--out", str(tmp_path / "b.json"), "--seeds", "1,2"]
     assert bench_pairs.main(argv) == 0
@@ -276,6 +314,35 @@ def test_bench_pairs_prints_the_claim_verdict_last(tmp_path, monkeypatch, capsys
     assert capsys.readouterr().out.splitlines()[-1] == (
         "claim w:setup_s: change better in 0 of 2 pairs (needs 9 in 10); median 0.35 "
         "-> 0.5, better by -0.15 against parent q3 - q1 0: not met")
+
+
+# a new checkout's root is a parent; a plain directory, a subdirectory of a
+# checkout, whose HEAD would be another tree's, and a missing path are not
+@pytest.mark.parametrize("parent, accepted", [
+    ("repo", True), ("plain", False), ("repo/sub", False), ("missing", False)])
+def test_bench_pairs_parent_must_be_a_checkout_root(tmp_path, monkeypatch, capsys,
+                                                    parent, accepted):
+    bench_pairs = _bench_pairs()
+    runs = []
+    monkeypatch.setattr(bench_pairs, "_run", lambda tree, workload, seed, seconds: (
+        runs.append(tree) or json.loads(_result(0.35, 1.5))))
+    _git_init(tmp_path / "repo")
+    (tmp_path / "repo" / "sub").mkdir()
+    (tmp_path / "plain").mkdir()
+    out = tmp_path / "b.json"
+    argv = ["--parent", str(tmp_path / parent), "--change", str(ROOT), "--workload",
+            "w", "--out", str(out), "--seeds", "1,2"]
+    if accepted:
+        assert bench_pairs.main(argv) == 0
+        assert len(runs) == 4
+        # an empty checkout has no HEAD to record
+        assert json.loads(out.read_text())["parent_commit"] is None
+        return
+    with pytest.raises(SystemExit) as info:
+        bench_pairs.main(argv)
+    assert info.value.code == 2 and runs == [] and not out.exists()
+    assert (f"--parent {tmp_path / parent} is not the root of a git checkout, so its "
+            "commit cannot be recorded") in capsys.readouterr().err
 
 
 def test_loc_counts_code_lines_without_docstrings(tmp_path):
