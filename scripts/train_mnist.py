@@ -6,8 +6,9 @@ loaded as their live rows (``load_idx_live``): ``train`` reads them in
 place and ``evaluate`` reads only them, so the full X is never built.
 
 As with ``smxreg train``, a run that stops ``nonfinite`` is not evaluated,
-and the script exits 1 after such a stop or when the train or test loss is
-not finite; it prints no numpy warning.
+and the script exits 1 after such a stop, when the final weights'
+activations overflow (it prints the error) or when the train or test loss
+is not finite; it prints no numpy warning.
 """
 import argparse
 import sys
@@ -15,7 +16,7 @@ import sys
 import numpy as np
 
 from smxreg import Dataset, LiveRows, TrainConfig, evaluate, train
-from smxreg.core import freeze
+from smxreg.core import InvalidInputError, freeze
 from smxreg.data_io import load_idx_live
 from smxreg.trainer import BB_MODES, STOP_NONFINITE
 
@@ -65,9 +66,13 @@ def main():
     if trace.stop_reason == STOP_NONFINITE:
         return 1
 
-    with np.errstate(all="ignore"):
-        train_loss, train_acc = evaluate(w, train_ds)
-        test_loss, test_acc = evaluate(w, test_ds)
+    try:
+        with np.errstate(all="ignore"):
+            train_loss, train_acc = evaluate(w, train_ds)
+            test_loss, test_acc = evaluate(w, test_ds)
+    except InvalidInputError as exc:  # the final W X overflows
+        print(f"final evaluation refused: {exc}")
+        return 1
     print(f"train loss {train_loss:.4f}   test loss {test_loss:.4f}")
     print(f"train accuracy {train_acc:.4f}   test accuracy {test_acc:.4f}")
     return int(not (np.isfinite(train_loss) and np.isfinite(test_loss)))

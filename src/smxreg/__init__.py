@@ -9,14 +9,13 @@ certified convergence-rate windows for fixed-rate descent.
 from .certify import ConvexityCertificate, certify
 from .convergence import (
     ConvergencePlan,
-    TwoClassReduction,
-    condition_bound,
+    CurvatureBracket,
+    curvature_bracket,
     determinant_check,
     dense_hessian_on_z,
     eta_window,
     extreme_eigenvalues_on_z,
     plan,
-    reduce_two_class,
     zero_sum_basis,
 )
 from .core import (
@@ -40,6 +39,7 @@ from .trainer import TrainConfig, TrainTrace, evaluate, initial_weights, train
 __all__ = [
     "ConvexityCertificate",
     "ConvergencePlan",
+    "CurvatureBracket",
     "Dataset",
     "DimensionMismatchError",
     "HessianOperator",
@@ -51,12 +51,11 @@ __all__ = [
     "SpectrumReport",
     "TrainConfig",
     "TrainTrace",
-    "TwoClassReduction",
     "UnsupportedShapeError",
     "analyze_q",
     "center_columns",
     "certify",
-    "condition_bound",
+    "curvature_bracket",
     "d_rho",
     "dense_hessian_on_z",
     "dense_q_spectrum",
@@ -72,7 +71,6 @@ __all__ = [
     "one_hot",
     "plan",
     "q_matrix",
-    "reduce_two_class",
     "rho",
     "softmax",
     "train",

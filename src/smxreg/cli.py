@@ -1,7 +1,8 @@
 """Command-line surface: train, spectrum, certify, checkgrad.
 
 Exit codes: 0 success, 1 check failure (including a training run that
-stops nonfinite or whose final loss is not finite), 2 usage or
+stops nonfinite, whose final loss is not finite or whose final weights'
+activations overflow), 2 usage or
 input-format errors, including inputs too large to hold in memory.  Each
 ``cmd_*`` prints and writes nothing: it returns its exit code, input
 digest, result, stdout lines and output files.  ``main`` alone runs every
@@ -28,11 +29,12 @@ from dataclasses import asdict
 import numpy as np
 
 from .certify import certify
-from .convergence import condition_bound, plan, reduce_two_class
+from .convergence import curvature_bracket, plan
 from .core import Dataset, InvalidInputError, LiveRows, check_weights
 from .data_io import (encode_weights, load_csv, load_idx_dataset, load_idx_live,
                       read_weights)
 from .fdcheck import GRAD_TOL, HESS_TOL, gradient_check_suite
+from .hessian import HessianOperator
 from .softmax import softmax
 from .spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
 from .trainer import BB_MODES, STOP_NONFINITE, TrainConfig, evaluate, train
@@ -137,8 +139,12 @@ def cmd_train(args) -> tuple[int, dict, dict, list, dict]:
     # A run that ends with a non-finite loss failed, as a nonfinite stop did.
     code = 1
     if trace.stop_reason != STOP_NONFINITE:
-        final_loss, accuracy = evaluate(w, data)
-        lines.append(f"final loss {final_loss:.9f}  accuracy {accuracy:.4f}")
+        try:
+            final_loss, accuracy = evaluate(w, data)
+            lines.append(f"final loss {final_loss:.9f}  accuracy {accuracy:.4f}")
+        except InvalidInputError as exc:  # the final W X overflows
+            final_loss = accuracy = float("nan")
+            lines.append(f"final evaluation refused: {exc}")
         result.update(final_loss=final_loss, accuracy=accuracy)
         code = int(not np.isfinite(final_loss))
     files = {}
@@ -197,13 +203,10 @@ def cmd_spectrum(args) -> tuple[int, dict, dict, list, dict]:
 
 def cmd_certify(args) -> tuple[int, dict, dict, list, dict]:
     data = _load_dataset(args)
-    w = None
+    w, anchor = np.zeros((data.c, data.d)), "zero"
     if args.weights:
         # Checked before the rank test, which a bad file need not wait for.
-        w = check_weights(read_weights(args.weights), data)
-        if data.c != 2:
-            raise InvalidInputError(
-                f"--weights applies to C = 2 only; this dataset has C = {data.c}")
+        w, anchor = check_weights(read_weights(args.weights), data), "supplied"
     cert = certify(data)
     lines = [f"rank(X): {'full (= D)' if cert.full_rank else 'deficient'}"
              f"  sv_min {cert.sv_min:.6e}  sv_max {cert.sv_max:.6e}"]
@@ -212,31 +215,31 @@ def cmd_certify(args) -> tuple[int, dict, dict, list, dict]:
     else:
         lines.append("certificate: not strictly convex; minimizers form affine family")
 
-    result: dict = {
-        "full_rank": cert.full_rank,
-        "sv_min": cert.sv_min,
-        "sv_max": cert.sv_max,
-        "verdict": cert.verdict,
-    }
-    if cert.degeneracy_witness is not None:
+    result = asdict(cert)
+    if result.pop("degeneracy_witness") is not None:
         result["degeneracy_witness"] = cert.degeneracy_witness.tolist()
 
-    if data.c == 2 and cert.full_rank:
-        anchor = "supplied"
-        if w is None:
-            w, anchor = np.zeros((2, data.d)), "zero"
-        red = reduce_two_class(w, data)
-        p = plan(float(red.evals[0]), float(red.evals[-1]))
-        k_exact, k_bound = condition_bound(red, data)
-        lines += [f"two-class analysis at {anchor} weights:",
-                  f"  lambda_min {p.lambda_min:.6e}  lambda_max {p.lambda_max:.6e}",
-                  f"  K_exact {k_exact:.6e}  K_bound {k_bound:.6e}",
-                  f"  theta {p.theta:.6f}  eta_window [{p.eta_window[0]:.6e},"
-                  f" {p.eta_window[1]:.6e}]  eta* {p.eta_optimal:.6e}"]
-        two_class = asdict(p)
-        del two_class["k"]  # k_exact reports the same ratio
-        result["two_class"] = {**two_class, "anchor": anchor,
-                               "k_exact": k_exact, "k_bound": k_bound}
+    # curvature_bracket refuses more than DENSE_C_LIMIT classes.
+    if cert.full_rank and data.c <= DENSE_C_LIMIT:
+        br = curvature_bracket(HessianOperator(data, w))
+        if data.c == 2:
+            # The bracket is exact for two classes: a plan, and K_bracket is K.
+            p = plan(br.low, br.high)
+            lines += [f"two-class analysis at {anchor} weights:",
+                      f"  lambda_min {p.lambda_min:.6e}  lambda_max {p.lambda_max:.6e}",
+                      f"  K_exact {br.k_bracket:.6e}  K_bound {br.k_bound:.6e}",
+                      f"  theta {p.theta:.6f}  eta_window [{p.eta_window[0]:.6e},"
+                      f" {p.eta_window[1]:.6e}]  eta* {p.eta_optimal:.6e}"]
+            result["two_class"] = {**asdict(p), "anchor": anchor,
+                                   "k_exact": br.k_bracket, "k_bound": br.k_bound}
+            del result["two_class"]["k"]  # k_exact reports the same ratio
+        else:
+            # A plan needs the exact extremes; the bracket only bounds them.
+            lines += [f"curvature bracket at {anchor} weights:",
+                      f"  low {br.low:.6e}  high {br.high:.6e}",
+                      f"  K_bracket {br.k_bracket:.6e}  K_bound {br.k_bound:.6e}"]
+            result["bracket"] = {"anchor": anchor, "low": br.low, "high": br.high,
+                                 "k_bracket": br.k_bracket, "k_bound": br.k_bound}
     return 0, _input_digest(args, data), result, lines, {}
 
 
@@ -285,7 +288,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", parents=[report], help="strict-convexity certificate")
     _add_data_flags(p)
-    p.add_argument("--weights", help="anchor weights file (C=2 analysis)")
+    p.add_argument("--weights", help="anchor weights file (default: zero weights)")
     p.set_defaults(func=cmd_certify)
 
     p = sub.add_parser("checkgrad", parents=[report], help="finite-difference derivative checks")

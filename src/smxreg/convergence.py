@@ -9,49 +9,56 @@ iff theta >= (K-1)/(K+1) with K = lambda_max/lambda_min, making
 theta* = (K-1)/(K+1) at eta* = 2/(lambda_min+lambda_max) the best achievable
 rate.
 
-For two classes, Z is one-dimensional per feature: U = xi u^T with
-xi = (1,-1)/sqrt(2), and H restricted to Z is unitarily equivalent to the
-D x D matrix  M = X diag(alpha) X^T,  alpha_n = 2 y_1^(n) y_2^(n), which
-makes eigenvalues, determinants and condition numbers directly computable.
+For every C, :func:`curvature_bracket` bounds H on Z by two weighted Grams.
+Each Q^(n) restricted to the zero-sum hyperplane has extreme eigenvalues
+mu_2^n <= mu_C^n, so with P the projector onto it
 
-For every C > 2 the extremes come from one deterministic LOBPCG run
-(Knyazev 2001, SIAM J. Sci. Comput. 23(2)) that finds both ends of the
-spectrum at once.  It starts from the extreme eigenvectors of the Kronecker
-model Qbar kron X X^T (the factor of K-FAC, Martens & Grosse 2015), Qbar the
-sample mean of Q^(n), plus a small seeded random block.  Its block holds
-three vectors: the lowest Ritz vector, whose residual is preconditioned by
-Z -> Z (X X^T)^-1, the top one, whose residual is used raw, and the
-second-lowest as a guard that gets no direction of its own.  After the start
-block every iteration applies H once, to a stack of at most two directions,
-and the run holds O(m) floats, m = (C-1) D: about 37 vectors of m floats at
-the budget break (C=10, D=50, N=400), plus the D x D (X X^T)^-1.  At C=10,
-D=256, N=8000 it takes 91-361 directions.  A run about to pass 2m
-directions ends on the exact m x m matrix H_Z, assembled by applying H to
-the m coordinate directions of Z, so every call ends within 3m directions.
-The dense Z-restricted Hessian, :func:`dense_hessian_on_z`, assembled
-independently of ``apply``, is the oracle.
+    P kron X diag(mu_2) X^T  <=  H  <=  P kron X diag(mu_C) X^T  on Z,
+
+the C-class form of Boehning's curvature bound (Boehning 1992, Ann. Inst.
+Stat. Math. 44).  For two classes mu_2 = mu_C = alpha, alpha_n =
+2 y_1^(n) y_2^(n), both sides equal M = X diag(alpha) X^T, and H on Z is
+unitarily equivalent to M (U = xi u^T with xi = (1,-1)/sqrt(2)), which
+makes eigenvalues, determinants and condition numbers directly computable.
+The bracket bounds K from above twice: by the ratio of its ends, and by the
+paper's K(X)^2 max mu_C / min mu_2.
+
+For C > 2 the bracket can be loose (its low end 40-50x below lambda_min at
+C = 10, D = 256 anchors), so the exact extremes come from one
+deterministic LOBPCG run (Knyazev 2001, SIAM J. Sci. Comput. 23(2)) that
+finds both ends of the spectrum at once.  It starts from the extreme
+eigenvectors of the Kronecker model Qbar kron X X^T (the factor of K-FAC,
+Martens & Grosse 2015), Qbar the sample mean of Q^(n), plus a small seeded
+random block.  Its block holds three vectors: the lowest Ritz vector, whose
+residual is preconditioned by Z -> Z (X X^T)^-1, the top one, whose
+residual is used raw, and the second-lowest as a guard that gets no
+direction of its own.  After the start block every iteration applies H
+once, to a stack of at most two directions, and the run holds O(m) floats,
+m = (C-1) D: about 37 vectors of m floats at the budget break (C=10, D=50,
+N=400), plus the D x D (X X^T)^-1.  At C=10, D=256, N=8000 it takes 91-361
+directions.  A run about to pass 2m directions ends on the exact m x m
+matrix H_Z, assembled by applying H to the m coordinate directions of Z, so
+every call ends within 3m directions.  The dense Z-restricted Hessian,
+:func:`dense_hessian_on_z`, assembled independently of ``apply``, is the
+oracle.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .certify import ConvexityCertificate, certify
+from .certify import certify
 from .core import (
     Dataset,
     InvalidInputError,
     RankDeficientError,
+    SizeLimitError,
     UnsupportedShapeError,
-    activations,
-    freeze,
+    column_blocks,
 )
 from .hessian import HessianOperator
-from .softmax import softmax
-
-# Unit spanning vector of the zero-sum line in R^2.
-XI = np.array([1.0, -1.0]) / np.sqrt(2.0)
+from .spectrum import DENSE_C_LIMIT
 
 
 @dataclass(frozen=True)
@@ -71,17 +78,29 @@ class ConvergencePlan:
 
 
 @dataclass(frozen=True)
-class TwoClassReduction:
-    """alpha_n = 2 y_1^(n) y_2^(n) and M = X diag(alpha) X^T for C = 2;
-    :attr:`evals` solves M once, on first use, for all its readers."""
+class CurvatureBracket:
+    """The bracket I kron X diag(mu_low) X^T <= H_Z <= I kron X diag(mu_high) X^T
+    at one anchor, in the coordinates of :func:`zero_sum_basis`.
 
-    alpha: np.ndarray
-    m: np.ndarray
+    ``mu_low`` and ``mu_high`` hold each sample's extreme eigenvalues of
+    Q^(n) on the zero-sum hyperplane, ``gram_low`` and ``gram_high`` the two
+    weighted Grams, ``low`` the smallest eigenvalue of the first and
+    ``high`` the largest of the second, so low <= lambda_min(H_Z) and
+    lambda_max(H_Z) <= high.  ``k_bracket`` is high / low and ``k_bound``
+    K(X)^2 max(mu_high) / min(mu_low); both bound K = lambda_max /
+    lambda_min from above, and an infinite one means a weight underflowed
+    to 0.  For C = 2 every pair is one object: mu = alpha = 2 y_1 y_2, the
+    Gram is M, low and high are the exact extremes and ``k_bracket`` is K.
+    """
 
-    @cached_property
-    def evals(self) -> np.ndarray:
-        """Eigenvalues of M in ascending order, read-only."""
-        return freeze(np.linalg.eigvalsh(self.m))
+    mu_low: np.ndarray
+    mu_high: np.ndarray
+    gram_low: np.ndarray
+    gram_high: np.ndarray
+    low: float
+    high: float
+    k_bracket: float
+    k_bound: float
 
 
 def eta_window(lambda_min: float, lambda_max: float, theta: float) -> tuple[float, float]:
@@ -109,70 +128,27 @@ def plan(lambda_min: float, lambda_max: float) -> ConvergencePlan:
     )
 
 
-def _two_class(x: np.ndarray, y: np.ndarray) -> TwoClassReduction:
-    """The reduction from X and the 2 x N softmax outputs Y at the anchor."""
-    alpha = 2.0 * y[0] * y[1]
-    return TwoClassReduction(alpha=alpha, m=(x * alpha) @ x.T)
-
-
-def reduce_two_class(w, data: Dataset) -> TwoClassReduction:
-    """Reduce the two-class Hessian on Z to M = X diag(alpha) X^T.
-
-    The isometry u -> xi u^T intertwines multiplication by M with H on Z, so
-    M carries the full spectral information.
-    """
-    if data.c != 2:
-        raise UnsupportedShapeError(f"two-class reduction needs C = 2, got C = {data.c}")
-    return _two_class(data.x, softmax(activations(w, data)))
-
-
-def determinant_check(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
-    """Evaluate both sides of det(M) = 2^N prod(y1 y2) det(X)^2 (square X).
+def determinant_check(br: CurvatureBracket, data: Dataset) -> tuple[float, float]:
+    """Evaluate both sides of det(M) = 2^N prod(y1 y2) det(X)^2 for the
+    two-class bracket ``br`` of ``data`` (square X), M its one Gram.
 
     The left side goes through a standard LU factorization of M, the right
     through det(X) and the per-sample products, so agreement is a genuine
     cross-check.  The caller asserts the desired relative tolerance.
     """
-    if data.n != data.d:
-        raise UnsupportedShapeError(
-            f"determinant identity needs square X, got D={data.d}, N={data.n}"
-        )
-    lhs = float(np.linalg.det(r.m))
+    if data.c != 2 or data.n != data.d:
+        raise UnsupportedShapeError("determinant identity needs C = 2 and square X, "
+                                    f"got C={data.c}, D={data.d}, N={data.n}")
+    lhs = float(np.linalg.det(br.gram_low))
     det_x = float(np.linalg.det(data.x))
-    rhs = float(2.0 ** data.n * np.prod(r.alpha / 2.0) * det_x ** 2)
+    rhs = float(2.0 ** data.n * np.prod(br.mu_low / 2.0) * det_x ** 2)
     return lhs, rhs
-
-
-def _check_full_rank(data: Dataset) -> ConvexityCertificate:
-    """The certificate of ``data``; raises unless X has full row rank."""
-    cert = certify(data)
-    if not cert.full_rank:
-        raise RankDeficientError(
-            f"X is not full row rank: sv_min={cert.sv_min:.3e}, sv_max={cert.sv_max:.3e}",
-            cert.sv_min,
-            cert.sv_max,
-        )
-    return cert
-
-
-def condition_bound(r: TwoClassReduction, data: Dataset) -> tuple[float, float]:
-    """Exact condition number of M and its bound K(X)^2 * max(alpha)/min(alpha).
-
-    The bound follows from submultiplicativity of the condition number over
-    the factorization M = X diag(alpha) X^T; it always dominates the exact
-    value.
-    """
-    cert = _check_full_rank(data)
-    k_exact = float(r.evals[-1] / r.evals[0])
-    kx = cert.sv_max / cert.sv_min
-    k_bound = float(kx ** 2 * np.max(r.alpha) / np.min(r.alpha))
-    return k_exact, k_bound
 
 
 def zero_sum_basis(c: int) -> np.ndarray:
     """Columns: an orthonormal basis of the hyperplane {z : sum z = 0} in R^c.
 
-    Helmert construction; for c = 2 the single column equals XI.
+    Helmert construction; for c = 2 the single column is (1, -1)/sqrt(2).
     """
     b = np.zeros((c, c - 1))
     for k in range(1, c):
@@ -191,6 +167,53 @@ def dense_hessian_on_z(h: HessianOperator) -> np.ndarray:
     """
     p = np.kron(np.eye(h.d), zero_sum_basis(h.c))
     return p.T @ h.dense() @ p
+
+
+def _q_extremes_on_z(y: np.ndarray) -> np.ndarray:
+    """Rows mu_2 and mu_C of every column of ``y``: the extreme eigenvalues of
+    B^T Q^(n) B, B = :func:`zero_sum_basis`, from ``eigvalsh`` of their
+    stack, one :func:`~smxreg.core.column_plan` block of samples at a time
+    (:func:`~smxreg.core.column_blocks`), so no stack exceeds a block's
+    bytes.  Q is PSD, so rounding below 0 is raised to 0."""
+    c, n = y.shape
+    if c > DENSE_C_LIMIT:
+        raise SizeLimitError(f"curvature bracket limited to C <= {DENSE_C_LIMIT}, got {c}")
+    b = zero_sum_basis(c)
+    mu = np.empty((2, n))
+
+    def block(cols: slice) -> None:
+        # B^T Q B = B^T diag(y) B - (B^T y)(B^T y)^T, for a stack of columns y.
+        yt = y[:, cols].T
+        by = yt @ b
+        stack = (b.T * yt[:, None, :]) @ b - by[:, :, None] * by[:, None, :]
+        mu[:, cols] = np.linalg.eigvalsh(stack)[:, [0, -1]].T
+
+    column_blocks(block, n, n * (c - 1) ** 2 * mu.itemsize)
+    return np.maximum(mu, 0.0)
+
+
+def curvature_bracket(h: HessianOperator) -> CurvatureBracket:
+    """The :class:`CurvatureBracket` of H at its anchor, for every C up to
+    ``DENSE_C_LIMIT`` (beyond it :class:`SizeLimitError`).  For C = 2 the
+    per-sample value is the product alpha = 2 y_1 y_2 and the one Gram M
+    gets one ``eigvalsh``; for C > 2 the values come from
+    :func:`_q_extremes_on_z` and each Gram gets its own.  Costs O(N D^2) per
+    Gram.  On a rank-deficient X, H_Z is singular: ``low`` is 0 to rounding
+    and both K bounds are infinite.
+    """
+    cert = certify(h.data)
+    x, y = h.data.x, h.y
+    mus = (2.0 * y[0] * y[1],) if h.c == 2 else _q_extremes_on_z(y)
+    grams = [(x * mu) @ x.T for mu in mus]
+    evals = [np.linalg.eigvalsh(g) for g in grams]
+    low, high = float(evals[0][0]), float(evals[-1][-1])
+    k_bracket = k_bound = np.inf
+    if cert.full_rank:
+        # A weight that underflows to 0 makes a bound infinite.
+        k_bracket = high / low if low > 0.0 else np.inf
+        with np.errstate(divide="ignore"):
+            k_bound = float((cert.sv_max / cert.sv_min) ** 2 * np.max(mus[-1]) / np.min(mus[0]))
+    return CurvatureBracket(mus[0], mus[-1], grams[0], grams[-1], low, high, k_bracket, k_bound)
 
 
 # LOBPCG on H_Z: the seed of the random part of the start block and the
@@ -339,7 +362,8 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
 def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of H restricted to Z.
 
-    For C = 2 these are the extreme eigenvalues of M.  For every C > 2 both
+    For C = 2 these are the ends of :func:`curvature_bracket`, exact there:
+    the extreme eigenvalues of M.  For every C > 2 both
     extremes come from one LOBPCG run in the coordinates of
     :func:`zero_sum_basis`, set out in the module docstring and started from
     a fixed-seed block, so repeated calls give identical values.  It stops
@@ -355,8 +379,12 @@ def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
     matrix.  Requires rank(X) = D; the rank test runs once per dataset, not
     once per anchor.
     """
-    _check_full_rank(h.data)
+    cert = certify(h.data)
+    if not cert.full_rank:
+        raise RankDeficientError(
+            f"X is not full row rank: sv_min={cert.sv_min:.3e}, sv_max={cert.sv_max:.3e}",
+            cert.sv_min, cert.sv_max)
     if h.c == 2:
-        evals = _two_class(h.data.x, h.y).evals
-        return float(evals[0]), float(evals[-1])
+        br = curvature_bracket(h)
+        return br.low, br.high
     return _lobpcg_extremes(h)

@@ -222,13 +222,17 @@ def as_matrix(a, name: str = "array") -> np.ndarray:
 
 def check_weights(w, data: Dataset | LiveRows) -> np.ndarray:
     """``w`` as a float64 C x D matrix for ``data`` (D the full width of a
-    :class:`LiveRows`); a wrong shape raises
-    :class:`DimensionMismatchError` naming both shapes."""
-    w = as_matrix(w, "w")
-    if w.shape != (data.c, data.d):
-        raise DimensionMismatchError(
-            f"weights have shape {w.shape}, expected {(data.c, data.d)}"
-        )
+    :class:`LiveRows`), or a (b, C, D) stack of b such matrices; a wrong
+    shape raises :class:`DimensionMismatchError` naming both shapes, and a
+    non-finite entry :class:`InvalidInputError` as :func:`as_matrix`."""
+    w = np.asarray(w, dtype=float)
+    if w.ndim != 3:
+        w = as_matrix(w, "w")
+    expected = (*w.shape[:-2], data.c, data.d)
+    if w.shape != expected:
+        raise DimensionMismatchError(f"weights have shape {w.shape}, expected {expected}")
+    if w.ndim == 3:
+        as_matrix(w.reshape(-1, data.d), "w")
     return w
 
 

@@ -22,8 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import (Dataset, DimensionMismatchError, SizeLimitError, activations,
-                   as_matrix, check_weights)
+from .core import Dataset, SizeLimitError, activations, check_weights
 from .softmax import q_matrix, softmax
 
 # Dense materialization guard: C*D entries per vec index.
@@ -76,23 +75,10 @@ class HessianOperator:
         v -= self.y * np.sum(v, axis=-2, keepdims=True)
         return v
 
-    def _check_directions(self, u) -> np.ndarray:
-        """One C x D direction, checked by :func:`check_weights`, or a
-        (b, C, D) stack of them, refused in the same words."""
-        u = np.asarray(u, dtype=float)
-        if u.ndim != 3:
-            return check_weights(u, self.data)
-        if u.shape[1:] != (self.c, self.d):
-            raise DimensionMismatchError(
-                f"weights have shape {u.shape}, expected {(u.shape[0], self.c, self.d)}"
-            )
-        as_matrix(u.reshape(-1, self.d), "w")
-        return u
-
     def apply(self, u) -> np.ndarray:
         """H(U), computed matrix-free in O(N C D); for a (b, C, D) stack of
         directions, the stack of their products."""
-        u = self._check_directions(u)
+        u = check_weights(u, self.data)
         qv = self._q_columns(self._times_x(u))
         return (qv.reshape(-1, self.n) @ self.data.x.T).reshape(u.shape)
 

@@ -23,9 +23,11 @@ def loss_from_activations(a, t) -> float:
     """Loss from precomputed activations A = W X.
 
     Equals sum_n t^T rho(a^(n)); because target columns sum to 1 this reduces
-    to sum_n logsumexp(a^(n)) - sum(T * A).
+    to sum_n logsumexp(a^(n)) - sum(T * A).  Finite activations large
+    enough that a sum overflows give a loss of inf or NaN, without a warning.
     """
-    return float(np.sum(logsumexp(a)) - np.sum(t * a))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum(logsumexp(a)) - np.sum(t * a))
 
 
 def forward(a: np.ndarray, t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:

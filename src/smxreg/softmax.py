@@ -19,10 +19,12 @@ def shifted_exp(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     keeping the column axis.
 
     For finite ``a`` every exponent is <= 0, so the largest entry of e is 1
-    and 1 <= s <= C.
+    and 1 <= s <= C.  A column that spreads past the float range has
+    exponents of -inf, whose e is the 0 they underflow to, without a warning.
     """
     m = a.max(axis=0, keepdims=True)
-    e = np.exp(a - m)
+    with np.errstate(over="ignore"):
+        e = np.exp(a - m)
     return m, e, e.sum(axis=0, keepdims=True)
 
 

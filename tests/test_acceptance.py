@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from smxreg.convergence import XI, condition_bound, determinant_check, plan, reduce_two_class
+from smxreg.convergence import curvature_bracket, determinant_check, plan, zero_sum_basis
 from smxreg.core import Dataset, center_columns, one_hot
 from smxreg.data_io import (
     load_idx_dataset,
@@ -182,6 +182,7 @@ def test_criterion_4_spectrum_matches_dense_eigensolver():
 
 def test_criterion_5_two_class_reduction():
     rng = np.random.default_rng(505)
+    xi = zero_sum_basis(2)[:, 0]
     inter_worst = 0.0
     for _ in range(100):
         d = int(rng.integers(1, 7))
@@ -190,9 +191,9 @@ def test_criterion_5_two_class_reduction():
         w = rng.standard_normal((2, d))
         data = Dataset(x, softmax(rng.standard_normal((2, n))))
         op = HessianOperator(data, w)
-        red = reduce_two_class(w, data)
+        m = curvature_bracket(op).gram_low
         u = rng.standard_normal(d)
-        delta = np.linalg.norm(op.apply(np.outer(XI, u)) - np.outer(XI, red.m @ u))
+        delta = np.linalg.norm(op.apply(np.outer(xi, u)) - np.outer(xi, m @ u))
         inter_worst = max(inter_worst, float(delta / np.linalg.norm(u)))
 
     det_worst = 0.0
@@ -201,7 +202,7 @@ def test_criterion_5_two_class_reduction():
         x = rng.standard_normal((d, d))
         w = rng.standard_normal((2, d))
         data = Dataset(x, softmax(rng.standard_normal((2, d))))
-        lhs, rhs = determinant_check(reduce_two_class(w, data), data)
+        lhs, rhs = determinant_check(curvature_bracket(HessianOperator(data, w)), data)
         det_worst = max(det_worst, abs(lhs - rhs) / abs(rhs))
 
     bound_ok = True
@@ -211,8 +212,8 @@ def test_criterion_5_two_class_reduction():
         x = rng.standard_normal((d, n))
         w = rng.standard_normal((2, d))
         data = Dataset(x, softmax(rng.standard_normal((2, n))))
-        k_exact, k_bound = condition_bound(reduce_two_class(w, data), data)
-        if k_exact > k_bound * (1 + 1e-10):
+        br = curvature_bracket(HessianOperator(data, w))
+        if br.k_bracket > br.k_bound * (1 + 1e-10):
             bound_ok = False
     _criterion(
         5,
@@ -239,8 +240,8 @@ def test_criterion_6_convergence_rate():
             w = center_columns(w)
     w_hat = center_columns(w)
 
-    evals = np.linalg.eigvalsh(reduce_two_class(w_hat, data).m)
-    p = plan(float(evals[0]), float(evals[-1]))
+    br = curvature_bracket(HessianOperator(data, w_hat))
+    p = plan(br.low, br.high)
 
     # fixed-rate run at eta*: tail error ratio converges to theta
     w = center_columns(0.5 * rng.standard_normal((2, d)))

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg import TrainConfig, cli, core, evaluate, fdcheck, reduce_two_class, train
+from smxreg import TrainConfig, cli, core, evaluate, fdcheck, softmax, train
 from smxreg.cli import main
 from smxreg.data_io import encode_weights, load_csv, load_idx_dataset, read_weights
 from smxreg.loss_grad import gradient
@@ -98,17 +98,23 @@ class TestTrain:
         assert np.max(np.abs(w.sum(axis=0))) <= 1e-12
         assert json.loads(rep.read_text())["result"]["trace"] == []
 
-    def test_overflowing_final_evaluation_is_usage_error(self, tmp_path, capsys):
+    def test_overflowing_final_evaluation_exits_1(self, tmp_path, capsys):
+        # the one epoch is finite, but the final weights' W X overflows: the
+        # run diverged, a check failure whose files are written
         f = tmp_path / "huge.csv"
         f.write_text(HUGE_CSV)
         out, rep = tmp_path / "w.bin", tmp_path / "rep.json"
         rc = main(["train", "--csv", str(f), "--classes", "2", "--eta", "1e120",
                    "--epochs", "1", "--out", str(out), "--json", str(rep)])
-        assert rc == 2
+        assert rc == 1
         captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: activations contain non-finite entries\n"
-        assert not out.exists() and not rep.exists()
+        assert captured.err == ""
+        assert captured.out.splitlines()[-2:] == [
+            "stop: epochs_exhausted",
+            "final evaluation refused: activations contain non-finite entries"]
+        result = json.loads(rep.read_text())["result"]
+        assert result["final_loss"] is None and result["accuracy"] is None
+        assert np.all(np.isfinite(read_weights(out)))
 
     def test_unwritable_out_leaves_no_report(self, toy_csv, tmp_path, capsys):
         out = tmp_path / "missing" / "w.bin"
@@ -409,7 +415,8 @@ class TestCertify:
         assert main(["certify", "--csv", str(f), "--classes", "2", "--bias",
                      "--weights", str(wfile), "--json", str(rep)]) == 0
         two = json.loads(rep.read_text())["result"]["two_class"]
-        evals = np.linalg.eigvalsh(reduce_two_class(w, data).m)
+        y = softmax(w @ data.x)
+        evals = np.linalg.eigvalsh((data.x * (2.0 * y[0] * y[1])) @ data.x.T)
         assert two["anchor"] == "supplied"
         assert two["lambda_min"] == evals[0] and two["lambda_max"] == evals[-1]
 
@@ -435,18 +442,71 @@ class TestCertify:
         assert captured.err.startswith("error: ")
         assert not (tmp_path / "r.json").exists()
 
-    def test_weights_with_three_classes_is_usage_error(self, tmp_path, capsys):
+    def test_weights_with_three_classes_report_the_bracket(self, tmp_path, capsys):
         f = tmp_path / "three.csv"
         f.write_text("0,1,0\n1,0,1\n1,1,2\n2,1,0\n")
-        wfile = tmp_path / "w.bin"
-        wfile.write_bytes(encode_weights(np.zeros((3, 2))))
+        wfile, rep = tmp_path / "w.bin", tmp_path / "rep.json"
+        w = np.array([[0.5, -1.0], [0.0, 2.0], [-0.5, -1.0]])
+        wfile.write_bytes(encode_weights(w))
         rc = main(["certify", "--csv", str(f), "--classes", "3",
-                   "--weights", str(wfile)])
+                   "--weights", str(wfile), "--json", str(rep)])
         captured = capsys.readouterr()
-        assert rc == 2
-        assert captured.out == ""
-        assert captured.err == (
-            "error: --weights applies to C = 2 only; this dataset has C = 3\n")
+        assert rc == 0 and captured.err == ""
+        assert "curvature bracket at supplied weights:" in captured.out
+        result = json.loads(rep.read_text())["result"]
+        assert "two_class" not in result
+        bracket = result["bracket"]
+        # the ends of X diag(mu_2) X^T and X diag(mu_C) X^T, mu from Q's spectra
+        x = np.array([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 1.0]])
+        y = softmax(w @ x)
+        spectra = np.array([np.linalg.eigvalsh(np.diag(c) - np.outer(c, c)) for c in y.T])
+        low = np.linalg.eigvalsh((x * spectra[:, 1]) @ x.T)[0]
+        high = np.linalg.eigvalsh((x * spectra[:, -1]) @ x.T)[-1]
+        assert bracket["anchor"] == "supplied"
+        assert bracket["low"] == pytest.approx(low, rel=1e-12)
+        assert bracket["high"] == pytest.approx(high, rel=1e-12)
+        assert bracket["k_bracket"] == pytest.approx(high / low, rel=1e-12)
+        kx2 = np.linalg.cond(x) ** 2
+        assert bracket["k_bound"] == pytest.approx(
+            kx2 * spectra[:, -1].max() / spectra[:, 1].min(), rel=1e-10)
+
+    def test_ten_classes_at_supplied_weights(self, tmp_path, capsys):
+        rng = np.random.default_rng(10)
+        f, wfile, rep = tmp_path / "ten.csv", tmp_path / "w.bin", tmp_path / "rep.json"
+        feats = rng.standard_normal((60, 3))
+        f.write_text("".join(f"{a!r},{b!r},{c!r},{k}\n" for (a, b, c), k
+                             in zip(feats.tolist(), rng.integers(0, 10, 60))))
+        wfile.write_bytes(encode_weights(2.0 * rng.standard_normal((10, 4))))
+        rc = main(["certify", "--csv", str(f), "--classes", "10", "--bias",
+                   "--weights", str(wfile), "--json", str(rep)])
+        assert rc == 0 and capsys.readouterr().err == ""
+        bracket = json.loads(rep.read_text())["result"]["bracket"]
+        assert 0.0 < bracket["low"] <= bracket["high"]
+        assert 1.0 <= bracket["k_bracket"] <= bracket["k_bound"] < np.inf
+
+    def test_zero_weights_bracket_is_uniform(self, tmp_path):
+        # at W = 0 every output is 1/C, so both ends are X X^T / C
+        f, rep = tmp_path / "three.csv", tmp_path / "rep.json"
+        f.write_text("0,1,0\n1,0,1\n1,1,2\n2,1,0\n")
+        assert main(["certify", "--csv", str(f), "--classes", "3",
+                     "--json", str(rep)]) == 0
+        bracket = json.loads(rep.read_text())["result"]["bracket"]
+        x = np.array([[0.0, 1.0, 1.0, 2.0], [1.0, 0.0, 1.0, 1.0]])
+        evals = np.linalg.eigvalsh(x @ x.T) / 3.0
+        assert bracket["anchor"] == "zero"
+        assert bracket["low"] == pytest.approx(evals[0], rel=1e-12)
+        assert bracket["high"] == pytest.approx(evals[-1], rel=1e-12)
+        assert bracket["k_bracket"] == pytest.approx(bracket["k_bound"], rel=1e-12)
+
+    def test_bracket_past_the_dense_limit_is_left_out(self, tmp_path, capsys):
+        f, rep = tmp_path / "many.csv", tmp_path / "rep.json"
+        f.write_text("0,1,0\n1,0,512\n1,1,3\n")
+        assert main(["certify", "--csv", str(f), "--classes", "513",
+                     "--json", str(rep)]) == 0
+        assert capsys.readouterr().out.splitlines()[-1] == "certificate: strictly_convex_on_Z"
+        result = json.loads(rep.read_text())["result"]
+        assert result["verdict"] == "strictly_convex_on_Z"
+        assert "bracket" not in result and "two_class" not in result
 
     def test_two_class_run_solves_m_once(self, toy_csv, monkeypatch):
         calls = []
@@ -477,6 +537,7 @@ class TestReportSchema:
     EIGENVALUE = {"value", "multiplicity", "kind", "bracket", "degenerate_gap"}
     TWO_CLASS = {"anchor", "lambda_min", "lambda_max", "k_exact", "k_bound",
                  "theta", "eta_window", "eta_optimal"}
+    BRACKET = {"anchor", "low", "high", "k_bracket", "k_bound"}
 
     def _report(self, tmp_path, argv, rc=0):
         rep = tmp_path / "rep.json"
@@ -517,6 +578,14 @@ class TestReportSchema:
         assert result["verdict"] == "strictly_convex_on_Z"
         assert "degeneracy_witness" not in result
         assert set(result["two_class"]) == self.TWO_CLASS
+        assert "bracket" not in result
+
+    def test_certify_three_classes(self, tmp_path):
+        f = tmp_path / "three.csv"
+        f.write_text("0,1,0\n1,0,1\n1,1,2\n2,1,0\n")
+        result = self._report(tmp_path, ["certify", "--csv", str(f), "--classes", "3"])
+        assert set(result["bracket"]) == self.BRACKET
+        assert "two_class" not in result
 
     def test_certify_degenerate(self, tmp_path):
         f = tmp_path / "dup.csv"

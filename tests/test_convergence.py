@@ -10,32 +10,36 @@ import pytest
 from smxreg import convergence, core
 from smxreg.certify import certify
 from smxreg.convergence import (
-    XI,
-    condition_bound,
+    curvature_bracket,
     dense_hessian_on_z,
     determinant_check,
     eta_window,
     extreme_eigenvalues_on_z,
     plan,
-    reduce_two_class,
     zero_sum_basis,
 )
 from smxreg.core import (
     Dataset,
     InvalidInputError,
     RankDeficientError,
+    SizeLimitError,
     UnsupportedShapeError,
     one_hot,
 )
 from smxreg.hessian import HessianOperator
 from smxreg.softmax import q_matrix, softmax
-from smxreg.spectrum import analyze_q
+from smxreg.spectrum import DENSE_C_LIMIT, analyze_q, dense_q_spectrum
 
 
 def two_class_instance(rng, d, n):
     x = rng.standard_normal((d, n))
     data = Dataset(x, softmax(rng.standard_normal((2, n))))
     return rng.standard_normal((2, d)), data
+
+
+def two_class_bracket(w, data):
+    """The bracket at anchor ``w``: for C = 2, alpha = 2 y1 y2 and M."""
+    return curvature_bracket(HessianOperator(data, w))
 
 
 def dense_extremes(op):
@@ -84,53 +88,71 @@ def record_stacks(monkeypatch):
     return shapes
 
 
-class TestReduceTwoClass:
+class TestTwoClassBracket:
     def test_zero_weights_give_uniform_alpha(self):
         rng = np.random.default_rng(0)
         x = rng.standard_normal((3, 5))
         data = Dataset(x, softmax(rng.standard_normal((2, 5))))
-        red = reduce_two_class(np.zeros((2, 3)), data)
-        assert np.allclose(red.alpha, 0.5, atol=1e-15)
-        assert np.allclose(red.m, 0.5 * x @ x.T, atol=1e-12)
+        br = two_class_bracket(np.zeros((2, 3)), data)
+        assert np.allclose(br.mu_low, 0.5, atol=1e-15)
+        assert np.allclose(br.gram_low, 0.5 * x @ x.T, atol=1e-12)
 
     def test_identity_features(self):
         data = Dataset(np.eye(2), one_hot([1, 2], 2))
-        red = reduce_two_class(np.zeros((2, 2)), data)
-        assert np.allclose(red.m, np.diag([0.5, 0.5]), atol=1e-15)
+        br = two_class_bracket(np.zeros((2, 2)), data)
+        assert np.allclose(br.gram_low, np.diag([0.5, 0.5]), atol=1e-15)
+
+    def test_one_weight_and_one_gram(self):
+        # for two classes both sides of the bracket are alpha = 2 y1 y2 and M,
+        # each one object, and M is solved once
+        rng = np.random.default_rng(1)
+        w, data = two_class_instance(rng, 4, 9)
+        br = two_class_bracket(w, data)
+        y = softmax(w @ data.x)
+        assert np.array_equal(br.mu_low, 2.0 * y[0] * y[1])
+        assert br.mu_high is br.mu_low and br.gram_high is br.gram_low
+        evals = np.linalg.eigvalsh(br.gram_low)
+        assert (br.low, br.high) == (evals[0], evals[-1])
+        assert br.k_bracket == evals[-1] / evals[0]
 
     def test_alpha_range_and_m_psd(self):
         rng = np.random.default_rng(1)
         w, data = two_class_instance(rng, 4, 9)
-        red = reduce_two_class(w, data)
-        assert np.all(red.alpha > 0.0) and np.all(red.alpha <= 0.5)
-        assert np.max(np.abs(red.m - red.m.T)) <= 1e-12
-        assert np.linalg.eigvalsh(red.m)[0] >= -1e-12
+        br = two_class_bracket(w, data)
+        assert np.all(br.mu_low > 0.0) and np.all(br.mu_low <= 0.5)
+        assert np.max(np.abs(br.gram_low - br.gram_low.T)) <= 1e-12
+        assert np.linalg.eigvalsh(br.gram_low)[0] >= -1e-12
 
     def test_intertwines_with_hessian(self):
         rng = np.random.default_rng(2)
+        xi = zero_sum_basis(2)[:, 0]
         for _ in range(100):
             d = int(rng.integers(1, 7))
             w, data = two_class_instance(rng, d, int(rng.integers(2, 10)))
             op = HessianOperator(data, w)
-            red = reduce_two_class(w, data)
+            br = curvature_bracket(op)
             u = rng.standard_normal(d)
-            lhs = op.apply(np.outer(XI, u))
-            rhs = np.outer(XI, red.m @ u)
+            lhs = op.apply(np.outer(xi, u))
+            rhs = np.outer(xi, br.gram_low @ u)
             assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(u)
 
-    def test_rejects_more_classes(self):
+    def test_extremes_equal_the_dense_oracle(self):
         rng = np.random.default_rng(3)
-        data = Dataset(rng.standard_normal((2, 4)),
-                       softmax(rng.standard_normal((3, 4))))
-        with pytest.raises(UnsupportedShapeError):
-            reduce_two_class(np.zeros((3, 2)), data)
+        for _ in range(30):
+            d = int(rng.integers(1, 9))
+            w, data = two_class_instance(rng, d, int(rng.integers(2 * d, 3 * d + 5)))
+            op = HessianOperator(data, w)
+            br = curvature_bracket(op)
+            lo, hi = dense_extremes(op)
+            assert abs(br.low - lo) <= 1e-12 * abs(lo)
+            assert abs(br.high - hi) <= 1e-12 * abs(hi)
 
 
 class TestDeterminantCheck:
     def test_identity_example(self):
         data = Dataset(np.eye(2), one_hot([1, 2], 2))
-        red = reduce_two_class(np.zeros((2, 2)), data)
-        lhs, rhs = determinant_check(red, data)
+        br = two_class_bracket(np.zeros((2, 2)), data)
+        lhs, rhs = determinant_check(br, data)
         assert lhs == pytest.approx(0.25, rel=1e-12)
         assert rhs == pytest.approx(0.25, rel=1e-12)
 
@@ -138,8 +160,7 @@ class TestDeterminantCheck:
         x = np.array([[1.7]])
         data = Dataset(x, np.array([[0.3], [0.7]]))
         w = np.array([[0.4], [-0.2]])
-        red = reduce_two_class(w, data)
-        lhs, rhs = determinant_check(red, data)
+        lhs, rhs = determinant_check(two_class_bracket(w, data), data)
         y = softmax(w @ x)
         expected = 2.0 * y[0, 0] * y[1, 0] * 1.7 ** 2
         assert lhs == pytest.approx(expected, rel=1e-12)
@@ -150,15 +171,21 @@ class TestDeterminantCheck:
         for _ in range(20):
             d = int(rng.integers(1, 9))
             w, data = two_class_instance(rng, d, d)
-            red = reduce_two_class(w, data)
-            lhs, rhs = determinant_check(red, data)
+            lhs, rhs = determinant_check(two_class_bracket(w, data), data)
             assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
 
     def test_requires_square_x(self):
         rng = np.random.default_rng(5)
         w, data = two_class_instance(rng, 3, 5)
         with pytest.raises(UnsupportedShapeError):
-            determinant_check(reduce_two_class(w, data), data)
+            determinant_check(two_class_bracket(w, data), data)
+
+    def test_requires_two_classes(self):
+        rng = np.random.default_rng(5)
+        data = Dataset(rng.standard_normal((3, 3)), softmax(rng.standard_normal((3, 3))))
+        with pytest.raises(UnsupportedShapeError):
+            determinant_check(curvature_bracket(HessianOperator(data, np.zeros((3, 3)))),
+                              data)
 
     def test_general_class_count_ratio_is_constant(self):
         # determinant of the Z-restricted operator divided by
@@ -179,20 +206,18 @@ class TestDeterminantCheck:
             assert spread <= 1e-9
 
 
-class TestConditionBound:
+class TestBracketBounds:
     def test_identity_features(self):
         data = Dataset(np.eye(2), one_hot([1, 2], 2))
-        red = reduce_two_class(np.zeros((2, 2)), data)
-        k_exact, k_bound = condition_bound(red, data)
-        assert k_exact == pytest.approx(1.0, rel=1e-12)
-        assert k_bound == pytest.approx(1.0, rel=1e-12)
+        br = two_class_bracket(np.zeros((2, 2)), data)
+        assert br.k_bracket == pytest.approx(1.0, rel=1e-12)
+        assert br.k_bound == pytest.approx(1.0, rel=1e-12)
 
     def test_diagonal_features(self):
         data = Dataset(np.diag([1.0, 2.0]), one_hot([1, 2], 2))
-        red = reduce_two_class(np.zeros((2, 2)), data)
-        k_exact, k_bound = condition_bound(red, data)
-        assert k_exact == pytest.approx(4.0, rel=1e-12)
-        assert k_bound == pytest.approx(4.0, rel=1e-12)
+        br = two_class_bracket(np.zeros((2, 2)), data)
+        assert br.k_bracket == pytest.approx(4.0, rel=1e-12)
+        assert br.k_bound == pytest.approx(4.0, rel=1e-12)
 
     def test_bound_never_violated(self):
         rng = np.random.default_rng(7)
@@ -200,17 +225,97 @@ class TestConditionBound:
             d = int(rng.integers(1, 6))
             n = int(rng.integers(d, d + 8))
             w, data = two_class_instance(rng, d, n)
-            red = reduce_two_class(w, data)
-            k_exact, k_bound = condition_bound(red, data)
-            assert k_exact <= k_bound * (1.0 + 1e-10)
+            br = two_class_bracket(w, data)
+            assert br.k_bracket <= br.k_bound * (1.0 + 1e-10)
 
-    def test_rank_deficient_features_raise(self):
+    def test_rank_deficient_features_give_infinite_bounds(self):
         x = np.array([[1.0, 2.0], [2.0, 4.0]])  # rank 1
         data = Dataset(x, one_hot([1, 2], 2))
-        red = reduce_two_class(np.zeros((2, 2)), data)
-        with pytest.raises(RankDeficientError) as exc:
-            condition_bound(red, data)
-        assert exc.value.sv_min <= 1e-10 * exc.value.sv_max
+        br = two_class_bracket(np.zeros((2, 2)), data)
+        assert abs(br.low) <= 1e-12 * br.high
+        assert br.k_bracket == br.k_bound == np.inf
+
+    @pytest.mark.parametrize("c", [3, 4, 5, 6])
+    def test_contains_the_dense_extremes(self, c):
+        # random anchors, from uniform to saturated (W X entries up to about
+        # 300, where outputs underflow to 0), hard and soft targets
+        rng = np.random.default_rng(100 + c)
+        for trial in range(40):
+            d = int(rng.integers(1, 9))
+            n = int(rng.integers(d + 1, 3 * d + 12))
+            t = softmax(rng.standard_normal((c, n))) if trial % 2 else \
+                one_hot(rng.integers(1, c + 1, n), c)
+            data = Dataset(rng.standard_normal((d, n)), t)
+            scale = [0.0, 0.3, 3.0, 30.0][trial % 4]
+            op = HessianOperator(data, scale * rng.standard_normal((c, d)))
+            br = curvature_bracket(op)
+            lo, hi = dense_extremes(op)
+            # the oracle's rounding: eps-sized errors in each Q, times sum |x|^2
+            atol = 1e-14 * np.sum(data.x ** 2)
+            assert br.low <= lo + 1e-12 * hi + atol
+            assert hi <= br.high * (1.0 + 1e-12) + atol
+            if lo > 1e-8 * hi:
+                assert hi / lo <= br.k_bracket * (1.0 + 1e-10)
+                assert br.k_bracket <= br.k_bound * (1.0 + 1e-10)
+
+    def test_per_sample_values_are_the_q_spectrum_ends(self):
+        rng = np.random.default_rng(31)
+        c, d, n = 7, 3, 50
+        y = softmax(4.0 * rng.standard_normal((c, n)))
+        y[:, :5] = softmax(40.0 * rng.standard_normal((c, 5)))
+        data = Dataset(rng.standard_normal((d, n)), y)
+        op = HessianOperator(data, np.eye(c, d))
+        br = curvature_bracket(op)
+        for k in range(n):
+            spectrum = dense_q_spectrum(op.y[:, k])
+            assert br.mu_low[k] == pytest.approx(max(spectrum[1], 0.0), abs=1e-15)
+            assert br.mu_high[k] == pytest.approx(spectrum[-1], rel=1e-12)
+        assert np.all(br.mu_low >= 0.0)
+        assert np.allclose(br.gram_low, (data.x * br.mu_low) @ data.x.T, rtol=0, atol=1e-14)
+        assert np.allclose(br.gram_high, (data.x * br.mu_high) @ data.x.T, rtol=0,
+                           atol=1e-14)
+
+    def test_stacks_stay_within_one_block(self, monkeypatch):
+        # with 2 KiB blocks, the per-sample eigvalsh runs on stacks of at most
+        # two blocks' bytes, and the values equal those of one stack
+        rng = np.random.default_rng(32)
+        c, d, n = 5, 3, 400
+        data = Dataset(rng.standard_normal((d, n)), softmax(rng.standard_normal((c, n))))
+        op = HessianOperator(data, rng.standard_normal((c, d)))
+        whole = curvature_bracket(op)
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a):
+            shapes.append(a.shape)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(core, "PARALLEL_MIN_BYTES", 2048)
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        blocked = curvature_bracket(op)
+        stacks = [s for s in shapes if len(s) == 3]
+        assert len(stacks) == len(core.column_plan(n, n * (c - 1) ** 2 * 8)) == 25
+        assert sum(s[0] for s in stacks) == n
+        assert all(s[0] * (c - 1) ** 2 * 8 < 2 * 2048 for s in stacks)
+        assert np.array_equal(blocked.mu_low, whole.mu_low)
+        assert np.array_equal(blocked.mu_high, whole.mu_high)
+
+    def test_saturated_anchor_bound_is_infinite_without_a_warning(self):
+        # the certify_saturated data of the CLI's strict-JSON test: at this
+        # anchor 2 y1 y2 underflows to 0 where |x0| > 1.5 (the suite turns
+        # warnings into errors)
+        feats = np.random.default_rng(0).standard_normal((40, 3))
+        x = np.vstack([feats.T, np.ones((1, 40))])
+        data = Dataset(x, one_hot((feats[:, 0] > 0) + 1, 2))
+        br = two_class_bracket(np.array([[0.0, 0, 0, 0], [500, 0, 0, 0]]), data)
+        assert np.min(br.mu_low) == 0.0
+        assert br.k_bound == np.inf and np.isfinite(br.k_bracket)
+
+    def test_more_classes_than_the_dense_limit_are_refused(self):
+        c = DENSE_C_LIMIT + 1
+        data = Dataset(np.ones((1, 2)), one_hot([1, c], c))
+        with pytest.raises(SizeLimitError, match=f"C <= {DENSE_C_LIMIT}, got {c}"):
+            curvature_bracket(HessianOperator(data, np.zeros((c, 1))))
 
 
 class TestRankFactorsPerDataset:
@@ -225,7 +330,7 @@ class TestRankFactorsPerDataset:
         monkeypatch.setattr(core, "rank_test", counting)
         w, data = two_class_instance(np.random.default_rng(21), 4, 30)
         cert = certify(data)
-        condition_bound(reduce_two_class(w, data), data)
+        two_class_bracket(w, data)
         for k in range(3):
             extreme_eigenvalues_on_z(HessianOperator(data, k * w))
         assert cert.full_rank
@@ -286,15 +391,14 @@ class TestPlan:
         # iteration matrix I - eta*M has spectral radius < 1
         rng = np.random.default_rng(9)
         w, data = two_class_instance(rng, 3, 8)
-        red = reduce_two_class(w, data)
-        evals = np.linalg.eigvalsh(red.m)
-        lam_min, lam_max = float(evals[0]), float(evals[-1])
+        br = two_class_bracket(w, data)
+        lam_min, lam_max = br.low, br.high
         theta_opt = plan(lam_min, lam_max).theta
         theta = 0.5 * (1.0 + theta_opt)
         lo, hi = eta_window(lam_min, lam_max, theta)
         assert lo < hi
         for eta in np.linspace(lo, hi, 7):
-            radius = np.max(np.abs(np.linalg.eigvals(np.eye(3) - eta * red.m)))
+            radius = np.max(np.abs(np.linalg.eigvals(np.eye(3) - eta * br.gram_low)))
             bound = max(abs(1 - eta * lam_min), abs(1 - eta * lam_max))
             assert radius <= bound + 1e-12
             if lo < eta < hi:
@@ -497,7 +601,7 @@ class TestExtremeEigenvaluesOnZ:
         w, data = two_class_instance(rng, 4, 10)
         op = HessianOperator(data, w)
         lo, hi = extreme_eigenvalues_on_z(op)
-        evals = np.linalg.eigvalsh(reduce_two_class(w, data).m)
+        evals = np.linalg.eigvalsh(two_class_bracket(w, data).gram_low)
         assert lo == pytest.approx(float(evals[0]), rel=1e-10)
         assert hi == pytest.approx(float(evals[-1]), rel=1e-10)
 
@@ -567,7 +671,7 @@ class TestLobpcgSteps:
 
 class TestZeroSumBasis:
     def test_two_class_column_is_xi(self):
-        assert np.allclose(zero_sum_basis(2)[:, 0], XI, atol=1e-15)
+        assert np.array_equal(zero_sum_basis(2)[:, 0], np.array([1.0, -1.0]) / np.sqrt(2.0))
 
     def test_orthonormal_and_zero_sum(self):
         for c in (2, 3, 5, 8):

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smxreg import core
-from smxreg.convergence import reduce_two_class
 from smxreg.core import (
     Dataset,
     DimensionMismatchError,
@@ -22,6 +21,7 @@ from smxreg.core import (
     as_matrix,
     block_runner,
     center_columns,
+    check_weights,
     column_blocks,
     column_plan,
     copy_blocks,
@@ -467,9 +467,8 @@ class TestActivationsCheck:
         loss,
         gradient,
         lambda w, data: HessianOperator(data, w),
-        reduce_two_class,
         evaluate,
-    ], ids=["loss", "gradient", "HessianOperator", "reduce_two_class", "evaluate"])
+    ], ids=["loss", "gradient", "HessianOperator", "evaluate"])
     def test_overflow_raises(self, call):
         with pytest.raises(InvalidInputError, match="activations contain non-finite"):
             call(np.array([[1e10], [0.0]]), self.DATA)
@@ -489,17 +488,32 @@ class TestWeightShapeCheck:
         lambda w, data: HessianOperator(data, w),
         lambda w, data: train(data, TrainConfig(epochs=1), w0=w),
         evaluate,
-        reduce_two_class,
         lambda u, data: HessianOperator(data, np.zeros((2, 3))).apply(u),
         lambda u, data: HessianOperator(data, np.zeros((2, 3))).quadratic_form(u),
         lambda u, data: HessianOperator(data, np.zeros((2, 3))).kernel_test(u),
     ], ids=["loss", "gradient", "error_covariance", "HessianOperator", "train_w0",
-            "evaluate", "reduce_two_class", "apply", "quadratic_form", "kernel_test"])
+            "evaluate", "apply", "quadratic_form", "kernel_test"])
     @pytest.mark.parametrize("shape", [(2, 4), (3, 3)], ids=["D+1", "C+1"])
     def test_wrong_shape_raises(self, call, shape):
         with pytest.raises(DimensionMismatchError, match=r"\(2, 3\)") as info:
             call(np.zeros(shape), self.DATA)
         assert str(shape) in str(info.value)
+
+    def test_one_check_takes_a_stack(self):
+        # a (b, C, D) stack passes as it is; a wrong one is refused in the
+        # same words as one matrix, and so is a non-finite entry
+        u = np.arange(12.0).reshape(2, 2, 3)
+        assert np.array_equal(check_weights(u, self.DATA), u)
+        with pytest.raises(DimensionMismatchError) as info:
+            check_weights(np.zeros((2, 3, 2)), self.DATA)
+        assert str(info.value) == "weights have shape (2, 3, 2), expected (2, 2, 3)"
+        u[1, 0, 2] = np.inf
+        with pytest.raises(InvalidInputError) as info:
+            check_weights(u, self.DATA)
+        assert str(info.value) == "w contains non-finite entries"
+        with pytest.raises(DimensionMismatchError) as info:
+            check_weights(np.zeros((1, 2, 2, 3)), self.DATA)
+        assert str(info.value) == "w must be 2-D, got shape (1, 2, 2, 3)"
 
 
 class TestColumnPlan:

@@ -53,22 +53,39 @@ def test_train_mnist_script_subset_keeps_bias_row(tmp_path):
     assert "train: D=65 N=200   test: N=100" in _run_train_mnist(tmp_path, 200)
 
 
+def _random_images(tmp_path):
+    """200 random 4 x 4 images and labels, as the image and label paths."""
+    rng = np.random.default_rng(0)
+    write_idx_images(tmp_path / "images", rng.integers(0, 256, (16, 200)) / 255.0, 4, 4)
+    write_idx_labels(tmp_path / "labels", rng.integers(0, 10, 200))
+    return [str(tmp_path / "images"), str(tmp_path / "labels")]
+
+
 # 200 random 4 x 4 images at rate 1e306: after one epoch both losses are
 # NaN; with ten epochs the second epoch's loss is, and the run stops
 # nonfinite with nothing evaluated
 @pytest.mark.parametrize("epochs, line", [
     ("1", "train loss nan   test loss nan"), ("10", "stop: nonfinite")], ids=["1", "10"])
 def test_train_mnist_nonfinite_run_exits_1(tmp_path, epochs, line):
-    rng = np.random.default_rng(0)
-    write_idx_images(tmp_path / "images", rng.integers(0, 256, (16, 200)) / 255.0, 4, 4)
-    write_idx_labels(tmp_path / "labels", rng.integers(0, 10, 200))
-    files = [str(tmp_path / "images"), str(tmp_path / "labels")]
+    files = _random_images(tmp_path)
     proc = _train_mnist(*files, *files, "--bb", "off", "--eta", "1e306",
                         "--epochs", epochs)
     assert proc.returncode == 1
     assert proc.stderr == ""
     assert line in proc.stdout.splitlines()
     assert ("accuracy" in proc.stdout) == (epochs == "1")
+
+
+def test_train_mnist_overflowing_final_evaluation_exits_1(tmp_path):
+    # at rate 1e307 the one epoch is finite, but the final weights' W X
+    # overflows, which evaluate refuses: the script prints that and exits 1
+    files = _random_images(tmp_path)
+    proc = _train_mnist(*files, *files, "--bb", "off", "--eta", "1e307", "--epochs", "1")
+    assert proc.returncode == 1
+    assert proc.stderr == ""
+    assert proc.stdout.splitlines()[-2:] == [
+        "stop: epochs_exhausted",
+        "final evaluation refused: activations contain non-finite entries"]
 
 
 def test_train_mnist_subset_drops_rows_dead_in_it(tmp_path, monkeypatch):

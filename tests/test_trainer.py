@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from smxreg import core, trainer
-from smxreg.convergence import plan, reduce_two_class
+from smxreg.convergence import curvature_bracket, plan
 from smxreg.core import Dataset, InvalidInputError, LiveRows, center_columns, one_hot
+from smxreg.hessian import HessianOperator
 from smxreg.loss_grad import loss_from_activations
 from smxreg.softmax import shifted_exp, softmax
 from smxreg.trainer import (
@@ -585,8 +586,8 @@ class TestTrain:
         # standard init never increases the loss at that rate
         _, data = realizable_instance(seed=2, scale=0.3)
         w_hat, _ = train(data, TrainConfig(eta=0.2, epochs=30000, tol_grad=1e-12))
-        evals = np.linalg.eigvalsh(reduce_two_class(w_hat, data).m)
-        p = plan(float(evals[0]), float(evals[-1]))
+        br = curvature_bracket(HessianOperator(data, w_hat))
+        p = plan(br.low, br.high)
         cfg = TrainConfig(eta=p.eta_optimal, epochs=300, tol_grad=1e-15,
                           log_every=1)
         _, trace = train(data, cfg)
@@ -642,6 +643,48 @@ class TestTrain:
         _, trace = train(data, cfg)
         for r in trace.records:
             assert 1e-12 <= r.eta_used <= 1e12
+
+
+def _dependent_row_teacher(seed=911, c=4, d=20, n=600):
+    """A teacher-style problem whose X has rows with means in [-1, 1], a
+    row equal to the sum of rows 2 and 5 and a bias row (rank d + 1 of
+    d + 2), and X's unit left null vector v."""
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((d, n)) + rng.uniform(-1.0, 1.0, (d, 1))
+    x = np.vstack([x, x[2] + x[5], np.ones((1, n))])
+    v = np.zeros(d + 2)
+    v[[2, 5, d]] = [1.0, 1.0, -1.0]
+    data = Dataset(x, softmax(0.5 * rng.standard_normal((c, d + 2)) @ x))
+    return data, v / np.linalg.norm(v)
+
+
+class TestStepsStayInS:
+    """G's rows lie in range(X) and its columns sum to 0, so a step along G
+    keeps W - W0 in S = Z kron range(X) on a rank-deficient X."""
+
+    # off at 5e-4, below Bohning's certified rate 4 / ||X||^2 = 7.9e-4
+    CONFIGS = {"off": dict(eta=5e-4, epochs=300), "bb2": dict(eta=1e-3, epochs=300)}
+
+    def _weight_change(self, mode):
+        data, v = _dependent_row_teacher()
+        cfg = TrainConfig(bb_mode=mode, tol_grad=1e-10, **self.CONFIGS[mode])
+        w, trace = train(data, cfg)
+        dw = w - initial_weights(data, cfg)
+        assert trace.stop_reason != STOP_NONFINITE
+        assert np.linalg.norm(dw) > 1.0
+        return dw, v
+
+    @pytest.mark.parametrize("mode", ["off", "bb2"])
+    def test_column_sums_stay_at_rounding_level(self, mode):
+        dw, _ = self._weight_change(mode)
+        assert np.max(np.abs(dw.sum(axis=0))) <= 1e-13 * np.linalg.norm(dw)
+
+    @pytest.mark.parametrize("mode", ["off", pytest.param("bb2", marks=pytest.mark.xfail(
+        strict=True, reason="bb2's row-moment metric N (diag(s) + mu mu^T) does not map "
+                            "range(X) into itself when a row of X is a sum of others"))])
+    def test_rows_stay_in_the_range_of_x(self, mode):
+        dw, v = self._weight_change(mode)
+        assert np.linalg.norm(dw @ v) <= 1e-12 * np.linalg.norm(dw)
 
 
 def _dense_metric(metric):
@@ -798,3 +841,22 @@ class TestEvaluate:
                 hits += 1
         assert acc == pytest.approx(hits / 30)
         assert 0.0 <= acc <= 1.0
+
+    def test_columns_past_the_float_range_give_no_warning(self):
+        # the certify_saturated data of the CLI's strict-JSON test, with
+        # W X finite but spread past the float range in the columns of large
+        # |x0|: the shift overflows to -inf there and the summed loss
+        # overflows, both without a warning (the suite turns warnings into
+        # errors)
+        feats = np.random.default_rng(0).standard_normal((40, 3))
+        x = np.vstack([feats.T, np.ones((1, 40))])
+        data = Dataset(x, one_hot((feats[:, 0] > 0) + 1, 2))
+        k = 0.9 * np.finfo(float).max / np.max(np.abs(x[0]))
+        w = np.array([[-k, 0.0, 0.0, 0.0], [k, 0.0, 0.0, 0.0]])
+        a = w @ x
+        assert np.all(np.isfinite(a)) and np.array_equal(a[0], -a[1])
+        assert np.sum(np.abs(a[1]) > np.finfo(float).max / 2) >= 5
+        loss_val, acc = evaluate(w, data)
+        assert not np.isfinite(loss_val)
+        assert acc == 1.0
+        assert np.array_equal(softmax(a), one_hot((feats[:, 0] > 0) + 1, 2))
