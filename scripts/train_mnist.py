@@ -47,6 +47,8 @@ def main():
     ap.add_argument("--bb", choices=BB_MODES, default="bb2")
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    if args.subset < 0:
+        ap.error(f"argument --subset: must be >= 0 (0 = all samples), got {args.subset}")
 
     train_ds = load_idx_live(args.train_images, args.train_labels, args.classes,
                              bias=True)

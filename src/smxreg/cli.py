@@ -222,7 +222,7 @@ def cmd_certify(args) -> tuple[int, dict, dict, list, dict]:
     # curvature_bracket refuses more than DENSE_C_LIMIT classes.
     if cert.full_rank and data.c <= DENSE_C_LIMIT:
         br = curvature_bracket(HessianOperator(data, w))
-        if data.c == 2:
+        if data.c == 2 and br.low > 0.0:
             # The bracket is exact for two classes: a plan, and K_bracket is K.
             p = plan(br.low, br.high)
             lines += [f"two-class analysis at {anchor} weights:",
@@ -234,7 +234,9 @@ def cmd_certify(args) -> tuple[int, dict, dict, list, dict]:
                                    "k_exact": br.k_bracket, "k_bound": br.k_bound}
             del result["two_class"]["k"]  # k_exact reports the same ratio
         else:
-            # A plan needs the exact extremes; the bracket only bounds them.
+            # A plan needs the exact extremes, the least one positive; for
+            # C > 2 the bracket only bounds them, and at a saturated
+            # two-class anchor its low end is 0.
             lines += [f"curvature bracket at {anchor} weights:",
                       f"  low {br.low:.6e}  high {br.high:.6e}",
                       f"  K_bracket {br.k_bracket:.6e}  K_bound {br.k_bound:.6e}"]

@@ -199,7 +199,8 @@ def curvature_bracket(h: HessianOperator) -> CurvatureBracket:
     gets one ``eigvalsh``; for C > 2 the values come from
     :func:`_q_extremes_on_z` and each Gram gets its own.  Costs O(N D^2) per
     Gram.  On a rank-deficient X, H_Z is singular: ``low`` is 0 to rounding
-    and both K bounds are infinite.
+    and both K bounds are infinite.  So are they where ``low`` is not
+    positive, as at an anchor where every weight underflows to 0.
     """
     cert = certify(h.data)
     x, y = h.data.x, h.y
@@ -208,9 +209,9 @@ def curvature_bracket(h: HessianOperator) -> CurvatureBracket:
     evals = [np.linalg.eigvalsh(g) for g in grams]
     low, high = float(evals[0][0]), float(evals[-1][-1])
     k_bracket = k_bound = np.inf
-    if cert.full_rank:
+    if cert.full_rank and low > 0.0:
         # A weight that underflows to 0 makes a bound infinite.
-        k_bracket = high / low if low > 0.0 else np.inf
+        k_bracket = high / low
         with np.errstate(divide="ignore"):
             k_bound = float((cert.sv_max / cert.sv_min) ** 2 * np.max(mus[-1]) / np.min(mus[0]))
     return CurvatureBracket(mus[0], mus[-1], grams[0], grams[-1], low, high, k_bracket, k_bound)

@@ -1,17 +1,34 @@
 """Cross-entropy loss over a dataset, its vectorized gradient, and
 critical-point diagnostics.
 
-The loss is evaluated through the -log-softmax composition (logsumexp form),
-never through log(softmax(a)), so it stays finite even where targets place
-mass on outputs that underflow.  Values are in nats.  Per-sample terms are
-summed in ascending sample order, so results are deterministic.
+The loss is sum_n t_n^T rho(a_n) with rho = -log softmax, never
+log(softmax(a)), so it stays finite even where targets place mass on
+outputs that underflow.  One function forms it for :func:`forward` and
+:func:`loss_from_activations`: each sample's term (m_n - t_n^T a_n) +
+log s_n, with m_n the column max and s_n the shifted exponential sum, is
+formed before one sum over the samples in ascending order, so results are
+deterministic and no two large sums cancel.  Values are in nats.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .core import Dataset, activations
-from .softmax import logsumexp, shifted_exp
+from .softmax import shifted_exp
+
+
+def _cross_entropy(a: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, e, s) at activations ``a`` with targets ``t``: the (m, e, s) of
+    :func:`~smxreg.softmax.shifted_exp` and sum_n [(m_n - t_n^T a_n) + log s_n].
+
+    Since 1^T t_n = 1, each term is t_n^T rho(a_n).  The activation
+    difference is taken before the log, so a one-hot column whose largest
+    activation is the labelled one adds log s_n alone.  Activations whose
+    products or sums overflow give a loss of inf or NaN, without a warning.
+    """
+    m, e, s = shifted_exp(a)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.sum((m - np.einsum("ij,ij->j", t, a)) + np.log(s))), e, s
 
 
 def loss(w, data: Dataset) -> float:
@@ -19,15 +36,10 @@ def loss(w, data: Dataset) -> float:
     return loss_from_activations(activations(w, data), data.t)
 
 
-def loss_from_activations(a, t) -> float:
-    """Loss from precomputed activations A = W X.
-
-    Equals sum_n t^T rho(a^(n)); because target columns sum to 1 this reduces
-    to sum_n logsumexp(a^(n)) - sum(T * A).  Finite activations large
-    enough that a sum overflows give a loss of inf or NaN, without a warning.
-    """
-    with np.errstate(over="ignore", invalid="ignore"):
-        return float(np.sum(logsumexp(a)) - np.sum(t * a))
+def loss_from_activations(a: np.ndarray, t: np.ndarray) -> float:
+    """Loss sum_n t^T rho(a^(n)) from precomputed activations A = W X,
+    summed per sample (see the module docstring)."""
+    return _cross_entropy(a, t)[0]
 
 
 def forward(a: np.ndarray, t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndarray]:
@@ -36,16 +48,14 @@ def forward(a: np.ndarray, t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndar
     non-finite loss: NaN or +inf makes the column max or the exp NaN, and
     -inf alone gives -t a = +inf where t > 0, else 0 (-inf) = NaN.
 
-    With (m, e, s) of :func:`~smxreg.softmax.shifted_exp`, the one home of
-    the shift and the exponential: Y = e / s, loss = sum(m + log s) -
-    sum(T * A) and G = (Y - T) x^T.  ``softmax`` and ``logsumexp`` take the
-    same (m, e, s), so both results are bit-identical to the composition
-    ``softmax``, :func:`loss_from_activations` and -(T - Y) X^T, while the
-    max and exp run once.  Given X itself, G is the full gradient; given a
-    subset of X's rows, G holds the gradient's columns for those rows.
+    The loss is :func:`loss_from_activations`'s.  From the same (e, s) of
+    :func:`~smxreg.softmax.shifted_exp`, the one home of the shift and the
+    exponential, Y = e / s and G = (Y - T) x^T, bit-identical to
+    ``softmax`` and -(T - Y) X^T, so the max and exp run once.  Given X
+    itself, G is the full gradient; given a subset of X's rows, G holds the
+    gradient's columns for those rows.
     """
-    m, e, s = shifted_exp(a)
-    cost = float(np.sum(m + np.log(s)) - np.sum(t * a))
+    cost, e, s = _cross_entropy(a, t)
     return cost, (e / s - t) @ x.T
 
 

@@ -2,9 +2,9 @@
 
 Batch operations act columnwise: a C x N input is treated as N independent
 activation columns.  The column-max shift and the exponential live in
-:func:`shifted_exp` alone; ``softmax``, ``logsumexp`` and
-:func:`~smxreg.loss_grad.forward` build on it, so no finite input overflows
-and the three agree bit for bit.
+:func:`shifted_exp` alone; ``softmax``, ``rho`` and the loss of
+:mod:`~smxreg.loss_grad` build on it, so no finite input overflows and
+all three see the same bits of it.
 """
 from __future__ import annotations
 
@@ -41,21 +41,16 @@ def softmax(a) -> np.ndarray:
     return e / s
 
 
-def logsumexp(a) -> np.ndarray:
-    """log(sum(exp(a))) per column, as m + log s of :func:`shifted_exp`.
-    Keeps the column axis."""
-    m, _, s = shifted_exp(np.asarray(a, dtype=float))
-    return m + np.log(s)
-
-
 def rho(a) -> np.ndarray:
-    """The map -log(softmax(a)), evaluated as -a + logsumexp(a) * ones.
+    """The map -log(softmax(a)), evaluated as -a + (m + log s) * ones with
+    the (m, s) of :func:`shifted_exp`, m + log s being log sum exp(a).
 
     This form stays finite even where softmax underflows, which makes it the
     right building block for the cross-entropy loss.
     """
     a = check_activations(a)
-    return -a + logsumexp(a)
+    m, _, s = shifted_exp(a)
+    return -a + (m + np.log(s))
 
 
 def q_matrix(y) -> np.ndarray:
@@ -70,7 +65,7 @@ def q_matrix(y) -> np.ndarray:
 
 
 def d_rho(y) -> np.ndarray:
-    """Jacobian of :func:`rho` expressed through the softmax value: -I + 1 y^T."""
+    """Jacobian of :func:`rho` expressed through the softmax value: -I + 1 y^T,
+    whose every row is y, less 1 on the diagonal."""
     y = np.asarray(y, dtype=float)
-    c = y.shape[0]
-    return -np.eye(c) + np.outer(np.ones(c), y)
+    return y - np.eye(y.shape[0])

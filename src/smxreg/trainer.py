@@ -322,8 +322,8 @@ def evaluate(w, data: Dataset | LiveRows) -> tuple[float, float]:
     Accuracy compares per-column argmax of the outputs against argmax of the
     targets; ties resolve to the lowest class index on both sides.  Softmax
     is strictly increasing, so the activation argmax is used directly.
-    Activations that overflow raise :class:`InvalidInputError`, as in
-    :func:`~smxreg.loss_grad.loss`.
+    The loss is :func:`~smxreg.loss_grad.loss`'s, summed per sample.
+    Activations that overflow raise :class:`InvalidInputError`, as there.
     """
     if isinstance(data, LiveRows):
         w, data = data.narrow(check_weights(w, data)), data.data

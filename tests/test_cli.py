@@ -3,6 +3,7 @@ import dataclasses
 import json
 import os
 import re
+import shlex
 import struct
 import subprocess
 import sys
@@ -25,6 +26,15 @@ HUGE_CSV = "1e100,1,0\n-1e100,2,1\n3e99,-1,0\n"
 # One step at rate 1e8 leaves W X finite but with a column spread beyond the
 # float range, so the next loss is infinite.
 DIVERGING_CSV = "1e150,0\n1e150,1\n"
+
+
+def write_saturated_csv(path):
+    """40 x 3 standard-normal features from ``default_rng(0)``, labelled by
+    x0 > 0: the two-class data whose anchors [[0, 0, 0, 0], [w, 0, 0, 0]]
+    saturate some samples (w = 500) or all of them (w = 1e5)."""
+    feats = np.random.default_rng(0).standard_normal((40, 3))
+    path.write_text("".join(f"{a!r},{b!r},{c!r},{int(a > 0)}\n"
+                            for a, b, c in feats.tolist()))
 
 
 @pytest.fixture
@@ -470,6 +480,27 @@ class TestCertify:
         assert bracket["k_bound"] == pytest.approx(
             kx2 * spectra[:, -1].max() / spectra[:, 1].min(), rel=1e-10)
 
+    def test_fully_saturated_two_class_anchor_reports_the_bracket(self, tmp_path, capsys):
+        # every 2 y1 y2 underflows to 0, so the bracket's low end is 0 and no
+        # plan exists: the bracket is reported as for C > 2, its infinite K
+        # bounds as null
+        f, wfile, rep = tmp_path / "c.csv", tmp_path / "w.bin", tmp_path / "rep.json"
+        write_saturated_csv(f)
+        wfile.write_bytes(encode_weights(np.array([[0.0, 0, 0, 0], [1e5, 0, 0, 0]])))
+        rc = main(["certify", "--csv", str(f), "--classes", "2", "--bias",
+                   "--weights", str(wfile), "--json", str(rep)])
+        captured = capsys.readouterr()
+        assert rc == 0 and captured.err == ""
+        assert captured.out.splitlines()[-3:] == [
+            "curvature bracket at supplied weights:",
+            "  low 0.000000e+00  high 0.000000e+00",
+            "  K_bracket inf  K_bound inf"]
+        result = json.loads(rep.read_text())["result"]
+        assert result["verdict"] == "strictly_convex_on_Z"
+        assert "two_class" not in result
+        assert result["bracket"] == {"anchor": "supplied", "low": 0.0, "high": 0.0,
+                                     "k_bracket": None, "k_bound": None}
+
     def test_ten_classes_at_supplied_weights(self, tmp_path, capsys):
         rng = np.random.default_rng(10)
         f, wfile, rep = tmp_path / "ten.csv", tmp_path / "w.bin", tmp_path / "rep.json"
@@ -609,9 +640,7 @@ class TestReportSchema:
         diverging.write_text(DIVERGING_CSV)
         # at this anchor 2 y1 y2 underflows to 0 for samples with |x0| > 1.5,
         # so the two-class bound K(X)^2 max alpha / min alpha is infinite
-        feats = np.random.default_rng(0).standard_normal((40, 3))
-        saturated.write_text("".join(f"{a!r},{b!r},{c!r},{int(a > 0)}\n"
-                                     for a, b, c in feats.tolist()))
+        write_saturated_csv(saturated)
         wfile.write_bytes(encode_weights(np.array([[0.0, 0, 0, 0], [500, 0, 0, 0]])))
         train_argv = ["train", "--csv", str(diverging), "--classes", "2", "--bb", "off",
                       "--eta", "1e8", "--epochs"]
@@ -868,6 +897,20 @@ class TestModuleEntryPoint:
         assert str(rep) in proc.stderr
 
 
+def readme_cli_commands() -> list[list[str]]:
+    """The ``smxreg`` commands of the bash block under README's ``## CLI``,
+    with ``\\`` continuations joined and comments dropped, each split into
+    its words."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("\n## CLI\n", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.replace("\\\n", " ").splitlines()
+             if not line.lstrip().startswith("#")]
+    return [shlex.split(line) for line in lines if line.startswith("smxreg ")]
+
+
+README_COMMANDS = readme_cli_commands()
+
+
 class TestCliSurface:
     """Every option string of every subcommand.  A new flag must be added
     here as well, so each knob is visible in review."""
@@ -896,6 +939,19 @@ class TestCliSurface:
         (bb,) = [a for a in sub.choices["train"]._actions
                  if "--bb" in a.option_strings]
         assert tuple(bb.choices) == ("off", "bb2")
+
+    @pytest.mark.parametrize("command", README_COMMANDS,
+                             ids=[f"{i}-{c[1]}" for i, c in enumerate(README_COMMANDS)])
+    def test_readme_cli_examples_parse(self, command):
+        # a flag removed or renamed in the parser must be removed or renamed
+        # in README's examples as well
+        try:
+            cli._build_parser().parse_args(command[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {' '.join(command)}")
+
+    def test_readme_shows_every_subcommand(self):
+        assert {command[1] for command in README_COMMANDS} == set(self.OPTIONS)
 
     def test_train_defaults_are_the_config_defaults(self):
         # --eta has the CLI's own rule (required under --bb off, BB_ETA0

@@ -311,6 +311,16 @@ class TestBracketBounds:
         assert np.min(br.mu_low) == 0.0
         assert br.k_bound == np.inf and np.isfinite(br.k_bracket)
 
+    def test_anchor_where_every_weight_underflows_has_infinite_bounds(self):
+        # the same data at W = [[0, 0, 0, 0], [1e5, 0, 0, 0]]: every 2 y1 y2
+        # is 0, so both Grams are 0 and both bounds are infinite, not 0 / 0
+        feats = np.random.default_rng(0).standard_normal((40, 3))
+        x = np.vstack([feats.T, np.ones((1, 40))])
+        data = Dataset(x, one_hot((feats[:, 0] > 0) + 1, 2))
+        br = two_class_bracket(np.array([[0.0, 0, 0, 0], [1e5, 0, 0, 0]]), data)
+        assert np.max(br.mu_high) == 0.0 and br.low == br.high == 0.0
+        assert br.k_bracket == br.k_bound == np.inf
+
     def test_more_classes_than_the_dense_limit_are_refused(self):
         c = DENSE_C_LIMIT + 1
         data = Dataset(np.ones((1, 2)), one_hot([1, c], c))

@@ -10,6 +10,7 @@ from smxreg.loss_grad import (
     loss_from_activations,
 )
 from smxreg.softmax import softmax
+from smxreg.trainer import evaluate
 
 
 def fd_loss_gradient(w, data, h=1e-5):
@@ -62,6 +63,52 @@ class TestLoss:
         w = np.array([[-500.0], [500.0]])
         val = loss(w, data)
         assert np.isfinite(val) and val == pytest.approx(1000.0, rel=1e-12)
+
+
+def log1p_loss(a, t):
+    """sum_n [(a_k - t_n^T a_n) + log1p(sum_{j != k} exp(a_j - a_k))], k the
+    column's argmax: the oracle, exact where the other classes' mass is
+    below rounding of 1."""
+    cols = np.arange(a.shape[1])
+    k = np.argmax(a, axis=0)
+    top = a[k, cols]
+    with np.errstate(over="ignore"):
+        rest = np.exp(a - top)
+    rest[k, cols] = 0.0
+    return float(np.sum((top - np.sum(t * a, axis=0)) + np.log1p(rest.sum(axis=0))))
+
+
+class TestPerSampleSum:
+    """Each sample's term is formed before the one sum over samples."""
+
+    def test_large_offset_columns_match_the_oracle(self):
+        # every column sits near 1e8, where sum logsumexp - sum T*A cancels
+        # to about 1e-5 relative
+        delta = np.random.default_rng(0).uniform(5.0, 15.0, 400)
+        a = np.vstack([1e8 + delta, np.full(400, 1e8)])
+        t = one_hot(np.ones(400, dtype=int), 2)
+        assert loss_from_activations(a, t) == pytest.approx(log1p_loss(a, t), rel=1e-12)
+
+    def test_columns_past_the_float_range_match_the_oracle(self):
+        # the certify_saturated data of the CLI's strict-JSON test: W X is
+        # finite, but its columns of large |x0| spread past the float range
+        feats = np.random.default_rng(0).standard_normal((40, 3))
+        x = np.vstack([feats.T, np.ones((1, 40))])
+        data = Dataset(x, one_hot((feats[:, 0] > 0) + 1, 2))
+        k = 0.9 * np.finfo(float).max / np.max(np.abs(x[0]))
+        w = np.array([[-k, 0.0, 0.0, 0.0], [k, 0.0, 0.0, 0.0]])
+        oracle = log1p_loss(w @ x, data.t)
+        loss_val, acc = evaluate(w, data)
+        assert np.isfinite(loss_val) and acc == 1.0
+        assert loss_val == pytest.approx(oracle, rel=1e-12)
+        assert loss(w, data) == pytest.approx(oracle, rel=1e-12)
+
+    def test_other_class_mass_near_rounding_is_kept(self):
+        # the true loss log1p(e^-36) = 2.3e-16 is below half an ulp of 18,
+        # where logsumexp(a) - a_1 reads 0
+        data = Dataset(np.array([[1.0]]), np.array([[1.0], [0.0]]))
+        val = loss(np.array([[18.0], [-18.0]]), data)
+        assert 0.0 < val <= np.log1p(np.exp(-36.0))
 
 
 def spread(v):

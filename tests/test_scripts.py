@@ -61,11 +61,11 @@ def _random_images(tmp_path):
     return [str(tmp_path / "images"), str(tmp_path / "labels")]
 
 
-# 200 random 4 x 4 images at rate 1e306: after one epoch both losses are
-# NaN; with ten epochs the second epoch's loss is, and the run stops
-# nonfinite with nothing evaluated
+# 200 random 4 x 4 images at rate 1e306: after one epoch both losses
+# overflow to inf; with ten epochs the second epoch's loss is not finite,
+# and the run stops nonfinite with nothing evaluated
 @pytest.mark.parametrize("epochs, line", [
-    ("1", "train loss nan   test loss nan"), ("10", "stop: nonfinite")], ids=["1", "10"])
+    ("1", "train loss inf   test loss inf"), ("10", "stop: nonfinite")], ids=["1", "10"])
 def test_train_mnist_nonfinite_run_exits_1(tmp_path, epochs, line):
     files = _random_images(tmp_path)
     proc = _train_mnist(*files, *files, "--bb", "off", "--eta", "1e306",
@@ -86,6 +86,14 @@ def test_train_mnist_overflowing_final_evaluation_exits_1(tmp_path):
     assert proc.stdout.splitlines()[-2:] == [
         "stop: epochs_exhausted",
         "final evaluation refused: activations contain non-finite entries"]
+
+
+def test_train_mnist_negative_subset_is_usage_error(tmp_path):
+    files = _random_images(tmp_path)
+    proc = _train_mnist(*files, *files, "--subset", "-5", "--epochs", "1")
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "argument --subset: must be >= 0" in proc.stderr
 
 
 def test_train_mnist_subset_drops_rows_dead_in_it(tmp_path, monkeypatch):

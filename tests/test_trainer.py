@@ -845,9 +845,9 @@ class TestEvaluate:
     def test_columns_past_the_float_range_give_no_warning(self):
         # the certify_saturated data of the CLI's strict-JSON test, with
         # W X finite but spread past the float range in the columns of large
-        # |x0|: the shift overflows to -inf there and the summed loss
-        # overflows, both without a warning (the suite turns warnings into
-        # errors)
+        # |x0|: the shift overflows to -inf there without a warning (the
+        # suite turns warnings into errors), and every sample, classified
+        # right, adds exactly 0 to the loss, which is summed per sample
         feats = np.random.default_rng(0).standard_normal((40, 3))
         x = np.vstack([feats.T, np.ones((1, 40))])
         data = Dataset(x, one_hot((feats[:, 0] > 0) + 1, 2))
@@ -857,6 +857,6 @@ class TestEvaluate:
         assert np.all(np.isfinite(a)) and np.array_equal(a[0], -a[1])
         assert np.sum(np.abs(a[1]) > np.finfo(float).max / 2) >= 5
         loss_val, acc = evaluate(w, data)
-        assert not np.isfinite(loss_val)
+        assert loss_val == 0.0
         assert acc == 1.0
         assert np.array_equal(softmax(a), one_hot((feats[:, 0] > 0) + 1, 2))
