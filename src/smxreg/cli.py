@@ -45,12 +45,15 @@ BB_ETA0 = 0.01
 
 
 def _write_files(files: dict) -> None:
-    """Write every ``path: bytes`` item via temp files, then renames.  A failure
-    removes each file made here, renamed or not, and names the path as given."""
+    """Write every ``path: bytes`` item via temp files, then renames.  Each
+    temp file is created exclusively, under a name that holds the process
+    id, so a name already taken stops the run instead of being replaced.  A
+    failure removes each file made here, renamed or not, and names the path
+    as given, or the temp file's when that name is taken."""
     made = []
     try:
         for path, blob in files.items():
-            with open(f"{path}.tmp", "wb") as f:
+            with open(f"{path}.{os.getpid()}.tmp", "xb") as f:
                 made.append(f.name)
                 f.write(blob)
         for i, path in enumerate(files):
@@ -60,7 +63,8 @@ def _write_files(files: dict) -> None:
         for name in made:
             with contextlib.suppress(OSError):
                 os.remove(name)
-        raise OSError(exc.errno, exc.strerror, str(path)) from None
+        name = exc.filename if isinstance(exc, FileExistsError) else str(path)
+        raise OSError(exc.errno, exc.strerror, name) from None
 
 
 def _finite_or_none(x):

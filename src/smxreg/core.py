@@ -296,11 +296,9 @@ class Dataset:
 
     :meth:`_adopt` skips the two O(size) checks, the finite pass over X and
     the pass over T, and runs the shape invariants alone.  Only code whose
-    arrays are valid by construction uses it: the IDX loaders, whose X is
-    bytes / 255 and a bias row of 1.0 and whose T is :func:`one_hot` of
-    labels already checked to be below C, and :meth:`LiveRows.of`.  A
-    CSV's cells may read ``inf`` or ``nan``, so
-    :func:`~smxreg.data_io.load_csv` goes through ``Dataset(x, t)``.
+    arrays are valid by construction uses it: every loader of
+    :mod:`~smxreg.data_io`, which checks what it reads and names the line
+    or byte offset of a fault, and :meth:`LiveRows.of`.
 
     :attr:`rank_factors` is computed on first use and kept, so certify,
     the condition bound and every Hessian anchor share one factorization.
@@ -323,7 +321,8 @@ class Dataset:
         """The Dataset of fresh C-contiguous float64 arrays whose entries
         are valid by construction: both are frozen and kept, and only the
         shape invariants run, with at least ``min_rows`` rows of X (0 for
-        the live rows of a zero X, see :class:`LiveRows`)."""
+        the live rows of a zero X, see :class:`LiveRows`; 2 for a biased
+        X, whose bias row alone is no feature)."""
         _check_shapes(x, t, min_rows)
         data = object.__new__(cls)
         object.__setattr__(data, "x", freeze(x))

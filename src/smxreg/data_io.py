@@ -14,22 +14,28 @@ With ``bias=True`` the loaders append the constant-1 feature row of the
 affine trick themselves: they allocate the (D+1) x N array, set its last
 row to 1.0 and write the features straight into the first D rows.  The
 result equals ``add_bias_row`` applied to the unbiased load, bit for bit,
-but X is built once.  An IDX X and its one-hot T are valid by
-construction and adopted unchecked (:meth:`~smxreg.core.Dataset._adopt`);
-a CSV's X, whose cells may read ``inf`` or ``nan``, is validated once by
-:class:`~smxreg.core.Dataset`.  :func:`add_bias_row` remains for arrays
-already in memory.
+but X is built once.  :func:`add_bias_row` remains for arrays already in
+memory.
+
+This module is the only code that checks what it loads.  Each loader
+refuses a malformed file with an error that names the line (CSV) or the
+byte offset (IDX, weights), and then builds its Dataset with
+:meth:`~smxreg.core.Dataset._adopt` alone, which runs the shape checks
+and no pass over the values.  ``Dataset(x, t)`` remains the check for
+arrays that callers hand in.
 
 :func:`load_idx_live` loads only the rows of X that training reads, those
 of the pixels that are nonzero in some image (and the bias row), as a
 :class:`~smxreg.core.LiveRows`: the full X is never built.
 
 :func:`load_csv` parses with numpy's C reader and keeps a Python line loop
-only for the files that reader refuses, so a clean CSV costs no Python
-call per cell, and an error still names its line.
+only for the files whose table it refuses (a cell numpy cannot read, a
+cell that is not finite, a bad label), so a clean CSV costs no Python
+call per cell, and an error still names its line and cell.
 """
 from __future__ import annotations
 
+import math
 import os
 import struct
 import warnings
@@ -222,7 +228,9 @@ def encode_weights(w) -> bytes:
 
 
 def read_weights(path) -> np.ndarray:
-    """C x D weights from an :func:`encode_weights` file, size-checked first."""
+    """C x D weights from an :func:`encode_weights` file, size-checked first.
+    A weight that is not finite raises :class:`IdxFormatError` naming its
+    byte offset, row and column."""
     with open(path, "rb") as f:
         header = _read_exact(f, 12, 0, "weights header").tobytes()
         if header[:4] != WEIGHTS_MAGIC:
@@ -230,21 +238,40 @@ def read_weights(path) -> np.ndarray:
         c, d = struct.unpack("<II", header[4:])
         _check_payload_size(f, 8 * c * d, 12, "weights")
         payload = _read_exact(f, 8 * c * d, 12, "weights")
-    return np.frombuffer(payload, dtype="<f8").reshape(c, d).copy()
+    w = np.frombuffer(payload, dtype="<f8").reshape(c, d)
+    bad = np.flatnonzero(~np.isfinite(w))
+    if bad.size:
+        i = int(bad[0])
+        raise IdxFormatError(f"{f.name}: non-finite weight {float(w.flat[i])!r} at offset "
+                             f"{12 + 8 * i} (row {i // d}, column {i % d})")
+    return w.copy()
+
+
+def _read_pair(images_path, labels_path, c: int) -> tuple[np.ndarray, np.ndarray]:
+    """The N x D pixels and the C x N targets of an IDX image/label pair,
+    after every check of the pair: both files, equal counts, and at least
+    one feature and one sample.  No pixel has been converted yet."""
+    pixels = _read_pixels(images_path)
+    t = load_idx_labels(labels_path, c)
+    n, d = pixels.shape
+    if n != t.shape[1]:
+        raise IdxFormatError(f"image count {n} does not match label count {t.shape[1]}")
+    if d < 1 or n < 1:
+        raise DimensionMismatchError("x must have at least one row and column")
+    return pixels, t
 
 
 def load_idx_dataset(images_path, labels_path, c: int,
                      bias: bool = False) -> Dataset:
     """Assemble a Dataset from a paired IDX image/label file, with a
-    constant-1 feature row appended when ``bias``.  X (bytes / 255 and the
-    bias row of 1.0) and T (:func:`~smxreg.core.one_hot` of labels below C)
-    are valid by construction, so the Dataset adopts them as they are
+    constant-1 feature row appended when ``bias``.  The pair is checked
+    before any pixel is converted.  X (bytes / 255 and the bias row of
+    1.0) and T (:func:`~smxreg.core.one_hot` of labels below C) are then
+    valid by construction, so the Dataset adopts them as they are
     (:meth:`~smxreg.core.Dataset._adopt`): X is built once and never
     re-checked."""
-    x = load_idx_images(images_path, bias=bias)
-    t = _idx_targets(labels_path, c, x.shape[1])
-    _require_features(x.shape[0] - bias, x.shape[1])
-    return Dataset._adopt(x, t)
+    pixels, t = _read_pair(images_path, labels_path, c)
+    return Dataset._adopt(_scaled_pixels(pixels, slice(None), bias), t)
 
 
 def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveRows:
@@ -254,38 +281,21 @@ def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveR
     every sample, which training never reads.  One reduction over the
     payload bytes finds those pixels, and only the live pixels (and the
     constant-1 row, with ``bias``, always live) are converted, by the
-    helper of :func:`load_idx_images` (:func:`_scaled_pixels`).  The rows
-    are valid by construction, as in :func:`load_idx_dataset`, so they are
-    adopted without a check (:meth:`~smxreg.core.Dataset._adopt`).  They
-    equal those of :func:`load_idx_dataset`'s X bit for bit, so training
-    on either gives the same bits.  Besides the live rows, only the
+    helper of :func:`load_idx_images` (:func:`_scaled_pixels`), after the
+    checks of the pair.  The rows are valid by construction, as in
+    :func:`load_idx_dataset`, so they are adopted without a value check
+    (:meth:`~smxreg.core.Dataset._adopt`).  They equal those of
+    :func:`load_idx_dataset`'s X bit for bit, so training on either gives
+    the same bits.  Besides the live rows, only the
     payload bytes (1/8 of the full X) are held.  The errors are those of
     :func:`load_idx_dataset`.
     """
-    pixels = _read_pixels(images_path)
-    n, d = pixels.shape
+    pixels, t = _read_pair(images_path, labels_path, c)
+    d = pixels.shape[1]
     live = np.flatnonzero(np.bitwise_or.reduce(pixels, axis=0))
     x = _scaled_pixels(pixels, live, bias)
-    t = _idx_targets(labels_path, c, n)
-    _require_features(d, n)
     rows = np.append(live, d) if bias else live
     return LiveRows(Dataset._adopt(x, t, min_rows=0), rows, d + bias)
-
-
-def _idx_targets(labels_path, c: int, n: int) -> np.ndarray:
-    """The targets of an IDX label file, whose count must equal the image
-    count ``n``."""
-    t = load_idx_labels(labels_path, c)
-    if n != t.shape[1]:
-        raise IdxFormatError(f"image count {n} does not match label count {t.shape[1]}")
-    return t
-
-
-def _require_features(d: int, n: int) -> None:
-    """Refuse an X of no feature row or no sample, before a bias row alone
-    can pass for a feature."""
-    if d < 1 or n < 1:
-        raise DimensionMismatchError("x must have at least one row and column")
 
 
 def load_csv(path, label_column: int, c: int, header: bool = False,
@@ -296,19 +306,24 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
     label (negative indices count from the end); the remaining columns become
     the feature rows of X in their original order, followed by a constant-1
     row when ``bias``.  Row order is preserved.  X is C-contiguous, and the
-    Dataset adopts it without another copy.  A label that is not an integer
-    in 0..C-1 raises :class:`CsvParseError` naming its line and its text.
-    A line ends at LF, CR LF or a lone CR; lines are numbered from 1, the
-    header line included.
+    Dataset adopts it (:meth:`~smxreg.core.Dataset._adopt`) without another
+    copy or check.  A cell that is not a number, a feature cell that is not
+    finite, and a label that is not an integer in 0..C-1 each raise
+    :class:`CsvParseError` naming the line and the cell's text.  A line
+    ends at LF, CR LF or a lone CR; lines are numbered from 1, the header
+    line included.  The file is decoded as UTF-8 with ``surrogateescape``,
+    so a byte that is not UTF-8 can only make its cell non-numeric, and a
+    skipped header line may hold any bytes.
 
     numpy's C reader parses the file into an N x W table of doubles.  It
     converts each cell with ``PyOS_string_to_double``, as ``float()`` does,
     so the values are bit for bit those of ``float()``.  A file it refuses
-    (a cell it cannot read, a whitespace-only line, no data rows, a label
-    column or a label out of range) goes to the line-by-line reader
-    :func:`_load_csv_lines`.  That one raises the error naming the line, or
-    reads the few cells that only ``float()`` accepts, such as ``1_000`` or
-    non-ASCII digits.  Either way the load peaks at about 2.1x the final X.
+    (a cell it cannot read, a whitespace-only line, no data rows), or whose
+    table holds a label column or a label out of range or a cell that is
+    not finite, goes to the line-by-line reader :func:`_load_csv_lines`.
+    That one raises the error naming the line, or reads the few cells that
+    only ``float()`` accepts, such as ``1_000`` or non-ASCII digits.  Either
+    way the load peaks at about 2.1x the final X.
     """
     table = _read_table(path, label_column, c, header)
     if table is None:
@@ -316,29 +331,25 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
     return _csv_dataset(table, label_column % table.shape[1], c, bias)
 
 
-# The text of the UserWarning that np.loadtxt gives for a file without rows.
-_NO_DATA = "loadtxt: input contained no data"
-
-
 def _read_table(path, label_column: int, c: int, header: bool):
-    """The N x W table of doubles of a CSV, read by ``np.loadtxt``, or None
-    when numpy refuses the file or a label is not an integer in 0..C-1."""
-    with open(path, "r", encoding="utf-8") as f, warnings.catch_warnings():
-        warnings.filterwarnings("error", _NO_DATA, UserWarning)
+    """The N x W table of finite doubles of a CSV, read by ``np.loadtxt``,
+    or None when numpy refuses the file, finds no row, or reads a cell that
+    is not finite or a label that is not an integer in 0..C-1."""
+    with (open(path, "r", encoding="utf-8", errors="surrogateescape") as f,
+          warnings.catch_warnings()):
+        # A file without rows is caught by the table's size below.
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
         try:
             table = np.loadtxt(f, delimiter=",", comments=None, dtype=float,
                                ndmin=2, skiprows=int(header))
         except ValueError:
             return None
-        except UserWarning as w:
-            if not str(w).startswith(_NO_DATA):
-                raise
-            return None
     width = table.shape[1]
-    if not -width <= label_column < width:
+    if not table.size or not -width <= label_column < width:
         return None
     labels = table[:, label_column]
-    if not np.all((labels >= 0) & (labels < c) & (np.trunc(labels) == labels)):
+    if not (np.isfinite(table).all()
+            and np.all((labels >= 0) & (labels < c) & (np.trunc(labels) == labels))):
         return None
     return table
 
@@ -347,14 +358,15 @@ def _load_csv_lines(path, label_column: int, c: int, header: bool,
                     bias: bool) -> Dataset:
     """:func:`load_csv` by a Python loop over the lines, ``float()`` per cell.
 
-    It runs only on the files numpy's reader refuses: it raises the error
-    that names the first bad line, or it returns the Dataset of a file whose
-    cells only ``float()`` reads.  The file is read line by line into one
-    flat buffer of doubles, never held whole.
+    It runs only on the files :func:`_read_table` refuses: it raises the
+    error that names the first refused cell of the first bad line, or it
+    returns the Dataset of a file whose cells only ``float()`` reads.  The
+    file is read line by line into one flat buffer of doubles, never held
+    whole.
     """
     values = array("d")
     width = col = None
-    with open(path, "r", encoding="utf-8") as f:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as f:
         for lineno, line in enumerate(f, start=1):
             if (header and lineno == 1) or not line.strip():
                 continue
@@ -369,17 +381,21 @@ def _load_csv_lines(path, label_column: int, c: int, header: bool,
                 raise CsvParseError(
                     f"line {lineno}: expected {width} fields, got {len(cells)}"
                 )
-            try:
-                values.extend(map(float, cells))
-            except ValueError:
-                bad = next(cell for cell in cells if not _is_number(cell))
-                raise CsvParseError(
-                    f"line {lineno}: non-numeric value {bad.strip()!r}"
-                ) from None
-            label = values[len(values) - width + col]
-            if not (0 <= label < c and label.is_integer()):
-                raise CsvParseError(f"line {lineno}: label {cells[col].strip()}"
-                                    f" is not an integer in 0..{c - 1}")
+            for i, cell in enumerate(cells):
+                try:
+                    value = float(cell)
+                except ValueError:
+                    raise CsvParseError(
+                        f"line {lineno}: non-numeric value {cell.strip()!r}"
+                    ) from None
+                if i == col:
+                    if not (0 <= value < c and value.is_integer()):
+                        raise CsvParseError(f"line {lineno}: label {cell.strip()}"
+                                            f" is not an integer in 0..{c - 1}")
+                elif not math.isfinite(value):
+                    raise CsvParseError(
+                        f"line {lineno}: non-finite value {cell.strip()!r}")
+                values.append(value)
     if not values:
         raise CsvParseError("no data rows")
     table = np.frombuffer(values, dtype=float).reshape(-1, width)
@@ -387,8 +403,9 @@ def _load_csv_lines(path, label_column: int, c: int, header: bool,
 
 
 def _csv_dataset(table: np.ndarray, col: int, c: int, bias: bool) -> Dataset:
-    """The Dataset of an N x W table whose column ``col`` (0..W-1) holds
-    labels already checked to be integers in 0..C-1.  The features are
+    """The Dataset of an N x W table of finite doubles whose column ``col``
+    (0..W-1) holds labels already checked to be integers in 0..C-1, adopted
+    with at least one feature row besides the bias row.  The features are
     transposed into X on the calling thread: parsing the table costs
     about 100 times as much."""
     d = table.shape[1] - 1
@@ -396,17 +413,7 @@ def _csv_dataset(table: np.ndarray, col: int, c: int, bias: bool) -> Dataset:
     x[:col] = table[:, :col].T
     x[col:d] = table[:, col + 1:].T
     t = one_hot(table[:, col].astype(int) + 1, c)
-    # A cell may read inf or nan, so X takes every check of Dataset.
-    _require_features(d, table.shape[0])
-    return Dataset(freeze(x), freeze(t))
-
-
-def _is_number(cell: str) -> bool:
-    try:
-        float(cell)
-        return True
-    except ValueError:
-        return False
+    return Dataset._adopt(x, t, min_rows=1 + bias)
 
 
 def add_bias_row(x) -> np.ndarray:

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg import TrainConfig, cli, core, evaluate, fdcheck, softmax, train
+from smxreg import TrainConfig, cli, core, data_io, evaluate, fdcheck, softmax, train
 from smxreg.cli import main
 from smxreg.data_io import encode_weights, load_csv, load_idx_dataset, read_weights
 from smxreg.loss_grad import gradient
@@ -726,6 +726,46 @@ class TestHostileInput:
         assert captured.out == ""
         assert captured.err == "error: no data rows\n"
 
+    @pytest.mark.parametrize("cell", [b"inf", b"-inf", b"nan", b"1e999", b"0.\xff"])
+    def test_refused_csv_cell_names_its_line(self, tmp_path, capsys, cell):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(b"0.5,0\n" + cell + b",1\n")
+        rc = main(["train", "--csv", str(f), "--classes", "2", "--eta", "0.1",
+                   "--out", str(tmp_path / "w.bin"), "--json", str(tmp_path / "r.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        kind = "non-numeric" if b"\xff" in cell else "non-finite"
+        shown = cell.decode("utf-8", "surrogateescape")
+        assert captured.err == f"error: line 2: {kind} value {shown!r}\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["bad.csv"]
+
+    def test_header_that_is_not_utf8_is_skipped(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(data_io, "_load_csv_lines",
+                            lambda *a, **k: pytest.fail("reached the line reader"))
+        f = tmp_path / "cp1252.csv"
+        f.write_bytes("x\u00b9,x\u00b2,\u00e9tiquette\n".encode("cp1252")
+                      + TOY_CSV.encode())
+        assert main(["certify", "--csv", str(f), "--classes", "2", "--header",
+                     "--bias"]) == 0
+        assert capsys.readouterr().out.startswith("rank(X): full (= D)")
+
+    @pytest.mark.parametrize("command", ["certify", "spectrum"])
+    def test_non_finite_weight_names_file_and_offset(self, toy_csv, tmp_path, capsys,
+                                                     command):
+        w = np.zeros((2, 3))
+        w[1, 2] = np.nan
+        wfile = tmp_path / "w.bin"
+        wfile.write_bytes(encode_weights(w))
+        rc = main([command, "--csv", toy_csv, "--classes", "2", "--bias",
+                   "--weights", str(wfile), "--json", str(tmp_path / "r.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {wfile}: non-finite weight nan at offset 52 "
+                                "(row 1, column 2)\n")
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["toy.csv", "w.bin"]
+
     def test_memory_error_exits_2(self, toy_csv, monkeypatch, capsys):
         def exhausted(*args, **kwargs):
             raise MemoryError("Unable to allocate 26.8 GiB")
@@ -858,6 +898,48 @@ class TestOutput:
         assert captured.err == (f"error: --{output} './{files[source]}' and --{source} "
                                 f"'{files[source]}' name the same file\n")
         assert all((tmp_path / name).read_bytes() == b"input" for name in files.values())
+
+    # an input named like an output's temp file once was (``in.tmp``), an
+    # output named so, and an unrelated file named so
+    @pytest.mark.parametrize("csv, outputs, other", [
+        ("in.tmp", {"out": "in"}, None),
+        ("s.csv", {"out": "a.json.tmp", "json": "a.json"}, None),
+        ("s.csv", {"json": "pre.json"}, "pre.json.tmp"),
+    ], ids=["input", "output", "unrelated"])
+    def test_temp_files_touch_no_other_file(self, tmp_path, monkeypatch, csv, outputs,
+                                            other):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / csv).write_text(TOY_CSV)
+        if other:
+            (tmp_path / other).write_bytes(b"keep")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        argv = ["train", "--csv", csv, "--classes", "2", "--eta", "0.1", "--epochs", "1"]
+        for flag, path in outputs.items():
+            argv += [f"--{flag}", path]
+        assert main(argv) == 0
+        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        assert after.keys() == before.keys() | set(outputs.values())
+        assert all(after[name] == blob for name, blob in before.items())
+        if "out" in outputs:
+            assert read_weights(outputs["out"]).shape == (2, 2)
+        if "json" in outputs:
+            assert json.loads(after[outputs["json"]])["command"] == "train"
+
+    # the first output's temp name is taken, or the second's, after the
+    # first temp file has been made
+    @pytest.mark.parametrize("taken", ["w.bin", "r.json"])
+    def test_taken_temp_name_exits_2_with_nothing_written(self, toy_csv, tmp_path,
+                                                           capsys, taken):
+        temp = tmp_path / f"{taken}.{os.getpid()}.tmp"
+        temp.write_bytes(b"keep")
+        rc = main(["train", "--csv", toy_csv, "--classes", "2", "--eta", "0.1",
+                   "--out", str(tmp_path / "w.bin"), "--json", str(tmp_path / "r.json")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: [Errno 17] File exists: {str(temp)!r}\n"
+        assert temp.read_bytes() == b"keep"
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["toy.csv", temp.name])
 
     def test_write_failing_part_way_leaves_no_temp_file(self, toy_csv, tmp_path):
         # the file size limit stops the report's write after 1 KiB

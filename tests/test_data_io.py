@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smxreg import TrainConfig, core, data_io, train
-from smxreg.core import (Dataset, DimensionMismatchError, InvalidInputError,
-                         InvalidLabelError, as_matrix, column_blocks)
+from smxreg.core import (Dataset, DimensionMismatchError, InvalidLabelError,
+                         as_matrix, column_blocks)
 from smxreg.data_io import (
     CsvParseError,
     IdxFormatError,
@@ -62,6 +62,18 @@ class TestWeightsFile:
         with pytest.raises(IdxFormatError, match="truncated file: .* at offset 0"):
             read_weights(path)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_first_non_finite_weight_is_named_by_offset_row_and_column(self, tmp_path,
+                                                                       value):
+        w = np.ones((3, 4))
+        w[2, 1], w[2, 3] = value, np.nan
+        path = tmp_path / "w.bin"
+        path.write_bytes(encode_weights(w))
+        with pytest.raises(IdxFormatError) as exc:
+            read_weights(path)
+        assert str(exc.value) == (f"{path}: non-finite weight {value!r} at offset "
+                                  f"{12 + 8 * 9} (row 2, column 1)")
+
 
 class TestErrorsNameTheirFile:
     """Every IdxFormatError message starts with its file's path as given."""
@@ -78,9 +90,10 @@ class TestErrorsNameTheirFile:
         (read_weights, b"NOPE" + b"\x00" * 16),
         (read_weights, b"SMXW\x02\x00"),
         (read_weights, encode_weights(np.zeros((2, 3)))[:-1]),
+        (read_weights, encode_weights(np.full((2, 3), np.nan))),
     ], ids=["magic_bytes", "dtype", "kind_magic", "short_dims", "truncated",
             "trailing", "labels_truncated", "short_magic", "weights_magic",
-            "weights_header", "weights_payload"])
+            "weights_header", "weights_payload", "weights_nan"])
     def test_message_starts_with_the_path(self, tmp_path, monkeypatch, read, blob):
         monkeypatch.chdir(tmp_path)
         (tmp_path / "sub").mkdir()
@@ -338,6 +351,31 @@ class TestIdxLive:
         with pytest.raises(type(full.value), match=f"^{re.escape(str(full.value))}$"):
             load_idx_live(imgs, labs, 3, bias=bias)
 
+    @pytest.mark.parametrize("labels, error, message", [
+        (struct.pack(">II", LABEL_MAGIC, 4) + bytes([0, 5, 1, 2]), InvalidLabelError,
+         "label 5 at position 1 >= class count 3"),
+        (struct.pack(">IIII", IMAGE_MAGIC, 4, 1, 1) + bytes(4), IdxFormatError,
+         "bad label magic 0x00000803 at offset 0"),
+        (struct.pack(">II", LABEL_MAGIC, 4) + bytes(3), IdxFormatError,
+         "truncated file: header declares 4 bytes of labels at offset 8"),
+        (struct.pack(">II", LABEL_MAGIC, 3) + bytes(3), IdxFormatError,
+         "image count 4 does not match label count 3"),
+    ], ids=["label_range", "label_magic", "labels_truncated", "count_mismatch"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_bad_label_file_is_refused_before_any_pixel_is_converted(
+            self, tmp_path, monkeypatch, labels, error, message, bias):
+        imgs, labs = tmp_path / "imgs.idx", tmp_path / "labs.idx"
+        write_raw_images(imgs, _dead_pixel_images(4))
+        labs.write_bytes(labels)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("pixels converted")
+
+        monkeypatch.setattr(data_io, "_scaled_pixels", refuse)
+        for load in (load_idx_dataset, load_idx_live):
+            with pytest.raises(error, match=re.escape(message)):
+                load(imgs, labs, 3, bias=bias)
+
     @pytest.mark.parametrize("bias", [False, True])
     def test_loaders_run_no_value_check(self, tmp_path, monkeypatch, bias):
         # X is bytes / 255 (and 1.0) and T one-hot, valid by construction
@@ -548,8 +586,26 @@ class TestBiasedLoaders:
     def test_csv_keeps_the_finite_check(self, tmp_path, cell, bias):
         f = tmp_path / "t.csv"
         f.write_text(f"1.0,0\n{cell},1\n")
-        with pytest.raises(InvalidInputError, match="^x contains non-finite entries$"):
+        with pytest.raises(CsvParseError) as exc:
             load_csv(f, -1, 2, bias=bias)
+        assert str(exc.value) == f"line 2: non-finite value {cell!r}"
+
+    # numpy's reader, and the line reader for a cell only float() reads
+    @pytest.mark.parametrize("text", ["1.5,0\n-2,1\n", "1_5,0\n-2,1\n"])
+    @pytest.mark.parametrize("bias", [False, True])
+    def test_csv_is_adopted_with_no_value_check(self, tmp_path, monkeypatch, text,
+                                                bias):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a value check ran")
+
+        monkeypatch.setattr(core, "as_matrix", refuse)
+        monkeypatch.setattr(core, "check_probability", refuse)
+        f = tmp_path / "t.csv"
+        f.write_text(text)
+        data = load_csv(f, -1, 2, bias=bias)
+        assert data.x[:, 1].tolist() == [-2.0] + [1.0] * bias
+        _assert_frozen_c(data.x)
+        _assert_frozen_c(data.t)
 
     def test_bias_row_alone_is_refused(self, tmp_path):
         f = tmp_path / "labels-only.csv"
@@ -627,6 +683,26 @@ class TestCsv:
             load_csv(f, -1, c, header=header)
         assert str(exc.value) == message
 
+
+    # in a feature cell, in the label cell, and in a header line read as data
+    @pytest.mark.parametrize("text, message", [
+        (b"1,2,0\n3,4\xff,1\n", "line 2: non-numeric value '4\\udcff'"),
+        (b"1,2,0\n3,4,\xff\n", "line 2: non-numeric value '\\udcff'"),
+        (b"caf\xe9,2,0\n3,4,1\n", "line 1: non-numeric value 'caf\\udce9'"),
+    ], ids=["feature", "label", "unskipped-header"])
+    def test_byte_that_is_not_utf8_is_named_by_its_line(self, tmp_path, text, message):
+        f = tmp_path / "bad.csv"
+        f.write_bytes(text)
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(f, -1, 2)
+        assert str(exc.value) == message
+
+    def test_first_refused_cell_of_a_line_is_named(self, tmp_path):
+        f = tmp_path / "bad.csv"
+        f.write_text("1,2,3,0\n4,nan,x,1\n")
+        with pytest.raises(CsvParseError) as exc:
+            load_csv(f, -1, 2)
+        assert str(exc.value) == "line 2: non-finite value 'nan'"
 
     def test_form_feed_does_not_split_a_line(self, tmp_path):
         f = tmp_path / "bad.csv"
@@ -772,9 +848,12 @@ class TestCsvReaders:
         _assert_bit_equal(data.x, want)
         assert np.array_equal(data.t.argmax(axis=0), labels)
 
+    # ``header``: False, True, or the header line's bytes (here cp1252,
+    # which is not UTF-8)
     @pytest.mark.parametrize("label_column, header, newline, bias", [
         (0, False, "\n", False), (2, True, "\r\n", True),
         (-1, False, "\r", False), (-4, True, "\n", True),
+        (1, "caf\u00e9,\u00b5,\u20ac,d,e".encode("cp1252"), "\n", False),
     ])
     def test_clean_csv_never_reaches_the_line_reader(self, tmp_path, monkeypatch,
                                                      label_column, header,
@@ -788,12 +867,13 @@ class TestCsvReaders:
         rng = np.random.default_rng(12)
         table = rng.standard_normal((20, 5))
         table[:, label_column] = rng.integers(0, 3, 20)
-        lines = (["a,b,c,d,e"] if header else []) + [
-            ",".join(repr(v) for v in row) for row in table.tolist()]
-        lines.insert(len(lines) // 2, "")
+        head = header if isinstance(header, bytes) else b"a,b,c,d,e"
+        lines = ([head] if header else []) + [
+            ",".join(repr(v) for v in row).encode() for row in table.tolist()]
+        lines.insert(len(lines) // 2, b"")
         f = tmp_path / "clean.csv"
-        f.write_bytes(newline.join(lines).encode() + newline.encode())
-        data = load_csv(f, label_column, 3, header=header, bias=bias)
+        f.write_bytes(newline.encode().join(lines) + newline.encode())
+        data = load_csv(f, label_column, 3, header=bool(header), bias=bias)
         assert data.n == 20 and data.d == 4 + bias
 
     @settings(max_examples=300, deadline=None)

@@ -1,6 +1,9 @@
 """``smxreg.__all__`` lists exactly the public names ``smxreg/__init__.py``
-imports, once each, so an export of a deleted name fails at once."""
+imports, once each, so an export of a deleted name fails at once; and
+README's library sketch imports only names that exist."""
 import ast
+import importlib
+import re
 from pathlib import Path
 
 import smxreg
@@ -23,3 +26,22 @@ def test_every_exported_name_resolves():
 def test_all_is_the_public_imports():
     public = {name for name in _imported_names() if not name.startswith("_")}
     assert set(smxreg.__all__) == public
+
+
+def readme_library_sketch() -> str:
+    """The ``python`` block under README's ``## Library sketch``."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    section = text.split("\n## Library sketch\n", 1)[1]
+    return re.search(r"```python\n(.*?)```", section, re.S).group(1)
+
+
+def test_readme_library_sketch_imports_names_that_exist():
+    source = readme_library_sketch()
+    compile(source, "README.md", "exec")
+    tree = ast.parse(source)
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "smxreg"
+               for alias in node.names]
+    assert imports
+    assert [f"{module}.{name}" for module, name in imports
+            if not hasattr(importlib.import_module(module), name)] == []
