@@ -3,15 +3,11 @@
 The cross-entropy loss is strictly convex on the zero-column-sum subspace Z
 exactly when the feature columns span R^D, i.e. rank(X) = D.  Instead of a
 probabilistic full-rank argument, the decision here is a deterministic
-singular-value test per dataset.  When it fails, an explicit flat direction
-U with U X = 1 c^T is produced as a witness: U = (e1 - e2) v^T built from a
-left null vector v of X, which lies in Z and annihilates every sample.
-
-Cost: the test (:func:`smxreg.core.rank_test`) takes O(N D^2) time and one
-copy of X, with no N x N array, so it runs at the paper's MNIST size
-(D = 785, N = 60000).  It runs once per dataset: the result is kept in
-:attr:`~smxreg.core.Dataset.rank_factors`, so later certificates of the
-same dataset cost O(D).
+singular-value test (:func:`smxreg.core.rank_test`), run once per dataset
+and kept in :attr:`~smxreg.core.Dataset.rank_factors`.  When it fails, an
+explicit flat direction U with U X = 1 c^T is produced as a witness:
+U = (e1 - e2) v^T built from a left null vector v of X, which lies in Z and
+annihilates every sample.
 """
 from __future__ import annotations
 
@@ -49,8 +45,7 @@ def certify(data: Dataset) -> ConvexityCertificate:
     sv_min > RANK_RTOL * sv_max.
     """
     s, left = data.rank_factors
-    sv_max = float(s[0])
-    sv_min = float(s[-1])
+    sv_max, sv_min = float(s[0]), float(s[-1])
     full_rank = sv_min > RANK_RTOL * sv_max
     if full_rank:
         return ConvexityCertificate(True, sv_min, sv_max, VERDICT_STRICT)
@@ -59,6 +54,5 @@ def certify(data: Dataset) -> ConvexityCertificate:
     # U = (e1 - e2) v^T satisfies U X ~ 0 = 1 * 0^T while 1^T U = 0.
     v = left[-1]
     witness = np.zeros((data.c, data.d))
-    witness[0] = v
-    witness[1] = -v
+    witness[:2] = v, -v
     return ConvexityCertificate(False, sv_min, sv_max, VERDICT_DEGENERATE, witness)

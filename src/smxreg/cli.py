@@ -2,24 +2,17 @@
 
 Exit codes: 0 success, 1 check failure (including a training run that
 stops nonfinite, whose final loss is not finite or whose final weights'
-activations overflow), 2 usage or
-input-format errors, including inputs too large to hold in memory.  Each
-``cmd_*`` prints and writes nothing: it returns its exit code, input
-digest, result, stdout lines and output files.  ``main`` alone runs every
-command under one ``np.errstate(all="ignore")``, so no command prints a
-numpy warning.  It alone adds the JSON report: sorted keys, every
-non-finite float written as null (``allow_nan=False`` makes a missed one
-raise), and --deterministic zeroing the wall-clock field so identical
-flags and seed give byte-identical files.  It writes all files or none,
-then prints the lines: so exit code 2 leaves stdout empty and no output or
-temp file behind.  An output option naming the file of another output or
-of an input (compared by ``os.path.realpath``) exits 2 before the command
-runs.
+activations overflow), 2 usage or input-format errors, including inputs
+too large to hold in memory.  Each ``cmd_*`` prints and writes nothing: it
+returns its exit code, input digest, result, stdout lines and output
+files, and :func:`main` reports, writes and prints, so exit code 2 leaves
+stdout empty and every existing file as it was.
 """
 from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import sys
@@ -48,11 +41,15 @@ def _write_files(files: dict) -> None:
     """Write every ``path: bytes`` item via temp files, then renames.  Each
     temp file is created exclusively, under a name that holds the process
     id, so a name already taken stops the run instead of being replaced.  A
+    target that is a directory is refused before the first rename, so no
+    later rename fails on it after an earlier one replaced a file.  A
     failure removes each file made here, renamed or not, and names the path
     as given, or the temp file's when that name is taken."""
     made = []
     try:
         for path, blob in files.items():
+            if os.path.isdir(path):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
             with open(f"{path}.{os.getpid()}.tmp", "xb") as f:
                 made.append(f.name)
                 f.write(blob)
@@ -320,6 +317,19 @@ def _check_distinct_outputs(args) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command and return its exit code.
+
+    An output option naming the file of another output or of an input
+    (compared by ``os.path.realpath``) exits 2 before the command runs.
+    Every command runs under one ``np.errstate(all="ignore")``, so none
+    prints a numpy warning.  The JSON report has sorted keys, every
+    non-finite float written as null (``allow_nan=False`` makes a missed
+    one raise), and --deterministic zeroes the wall-clock field so
+    identical flags and seed give byte-identical files.  Every output file
+    is written (:func:`_write_files`) before any line is printed, so exit
+    code 2 leaves stdout empty, no temp file, and every existing file as
+    it was.
+    """
     args = _build_parser().parse_args(argv)
     t0 = time.perf_counter()
     try:

@@ -1,46 +1,10 @@
 """Gradient-descent rate machinery on the zero-column-sum subspace Z.
 
-Fixed-rate descent W <- W - eta * grad is a fixed-point iteration whose
-derivative is I - eta H.  With the Hessian spectrum on Z inside
-[lambda_min, lambda_max], the iteration contracts at factor theta exactly
-when |1 - eta*lam| <= theta across that interval, which pins eta to the
-window [(1-theta)/lambda_min, (1+theta)/lambda_max].  The window is nonempty
-iff theta >= (K-1)/(K+1) with K = lambda_max/lambda_min, making
-theta* = (K-1)/(K+1) at eta* = 2/(lambda_min+lambda_max) the best achievable
-rate.
-
-For every C, :func:`curvature_bracket` bounds H on Z by two weighted Grams.
-Each Q^(n) restricted to the zero-sum hyperplane has extreme eigenvalues
-mu_2^n <= mu_C^n, so with P the projector onto it
-
-    P kron X diag(mu_2) X^T  <=  H  <=  P kron X diag(mu_C) X^T  on Z,
-
-the C-class form of Boehning's curvature bound (Boehning 1992, Ann. Inst.
-Stat. Math. 44).  For two classes mu_2 = mu_C = alpha, alpha_n =
-2 y_1^(n) y_2^(n), both sides equal M = X diag(alpha) X^T, and H on Z is
-unitarily equivalent to M (U = xi u^T with xi = (1,-1)/sqrt(2)), which
-makes eigenvalues, determinants and condition numbers directly computable.
-The bracket bounds K from above twice: by the ratio of its ends, and by the
-paper's K(X)^2 max mu_C / min mu_2.
-
-For C > 2 the bracket can be loose (its low end 40-50x below lambda_min at
-C = 10, D = 256 anchors), so the exact extremes come from one
-deterministic LOBPCG run (Knyazev 2001, SIAM J. Sci. Comput. 23(2)) that
-finds both ends of the spectrum at once.  It starts from the extreme
-eigenvectors of the Kronecker model Qbar kron X X^T (the factor of K-FAC,
-Martens & Grosse 2015), Qbar the sample mean of Q^(n), plus a small seeded
-random block.  Its block holds three vectors: the lowest Ritz vector, whose
-residual is preconditioned by Z -> Z (X X^T)^-1, the top one, whose
-residual is used raw, and the second-lowest as a guard that gets no
-direction of its own.  After the start block every iteration applies H
-once, to a stack of at most two directions, and the run holds O(m) floats,
-m = (C-1) D: about 37 vectors of m floats at the budget break (C=10, D=50,
-N=400), plus the D x D (X X^T)^-1.  At C=10, D=256, N=8000 it takes 91-361
-directions.  A run about to pass 2m directions ends on the exact m x m
-matrix H_Z, assembled by applying H to the m coordinate directions of Z, so
-every call ends within 3m directions.  The dense Z-restricted Hessian,
-:func:`dense_hessian_on_z`, assembled independently of ``apply``, is the
-oracle.
+:func:`plan` turns the extreme Hessian eigenvalues on Z into the optimal
+contraction factor and the window of fixed rates.  The extremes come from
+:func:`extreme_eigenvalues_on_z`: exact from :func:`curvature_bracket` at
+C = 2, from one LOBPCG run (:func:`_lobpcg_extremes`) at C > 2.  The dense
+Z-restricted Hessian, :func:`dense_hessian_on_z`, is their oracle.
 """
 from __future__ import annotations
 
@@ -56,6 +20,7 @@ from .core import (
     SizeLimitError,
     UnsupportedShapeError,
     column_blocks,
+    rank_test,
 )
 from .hessian import HessianOperator
 from .spectrum import DENSE_C_LIMIT
@@ -63,11 +28,8 @@ from .spectrum import DENSE_C_LIMIT
 
 @dataclass(frozen=True)
 class ConvergencePlan:
-    """Rate plan for fixed-eta descent given Hessian extremes on Z.
-
-    ``theta`` is the optimal contraction factor (K-1)/(K+1); at that theta
-    the admissible window collapses to the single point ``eta_optimal``.
-    """
+    """Rate plan for fixed-eta descent given Hessian extremes on Z; see
+    :func:`plan`."""
 
     lambda_min: float
     lambda_max: float
@@ -79,19 +41,9 @@ class ConvergencePlan:
 
 @dataclass(frozen=True)
 class CurvatureBracket:
-    """The bracket I kron X diag(mu_low) X^T <= H_Z <= I kron X diag(mu_high) X^T
-    at one anchor, in the coordinates of :func:`zero_sum_basis`.
-
-    ``mu_low`` and ``mu_high`` hold each sample's extreme eigenvalues of
-    Q^(n) on the zero-sum hyperplane, ``gram_low`` and ``gram_high`` the two
-    weighted Grams, ``low`` the smallest eigenvalue of the first and
-    ``high`` the largest of the second, so low <= lambda_min(H_Z) and
-    lambda_max(H_Z) <= high.  ``k_bracket`` is high / low and ``k_bound``
-    K(X)^2 max(mu_high) / min(mu_low); both bound K = lambda_max /
-    lambda_min from above, and an infinite one means a weight underflowed
-    to 0.  For C = 2 every pair is one object: mu = alpha = 2 y_1 y_2, the
-    Gram is M, low and high are the exact extremes and ``k_bracket`` is K.
-    """
+    """The curvature bracket of H at one anchor: per-sample weights, their
+    Grams, the bracket's ends and two upper bounds on K; see
+    :func:`curvature_bracket`."""
 
     mu_low: np.ndarray
     mu_high: np.ndarray
@@ -104,12 +56,23 @@ class CurvatureBracket:
 
 
 def eta_window(lambda_min: float, lambda_max: float, theta: float) -> tuple[float, float]:
-    """Learning rates with |1 - eta*lam| <= theta for all lam in the range."""
+    """Learning rates with |1 - eta*lam| <= theta for all lam in the range;
+    see :func:`plan`."""
     return (1.0 - theta) / lambda_min, (1.0 + theta) / lambda_max
 
 
 def plan(lambda_min: float, lambda_max: float) -> ConvergencePlan:
-    """Optimal-rate plan from the extreme Hessian eigenvalues on Z."""
+    """Optimal-rate plan from the extreme Hessian eigenvalues on Z.
+
+    Fixed-rate descent W <- W - eta * grad is a fixed-point iteration whose
+    derivative is I - eta H.  With the spectrum of H on Z inside
+    [lambda_min, lambda_max] it contracts at factor theta exactly when
+    |1 - eta*lam| <= theta across that interval, which pins eta to the
+    window [(1-theta)/lambda_min, (1+theta)/lambda_max] (:func:`eta_window`).
+    The window is nonempty iff theta >= (K-1)/(K+1), K = lambda_max /
+    lambda_min, so the plan's ``theta`` is (K-1)/(K+1), where the window
+    collapses to ``eta_optimal`` = 2/(lambda_min + lambda_max).
+    """
     if not lambda_min > 0.0:
         raise InvalidInputError(
             "lambda_min must be positive (operator not strictly convex on Z)"
@@ -194,13 +157,30 @@ def _q_extremes_on_z(y: np.ndarray) -> np.ndarray:
 
 def curvature_bracket(h: HessianOperator) -> CurvatureBracket:
     """The :class:`CurvatureBracket` of H at its anchor, for every C up to
-    ``DENSE_C_LIMIT`` (beyond it :class:`SizeLimitError`).  For C = 2 the
-    per-sample value is the product alpha = 2 y_1 y_2 and the one Gram M
-    gets one ``eigvalsh``; for C > 2 the values come from
-    :func:`_q_extremes_on_z` and each Gram gets its own.  Costs O(N D^2) per
-    Gram.  On a rank-deficient X, H_Z is singular: ``low`` is 0 to rounding
-    and both K bounds are infinite.  So are they where ``low`` is not
-    positive, as at an anchor where every weight underflows to 0.
+    ``DENSE_C_LIMIT`` (beyond it :class:`SizeLimitError`).
+
+    Each Q^(n) restricted to the zero-sum hyperplane has extreme eigenvalues
+    mu_2^n <= mu_C^n (``mu_low``, ``mu_high``), so with P the projector
+    onto it
+
+        P kron X diag(mu_2) X^T  <=  H  <=  P kron X diag(mu_C) X^T  on Z,
+
+    the C-class form of Boehning's curvature bound (Boehning 1992, Ann. Inst.
+    Stat. Math. 44).  ``gram_low`` and ``gram_high`` are the two weighted
+    Grams, ``low`` the smallest eigenvalue of the first and ``high`` the
+    largest of the second, so low <= lambda_min(H_Z) and lambda_max(H_Z) <=
+    high.  ``k_bracket`` = high / low and ``k_bound`` = K(X)^2 max mu_C /
+    min mu_2 both bound K = lambda_max / lambda_min from above.
+
+    For C = 2, mu_2 = mu_C = alpha = 2 y_1 y_2, both sides are the one Gram
+    M = X diag(alpha) X^T, and H on Z is unitarily equivalent to M
+    (U = xi u^T, xi = (1,-1)/sqrt(2)): ``low`` and ``high`` are the exact
+    extremes and ``k_bracket`` is K.  For C > 2 the weights come from
+    :func:`_q_extremes_on_z`, and the bracket can be loose.  Each Gram costs
+    O(N D^2) and one ``eigvalsh``.  On a rank-deficient X, H_Z is singular:
+    ``low`` is 0 to rounding and both K bounds are infinite, as they are
+    wherever ``low`` is not positive, e.g. where every weight underflows
+    to 0.
     """
     cert = certify(h.data)
     x, y = h.data.x, h.y
@@ -210,29 +190,24 @@ def curvature_bracket(h: HessianOperator) -> CurvatureBracket:
     low, high = float(evals[0][0]), float(evals[-1][-1])
     k_bracket = k_bound = np.inf
     if cert.full_rank and low > 0.0:
-        # A weight that underflows to 0 makes a bound infinite.
         k_bracket = high / low
         with np.errstate(divide="ignore"):
             k_bound = float((cert.sv_max / cert.sv_min) ** 2 * np.max(mus[-1]) / np.min(mus[0]))
     return CurvatureBracket(mus[0], mus[-1], grams[0], grams[-1], low, high, k_bracket, k_bound)
 
 
-# LOBPCG on H_Z: the seed of the random part of the start block and the
-# expected length of its rows against the unit Kronecker vectors, the stop
-# tolerance on both extreme Ritz residuals relative to lambda_max, and the
-# budget of Hessian directions in units of m = (C-1) D, past which the run
-# assembles H_Z exactly instead.  Runs that converge stay inside 2m:
-# curvature anchors (C=10, D=256, N=8000) take 91-361 of 4608 directions,
-# and the slowest tier-1 run, peaked_operator(12, 20), 433 = 1.97 m.  A run
-# still going at 2m is a small, sharply peaked one, where LOBPCG can crawl
-# for thousands of directions; the m products of the exact matrix cost
-# less, so no run takes more than 3m directions.
+# The constants of :func:`_lobpcg_extremes`: the seed and the relative
+# length of the random part of the start block, the stop tolerance, the
+# budget of Hessian directions in units of m = (C-1) D, and the share of a
+# new direction's length outside its basis below which it is dropped.
+# Runs that converge stay inside a budget of 2m: curvature anchors (C=10,
+# D=256, N=8000) take 91-361 of 4608 directions, the slowest tier-1 run,
+# peaked_operator(12, 20), 1.97 m.  A run still going there is small and
+# sharply peaked, where the m products of the exact finish cost less.
 LOBPCG_SEED = 0
 LOBPCG_START_NOISE = 0.1
 LOBPCG_TOL = 1e-8
 LOBPCG_BUDGET = 2
-# A new direction with less than this share of its length outside the
-# basis it extends adds nothing and is dropped.
 LOBPCG_DROP = 1e-10
 
 
@@ -240,17 +215,16 @@ def _orthonormal_rows(w: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the part of the row space of ``w`` that is
     orthogonal to the orthonormal rows of ``q``.
 
-    One projection drops the directions whose singular value falls to
-    ``LOBPCG_DROP`` or below; the singular values and vectors come from the
-    small triangular factor R of w^T = Q R, so the rows kept are
-    (V^T w) / sigma for the SVD R = U diag(sigma) V^T.  The rows left are
+    After one projection, the singular values sigma and left singular
+    vectors V of ``w`` from :func:`~smxreg.core.rank_test` give the rows
+    (V^T w) / sigma of every sigma above ``LOBPCG_DROP``.  Those rows are
     orthonormal, so a second projection barely moves them, and ``eigh`` of
-    their Gram matrix, which is close to the identity, makes them
-    orthonormal again; the two rounds leave the rows orthogonal to ``q`` to
-    rounding level (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).
+    their Gram matrix, close to the identity, makes them orthonormal again;
+    the two rounds leave them orthogonal to ``q`` to rounding level
+    (Hetmaniuk & Lehoucq, J. Comput. Phys. 218, 2006).
     """
     w = w - (w @ q.T) @ q
-    _, sv, vt = np.linalg.svd(np.linalg.qr(w.T, mode="r"))
+    sv, vt = rank_test(w)
     keep = sv > LOBPCG_DROP
     w = (vt[keep] @ w) / sv[keep, None]
     w -= (w @ q.T) @ q
@@ -266,26 +240,35 @@ def _xxt_inverse(s: np.ndarray, left: np.ndarray) -> np.ndarray:
 
 
 def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
-    """Both extreme eigenvalues of H_Z from one LOBPCG run (Knyazev 2001).
+    """Both extreme eigenvalues of H_Z from one deterministic LOBPCG run
+    (Knyazev 2001, SIAM J. Sci. Comput. 23(2)).
 
-    Works in the coordinates of :func:`zero_sum_basis`, with vectors as rows.
-    The start block is the three extreme eigenvectors of the Kronecker model
-    Qbar kron X X^T plus ``LOBPCG_START_NOISE`` times a seeded random block.
-    The block X holds the two lowest Ritz vectors and the top one.  The new
-    directions W are the residuals of the pairs that are returned: the
-    lowest's preconditioned by Z -> Z (X X^T)^-1, one product with the D x D
-    matrix :func:`_xxt_inverse` formed once per call from the cached
-    ``Dataset.rank_factors``, the top's raw; the second-lowest stays in X as a
-    guard with no direction, and a vector whose residual is within the
+    Works in the coordinates of :func:`zero_sum_basis`, with vectors as rows
+    of length m = (C-1) D.  The start block is the three extreme
+    eigenvectors of the Kronecker model Qbar kron X X^T (the factor of
+    K-FAC, Martens & Grosse 2015; Qbar the sample mean of Q^(n)) plus
+    ``LOBPCG_START_NOISE`` times a block of seed ``LOBPCG_SEED``.  The block
+    X holds the two lowest Ritz vectors and the top one.  The new directions
+    W are the residuals of the pairs that are returned: the lowest's
+    preconditioned by Z -> Z (X X^T)^-1, one product with the D x D matrix
+    :func:`_xxt_inverse` formed once per call from the cached
+    ``Dataset.rank_factors``, the top's raw; the second-lowest stays in X as
+    a guard with no direction, and a vector whose residual is within the
     tolerance gets none (soft locking).  The basis [X, W, P] stays
-    orthonormal: W is projected off [X, P], and P, the move of each vector
-    with a direction out of the old X, is made orthogonal to the new X in
-    coefficient space.  Each iteration applies H once, to the stack W.  The
-    run stops once both extreme residuals are at most ``LOBPCG_TOL`` *
+    orthonormal: W is projected off [X, P] (:func:`_orthonormal_rows`), and
+    P, the move of each vector with a direction out of the old X, is made
+    orthogonal to the new X in coefficient space.  After the start block
+    every iteration applies H once, to a stack of at most two directions,
+    and the run holds O(m) floats: about 37 vectors of m floats at the
+    budget break (C=10, D=50, N=400), plus (X X^T)^-1.
+
+    The run stops once both extreme residuals are at most ``LOBPCG_TOL`` *
     theta_max.  When the next W is empty or would take the directions
-    applied past ``LOBPCG_BUDGET`` * m, it finishes exactly: H_Z assembled
-    from ``apply`` on the m coordinate directions, and the extremes of
-    ``eigvalsh`` on its symmetric part, so at most 3m directions in all.
+    applied past ``LOBPCG_BUDGET`` * m, it finishes exactly on H_Z,
+    assembled from ``apply`` on the m coordinate directions in stacks whose
+    V = U X is no larger than X: the extremes of ``eigvalsh`` on its
+    symmetric part, the one m x m array.  So every call ends within 3m
+    directions.
     """
     b = zero_sum_basis(h.c)
     shape = (h.c - 1, h.d)
@@ -346,10 +329,8 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
             break
         basis = np.concatenate([x, w, p])
         products = np.concatenate([ax, apply(w), ap])
-    # The exact finish: H_Z from the m coordinate directions, in stacks whose
-    # V = U X is no larger than X.  Each block of rows is folded into the
-    # symmetric part of H_Z on the lower triangle, which eigvalsh reads, so
-    # H_Z is the only m x m array.
+    # The exact finish.  Each block of rows is folded into the symmetric part
+    # of H_Z on the lower triangle, which eigvalsh reads.
     stack = max(1, h.d // h.c)
     hz = np.empty((m, m))
     for i in range(0, m, stack):
@@ -363,22 +344,11 @@ def _lobpcg_extremes(h: HessianOperator) -> tuple[float, float]:
 def extreme_eigenvalues_on_z(h: HessianOperator) -> tuple[float, float]:
     """Extreme eigenvalues (lambda_min, lambda_max) of H restricted to Z.
 
-    For C = 2 these are the ends of :func:`curvature_bracket`, exact there:
-    the extreme eigenvalues of M.  For every C > 2 both
-    extremes come from one LOBPCG run in the coordinates of
-    :func:`zero_sum_basis`, set out in the module docstring and started from
-    a fixed-seed block, so repeated calls give identical values.  It stops
-    when both extreme Ritz residuals are at most ``LOBPCG_TOL`` (1e-8) *
-    lambda_max; each of its ``h.apply`` calls takes a stack of at most three
-    directions, and it holds O(m) floats, m = (C-1) D: about 37 vectors of m
-    floats at the budget break (C=10, D=50, N=400), plus the D x D
-    (X X^T)^-1.  At C=10, D=256, N=8000 it takes 91-361 directions.  A run
-    that would pass ``LOBPCG_BUDGET`` * m directions ends exactly instead,
-    on the m x m matrix H_Z assembled from ``h.apply`` on the m coordinate
-    directions of Z, in stacks whose V = U X is no larger than X.  So every
-    call ends, after at most 3m directions and with at most one m x m
-    matrix.  Requires rank(X) = D; the rank test runs once per dataset, not
-    once per anchor.
+    For C = 2 these are the exact ends of :func:`curvature_bracket`; for
+    C > 2 they come from the deterministic LOBPCG run of
+    :func:`_lobpcg_extremes`, so repeated calls give identical values.
+    Requires rank(X) = D (else :class:`RankDeficientError`); the rank test
+    runs once per dataset, not once per anchor.
     """
     cert = certify(h.data)
     if not cert.full_rank:

@@ -21,10 +21,9 @@ import numpy as np
 # tolerance (:func:`check_probability`).
 TARGET_COLUMN_SUM_TOL = 1e-12
 
-# Every pass over X in column blocks (:func:`column_plan`) takes one block
-# per this many bytes: under twice this, an array is one block on the
-# calling thread, as starting threads would cost more than they save.  X at
-# the paper's scale is 376 MB, 22 blocks.
+# Bytes per block of :func:`column_plan`: under twice this, an array is one
+# block on the calling thread, as starting threads would cost more than they
+# save.
 PARALLEL_MIN_BYTES = 16 << 20
 
 # OpenBLAS keeps one thread count for the whole process: its
@@ -79,16 +78,17 @@ def usable_cpus() -> int:
 
 
 def column_plan(n: int, nbytes: int) -> list[slice]:
-    """The column blocks of an array of ``n`` columns and ``nbytes`` bytes:
-    one per ``PARALLEL_MIN_BYTES``, at least one and at most one per column,
-    of widths that differ by at most one.  The count and order never depend
-    on the CPU count; a sum's bits also need fixed BLAS threads, as on a
-    :func:`block_runner` pool, but not in a one-block or serial pass.
+    """The column blocks of an array of ``n`` columns and ``nbytes`` bytes,
+    the one cut of every blocked pass: one per ``PARALLEL_MIN_BYTES``, at
+    least one and at most one per column, of widths that differ by at most
+    one.  The count and order never depend on the CPU count; a sum's bits
+    also need fixed BLAS threads, as on a :func:`block_runner` pool, but
+    not in a one-block or serial pass.
 
-    A copy into a row-major array (:func:`copy_blocks`) applies the same
-    rule to the row count and cuts rows instead: each block is then one
-    contiguous run of the destination's pages, which only its own thread
-    touches first."""
+    A copy into a row-major array (:func:`copy_blocks`,
+    :meth:`LiveRows.of`) applies the same rule to the row count and cuts
+    rows instead: each block is then one contiguous run of the
+    destination's pages, which only its own thread touches first."""
     k = max(1, min(n, nbytes // PARALLEL_MIN_BYTES))
     edges = [n * i // k for i in range(k + 1)]
     return [slice(a, b) for a, b in zip(edges, edges[1:])]
@@ -182,12 +182,9 @@ def block_runner(blocks: int) -> Iterator[Callable[[Callable, list], list]]:
 def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> list:
     """``[fn(cols) for cols in column_plan(n, nbytes)]``, for an ``fn`` that
     reads or writes only the columns ``cols`` of an array (or, with ``n``
-    its row count, only the rows ``cols``).
-
-    Several blocks run under :func:`block_runner`, with the same bits on
-    either of its paths.  One block is one call on the calling thread,
-    which asks for no CPU count and leaves BLAS alone.
-    """
+    its row count, only the rows ``cols``), under :func:`block_runner`.
+    One block is one call on the calling thread, which asks for no CPU
+    count and leaves BLAS alone."""
     blocks = column_plan(n, nbytes)
     if len(blocks) == 1:
         return [fn(blocks[0])]
@@ -198,12 +195,10 @@ def column_blocks(fn: Callable[[slice], object], n: int, nbytes: int) -> list:
 def as_matrix(a, name: str = "array") -> np.ndarray:
     """Coerce to a float64 2-D array, rejecting non-finite entries.
 
-    Finite row sums prove every entry finite: each :func:`column_plan`
-    block takes one BLAS product ``block @ 1`` (:func:`column_blocks`), so
-    an array of one block, such as a weight matrix, is one product on the
-    calling thread.  Only a block whose sums are not finite (a NaN or
-    infinity, or finite entries whose sum overflows) takes the exact
-    elementwise test.
+    Finite row sums prove every entry finite: each block of
+    :func:`column_blocks` takes one BLAS product ``block @ 1``.  Only a
+    block whose sums are not finite (a NaN or infinity, or finite entries
+    whose sum overflows) takes the exact elementwise test.
     """
     out = np.asarray(a, dtype=float)
     if out.ndim != 2:
@@ -276,34 +271,21 @@ def activations(w, data: Dataset) -> np.ndarray:
 class Dataset:
     """A training set: features ``x`` (D x N) and targets ``t`` (C x N).
 
-    Every target column is a probability vector (entries in [0, 1], summing
-    to 1 within ``TARGET_COLUMN_SUM_TOL``).  Hard one-hot labels are the
-    special case produced by :func:`one_hot`; soft labels are accepted
+    Every target column is a probability vector; hard one-hot labels
+    (:func:`one_hot`) are the special case, and soft labels are accepted
     everywhere.  Both arrays end up read-only and C-contiguous, so a dataset
     can be shared across threads.
 
     ``Dataset(x, t)`` runs every check: X finite (:func:`as_matrix`), T's
     columns probability vectors (:func:`check_probability`), and the shape
-    invariants (N shared, at least one row and column, C >= 2).  A
-    C-contiguous float64 array is then adopted without a copy if it is
-    read-only and owns its data (as :func:`~smxreg.data_io.add_bias_row`
-    returns), or if the check's float64 conversion made it (from a list, a
-    tuple or an array of another dtype); anything else is copied
-    (:func:`copy_blocks`) and frozen.  The finite check and the copy run
-    over the blocks of :func:`column_plan` (:func:`column_blocks`).
-    The adopted array stays the caller's object, so a caller that makes it
-    writeable again can still change the dataset.
-
-    :meth:`_adopt` skips the two O(size) checks, the finite pass over X and
-    the pass over T, and runs the shape invariants alone.  Only code whose
-    arrays are valid by construction uses it: every loader of
-    :mod:`~smxreg.data_io`, which checks what it reads and names the line
-    or byte offset of a fault, and :meth:`LiveRows.of`.
-
-    :attr:`rank_factors` is computed on first use and kept, so certify,
-    the condition bound and every Hessian anchor share one factorization.
-    That cache assumes X is not changed after construction; writing to an
-    adopted array afterwards leaves it stale.
+    invariants (:func:`_check_shapes`).  A C-contiguous float64 array is
+    then adopted without a copy if it is read-only and owns its data (as
+    :func:`~smxreg.data_io.add_bias_row` returns), or if the check's
+    float64 conversion made it (from a list, a tuple or an array of another
+    dtype); anything else is copied (:func:`copy_blocks`) and frozen.  The
+    adopted array stays the caller's object, so a caller that makes it
+    writeable again can still change the dataset, and leaves
+    :attr:`rank_factors` stale.
     """
 
     x: np.ndarray
@@ -321,8 +303,13 @@ class Dataset:
         """The Dataset of fresh C-contiguous float64 arrays whose entries
         are valid by construction: both are frozen and kept, and only the
         shape invariants run, with at least ``min_rows`` rows of X (0 for
-        the live rows of a zero X, see :class:`LiveRows`; 2 for a biased
-        X, whose bias row alone is no feature)."""
+        the live rows of a zero X; 2 for a biased X, whose bias row alone
+        is no feature).  No O(size) pass runs over X or T.
+
+        Only code whose arrays are valid by construction uses it: every
+        loader of :mod:`~smxreg.data_io`, which checks what it reads and
+        names the line (CSV) or byte offset (IDX, weights) of a fault, and
+        :meth:`LiveRows.of`."""
         _check_shapes(x, t, min_rows)
         data = object.__new__(cls)
         object.__setattr__(data, "x", freeze(x))
@@ -344,7 +331,8 @@ class Dataset:
     @cached_property
     def rank_factors(self) -> tuple[np.ndarray, np.ndarray]:
         """:func:`rank_test` of X: its D singular values and left singular
-        vectors, computed once per dataset and read-only."""
+        vectors, computed once per dataset and read-only, so certify and
+        every Hessian anchor share one factorization."""
         s, left = rank_test(self.x)
         return freeze(s), freeze(left)
 
@@ -364,22 +352,17 @@ def _check_shapes(x: np.ndarray, t: np.ndarray, min_rows: int = 1) -> None:
 
 @dataclass(frozen=True)
 class LiveRows:
-    """The rows of a D x N feature matrix X that are nonzero in some sample.
+    """The rows of a D x N feature matrix X that are nonzero in some sample,
+    which hold the whole training problem (see
+    :func:`~smxreg.trainer.train`).
 
-    A row of X that is zero in every sample adds nothing to W X, and the
-    gradient's column for it is zero, so these rows hold the whole
-    training problem.  ``data`` is the :class:`Dataset` of the live rows
-    (r x N) with X's targets, ``rows`` their ascending indices into
-    0..d-1, and ``d`` X's full width.  Weights keep all d columns:
-    :meth:`narrow` takes their live columns and :meth:`widen` writes them
-    back.  This class is the only code that maps weights between the two
-    widths.
-
-    :func:`~smxreg.data_io.load_idx_live` builds one from the pixel bytes,
-    and :meth:`of`, for :func:`~smxreg.trainer.train`, from a
-    :class:`Dataset`.  When no row is live (X is zero), ``data`` has no
-    feature row, the one Dataset that :class:`Dataset` itself refuses;
-    both adopt it with :meth:`Dataset._adopt`.
+    ``data`` is the :class:`Dataset` of the live rows (r x N) with X's
+    targets, ``rows`` their ascending indices into 0..d-1, and ``d`` X's
+    full width.  Weights keep all d columns: :meth:`narrow` takes their
+    live columns and :meth:`widen` writes them back.  This class is the
+    only code that maps weights between the two widths.  When no row is
+    live, ``data`` has no feature row, the one Dataset that
+    :class:`Dataset` itself refuses.
     """
 
     data: Dataset
@@ -400,12 +383,9 @@ class LiveRows:
     def of(cls, data: Dataset, rows: np.ndarray) -> LiveRows:
         """The LiveRows of ``data`` whose live rows are ``rows``.  When every
         row is live, ``data`` itself holds them, uncopied.  Otherwise they
-        are copied into one C-order array over :func:`column_plan` applied
-        to their count (:func:`column_blocks`): each block fills one
-        contiguous range of its rows, so each thread first-touches only its
-        own pages, and ``np.take`` in mode "clip" (the rows lie in range)
-        writes them there without a temporary.  Rows of a checked
-        X need no check, so the copy is adopted (:meth:`Dataset._adopt`)."""
+        are copied by row blocks, as :func:`copy_blocks` copies, with
+        ``np.take`` in mode "clip" (the rows lie in range), which writes
+        them without a temporary; the copy is adopted."""
         if rows.size == data.d:
             return cls(data, rows, data.d)
         x = np.empty((rows.size, data.n))
@@ -440,10 +420,8 @@ def freeze(a: np.ndarray) -> np.ndarray:
 
 
 def _adopt_or_freeze(a: np.ndarray, source) -> np.ndarray:
-    """``a``, the float64 array of the caller's ``source``, frozen and kept
-    if it is C-contiguous and either converted from a list, a tuple or an
-    array of another dtype (so no one else holds it) or frozen and owned;
-    otherwise a frozen C-order copy, made by :func:`copy_blocks`."""
+    """``a``, the float64 array of the caller's ``source``, adopted or
+    copied by the rule of :class:`Dataset`, and frozen."""
     f = a.flags
     made = isinstance(source, (list, tuple)) or (
         isinstance(source, np.ndarray) and source.dtype != a.dtype)
@@ -455,11 +433,8 @@ def _adopt_or_freeze(a: np.ndarray, source) -> np.ndarray:
 
 
 def copy_blocks(out: np.ndarray, a: np.ndarray) -> None:
-    """``np.copyto(out, a)`` for a C-contiguous 2-D ``out``, over the blocks
-    of :func:`column_plan` (:func:`column_blocks`) applied to the rows, so
-    that each thread first-touches only its own contiguous pages of
-    ``out``.  Any layout of ``a`` (C-ordered, F-ordered or strided) is cut
-    the same way."""
+    """``np.copyto(out, a)`` for a C-contiguous 2-D ``out``, cut by rows
+    (:func:`column_plan`), for any layout of ``a``."""
     column_blocks(lambda rows: np.copyto(out[rows], a[rows]), a.shape[0], out.nbytes)
 
 
@@ -468,15 +443,14 @@ def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(s, left)``: ``s`` descending, length D, zero-padded when
     N < D; row ``k`` of ``left`` (D x D) is the left singular vector of
-    ``s[k]``.  :func:`smxreg.certify.certify` decides full row rank from
-    ``s[-1]`` and ``s[0]``.
+    ``s[k]``.
 
     X^T = Q R reduces X to the min(N, D) x D factor R, and X = R^T Q^T with
     orthonormal Q, so R has X's singular values and R's right singular
     vectors are X's left ones.  Cost: O(N D^2) time, one copy of X, no
-    N x N array.  This stays an SVD rather than eigh(X X^T): squaring X
-    resolves sv_min only to about sqrt(eps) * sv_max, far above certify's
-    rank threshold.
+    N x N array, so it runs at the paper's MNIST size.  This stays an SVD
+    rather than eigh(X X^T): squaring X resolves sv_min only to about
+    sqrt(eps) * sv_max, far above certify's rank threshold.
     """
     r = np.linalg.qr(x.T, mode="r")
     _, sv, left = np.linalg.svd(r)

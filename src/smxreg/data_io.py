@@ -10,28 +10,11 @@ Images use magic 0x00000803 (3 dims: count, rows, cols); labels use
 0x00000801 (1 dim).  File labels are 0-based while internal classes are
 1..C; :func:`load_idx_labels` and :func:`load_csv` each make the shift.
 
-With ``bias=True`` the loaders append the constant-1 feature row of the
-affine trick themselves: they allocate the (D+1) x N array, set its last
-row to 1.0 and write the features straight into the first D rows.  The
-result equals ``add_bias_row`` applied to the unbiased load, bit for bit,
-but X is built once.  :func:`add_bias_row` remains for arrays already in
-memory.
-
-This module is the only code that checks what it loads.  Each loader
-refuses a malformed file with an error that names the line (CSV) or the
-byte offset (IDX, weights), and then builds its Dataset with
-:meth:`~smxreg.core.Dataset._adopt` alone, which runs the shape checks
-and no pass over the values.  ``Dataset(x, t)`` remains the check for
-arrays that callers hand in.
-
-:func:`load_idx_live` loads only the rows of X that training reads, those
-of the pixels that are nonzero in some image (and the bias row), as a
-:class:`~smxreg.core.LiveRows`: the full X is never built.
-
-:func:`load_csv` parses with numpy's C reader and keeps a Python line loop
-only for the files whose table it refuses (a cell numpy cannot read, a
-cell that is not finite, a bad label), so a clean CSV costs no Python
-call per cell, and an error still names its line and cell.
+With ``bias=True`` the loaders write the constant-1 feature row of the
+affine trick into X as they build it (:func:`_feature_matrix`), bit for
+bit ``add_bias_row`` of the unbiased load; :func:`add_bias_row` remains
+for arrays already in memory.  Every loader checks what it reads and
+adopts the result (:meth:`~smxreg.core.Dataset._adopt`).
 """
 from __future__ import annotations
 
@@ -139,23 +122,19 @@ def load_idx_images(path, bias: bool = False) -> np.ndarray:
     """D x N float64 matrix from an IDX image file, image n flattened
     row-major into column n.  Pixels are always mapped to [0, 1] by division
     by 255, since raw bytes would inflate activations and slow descent.
-    ``bias=True`` appends a constant-1 row, giving (D+1) x N.
-
-    The result is C-contiguous and built in one pass, the conversion that
-    :func:`load_idx_live` makes of the live pixels alone
-    (:func:`_scaled_pixels`).  Besides X, only the payload bytes (1/8 of X)
-    are held.
+    ``bias=True`` appends a constant-1 row, giving (D+1) x N.  Built by
+    :func:`_scaled_pixels`; besides X, only the payload bytes are held.
     """
     return _scaled_pixels(_read_pixels(path), slice(None), bias)
 
 
 def _scaled_pixels(pixels: np.ndarray, live, bias: bool) -> np.ndarray:
     """The feature rows of the N x D ``pixels``' columns ``live`` (an index
-    array, or ``slice(None)`` for all D): each column block of
-    :func:`~smxreg.core.column_plan` is gathered (not for ``slice(None)``),
-    transposed and scaled straight into its columns of a fresh C-order
-    array by one ``np.divide`` (:func:`~smxreg.core.column_blocks`).  With
-    ``bias``, a last row of 1.0 follows."""
+    array, or ``slice(None)`` for all D), the one pixel conversion: each
+    block of :func:`~smxreg.core.column_blocks` is gathered (not for
+    ``slice(None)``), transposed and scaled into its columns of a fresh
+    C-order array by one ``np.divide``.  With ``bias``, a last row of 1.0
+    follows."""
     n = pixels.shape[0]
     x = _feature_matrix(pixels[:0, live].shape[1], n, bias)
     r = x.shape[0] - bias
@@ -265,29 +244,20 @@ def load_idx_dataset(images_path, labels_path, c: int,
                      bias: bool = False) -> Dataset:
     """Assemble a Dataset from a paired IDX image/label file, with a
     constant-1 feature row appended when ``bias``.  The pair is checked
-    before any pixel is converted.  X (bytes / 255 and the bias row of
-    1.0) and T (:func:`~smxreg.core.one_hot` of labels below C) are then
-    valid by construction, so the Dataset adopts them as they are
-    (:meth:`~smxreg.core.Dataset._adopt`): X is built once and never
-    re-checked."""
+    (:func:`_read_pair`) before any pixel is converted, and X and T are
+    adopted."""
     pixels, t = _read_pair(images_path, labels_path, c)
     return Dataset._adopt(_scaled_pixels(pixels, slice(None), bias), t)
 
 
 def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveRows:
-    """The live rows of the X of :func:`load_idx_dataset`, without X.
+    """The live rows of the X of :func:`load_idx_dataset`, bit for bit,
+    without building X.
 
-    A pixel that is zero in every image gives a row of X that is zero in
-    every sample, which training never reads.  One reduction over the
-    payload bytes finds those pixels, and only the live pixels (and the
-    constant-1 row, with ``bias``, always live) are converted, by the
-    helper of :func:`load_idx_images` (:func:`_scaled_pixels`), after the
-    checks of the pair.  The rows are valid by construction, as in
-    :func:`load_idx_dataset`, so they are adopted without a value check
-    (:meth:`~smxreg.core.Dataset._adopt`).  They equal those of
-    :func:`load_idx_dataset`'s X bit for bit, so training on either gives
-    the same bits.  Besides the live rows, only the
-    payload bytes (1/8 of the full X) are held.  The errors are those of
+    One reduction over the payload bytes finds the pixels that are zero in
+    every image, and only the others (and the bias row, always live) are
+    converted by :func:`_scaled_pixels`.  Besides the live rows, only the
+    payload bytes are held.  The errors are those of
     :func:`load_idx_dataset`.
     """
     pixels, t = _read_pair(images_path, labels_path, c)
@@ -305,10 +275,9 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
     ``label_column`` is the 0-based column holding the 0-based integer class
     label (negative indices count from the end); the remaining columns become
     the feature rows of X in their original order, followed by a constant-1
-    row when ``bias``.  Row order is preserved.  X is C-contiguous, and the
-    Dataset adopts it (:meth:`~smxreg.core.Dataset._adopt`) without another
-    copy or check.  A cell that is not a number, a feature cell that is not
-    finite, and a label that is not an integer in 0..C-1 each raise
+    row when ``bias``.  Row order is preserved.  A cell that is not a
+    number, a feature cell that is not finite, and a label that is not an
+    integer in 0..C-1 each raise
     :class:`CsvParseError` naming the line and the cell's text.  A line
     ends at LF, CR LF or a lone CR; lines are numbered from 1, the header
     line included.  The file is decoded as UTF-8 with ``surrogateescape``,
@@ -322,8 +291,8 @@ def load_csv(path, label_column: int, c: int, header: bool = False,
     table holds a label column or a label out of range or a cell that is
     not finite, goes to the line-by-line reader :func:`_load_csv_lines`.
     That one raises the error naming the line, or reads the few cells that
-    only ``float()`` accepts, such as ``1_000`` or non-ASCII digits.  Either
-    way the load peaks at about 2.1x the final X.
+    only ``float()`` accepts, such as ``1_000`` or non-ASCII digits.  So a
+    clean CSV costs no Python call per cell.
     """
     table = _read_table(path, label_column, c, header)
     if table is None:
@@ -419,11 +388,9 @@ def _csv_dataset(table: np.ndarray, col: int, c: int, bias: bool) -> Dataset:
 def add_bias_row(x) -> np.ndarray:
     """Append a constant-1 feature row (affine trick): result is (D+1) x N.
 
-    The result is a new read-only, C-contiguous array, which
-    :class:`~smxreg.core.Dataset` adopts without copying (after its checks).
-    The copy cuts the rows by :func:`~smxreg.core.column_plan`
-    (:func:`~smxreg.core.copy_blocks`).
-    Not idempotent by design; calling twice appends two rows.
+    The result is a new read-only, C-contiguous array
+    (:func:`~smxreg.core.copy_blocks`), which :class:`~smxreg.core.Dataset`
+    adopts.  Not idempotent by design; calling twice appends two rows.
     """
     x = np.asarray(x, dtype=float)
     if x.ndim != 2:

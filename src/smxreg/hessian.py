@@ -8,13 +8,7 @@ symmetric and positive semidefinite under the Frobenius inner product.  Its
 kernel is exactly  {U : U X = 1 c^T for some c},  i.e. the directions whose
 activations shift every class equally on every sample.
 
-``apply`` never materializes the rank-one factors x x^T: with V = U X the
-columns Q^(n) v^(n) are formed elementwise in V's own buffer and closed
-with one D-sized product, so a Hessian product costs O(N C D) and holds V
-and one temporary of its size.  It also takes a stack of b directions,
-shape (b, C, D): one (bC) x D by D x N product, the columns elementwise,
-and one product with X^T, which is cheaper per direction than b single
-products.
+``apply`` forms it matrix-free in O(N C D).
 """
 from __future__ import annotations
 
@@ -22,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Dataset, SizeLimitError, activations, check_weights
+from .core import Dataset, SizeLimitError, activations, check_weights, freeze
 from .softmax import q_matrix, softmax
 
 # Dense materialization guard: C*D entries per vec index.
@@ -48,9 +42,7 @@ class HessianOperator:
 
     def __init__(self, data: Dataset, w):
         self.data = data
-        y = softmax(activations(w, data))
-        y.setflags(write=False)
-        self.y = y
+        self.y = freeze(softmax(activations(w, data)))
 
     @property
     def c(self) -> int:
@@ -77,7 +69,14 @@ class HessianOperator:
 
     def apply(self, u) -> np.ndarray:
         """H(U), computed matrix-free in O(N C D); for a (b, C, D) stack of
-        directions, the stack of their products."""
+        directions, the stack of their products.
+
+        The rank-one factors x x^T are never formed: with V = U X the
+        columns Q^(n) v^(n) are formed elementwise in V's own buffer and
+        closed with one product with X^T, so a product holds V and one
+        temporary of its size.  A stack takes one (bC) x D by D x N product,
+        cheaper per direction than b single products.
+        """
         u = check_weights(u, self.data)
         qv = self._q_columns(self._times_x(u))
         return (qv.reshape(-1, self.n) @ self.data.x.T).reshape(u.shape)

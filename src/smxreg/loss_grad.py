@@ -1,13 +1,7 @@
 """Cross-entropy loss over a dataset, its vectorized gradient, and
 critical-point diagnostics.
 
-The loss is sum_n t_n^T rho(a_n) with rho = -log softmax, never
-log(softmax(a)), so it stays finite even where targets place mass on
-outputs that underflow.  One function forms it for :func:`forward` and
-:func:`loss_from_activations`: each sample's term (m_n - t_n^T a_n) +
-log s_n, with m_n the column max and s_n the shifted exponential sum, is
-formed before one sum over the samples in ascending order, so results are
-deterministic and no two large sums cancel.  Values are in nats.
+The loss, in nats, has one formula, :func:`_cross_entropy`.
 """
 from __future__ import annotations
 
@@ -21,10 +15,15 @@ def _cross_entropy(a: np.ndarray, t: np.ndarray) -> tuple[float, np.ndarray, np.
     """(loss, e, s) at activations ``a`` with targets ``t``: the (m, e, s) of
     :func:`~smxreg.softmax.shifted_exp` and sum_n [(m_n - t_n^T a_n) + log s_n].
 
-    Since 1^T t_n = 1, each term is t_n^T rho(a_n).  The activation
-    difference is taken before the log, so a one-hot column whose largest
-    activation is the labelled one adds log s_n alone.  Activations whose
-    products or sums overflow give a loss of inf or NaN, without a warning.
+    Since 1^T t_n = 1, each term is t_n^T rho(a_n) with rho = -log softmax,
+    never log(softmax(a)), so it stays finite where targets place mass on
+    outputs that underflow.  Each sample's term is formed before one sum
+    over the samples in ascending order, so results are deterministic and
+    no two large sums cancel; a one-hot column whose largest activation is
+    the labelled one adds log s_n alone.  Activations whose products or
+    sums overflow give a loss of inf or NaN, without a warning.  The one
+    cross-entropy of the package: :func:`forward` and
+    :func:`loss_from_activations` both call it.
     """
     m, e, s = shifted_exp(a)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -37,8 +36,8 @@ def loss(w, data: Dataset) -> float:
 
 
 def loss_from_activations(a: np.ndarray, t: np.ndarray) -> float:
-    """Loss sum_n t^T rho(a^(n)) from precomputed activations A = W X,
-    summed per sample (see the module docstring)."""
+    """Loss sum_n t^T rho(a^(n)) from precomputed activations A = W X, by
+    :func:`_cross_entropy`."""
     return _cross_entropy(a, t)[0]
 
 
@@ -48,10 +47,9 @@ def forward(a: np.ndarray, t: np.ndarray, x: np.ndarray) -> tuple[float, np.ndar
     non-finite loss: NaN or +inf makes the column max or the exp NaN, and
     -inf alone gives -t a = +inf where t > 0, else 0 (-inf) = NaN.
 
-    The loss is :func:`loss_from_activations`'s.  From the same (e, s) of
-    :func:`~smxreg.softmax.shifted_exp`, the one home of the shift and the
-    exponential, Y = e / s and G = (Y - T) x^T, bit-identical to
-    ``softmax`` and -(T - Y) X^T, so the max and exp run once.  Given X
+    The loss is :func:`_cross_entropy`'s.  From its (e, s), Y = e / s and
+    G = (Y - T) x^T, bit-identical to ``softmax`` and -(T - Y) X^T, so the
+    max and exp run once.  Given X
     itself, G is the full gradient; given a subset of X's rows, G holds the
     gradient's columns for those rows.
     """

@@ -43,11 +43,8 @@ def softmax(a) -> np.ndarray:
 
 def rho(a) -> np.ndarray:
     """The map -log(softmax(a)), evaluated as -a + (m + log s) * ones with
-    the (m, s) of :func:`shifted_exp`, m + log s being log sum exp(a).
-
-    This form stays finite even where softmax underflows, which makes it the
-    right building block for the cross-entropy loss.
-    """
+    the (m, s) of :func:`shifted_exp`, m + log s being log sum exp(a), so it
+    stays finite even where softmax underflows."""
     a = check_activations(a)
     m, _, s = shifted_exp(a)
     return -a + (m + np.log(s))

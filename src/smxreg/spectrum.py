@@ -13,25 +13,9 @@ inspection:
         f(lam) = sum_s nu_s a_s^2 / (a_s - lam) = 1
 
     lies strictly inside every gap (a_s, a_{s+1}) between consecutive
-    distinct positive coordinate values a_1 < ... < a_r.
+    distinct positive coordinate values a_1 < ... < a_r
+    (:func:`_secular_roots`).
 
-f is increasing between its poles and spans (-inf, +inf) on each interior
-gap, so the gap is a bracket that always holds the root.  Inside the gap
-(a_k, a_{k+1}) f splits into psi, the sum over the poles at or left of a_k,
-and phi, the sum over the poles right of it.  The model of f takes each as a
-constant plus its nearest pole, c1 + s1/(a_k - lam) and
-c2 + s2/(a_{k+1} - lam), so it keeps both poles of the gap, and its root in
-the gap is a root of a quadratic (Bunch, Nielsen & Sorensen, Numer. Math. 31,
-1978).  The first model goes through the values of psi and phi at both ends
-of the gap; each later one matches their values and slopes at the current
-point.  The sign of f - 1 there narrows the bracket, and a model root that
-leaves the bracket is replaced by the bracket's midpoint, so the iteration
-never steps into a pole.  A gap stops once its bracket is at most
-``BISECT_TOL`` wide or its step is at most ``BISECT_TOL``/4.  All gaps of
-one vector iterate together: each step evaluates f, an O(r) sum, at the
-points of the gaps still open.  The roots converge quadratically: a vector
-takes about 5 evaluations of f (one at the gap ends, then one per step), at
-most 8 on the vectors of the tests, where bisection took about 47.
 Coordinates closer than ``GROUP_TOL`` are quantized to one distinct value
 before the analysis.
 """
@@ -127,9 +111,26 @@ def _pole_root(lo, delta, g, s1, s2):
 def _secular_roots(values, counts, lo: np.ndarray, hi: np.ndarray,
                    split: np.ndarray) -> np.ndarray:
     """The root of f = 1 inside every gap (lo_i, hi_i) = (a_k, a_{k+1}),
-    k = split_i: the safeguarded pole-aware iteration of the module
-    docstring, run on all gaps at once, with :func:`_pole_root` solving each
-    model."""
+    k = split_i, by one safeguarded pole-aware iteration on all gaps at once.
+
+    f is increasing between its poles and spans (-inf, +inf) on each
+    interior gap, so the gap is a bracket that always holds the root.
+    Inside the gap f splits into psi, the sum over the poles at or left of
+    a_k, and phi, the sum over the poles right of it.  The model of f takes
+    each as a constant plus its nearest pole, c1 + s1/(a_k - lam) and
+    c2 + s2/(a_{k+1} - lam), so it keeps both poles of the gap, and its root
+    in the gap is a root of a quadratic (:func:`_pole_root`; Bunch, Nielsen
+    & Sorensen, Numer. Math. 31, 1978).  The first model goes through the
+    values of psi and phi at both ends of the gap; each later one matches
+    their values and slopes at the current point.  The sign of f - 1 there
+    narrows the bracket, and a model root that leaves the bracket is
+    replaced by the bracket's midpoint, so the iteration never steps into a
+    pole.  A gap stops once its bracket is at most ``BISECT_TOL`` wide or
+    its step is at most ``BISECT_TOL``/4.  Each step evaluates f, an O(r)
+    sum, at the points of the gaps still open.  The roots converge
+    quadratically, in about 5 evaluations of f per vector where bisection
+    takes about 47.
+    """
     weights = counts * values * values
     # Shrink inward so the poles at the bracket ends are never evaluated; the
     # relative pad can round away against the ulp of the endpoints, so step
@@ -201,9 +202,7 @@ def _group_values(pos_sorted: np.ndarray):
 def analyze_q(y) -> SpectrumReport:
     """Assemble the full spectrum of diag(y) - y y^T analytically.
 
-    Interlaced roots are found by one safeguarded pole-aware iteration over
-    all gaps at once, to absolute tolerance ``BISECT_TOL``, in about 5
-    evaluations of the secular function; gaps narrower than
+    Interlaced roots come from :func:`_secular_roots`; gaps narrower than
     ``DEGENERATE_GAP`` are reported as the lower coordinate value with
     ``degenerate_gap=True`` instead of forcing a root between nearly
     coincident poles.

@@ -1,64 +1,10 @@
 """Full-batch gradient descent for the softmax cross-entropy objective.
 
-Each epoch runs  A = W X;  Y = softmax(A);  G = -(T - Y) X^T;  W <- W - eta G,
-or under bb2 W <- W - eta P, with P the direction defined below.
-The loss and G are sums over samples, so the epoch is a sum over fixed
-column blocks of X: block b gives A_b = W X_b and, from one helper,
-:func:`~smxreg.loss_grad.forward`, its loss and G_b = (Y_b - T_b) X_b^T,
-with the column max and exp run once.  The calling thread adds the losses
-and the G_b in block order.  The blocks are
-:func:`~smxreg.core.column_plan`'s for the rows the epoch reads (below),
-so their count and order depend on X's shape alone; each block reads its
-columns of X twice (for A_b and for G_b) while they are still in cache.
-The blocks run under :func:`~smxreg.core.block_runner`, the pool policy of
-every blocked pass.  A pooled run holds OpenBLAS at one thread; an X of
-one block runs the one-call epoch A = W X on the calling thread, and it
-or a serial run takes BLAS's own thread count, which can change the bits.
-
-A row of X that is zero in every sample adds nothing to A, and G's column
-for it is zero.  So the epoch reads only the live rows, held by a
-:class:`~smxreg.core.LiveRows`: A_b = W_live X_b,live, and G is formed on
-the live columns alone.  W keeps all D columns, and only the step on
-W_live writes it, so a dead column keeps its starting value.  The
-plan is sized by the live rows' bytes: 16 blocks for the 577 live rows of
-a 60000-image MNIST-shaped pair, where a pass over its full 785-row X
-takes 22.  ``train`` reads the live rows in place when given them, as
-:func:`~smxreg.data_io.load_idx_live` loads them, or finds them in a
-:class:`~smxreg.core.Dataset` by one scan of X; when a row is dead,
-:meth:`~smxreg.core.LiveRows.of` copies the live rows once per call (held
-until it returns; no copy for zero epochs).  Both give the same bits.
-
-Under ``bb_mode`` "off" the step is W_live -= eta G at a fixed rate.  Under
-"bb2" it is a preconditioned Barzilai-Borwein step (Molina & Raydan 1996)
-in the metric of M = N (diag(s) + mu mu^T), the model of X X^T that keeps
-the per-row means mu and variances s of the live rows and drops their
-covariances: the moments of centred, scaled inputs (LeCun et al. 1998,
-"Efficient BackProp").  ``train`` gathers mu and s once per call, in one
-pass over the epochs' own column blocks added in block order.  Each epoch
-sets P = 2 G M^+, recentred, and steps W_live -= eta P; M^+ is applied in
-closed form in O(CD) (:class:`_Metric`), with no BLAS product.  The rate
-is <dW, dG> / <dG, dP> of successive weight, gradient and direction
-differences, by Cauchy-Schwarz in M's metric the shorter of the two such
-rates; the first step's rate is ``eta``.  The metric takes the mean
-direction and the row scales out of the condition number of X X^T, which
-the rate of plain descent carries squared.  Where the rows are centred
-and mutually orthogonal M = X X^T, and rate 1 is Bohning's
-majorize-minimize step.  The previous rate is kept when <dG, dP> = 0 or
-the rate leaves [1e-12, 1e12], as it does for every non-positive
-<dW, dG>.
-
-A run that diverges, from too large a rate or on data with no minimizer,
-is an outcome the trace records, so one rule ends it: the first epoch
-whose loss or ||G|| is not finite stops the run with reason "nonfinite",
-and its record, the last, holds the loss, ||G|| and rate it computed;
-non-finite A always gives a non-finite loss (:func:`~smxreg.loss_grad.forward`).
-Weights that the last step leaves not finite stop the run "nonfinite"
-too, after that epoch's finite record.  The run, pool threads included,
-ignores floating-point overflow and emits no warning.
-
-Because 1^T G = 0 holds for every W, a step moves the column sums of W only
-by rounding: from a centered start they stay at rounding level, and
-``EpochRecord.max_abs_column_sum`` monitors them at each logged epoch.
+Each epoch runs  A = W X;  Y = softmax(A);  G = (Y - T) X^T  and steps W at
+a fixed rate, or under bb2 along a preconditioned Barzilai-Borwein
+direction.  :func:`train` states the epoch, its column blocks, the live rows
+and the rule that ends a diverging run; :class:`_Metric` and
+:func:`_bb_step` state bb2.
 """
 from __future__ import annotations
 
@@ -91,14 +37,10 @@ STOP_NONFINITE = "nonfinite"
 class TrainConfig:
     """Knobs for :func:`train`.
 
-    ``eta`` is the fixed rate (``bb_mode`` "off"), or under Barzilai-Borwein
-    adaptation (``bb_mode`` "bb2") the first step's rate, a rate in the
-    metric of the row-moment model M (see the module docstring), where 1 is
-    the majorize-minimize step when M = X X^T.  ``seed`` draws the
+    ``eta`` is the fixed rate (``bb_mode`` "off"), or under "bb2" the first
+    step's rate in the metric of :class:`_Metric`.  ``seed`` draws the
     initial weights.  Training stops after ``epochs`` epochs, as soon as
-    ||grad||_F <= tol_grad, or with reason "nonfinite" at the first epoch
-    whose loss or ||grad||_F is not finite (that epoch's record is the
-    last) or after a last step that leaves the weights not finite.
+    ||grad||_F <= ``tol_grad``, or by the "nonfinite" rule of :func:`train`.
     """
 
     eta: float = 0.1
@@ -135,11 +77,8 @@ class EpochRecord:
 
 @dataclass
 class TrainTrace:
-    """Logged epoch records, the stop reason, the number of rows of X that
-    are nonzero in some sample (the rows an epoch reads) and the number of
-    column blocks of those rows whose sums give each epoch's loss and G
-    (:func:`~smxreg.core.column_plan` of the live rows' bytes, so set by
-    their shape alone, never by the CPU count)."""
+    """Logged epoch records, the stop reason, and the counts of live rows
+    and of column blocks that each epoch reads (see :func:`train`)."""
 
     records: list[EpochRecord] = field(default_factory=list)
     stop_reason: str = STOP_EPOCHS
@@ -156,9 +95,11 @@ def initial_weights(data: Dataset | LiveRows, cfg: TrainConfig) -> np.ndarray:
 
 def _bb_step(dw: np.ndarray, dg: np.ndarray, dp: np.ndarray, fallback: float) -> float:
     """The Barzilai-Borwein rate <dw, dg> / <dg, dp> from the weight,
-    gradient and direction changes on the live columns, or ``fallback`` when
-    <dg, dp> <= 0 or the rate leaves [``BB_STEP_MIN``, ``BB_STEP_MAX``], as it
-    does if <dw, dg> <= 0."""
+    gradient and direction changes on the live columns (Molina & Raydan
+    1996), by Cauchy-Schwarz in :class:`_Metric`'s metric the shorter of the
+    two such rates.  It is ``fallback``, the previous rate, when
+    <dg, dp> <= 0 or the rate leaves [``BB_STEP_MIN``, ``BB_STEP_MAX``], as
+    it does if <dw, dg> <= 0."""
     den = float(np.sum(dg * dp))
     if den <= 0.0:
         return fallback
@@ -175,9 +116,16 @@ def _row_sums(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass(frozen=True)
 class _Metric:
-    """The row-moment model M = N (diag(s) + mu mu^T) of X X^T, from the
-    per-row sums of X and X**2 over its N columns, and
-    :meth:`direction`, which applies M^+ in closed form.
+    """bb2's metric: the row-moment model M = N (diag(s) + mu mu^T) of X X^T,
+    from the per-row sums of X and X**2 over its N columns, and
+    :meth:`direction`, which applies M^+ in closed form in O(CD).
+
+    M keeps the per-row means mu and variances s and drops the covariances:
+    the moments of centred, scaled inputs (LeCun et al. 1998, "Efficient
+    BackProp").  It takes the mean direction and the row scales out of the
+    condition number of X X^T, which the rate of plain descent carries
+    squared.  Where the rows are centred and mutually orthogonal M = X X^T,
+    and rate 1 is Bohning's majorize-minimize step.
 
     A row is constant when s <= ``RANK_RTOL`` E[x^2]; the bias row is one,
     and so is a row of zeros.  With constant rows "0" (not all zero) and the
@@ -239,26 +187,38 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
 
     ``w0`` overrides the seeded initialization and is used exactly as given
     (not recentered), so runs starting from W and from W + 1 c^T can be
-    compared.  The first epoch whose loss or ||G|| is not finite stops the
-    run with reason "nonfinite", recording what it computed, as do
-    returned weights that are not finite; nothing is raised or warned.
+    compared.
 
-    Each epoch is a sum over ``trace.blocks`` fixed column blocks of the
-    rows of X that are nonzero in some sample.  ``data`` is either those
-    rows, a :class:`~smxreg.core.LiveRows`, read in place, or a
-    :class:`~smxreg.core.Dataset`, which costs one scan of X and, if any
-    row is zero in every sample, one copy of the live rows for the call
-    (:meth:`~smxreg.core.LiveRows.of`), an extra (live rows / D) x
-    ``data.x.nbytes``, unless ``cfg.epochs`` is 0.  Both give the same
-    bits.  The weights, the trace and the column sums keep all D columns.
-    Under bb2 one more pass over the blocks, before the first epoch,
-    gathers the live rows' means and variances.
+    A row of X that is zero in every sample adds nothing to A, and G's
+    column for it is zero, so an epoch reads only the live rows
+    (``trace.live_rows``): A = W_live X_live, and only the step on W_live
+    writes W, so a dead column keeps its starting value.  ``data`` is either
+    those rows, a :class:`~smxreg.core.LiveRows`, read in place, or a
+    :class:`~smxreg.core.Dataset`, which costs one scan of X and, if a row
+    is dead, one copy of the live rows for the call
+    (:meth:`~smxreg.core.LiveRows.of`), unless ``cfg.epochs`` is 0.  Both
+    give the same bits.  The weights, the trace and the column sums keep
+    all D columns.  Since 1^T G = 0, the column sums of a centered start
+    stay at rounding level; each record holds the largest.
 
-    The blocks, and those of a live-row copy, run under
-    :func:`~smxreg.core.block_runner`, which holds OpenBLAS's process-wide
-    thread count at one while it pools: a BLAS product that another
-    thread of the process runs then is single-threaded too, and can round
-    differently.  A one-block or serial run takes BLAS's own count.
+    The loss and G are sums over samples, so an epoch is a sum over the
+    ``trace.blocks`` blocks of :func:`~smxreg.core.column_plan` for the live
+    rows' bytes: block b gives its loss and G_b = (Y_b - T_b) X_b^T from
+    :func:`~smxreg.loss_grad.forward`, reading its columns of X twice while
+    they are in cache, and the calling thread adds them in block order.
+    The blocks run under :func:`~smxreg.core.block_runner`.  Under "off"
+    the step is W_live -= eta G; under "bb2" one more pass, before the
+    first epoch, gathers the live rows' moments (:class:`_Metric`), and
+    each epoch steps W_live -= eta P, P = 2 G M^+ recentred, at the rate of
+    :func:`_bb_step`.
+
+    A diverging run is an outcome the trace records, so one rule ends it:
+    the first epoch whose loss or ||G|| is not finite stops the run with
+    reason "nonfinite", and its record, the last, holds the loss, ||G|| and
+    rate it computed; non-finite A always gives a non-finite loss.  Weights
+    that the last step leaves not finite stop the run "nonfinite" too,
+    after that epoch's finite record.  The run, pool threads included,
+    ignores floating-point overflow; nothing is raised or warned.
     """
     if w0 is None:
         w = initial_weights(data, cfg)

@@ -845,15 +845,20 @@ class TestOutput:
         assert str(rep) in captured.err and ".tmp" not in captured.err
         assert [p.name for p in tmp_path.iterdir()] == ["toy.csv"]
 
-    # the second temp file cannot be made, or the second rename fails after
-    # the first one has put its file in place
+    # the second temp file cannot be made, or the second target is a
+    # directory; first with no a.bin, then with a.bin holding an earlier file
     @pytest.mark.parametrize("second", ["missing/b.json", "directory"])
     def test_second_file_failing_leaves_neither(self, tmp_path, second):
         (tmp_path / "directory").mkdir()
         first, second = tmp_path / "a.bin", tmp_path / second
-        with pytest.raises(OSError, match=re.escape(repr(str(second)))):
-            cli._write_files({str(first): b"a", str(second): b"b"})
-        assert [p.name for p in tmp_path.iterdir()] == ["directory"]
+        for before in (None, b"earlier"):
+            if before is not None:
+                first.write_bytes(before)
+            with pytest.raises(OSError, match=re.escape(repr(str(second)))):
+                cli._write_files({str(first): b"a", str(second): b"b"})
+            expected = ["a.bin", "directory"] if before else ["directory"]
+            assert sorted(p.name for p in tmp_path.iterdir()) == expected
+            assert before is None or first.read_bytes() == before
 
     # the same file spelled alike, with a leading ./, and through a symlink
     @pytest.mark.parametrize("report", ["w.bin", "./w.bin", "link/w.bin"])

@@ -653,6 +653,10 @@ class TestLobpcgSteps:
         # the span is that of the free rows off q
         free_off_q = free - (free @ q.T) @ q
         assert np.linalg.norm(free_off_q - (free_off_q @ w.T) @ w) <= 1e-12
+        # more rows than columns: at most m of them are independent
+        many = convergence._orthonormal_rows(rng.standard_normal((5, 3)), np.empty((0, 3)))
+        assert many.shape == (3, 3)
+        assert np.max(np.abs(many @ many.T - np.eye(3))) <= 1e-13
 
     def test_orthonormal_rows_of_dependent_rows_are_empty(self):
         rng = np.random.default_rng(42)

@@ -1,6 +1,7 @@
 """``smxreg.__all__`` lists exactly the public names ``smxreg/__init__.py``
-imports, once each, so an export of a deleted name fails at once; and
-README's library sketch imports only names that exist."""
+imports, once each, so an export of a deleted name fails at once; every
+exported name is documented where it is defined; and README's library
+sketch imports only names that exist."""
 import ast
 import importlib
 import re
@@ -26,6 +27,20 @@ def test_every_exported_name_resolves():
 def test_all_is_the_public_imports():
     public = {name for name in _imported_names() if not name.startswith("_")}
     assert set(smxreg.__all__) == public
+
+
+def test_every_exported_name_has_a_docstring():
+    # Read from the source with ast, so a docstring inherited or set at
+    # run time does not count.
+    missing = []
+    for name in smxreg.__all__:
+        module = importlib.import_module(getattr(smxreg, name).__module__)
+        tree = ast.parse(Path(module.__file__).read_text())
+        node = next(node for node in tree.body if getattr(node, "name", None) == name
+                    and isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        if not ast.get_docstring(node):
+            missing.append(f"{module.__name__}.{name}")
+    assert missing == []
 
 
 def readme_library_sketch() -> str:
