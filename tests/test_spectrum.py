@@ -285,6 +285,28 @@ class TestAnalyzeQ:
                 right = max(min(e.value + ROOT_TOL / 2, hi2), lo2)
                 assert secular_f(a, nu, left) <= 1.0 <= secular_f(a, nu, right)
 
+    @pytest.mark.parametrize("side", ["left-of-gap", "right-of-gap"])
+    def test_eigenvalue_outside_its_gap_is_clipped(self, monkeypatch, side):
+        # an eigenvalue that rounding puts outside its gap is clipped to the
+        # near end of the shrunk gap, strictly inside; degenerate gaps keep
+        # their lower value
+        eigvalsh = np.linalg.eigvalsh
+        shift = -1.0 if side == "left-of-gap" else 1.0
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: eigvalsh(m) + shift)
+        rng = np.random.default_rng(10)
+        vectors = [softmax(rng.standard_normal(10)) for _ in range(5)]
+        raw = np.array([1e-11, 0.25, 0.25 + 3e-11, 0.5])
+        vectors.append(raw / raw.sum())
+        for y in vectors:
+            for e in entry_of_kind(analyze_q(y), KIND_INTERLACED):
+                lo, hi = e.bracket
+                if e.degenerate_gap:
+                    assert e.value == lo
+                    continue
+                lo2, hi2 = shrunk_bracket(lo, hi)
+                assert e.value == (lo2 if side == "left-of-gap" else hi2)
+                assert lo < e.value < hi
+
     def test_secular_peak_memory_at_c1000(self):
         # the eigensolve forms one r x r matrix M, about one gaps x r buffer;
         # LAPACK's copy of M and its workspace are allocated outside numpy's
