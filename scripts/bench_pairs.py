@@ -8,7 +8,9 @@ DIR is the root of a source checkout (a clone of the parent commit, and the
 tree of the change).  A --parent that is not the root of a git checkout
 (``git rev-parse --show-toplevel`` names another directory, or none) is
 refused before anything runs, since its commit, recorded as
-``parent_commit``, would be missing or another checkout's.  For each seed,
+``parent_commit``, would be missing or another checkout's.  Each tree's
+resolved path is recorded too (``parent_tree``, ``change_tree``): paired
+results can depend on where a tree sits, not only on its code.  For each seed,
 ``python3 bench/run.py --workload W --seed S --seconds 25 --trace 0`` runs
 once in each tree, from that tree's root; the side that runs first
 alternates pair by pair, parent first in the first pair.  Fewer than 2
@@ -247,7 +249,8 @@ def main(argv=None) -> int:
         workload, metric = args.claim.split(":")
         claim = {"workload": workload, "metric": metric, "better": "lower"}
     doc = {"description": DESCRIPTION, "change": args.note or old.get("change"),
-           "parent_commit": parent_commit or None, "claim": claim, "host": _host(),
+           "parent_commit": parent_commit or None, "parent_tree": str(args.parent.resolve()),
+           "change_tree": str(args.change.resolve()), "claim": claim, "host": _host(),
            "workloads": {**old.get("workloads", {}), args.workload: summarize(pairs)}}
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
     summary = doc["workloads"][args.workload]

@@ -6,7 +6,6 @@ as a matrix-free operator with its exact kernel, the analytic spectrum of
 the per-sample curvature factor, strict-convexity certification, and
 certified convergence-rate windows for fixed-rate descent.
 """
-from .certify import ConvexityCertificate, certify
 from .convergence import (
     ConvergencePlan,
     CurvatureBracket,
@@ -19,6 +18,7 @@ from .convergence import (
     zero_sum_basis,
 )
 from .core import (
+    ConvexityCertificate,
     Dataset,
     DimensionMismatchError,
     InvalidInputError,
@@ -28,6 +28,7 @@ from .core import (
     SizeLimitError,
     UnsupportedShapeError,
     center_columns,
+    certify,
     one_hot,
 )
 from .hessian import HessianOperator

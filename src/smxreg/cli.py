@@ -21,11 +21,9 @@ from dataclasses import asdict
 
 import numpy as np
 
-from .certify import certify
 from .convergence import curvature_bracket, plan
-from .core import Dataset, InvalidInputError, LiveRows, check_weights
-from .data_io import (encode_weights, load_csv, load_idx_dataset, load_idx_live,
-                      read_weights)
+from .core import InvalidInputError, LiveRows, certify, check_weights, live_rows
+from .data_io import encode_weights, load_csv, load_idx_live, read_weights
 from .fdcheck import GRAD_TOL, HESS_TOL, gradient_check_suite
 from .hessian import HessianOperator
 from .softmax import softmax
@@ -87,27 +85,27 @@ def _add_data_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--bias", action="store_true", help="append a constant-1 feature row")
 
 
-def _load_dataset(args, load_idx=load_idx_dataset) -> Dataset | LiveRows:
-    """The CSV's Dataset, or what ``load_idx`` returns for the IDX pair."""
+def _load_dataset(args) -> LiveRows:
+    """The live rows of the data flags' problem, the one type every command
+    reads: an IDX pair's as :func:`~smxreg.data_io.load_idx_live` loads
+    them, a CSV's by :meth:`~smxreg.core.LiveRows.of` on its Dataset."""
     if args.csv:
         if args.classes is None:
             raise InvalidInputError("--classes is required with --csv")
         label_column = -1 if args.label_column is None else args.label_column
-        return load_csv(args.csv, label_column, args.classes,
-                        header=args.header, bias=args.bias)
+        data = load_csv(args.csv, label_column, args.classes, header=args.header,
+                        bias=args.bias)
+        return LiveRows.of(data, live_rows(data.x))
     if args.data and args.labels:
         if args.classes is None:
             raise InvalidInputError("--classes is required with --data/--labels")
-        return load_idx(args.data, args.labels, args.classes, bias=args.bias)
+        return load_idx_live(args.data, args.labels, args.classes, bias=args.bias)
     raise InvalidInputError("provide --csv or both --data and --labels")
 
 
-def _input_digest(args, data: Dataset | LiveRows | None) -> dict:
-    digest: dict = {}
-    for key in ("csv", "data", "labels", "weights"):
-        val = getattr(args, key, None)
-        if val:
-            digest[key] = str(val)
+def _input_digest(args, data: LiveRows | None) -> dict:
+    digest = {key: str(val) for key in ("csv", "data", "labels", "weights")
+              if (val := getattr(args, key, None))}
     if data is not None:
         digest.update(d=data.d, c=data.c, n=data.n)
     return digest
@@ -124,9 +122,7 @@ def cmd_train(args) -> tuple[int, dict, dict, list, dict]:
         tol_grad=args.tol_grad,
         log_every=args.log_every,
     )
-    # An IDX pair is loaded as its live rows alone; train and evaluate
-    # read no others.
-    data = _load_dataset(args, load_idx_live)
+    data = _load_dataset(args)
     w, trace = train(data, cfg)
     result: dict = {
         "stop_reason": trace.stop_reason,
@@ -180,8 +176,12 @@ def cmd_spectrum(args) -> tuple[int, dict, dict, list, dict]:
         if not 0 <= sample < data.n:
             raise InvalidInputError(f"--sample must be in 0..{data.n - 1}")
         w = check_weights(w, data)
-        # An overflowing column is refused by softmax.
-        y = softmax(w @ data.x[:, sample])
+        # The sample's column of X, zero in its dead rows, so the product
+        # is the full X's bit for bit.  An overflowing column is refused by
+        # softmax.
+        x = np.zeros(data.d)
+        x[data.rows] = data.data.x[:, sample]
+        y = softmax(w @ x)
 
     report = analyze_q(y)
     max_delta = None
@@ -216,13 +216,14 @@ def cmd_certify(args) -> tuple[int, dict, dict, list, dict]:
     else:
         lines.append("certificate: not strictly convex; minimizers form affine family")
 
-    result = asdict(cert)
-    if result.pop("degeneracy_witness") is not None:
-        result["degeneracy_witness"] = cert.degeneracy_witness.tolist()
+    # the witness, as a list, only when there is one
+    result = {key: val.tolist() if isinstance(val, np.ndarray) else val
+              for key, val in asdict(cert).items() if val is not None}
 
-    # curvature_bracket refuses more than DENSE_C_LIMIT classes.
+    # curvature_bracket refuses more than DENSE_C_LIMIT classes.  Full rank
+    # leaves no dead row, so data.data is the whole problem.
     if cert.full_rank and data.c <= DENSE_C_LIMIT:
-        br = curvature_bracket(HessianOperator(data, w))
+        br = curvature_bracket(HessianOperator(data.data, w))
         if data.c == 2 and br.low > 0.0:
             # The bracket is exact for two classes: a plan, and K_bracket is K.
             p = plan(br.low, br.high)

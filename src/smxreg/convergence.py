@@ -12,13 +12,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .certify import certify
 from .core import (
     Dataset,
     InvalidInputError,
     RankDeficientError,
     SizeLimitError,
     UnsupportedShapeError,
+    certify,
     column_blocks,
     rank_test,
 )

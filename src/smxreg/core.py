@@ -1,4 +1,5 @@
-"""Core data types for softmax-regression training problems.
+"""Core data types for softmax-regression training problems, and the rank
+test and strict-convexity certificate (:func:`certify`) that they carry.
 
 Convention used across the package: samples live in columns.  The feature
 matrix is D x N, the target matrix is C x N and a weight matrix is C x D,
@@ -20,6 +21,13 @@ import numpy as np
 # Target columns and the y of the spectrum functions must sum to 1 to this
 # tolerance (:func:`check_probability`).
 TARGET_COLUMN_SUM_TOL = 1e-12
+
+# Relative singular-value threshold below which X is treated as row-rank
+# deficient.
+RANK_RTOL = 1e-10
+
+VERDICT_STRICT = "strictly_convex_on_Z"
+VERDICT_DEGENERATE = "degenerate"
 
 # Bytes per block of :func:`column_plan`: under twice this, an array is one
 # block on the calling thread, as starting threads would cost more than they
@@ -350,11 +358,18 @@ def _check_shapes(x: np.ndarray, t: np.ndarray, min_rows: int = 1) -> None:
         raise InvalidInputError("need at least 2 classes")
 
 
+def live_rows(x: np.ndarray) -> np.ndarray:
+    """The ascending indices of the rows of the D x N ``x`` that are
+    nonzero in some column: the one rule that picks the rows of a
+    :class:`LiveRows`."""
+    return np.flatnonzero(np.any(x, axis=1))
+
+
 @dataclass(frozen=True)
 class LiveRows:
-    """The rows of a D x N feature matrix X that are nonzero in some sample,
-    which hold the whole training problem (see
-    :func:`~smxreg.trainer.train`).
+    """The rows of a D x N feature matrix X that are nonzero in some sample
+    (:func:`live_rows`), which hold the whole training problem (see
+    :func:`~smxreg.trainer.train`) and its rank test (:attr:`rank_factors`).
 
     ``data`` is the :class:`Dataset` of the live rows (r x N) with X's
     targets, ``rows`` their ascending indices into 0..d-1, and ``d`` X's
@@ -381,11 +396,12 @@ class LiveRows:
 
     @classmethod
     def of(cls, data: Dataset, rows: np.ndarray) -> LiveRows:
-        """The LiveRows of ``data`` whose live rows are ``rows``.  When every
-        row is live, ``data`` itself holds them, uncopied.  Otherwise they
-        are copied by row blocks, as :func:`copy_blocks` copies, with
-        ``np.take`` in mode "clip" (the rows lie in range), which writes
-        them without a temporary; the copy is adopted."""
+        """The LiveRows of ``data`` whose live rows are ``rows``
+        (:func:`live_rows` of its X).  When every row is live, ``data``
+        itself holds them, uncopied.  Otherwise they are copied by row
+        blocks, as :func:`copy_blocks` copies, with ``np.take`` in mode
+        "clip" (the rows lie in range), which writes them without a
+        temporary; the copy is adopted."""
         if rows.size == data.d:
             return cls(data, rows, data.d)
         x = np.empty((rows.size, data.n))
@@ -411,6 +427,21 @@ class LiveRows:
         out = w.copy()
         out[:, self.rows] = live
         return out
+
+    @cached_property
+    def rank_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """:attr:`Dataset.rank_factors` of the full X, from the live rows
+        alone: their singular values and left singular vectors, each vector
+        widened to d, then an exact 0 and e_k for each dead row k, in
+        ascending k.  A dead row of X is zero, so e_k^T X = 0 exactly.
+        When every row is live, these are ``data``'s own arrays."""
+        if self.rows.size == self.d:
+            return self.data.rank_factors
+        r = self.rows.size
+        s, left = np.zeros(self.d), np.zeros((self.d, self.d))
+        s[:r], left[:r, self.rows] = self.data.rank_factors
+        left[np.arange(r, self.d), np.setdiff1d(np.arange(self.d), self.rows)] = 1.0
+        return freeze(s), freeze(left)
 
 
 def freeze(a: np.ndarray) -> np.ndarray:
@@ -457,6 +488,42 @@ def rank_test(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     s = np.zeros(x.shape[0])
     s[: sv.shape[0]] = sv
     return s, left
+
+
+@dataclass(frozen=True)
+class ConvexityCertificate:
+    """Outcome of :func:`certify`.  ``degeneracy_witness`` is present exactly
+    when the verdict is degenerate; its rows show which feature combination
+    is never observed in the data."""
+
+    full_rank: bool
+    sv_min: float
+    sv_max: float
+    verdict: str
+    degeneracy_witness: np.ndarray | None = None
+
+
+def certify(data: Dataset | LiveRows) -> ConvexityCertificate:
+    """Decide strict convexity of the cross-entropy on the zero-column-sum
+    subspace Z from the singular values of X.
+
+    The loss is strictly convex on Z exactly when the feature columns span
+    R^D, i.e. rank(X) = D.  The decision is a deterministic singular-value
+    test, run once per dataset and kept in ``data.rank_factors``:
+    ``sv_min`` is the D-th singular value (0 when N < D or a row of X is
+    zero), and full rank means sv_min > ``RANK_RTOL`` * sv_max.  When it
+    fails, the witness is U = (e1 - e2) v^T for the left singular vector v
+    of sv_min: v^T X ~ 0, so U X ~ 0 = 1 0^T while 1^T U = 0, a flat
+    direction in Z that annihilates every sample.  On a
+    :class:`LiveRows` with a dead row k, v = e_k and U X = 0 exactly.
+    """
+    s, left = data.rank_factors
+    sv_max, sv_min = float(s[0]), float(s[-1])
+    if sv_min > RANK_RTOL * sv_max:
+        return ConvexityCertificate(True, sv_min, sv_max, VERDICT_STRICT)
+    witness = np.zeros((data.c, data.d))
+    witness[:2] = left[-1], -left[-1]
+    return ConvexityCertificate(False, sv_min, sv_max, VERDICT_DEGENERATE, witness)
 
 
 def center_columns(w) -> np.ndarray:

@@ -27,7 +27,7 @@ from array import array
 import numpy as np
 
 from .core import (Dataset, DimensionMismatchError, InvalidLabelError, LiveRows,
-                   column_blocks, copy_blocks, freeze, one_hot)
+                   column_blocks, copy_blocks, freeze, live_rows, one_hot)
 
 WEIGHTS_MAGIC = b"SMXW"
 IMAGE_MAGIC = 0x00000803
@@ -254,15 +254,16 @@ def load_idx_live(images_path, labels_path, c: int, bias: bool = False) -> LiveR
     """The live rows of the X of :func:`load_idx_dataset`, bit for bit,
     without building X.
 
-    One reduction over the payload bytes finds the pixels that are zero in
-    every image, and only the others (and the bias row, always live) are
-    converted by :func:`_scaled_pixels`.  Besides the live rows, only the
+    One reduction over the payload bytes (:func:`~smxreg.core.live_rows` of
+    their transpose) finds the pixels that are zero in every image, and
+    only the others (and the bias row, always live) are converted by
+    :func:`_scaled_pixels`.  Besides the live rows, only the
     payload bytes are held.  The errors are those of
     :func:`load_idx_dataset`.
     """
     pixels, t = _read_pair(images_path, labels_path, c)
     d = pixels.shape[1]
-    live = np.flatnonzero(np.bitwise_or.reduce(pixels, axis=0))
+    live = live_rows(pixels.T)
     x = _scaled_pixels(pixels, live, bias)
     rows = np.append(live, d) if bias else live
     return LiveRows(Dataset._adopt(x, t, min_rows=0), rows, d + bias)

@@ -12,9 +12,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .certify import RANK_RTOL
-from .core import (Dataset, InvalidInputError, LiveRows, activations, block_runner,
-                   center_columns, check_weights, column_plan)
+from .core import (RANK_RTOL, Dataset, InvalidInputError, LiveRows, activations,
+                   block_runner, center_columns, check_weights, column_plan, live_rows)
 from .loss_grad import forward, loss_from_activations
 # ``softmax`` stays importable from this module: bench/workloads.py times it
 # under the name ``smxreg.trainer.softmax``.
@@ -41,6 +40,8 @@ class TrainConfig:
     step's rate in the metric of :class:`_Metric`.  ``seed`` draws the
     initial weights.  Training stops after ``epochs`` epochs, as soon as
     ||grad||_F <= ``tol_grad``, or by the "nonfinite" rule of :func:`train`.
+    ``epochs``, ``seed`` and ``log_every`` must be integers (numpy's
+    included) of at least 0, 0 and 1.
     """
 
     eta: float = 0.1
@@ -51,16 +52,16 @@ class TrainConfig:
     log_every: int = 1
 
     def __post_init__(self):
+        for name, least in (("epochs", 0), ("seed", 0), ("log_every", 1)):
+            value = getattr(self, name)
+            if not isinstance(value, (int, np.integer)) or value < least:
+                raise InvalidInputError(f"{name} must be an integer >= {least}, got {value!r}")
         if not 0.0 < self.eta < float("inf"):
             raise InvalidInputError("eta must be finite and positive")
-        if self.epochs < 0:
-            raise InvalidInputError("epochs must be >= 0")
         if self.bb_mode not in BB_MODES:
             raise InvalidInputError(f"bb_mode must be one of {BB_MODES}")
         if not self.tol_grad > 0.0:
             raise InvalidInputError("tol_grad must be positive")
-        if self.log_every < 1:
-            raise InvalidInputError("log_every must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -225,10 +226,8 @@ def train(data: Dataset | LiveRows, cfg: TrainConfig,
     else:
         w = check_weights(w0, data).copy()
 
-    if isinstance(data, LiveRows):
-        live, rows = data, data.rows
-    else:
-        live, rows = None, np.flatnonzero(np.any(data.x, axis=1))
+    live = data if isinstance(data, LiveRows) else None
+    rows = live_rows(data.x) if live is None else live.rows
     blocks = column_plan(data.n, 8 * rows.size * data.n)  # the live rows' bytes
     trace = TrainTrace(live_rows=rows.size, blocks=len(blocks))
     if not cfg.epochs:

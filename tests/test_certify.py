@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from smxreg.certify import VERDICT_DEGENERATE, VERDICT_STRICT, certify
 from smxreg.convergence import zero_sum_basis
-from smxreg.core import Dataset, one_hot
+from smxreg.core import VERDICT_DEGENERATE, VERDICT_STRICT, Dataset, certify, one_hot
 from smxreg.hessian import HessianOperator
 from smxreg.softmax import softmax
 

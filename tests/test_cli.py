@@ -13,7 +13,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from smxreg import TrainConfig, cli, core, data_io, evaluate, fdcheck, softmax, train
+from smxreg import (HessianOperator, TrainConfig, certify, cli, core, curvature_bracket,
+                    data_io, evaluate, fdcheck, softmax, train)
 from smxreg.cli import main
 from smxreg.data_io import encode_weights, load_csv, load_idx_dataset, read_weights
 from smxreg.loss_grad import gradient
@@ -300,6 +301,62 @@ class TestTrainIdx:
         assert capsys.readouterr().err == (
             f"error: {toy_csv}: bad magic bytes 0x30 0x2e at offset 0 "
             "(expected 0x00 0x00)\n")
+
+
+class TestCurvatureIdx:
+    """``smxreg spectrum`` and ``certify`` read an IDX pair as its live rows,
+    as ``train`` does, and report what the full X gives."""
+
+    @staticmethod
+    def _pair(tmp_path, dead):
+        # 60 images of 3 x 4 pixels; with ``dead``, the first pixel row and
+        # one more pixel are zero in every image
+        rng = np.random.default_rng(31)
+        images = rng.integers(1, 256, (60, 3, 4), dtype=np.uint8)
+        if dead:
+            images[:, 0] = 0
+            images[:, 2, 1] = 0
+        imgs, labs = _idx_files(tmp_path, images, rng.integers(0, 3, 60).tolist())
+        return imgs, labs, load_idx_dataset(imgs, labs, 3, bias=True)
+
+    @pytest.mark.parametrize("dead", [False, True])
+    def test_spectrum_from_weights(self, tmp_path, dead):
+        imgs, labs, full = self._pair(tmp_path, dead)
+        w = np.random.default_rng(32).standard_normal((3, 13))
+        wfile, rep = tmp_path / "w.bin", tmp_path / "rep.json"
+        wfile.write_bytes(encode_weights(w))
+        assert main(["spectrum", "--weights", str(wfile), "--data", imgs, "--labels", labs,
+                     "--classes", "3", "--bias", "--sample", "5", "--json", str(rep)]) == 0
+        # the full X's product, bit for bit
+        assert json.loads(rep.read_text())["input"]["y"] == softmax(w @ full.x[:, 5]).tolist()
+
+    def test_certify_from_weights_on_a_full_rank_pair_reports_the_bracket(self, tmp_path):
+        imgs, labs, full = self._pair(tmp_path, dead=False)
+        w = np.random.default_rng(33).standard_normal((3, 13))
+        wfile, rep = tmp_path / "w.bin", tmp_path / "rep.json"
+        wfile.write_bytes(encode_weights(w))
+        assert main(["certify", "--weights", str(wfile), "--data", imgs, "--labels", labs,
+                     "--classes", "3", "--bias", "--json", str(rep)]) == 0
+        result = json.loads(rep.read_text())["result"]
+        br = curvature_bracket(HessianOperator(full, w))
+        assert result["verdict"] == "strictly_convex_on_Z"
+        assert result["bracket"] == {"anchor": "supplied", "low": br.low, "high": br.high,
+                                     "k_bracket": br.k_bracket, "k_bound": br.k_bound}
+
+    def test_certify_on_dead_rows_has_an_exact_witness(self, tmp_path):
+        imgs, labs, full = self._pair(tmp_path, dead=True)
+        rep = tmp_path / "rep.json"
+        assert main(["certify", "--data", imgs, "--labels", labs, "--classes", "3",
+                     "--bias", "--json", str(rep)]) == 0
+        result = json.loads(rep.read_text())["result"]
+        assert result["verdict"] == "degenerate" and result["full_rank"] is False
+        assert result["sv_min"] == 0.0
+        assert result["sv_max"] == pytest.approx(certify(full).sv_max, rel=1e-12, abs=0)
+        u = np.array(result["degeneracy_witness"])
+        assert np.all(u @ full.x == 0.0)
+        # nonzero in the last dead pixel's column only: e_9 (row 2, column 1)
+        assert np.flatnonzero(np.abs(u).sum(axis=0)).tolist() == [9]
+        assert u[:2, 9].tolist() == [1.0, -1.0]
 
 
 class TestSpectrum:

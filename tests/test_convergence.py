@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from smxreg import convergence, core
-from smxreg.certify import certify
 from smxreg.convergence import (
     curvature_bracket,
     dense_hessian_on_z,
@@ -24,6 +23,7 @@ from smxreg.core import (
     RankDeficientError,
     SizeLimitError,
     UnsupportedShapeError,
+    certify,
     one_hot,
 )
 from smxreg.hessian import HessianOperator

@@ -456,6 +456,32 @@ class TestLiveRows:
         with pytest.raises(DimensionMismatchError, match="at least one row"):
             Dataset(np.empty((0, 3)), t)
 
+    @pytest.mark.parametrize("x", [
+        np.array([[0.0, 0, 0, 0], [1, 2, 0, 1], [0, 0, 0, 0], [3, -1, 2, 0], [0, 0, 0, 0]]),
+        np.zeros((3, 4)),
+    ], ids=["dead_rows", "no_live_row"])
+    def test_rank_factors_match_the_full_rank_test(self, x):
+        data = Dataset(x, one_hot([1, 2, 2, 1], 2))
+        live = LiveRows.of(data, core.live_rows(x))
+        s, left = live.rank_factors
+        want_s, want_left = core.rank_test(x)
+        np.testing.assert_allclose(s, want_s, rtol=1e-13, atol=1e-14 * want_s[0])
+        # both orthonormal bases, vector k mapping X to a row of norm s[k]
+        for basis in (left, want_left):
+            np.testing.assert_allclose(basis @ basis.T, np.eye(x.shape[0]), atol=1e-15)
+            np.testing.assert_allclose(np.linalg.norm(basis @ x, axis=1), s,
+                                       atol=1e-13 * max(s[0], 1.0))
+        # each dead row k gives an exact 0 and e_k, after the live rows
+        dead = np.flatnonzero(~x.any(axis=1))
+        assert np.all(s[-dead.size:] == 0.0)
+        assert np.array_equal(left[-dead.size:], np.eye(x.shape[0])[dead])
+        assert not s.flags.writeable and not left.flags.writeable
+        assert live.rank_factors is live.rank_factors
+
+    def test_rank_factors_with_every_row_live_are_the_datasets(self):
+        data = Dataset(np.arange(1.0, 7.0).reshape(2, 3) ** 2, one_hot([1, 2, 2], 2))
+        assert LiveRows.of(data, np.arange(2)).rank_factors is data.rank_factors
+
 
 class TestActivationsCheck:
     """Every entry point that forms W X rejects an overflowing product with

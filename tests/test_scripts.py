@@ -316,7 +316,11 @@ def test_bench_pairs_runs_pairs_then_prints_the_bounds(tmp_path, monkeypatch, ca
     assert bench_pairs.main(argv + ["1,2"]) == 0
     # the side that runs first alternates, parent first
     assert runs == [(tmp_path, 1), (ROOT, 1), (ROOT, 2), (tmp_path, 2)]
-    assert json.loads(out.read_text())["workloads"]["w"]["pairs"] == 2
+    doc = json.loads(out.read_text())
+    assert doc["workloads"]["w"]["pairs"] == 2
+    # where each tree sits, resolved
+    assert (doc["parent_tree"], doc["change_tree"]) == (str(tmp_path.resolve()),
+                                                        str(ROOT.resolve()))
     assert capsys.readouterr().out.splitlines()[-4:] == [
         "setup_s: median 0.35 -> 0.5; worse by more than its bound 0.25: YES",
         "cli_s: median 1.5 -> 1.5; worse by more than its bound 0.25: no",

@@ -1,4 +1,8 @@
-import tracemalloc
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,6 +21,8 @@ from smxreg.spectrum import (
     dense_q_spectrum,
     nullspace_basis,
 )
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # Absolute tolerance of every interlaced root against the scalar oracle.
 ROOT_TOL = 1e-14
@@ -307,22 +313,40 @@ class TestAnalyzeQ:
                 assert e.value == (lo2 if side == "left-of-gap" else hi2)
                 assert lo < e.value < hi
 
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                        reason="reads VmHWM from /proc/self/status")
     def test_secular_peak_memory_at_c1000(self):
-        # the eigensolve forms one r x r matrix M, about one gaps x r buffer;
-        # LAPACK's copy of M and its workspace are allocated outside numpy's
-        # traced memory
-        rng = np.random.default_rng(8)
-        y = softmax(2.0 * rng.standard_normal(1000))
-        report = analyze_q(y)
-        r = len(report.distinct_values)
-        gaps = sum(not e.degenerate_gap for e in entry_of_kind(report, KIND_INTERLACED))
-        tracemalloc.start()
-        try:
-            analyze_q(y)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 3 * gaps * r * 8
+        # The eigensolve forms one r x r matrix M, about one gaps x r buffer,
+        # and LAPACK works on a copy that tracemalloc does not see.  So this
+        # reads the growth of a fresh process's peak resident set (VmHWM)
+        # over one call, after a C = 10 call has loaded LAPACK's code; a
+        # C = 1000 warm-up would leave no growth to see.
+        code = textwrap.dedent("""
+            import numpy as np
+            from smxreg.softmax import softmax
+            from smxreg.spectrum import KIND_INTERLACED, analyze_q
+
+            def hwm():
+                with open("/proc/self/status") as f:
+                    line = next(line for line in f if line.startswith("VmHWM:"))
+                return int(line.split()[1]) * 1024
+
+            analyze_q(softmax(2.0 * np.random.default_rng(9).standard_normal(10)))
+            y = softmax(2.0 * np.random.default_rng(8).standard_normal(1000))
+            before = hwm()
+            report = analyze_q(y)
+            grown = hwm() - before
+            gaps = sum(not e.degenerate_gap for e in report.eigenvalues
+                       if e.kind == KIND_INTERLACED)
+            print(grown, len(report.distinct_values), gaps)
+            """)
+        env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        grown, r, gaps = map(int, proc.stdout.split())
+        assert gaps > 900
+        assert grown <= 3 * gaps * r * 8
 
     @settings(max_examples=100, deadline=None)
     @given(probability_vectors)

@@ -503,11 +503,26 @@ class TestTrainConfig:
             TrainConfig(tol_grad=0.0)
         with pytest.raises(InvalidInputError):
             TrainConfig(log_every=0)
+        with pytest.raises(InvalidInputError, match="^seed must be an integer >= 0, got -1$"):
+            TrainConfig(seed=-1)
 
     @pytest.mark.parametrize("eta", [float("inf"), float("nan"), -1.0])
     def test_eta_must_be_finite_and_positive(self, eta):
         with pytest.raises(InvalidInputError, match="eta must be finite and positive"):
             TrainConfig(eta=eta)
+
+    @pytest.mark.parametrize("field", ["epochs", "seed", "log_every"])
+    def test_integer_fields_refuse_a_float(self, field):
+        # 2.5 epochs would reach range(), 1.5 SeedSequence, and a log_every
+        # of 1.5 would log at epochs 3, 6, ...
+        least = 1 if field == "log_every" else 0
+        with pytest.raises(InvalidInputError,
+                           match=f"^{field} must be an integer >= {least}, got 1.5$"):
+            TrainConfig(**{field: 1.5})
+
+    def test_integer_fields_take_numpy_integers(self):
+        cfg = TrainConfig(epochs=np.int64(3), seed=np.uint32(4), log_every=np.int8(2))
+        assert train(Dataset(np.eye(2), one_hot([1, 2], 2)), cfg)[1].records[-1].epoch == 3
 
     def test_bb1_is_refused_naming_the_modes(self):
         assert BB_MODES == ("off", "bb2")
